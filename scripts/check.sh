@@ -2,7 +2,9 @@
 # Sanitizer check: configure a dedicated build tree with the chosen sanitizer,
 # build, and run ctest. The thread-sanitizer run is the gate for the lock-free
 # observability paths and the concurrent datacube serving paths: test_obs,
-# test_taskrt, test_datacube and test_common must come back clean. The
+# test_taskrt, test_datacube and test_common must come back clean, and so
+# must test_esm, whose decomposed driver runs one EsmModel (with its own
+# per-step scratch planes) per thread. The
 # address run also enables UBSan (the two compose; TSan does not).
 #
 # Usage:
@@ -67,7 +69,7 @@ ctest "${CTEST_ARGS[@]}"
 if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
   echo "== TSan gate: re-running the concurrency suites explicitly"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_obs|test_taskrt|test_datacube|test_common)$'
+    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm)$'
   echo "== TSan chaos gate: fault injection + node-failure recovery under TSan"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L chaos
 fi

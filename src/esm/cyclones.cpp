@@ -113,21 +113,22 @@ void CycloneModel::step(int step) {
                 active_.end());
 }
 
-double CycloneModel::psl_anomaly_hpa(double lat, double lon) const {
-  double anomaly = 0.0;
+CycloneImprint CycloneModel::imprint(double lat, double lon) const {
+  CycloneImprint out;
   for (const ActiveCyclone& tc : active_) {
     const double r = angular_distance_deg(lat, lon, tc.lat, tc.lon);
-    if (r > 15.0) continue;
-    const double scale = r / 4.0;
-    anomaly -= tc.depression_hpa() * std::exp(-scale * scale);
-  }
-  return anomaly;
-}
-
-void CycloneModel::wind_anomaly_ms(double lat, double lon, double* du, double* dv) const {
-  for (const ActiveCyclone& tc : active_) {
-    const double r = angular_distance_deg(lat, lon, tc.lat, tc.lon);
-    if (r > 15.0 || r < 1e-6) continue;
+    if (r > 15.0) continue;  // the widest cut-off (pressure and wind)
+    const double psl_scale = r / 4.0;
+    out.psl_hpa -= tc.depression_hpa() * std::exp(-psl_scale * psl_scale);
+    if (r <= 10.0) {
+      const double scale = r / 2.2;
+      out.warm_core_c += 3.0 * tc.intensity * std::exp(-scale * scale);
+    }
+    if (r <= 12.0) {
+      const double scale = r / 3.0;
+      out.precip_mmday += 70.0 * tc.intensity * std::exp(-scale * scale);
+    }
+    if (r < 1e-6) continue;
     // Rankine-like tangential profile peaking at rm.
     const double rm = 1.6;
     const double profile = (r / rm) * std::exp(1.0 - r / rm);
@@ -141,31 +142,10 @@ void CycloneModel::wind_anomaly_ms(double lat, double lon, double* du, double* d
     const double norm = std::sqrt(dx * dx + dy * dy);
     if (norm < 1e-9) continue;
     const double sign = tc.lat >= 0 ? 1.0 : -1.0;
-    *du += sign * speed * (-dy / norm);
-    *dv += sign * speed * (dx / norm);
+    out.du += sign * speed * (-dy / norm);
+    out.dv += sign * speed * (dx / norm);
   }
-}
-
-double CycloneModel::warm_core_c(double lat, double lon) const {
-  double anomaly = 0.0;
-  for (const ActiveCyclone& tc : active_) {
-    const double r = angular_distance_deg(lat, lon, tc.lat, tc.lon);
-    if (r > 10.0) continue;
-    const double scale = r / 2.2;
-    anomaly += 3.0 * tc.intensity * std::exp(-scale * scale);
-  }
-  return anomaly;
-}
-
-double CycloneModel::precip_mmday(double lat, double lon) const {
-  double rate = 0.0;
-  for (const ActiveCyclone& tc : active_) {
-    const double r = angular_distance_deg(lat, lon, tc.lat, tc.lon);
-    if (r > 12.0) continue;
-    const double scale = r / 3.0;
-    rate += 70.0 * tc.intensity * std::exp(-scale * scale);
-  }
-  return rate;
+  return out;
 }
 
 }  // namespace climate::esm

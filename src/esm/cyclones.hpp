@@ -33,6 +33,16 @@ struct ActiveCyclone {
   double central_psl_hpa() const { return 1008.0 - depression_hpa(); }
 };
 
+/// Every field imprint of the active cyclones at one point: each is a sum over
+/// the active cyclones, in their order, within its own cut-off radius.
+struct CycloneImprint {
+  double psl_hpa = 0.0;       ///< Pressure depression [hPa] (within 15 deg).
+  double du = 0.0;            ///< Tangential wind, zonal part [m/s] (15 deg).
+  double dv = 0.0;            ///< Tangential wind, meridional part [m/s].
+  double warm_core_c = 0.0;   ///< Warm-core temperature anomaly [degC] (10 deg).
+  double precip_mmday = 0.0;  ///< Rain-band precipitation [mm/day] (12 deg).
+};
+
 /// Deterministic cyclone generator and field imprinter.
 class CycloneModel {
  public:
@@ -48,11 +58,8 @@ class CycloneModel {
   /// Seasonal genesis weight in [0,1] for a hemisphere and day of year.
   double season_weight(bool northern, int day_of_year) const;
 
-  // --- field imprints at a point (sum over active cyclones) ---
-  double psl_anomaly_hpa(double lat, double lon) const;
-  void wind_anomaly_ms(double lat, double lon, double* du, double* dv) const;
-  double warm_core_c(double lat, double lon) const;
-  double precip_mmday(double lat, double lon) const;
+  /// All field imprints at a point, from one distance per active cyclone.
+  CycloneImprint imprint(double lat, double lon) const;
 
  private:
   void spawn(int step);

@@ -35,30 +35,56 @@ EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing, std::si
     const float sst0 = static_cast<float>(baseline_sst_c(grid_.lat(i), 0, config_.days_per_year));
     for (std::size_t j = 0; j < grid_.nlon(); ++j) sst_.at(i, j) = sst0;
   }
+
+  // Size the scratch planes once; every step refills them in place.
+  auto noise_coords = [](std::size_t cells) {
+    std::vector<NoiseCoord> coords(cells);
+    for (std::size_t k = 0; k < cells; ++k) {
+      const double f = static_cast<double>(k) / kNoiseCoarse;
+      coords[k].node = static_cast<std::size_t>(f);
+      coords[k].weight = f - static_cast<double>(coords[k].node);
+    }
+    return coords;
+  };
+  noise_lat_ = noise_coords(grid_.nlat());
+  noise_lon_ = noise_coords(grid_.nlon());
+  // Cell k interpolates nodes k/6 and k/6 + 1, so a plane needs
+  // ceil(n/6) + 1 nodes along each axis.
+  const std::size_t coarse_lat = (grid_.nlat() + kNoiseCoarse - 1) / kNoiseCoarse;
+  noise_cols_ = (grid_.nlon() + kNoiseCoarse - 1) / kNoiseCoarse + 1;
+  for (std::vector<double>* plane : {&noise_anom_, &noise_u_, &noise_v_, &noise_psl_, &noise_pr_}) {
+    plane->resize((coarse_lat + 1) * noise_cols_);
+  }
+  thermal_.resize((row_end_ - row_begin_) * grid_.nlon());
+  wind_row_begin_ = row_begin_ > 0 ? row_begin_ - 1 : row_begin_;
+  wind_row_end_ = row_end_ < grid_.nlat() ? row_end_ + 1 : row_end_;
+  const std::size_t wind_cells = (wind_row_end_ - wind_row_begin_) * grid_.nlon();
+  wind_u_.resize(wind_cells);
+  wind_v_.resize(wind_cells);
+  imprints_.resize(wind_cells);
 }
 
-double EsmModel::coherent_noise(std::uint64_t tag, int t, std::size_t i, std::size_t j) const {
-  // Bilinear interpolation of hash noise on a coarse grid; periodic in
-  // longitude, clamped in latitude. Pure function of its arguments.
-  const std::size_t coarse_lon = (grid_.nlon() + kNoiseCoarse - 1) / kNoiseCoarse;
-  const double fi = static_cast<double>(i) / kNoiseCoarse;
-  const double fj = static_cast<double>(j) / kNoiseCoarse;
-  const std::size_t i0 = static_cast<std::size_t>(fi);
-  const std::size_t j0 = static_cast<std::size_t>(fj);
-  const double wi = fi - static_cast<double>(i0);
-  const double wj = fj - static_cast<double>(j0);
-  const std::size_t coarse_lat = (grid_.nlat() + kNoiseCoarse - 1) / kNoiseCoarse;
-  auto node = [&](std::size_t ci, std::size_t cj) {
-    ci = std::min(ci, coarse_lat);  // clamp at the pole
-    cj = cj % (coarse_lon + 1);
-    return hash_normal(config_.seed, tag, static_cast<std::uint64_t>(t),
-                       ci * 100003ull + cj);
-  };
-  const double v00 = node(i0, j0);
-  const double v01 = node(i0, j0 + 1);
-  const double v10 = node(i0 + 1, j0);
-  const double v11 = node(i0 + 1, j0 + 1);
-  return (v00 * (1 - wj) + v01 * wj) * (1 - wi) + (v10 * (1 - wj) + v11 * wj) * wi;
+void EsmModel::fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const {
+  // Hash noise on the coarse lattice, one node per (ci, cj). Cell (i, j)
+  // interpolates between nodes i/6..i/6+1 and j/6..j/6+1, so the lattice is
+  // bounded at the poles and NOT periodic in longitude: the last node column
+  // is hashed independently of column 0, which leaves a seam at the date
+  // line. Closing it would change every output.
+  for (std::size_t k = 0; k < plane->size(); ++k) {
+    const std::size_t ci = k / noise_cols_;
+    const std::size_t cj = k % noise_cols_;
+    (*plane)[k] = hash_normal(config_.seed, tag, static_cast<std::uint64_t>(t),
+                              ci * 100003ull + cj);
+  }
+}
+
+double EsmModel::noise_at(const std::vector<double>& plane, std::size_t i, std::size_t j) const {
+  const double wi = noise_lat_[i].weight;
+  const double wj = noise_lon_[j].weight;
+  const double* lower = plane.data() + noise_lat_[i].node * noise_cols_ + noise_lon_[j].node;
+  const double* upper = lower + noise_cols_;
+  return (lower[0] * (1 - wj) + lower[1] * wj) * (1 - wi) +
+         (upper[0] * (1 - wj) + upper[1] * wj) * wi;
 }
 
 void EsmModel::spawn_thermal_events(int day) {
@@ -99,26 +125,37 @@ void EsmModel::spawn_thermal_events(int day) {
       thermal_events_.end());
 }
 
-double EsmModel::thermal_anomaly(double lat, double lon, int day) const {
-  double anomaly = 0.0;
-  for (const ThermalEvent& event : thermal_events_) {
-    if (!event.active(day)) continue;
-    const double r = angular_distance_deg(lat, lon, event.lat, event.lon);
-    if (r > 3.0 * event.radius_deg) continue;
-    const double scale = r / event.radius_deg;
-    // Plateau profile: blocking events are broad, not sharp Gaussians.
-    anomaly += event.amplitude_c * std::exp(-scale * scale * scale * scale);
+void EsmModel::fill_thermal(int day) {
+  const std::size_t nlon = grid_.nlon();
+  for (std::size_t i = row_begin_; i < row_end_; ++i) {
+    for (std::size_t j = 0; j < nlon; ++j) {
+      double anomaly = 0.0;
+      for (const ThermalEvent& event : thermal_events_) {
+        if (!event.active(day)) continue;
+        const double r = angular_distance_deg(grid_.lat(i), grid_.lon(j), event.lat, event.lon);
+        if (r > 3.0 * event.radius_deg) continue;
+        const double scale = r / event.radius_deg;
+        // Plateau profile: blocking events are broad, not sharp Gaussians.
+        anomaly += event.amplitude_c * std::exp(-scale * scale * scale * scale);
+      }
+      thermal_[(i - row_begin_) * nlon + j] = anomaly;
+    }
   }
-  return anomaly;
 }
 
-void EsmModel::wind_at(std::size_t i, std::size_t j, int step, double* u, double* v) const {
-  const double lat = grid_.lat(i);
-  const double lon = grid_.lon(j);
-  double du = 0.0, dv = 0.0;
-  cyclones_.wind_anomaly_ms(lat, lon, &du, &dv);
-  *u = background_u_ms(lat) + du + 1.5 * coherent_noise(0x0AED, step, i, j);
-  *v = background_v_ms(lat) + dv + 1.5 * coherent_noise(0x0AEE, step, i, j);
+void EsmModel::fill_wind_and_imprints() {
+  const std::size_t nlon = grid_.nlon();
+  for (std::size_t i = wind_row_begin_; i < wind_row_end_; ++i) {
+    const double lat = grid_.lat(i);
+    const double u_base = background_u_ms(lat);
+    const double v_base = background_v_ms(lat);
+    for (std::size_t j = 0; j < nlon; ++j) {
+      const std::size_t c = (i - wind_row_begin_) * nlon + j;
+      imprints_[c] = cyclones_.imprint(lat, grid_.lon(j));
+      wind_u_[c] = u_base + imprints_[c].du + 1.5 * noise_at(noise_u_, i, j);
+      wind_v_[c] = v_base + imprints_[c].dv + 1.5 * noise_at(noise_v_, i, j);
+    }
+  }
 }
 
 void EsmModel::update_anomaly(int day) {
@@ -127,6 +164,7 @@ void EsmModel::update_anomaly(int day) {
   const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
   Field next = t_anom_;
+  fill_noise(0xA40A, day, &noise_anom_);
   const double rho = config_.anomaly_persistence;
   const double sigma = config_.anomaly_noise_c;
   const double c = config_.advection_cells_per_step;
@@ -141,7 +179,7 @@ void EsmModel::update_anomaly(int day) {
       const double advected = (1.0 - c) * here + c * t_anom_.at(i, west);
       const double laplacian = t_anom_.at(north, j) + t_anom_.at(south, j) +
                                t_anom_.at(i, west) + t_anom_.at(i, east) - 4.0 * here;
-      const double noise = sigma * coherent_noise(0xA40A, day, i, j);
+      const double noise = sigma * noise_at(noise_anom_, i, j);
       next.at(i, j) = static_cast<float>(rho * advected + k * 0.25 * laplacian + noise);
     }
   }
@@ -189,22 +227,38 @@ void EsmModel::step() {
 
   if (step_of_day == 0) {
     spawn_thermal_events(day);
+    fill_thermal(day);
     update_anomaly(day);
     begin_day(day);
   }
 
   cyclones_.step(step);
+  fill_noise(0x0AED, step, &noise_u_);
+  fill_noise(0x0AEE, step, &noise_v_);
+  fill_noise(0x9811, step, &noise_psl_);
+  fill_noise(0x9812, step, &noise_pr_);
+  fill_wind_and_imprints();
 
   const double warming = forcing_.warming_c(year, config_.climate_sensitivity_c);
   const double diurnal = diurnal_cycle_c(step_of_day, steps);
   const double inv_steps = 1.0 / static_cast<double>(steps);
+  // Vorticity scale: units 1e-5/s with the grid spacing absorbed.
+  const double cell_km = 111.0 * grid_.dlat();
 
   // Coupler exchange accumulators for this step.
   double heat_integral = 0.0;
   double momentum_integral = 0.0;
   double freshwater_integral = 0.0;
 
+  const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
+  const auto s = static_cast<std::size_t>(step_of_day);
+  Field& psl_out = today_.psl[s];
+  Field& ua_out = today_.ua850[s];
+  Field& va_out = today_.va850[s];
+  Field& wspd_out = today_.wspd[s];
+  Field& vort_out = today_.vort850[s];
+  Field& pr_out = today_.pr6h[s];
   for (std::size_t i = row_begin_; i < row_end_; ++i) {
     const double lat = grid_.lat(i);
     const double weight = grid_.area_weight(i);
@@ -212,41 +266,36 @@ void EsmModel::step() {
     const double psl_base = baseline_psl_hpa(lat);
     const double pr_base = baseline_precip_mmday(lat, doy, config_.days_per_year);
     const double sst_clim = baseline_sst_c(lat, doy, config_.days_per_year);
+    // Wind-plane offsets of this row and of its clamped stencil neighbours.
+    const std::size_t here = (i - wind_row_begin_) * nlon;
+    const std::size_t north = ((i + 1 < nlat ? i + 1 : i) - wind_row_begin_) * nlon;
+    const std::size_t south = ((i > 0 ? i - 1 : i) - wind_row_begin_) * nlon;
+    const double* thermal = thermal_.data() + (i - row_begin_) * nlon;
     for (std::size_t j = 0; j < nlon; ++j) {
-      const double lon = grid_.lon(j);
-
       // --- atmosphere instantaneous state ---
-      const double blob = thermal_anomaly(lat, lon, day);
-      const double warm_core = cyclones_.warm_core_c(lat, lon);
-      const double temp = t_base + diurnal + warming + t_anom_.at(i, j) + blob + warm_core;
-      const double psl = psl_base + cyclones_.psl_anomaly_hpa(lat, lon) -
-                         0.45 * t_anom_.at(i, j) + 2.2 * coherent_noise(0x9811, step, i, j);
-      double u, v;
-      wind_at(i, j, step, &u, &v);
+      const CycloneImprint& tc = imprints_[here + j];
+      const double blob = thermal[j];
+      const double temp = t_base + diurnal + warming + t_anom_.at(i, j) + blob + tc.warm_core_c;
+      const double psl = psl_base + tc.psl_hpa - 0.45 * t_anom_.at(i, j) +
+                         2.2 * noise_at(noise_psl_, i, j);
+      const double u = wind_u_[here + j];
+      const double v = wind_v_[here + j];
+      const double speed = std::sqrt(u * u + v * v);
       const double convective = std::max(0.0, t_anom_.at(i, j) + blob - 2.0) * 1.3;
-      const double pr_rate = std::max(
-          0.0, pr_base * (1.0 + 0.35 * coherent_noise(0x9812, step, i, j)) + convective +
-                   cyclones_.precip_mmday(lat, lon));
+      const double pr_rate =
+          std::max(0.0, pr_base * (1.0 + 0.35 * noise_at(noise_pr_, i, j)) + convective +
+                            tc.precip_mmday);
 
-      // Vorticity from pointwise wind evaluation at neighbours (units 1e-5/s
-      // with the grid spacing absorbed into the scale).
-      double un, us, ve, vw;
-      {
-        double tmp_v;
-        const std::size_t north = i + 1 < grid_.nlat() ? i + 1 : i;
-        const std::size_t south = i > 0 ? i - 1 : i;
-        wind_at(north, j, step, &un, &tmp_v);
-        wind_at(south, j, step, &us, &tmp_v);
-        double tmp_u;
-        wind_at(i, grid_.wrap_lon(static_cast<long>(j) + 1), step, &tmp_u, &ve);
-        wind_at(i, grid_.wrap_lon(static_cast<long>(j) - 1), step, &tmp_u, &vw);
-      }
-      const double cell_km = 111.0 * grid_.dlat();
+      // Vorticity from the wind plane's centred differences.
+      const double un = wind_u_[north + j];
+      const double us = wind_u_[south + j];
+      const double ve = wind_v_[here + grid_.wrap_lon(static_cast<long>(j) + 1)];
+      const double vw = wind_v_[here + grid_.wrap_lon(static_cast<long>(j) - 1)];
       const double vort = ((ve - vw) - (un - us)) / (2.0 * cell_km * 1000.0) * 1e5;
 
       // --- coupler: atmosphere -> ocean fluxes ---
       const double heat_flux = 12.0 * (temp - sst_.at(i, j));  // W/m2
-      const double momentum_flux = 0.02 * std::sqrt(u * u + v * v);
+      const double momentum_flux = 0.02 * speed;
       heat_integral += weight * heat_flux;
       momentum_integral += weight * momentum_flux;
       freshwater_integral += weight * pr_rate;
@@ -260,14 +309,12 @@ void EsmModel::step() {
       const double ice = std::clamp((-0.5 - sst) / 1.3, 0.0, 1.0);
 
       // --- daily aggregation ---
-      Field& psl_f = today_.psl[static_cast<std::size_t>(step_of_day)];
-      psl_f.at(i, j) = static_cast<float>(psl);
-      today_.ua850[static_cast<std::size_t>(step_of_day)].at(i, j) = static_cast<float>(u);
-      today_.va850[static_cast<std::size_t>(step_of_day)].at(i, j) = static_cast<float>(v);
-      today_.wspd[static_cast<std::size_t>(step_of_day)].at(i, j) =
-          static_cast<float>(std::sqrt(u * u + v * v));
-      today_.vort850[static_cast<std::size_t>(step_of_day)].at(i, j) = static_cast<float>(vort);
-      today_.pr6h[static_cast<std::size_t>(step_of_day)].at(i, j) = static_cast<float>(pr_rate);
+      psl_out.at(i, j) = static_cast<float>(psl);
+      ua_out.at(i, j) = static_cast<float>(u);
+      va_out.at(i, j) = static_cast<float>(v);
+      wspd_out.at(i, j) = static_cast<float>(speed);
+      vort_out.at(i, j) = static_cast<float>(vort);
+      pr_out.at(i, j) = static_cast<float>(pr_rate);
 
       today_.tas.at(i, j) += static_cast<float>(temp * inv_steps);
       today_.tasmin.at(i, j) = std::min(today_.tasmin.at(i, j), static_cast<float>(temp));

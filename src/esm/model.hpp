@@ -118,12 +118,23 @@ class EsmModel {
   std::size_t row_end() const { return row_end_; }
 
  private:
+  /// Position of a grid index on the coarse noise lattice: the lower node
+  /// and the bilinear weight of the upper one.
+  struct NoiseCoord {
+    std::size_t node = 0;
+    double weight = 0.0;
+  };
+
   void spawn_thermal_events(int day);
-  double thermal_anomaly(double lat, double lon, int day) const;
-  /// Spatially coherent noise, pure function of (tag, time, cell).
-  double coherent_noise(std::uint64_t tag, int t, std::size_t i, std::size_t j) const;
-  /// Instantaneous wind at a grid point (pointwise-computable, incl. TCs).
-  void wind_at(std::size_t i, std::size_t j, int step, double* u, double* v) const;
+  /// Sum of the active blocking events at every owned cell, into thermal_.
+  void fill_thermal(int day);
+  /// Hashes the coarse nodes of noise `tag` at time `t` into `plane`.
+  void fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const;
+  /// Spatially coherent noise at a cell, interpolated from a filled plane.
+  double noise_at(const std::vector<double>& plane, std::size_t i, std::size_t j) const;
+  /// Fills the cyclone imprints and the wind over the wind plane: the owned
+  /// rows plus one halo row on each side, clamped at the poles.
+  void fill_wind_and_imprints();
   void update_anomaly(int day);
   void begin_day(int day);
 
@@ -144,6 +155,24 @@ class EsmModel {
   int step_count_ = 0;
   DailyFields today_;
   bool day_open_ = false;
+
+  // Scratch planes of the step, sized once and refilled in place. Band
+  // fields hold the owned rows [row_begin_, row_end_); the wind plane holds
+  // rows [wind_row_begin_, wind_row_end_).
+  std::vector<NoiseCoord> noise_lat_;  ///< Per grid row.
+  std::vector<NoiseCoord> noise_lon_;  ///< Per grid column.
+  std::size_t noise_cols_ = 0;         ///< Node columns of a noise plane.
+  std::vector<double> noise_anom_;     ///< Anomaly noise nodes (daily).
+  std::vector<double> noise_u_;        ///< Zonal wind noise nodes.
+  std::vector<double> noise_v_;        ///< Meridional wind noise nodes.
+  std::vector<double> noise_psl_;      ///< Pressure noise nodes.
+  std::vector<double> noise_pr_;       ///< Precipitation noise nodes.
+  std::vector<double> thermal_;        ///< Blocking-event anomaly (daily).
+  std::size_t wind_row_begin_ = 0;
+  std::size_t wind_row_end_ = 0;
+  std::vector<double> wind_u_;
+  std::vector<double> wind_v_;
+  std::vector<CycloneImprint> imprints_;  ///< Over the wind plane's rows.
 };
 
 }  // namespace climate::esm

@@ -26,7 +26,21 @@ BatchScheduler::~BatchScheduler() {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
   }
-  for (std::thread& t : threads_) t.join();
+  for (auto& [id, thread] : threads_) thread.join();
+}
+
+void BatchScheduler::reap_finished() {
+  std::vector<std::thread> exited;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (JobId id : finished_) {
+      auto it = threads_.find(id);
+      exited.push_back(std::move(it->second));
+      threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& thread : exited) thread.join();
 }
 
 std::int64_t BatchScheduler::now_ns() const {
@@ -36,6 +50,7 @@ std::int64_t BatchScheduler::now_ns() const {
 }
 
 Result<JobId> BatchScheduler::submit(const JobSpec& spec, std::function<void()> body) {
+  reap_finished();
   std::lock_guard<std::mutex> lock(mutex_);
   bool fits_somewhere = false;
   for (const BatchNodeSpec& node : nodes_) {
@@ -82,7 +97,8 @@ void BatchScheduler::try_dispatch_locked() {
     info.node = nodes_[chosen].name;
     job_node_[it->id] = chosen;
     ++active_;
-    threads_.emplace_back(&BatchScheduler::run_job, this, it->id, std::move(it->body), chosen);
+    threads_.emplace(it->id, std::thread(&BatchScheduler::run_job, this, it->id,
+                                         std::move(it->body), chosen));
     it = queue_.erase(it);
   }
 }
@@ -108,6 +124,7 @@ void BatchScheduler::run_job(JobId id, std::function<void()> body, std::size_t n
     free_cores_[node_index] += info.spec.cores;
     free_memory_[node_index] += info.spec.memory_gb;
     --active_;
+    finished_.push_back(id);
     try_dispatch_locked();
   }
   cv_.notify_all();

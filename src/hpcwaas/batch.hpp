@@ -90,6 +90,9 @@ class BatchScheduler {
 
   void try_dispatch_locked();
   void run_job(JobId id, std::function<void()> body, std::size_t node_index);
+  /// Joins the threads of jobs that have finished, so a long-lived scheduler
+  /// holds no stack of an exited job.
+  void reap_finished();
   std::int64_t now_ns() const;
 
   std::vector<BatchNodeSpec> nodes_;
@@ -101,7 +104,8 @@ class BatchScheduler {
   std::vector<PendingJob> queue_;
   std::map<JobId, JobInfo> jobs_;
   std::map<JobId, std::size_t> job_node_;
-  std::vector<std::thread> threads_;
+  std::map<JobId, std::thread> threads_;  ///< Started and not yet joined.
+  std::vector<JobId> finished_;           ///< Exited, thread not yet joined.
   JobId next_id_ = 1;
   std::size_t active_ = 0;
   std::chrono::steady_clock::time_point epoch_;

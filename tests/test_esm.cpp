@@ -172,14 +172,14 @@ TEST(Cyclones, ImprintShapesAreLocal) {
   for (int step = 0; step < 400 && model.active().empty(); ++step) model.step(step);
   ASSERT_FALSE(model.active().empty());
   const ActiveCyclone& tc = model.active().front();
-  EXPECT_LT(model.psl_anomaly_hpa(tc.lat, tc.lon), -2.0);
-  EXPECT_NEAR(model.psl_anomaly_hpa(tc.lat, tc.lon + 60.0), 0.0, 1e-6);
-  EXPECT_GT(model.warm_core_c(tc.lat, tc.lon), 0.1);
-  EXPECT_GT(model.precip_mmday(tc.lat, tc.lon), 1.0);
+  const CycloneImprint centre = model.imprint(tc.lat, tc.lon);
+  EXPECT_LT(centre.psl_hpa, -2.0);
+  EXPECT_NEAR(model.imprint(tc.lat, tc.lon + 60.0).psl_hpa, 0.0, 1e-6);
+  EXPECT_GT(centre.warm_core_c, 0.1);
+  EXPECT_GT(centre.precip_mmday, 1.0);
   // Wind is tangential: at the centre it vanishes, nearby it does not.
-  double du = 0, dv = 0;
-  model.wind_anomaly_ms(tc.lat + 1.5, tc.lon, &du, &dv);
-  EXPECT_GT(std::sqrt(du * du + dv * dv), 3.0);
+  const CycloneImprint near = model.imprint(tc.lat + 1.5, tc.lon);
+  EXPECT_GT(std::sqrt(near.du * near.du + near.dv * near.dv), 3.0);
 }
 
 TEST(Model, DailyFieldsPhysicallyPlausible) {
@@ -297,41 +297,143 @@ TEST(Writer, DailyFileRoundTrip) {
   fs::remove_all(dir);
 }
 
+/// Every daily variable with its name, in daily_variable_names() order: each
+/// six-hourly variable step by step, then the 14 daily statistics.
+std::vector<std::pair<std::string, const Field*>> all_fields(const DailyFields& day) {
+  std::vector<std::pair<std::string, const Field*>> out;
+  const std::pair<const char*, const std::vector<Field>*> steps[] = {
+      {"psl", &day.psl},   {"ua850", &day.ua850},     {"va850", &day.va850},
+      {"wspd", &day.wspd}, {"vort850", &day.vort850}, {"pr6h", &day.pr6h}};
+  for (const auto& [name, fields] : steps) {
+    for (std::size_t s = 0; s < fields->size(); ++s) {
+      out.emplace_back(std::string(name) + "[" + std::to_string(s) + "]", &(*fields)[s]);
+    }
+  }
+  const std::pair<const char*, const Field*> daily[] = {
+      {"tas", &day.tas},   {"tasmin", &day.tasmin}, {"tasmax", &day.tasmax}, {"pr", &day.pr},
+      {"sst", &day.sst},   {"sic", &day.sic},       {"ts", &day.ts},         {"hfls", &day.hfls},
+      {"hfss", &day.hfss}, {"clt", &day.clt},       {"rh", &day.rh},         {"zg500", &day.zg500},
+      {"uas", &day.uas},   {"vas", &day.vas}};
+  for (const auto& [name, field] : daily) out.emplace_back(name, field);
+  return out;
+}
+
 TEST(Parallel, MatchesSerialBitForBit) {
-  EsmConfig config = tiny_config();
-  config.days_per_year = 4;
-  ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
+  // 29 rows split over 2, 3 or 4 ranks never divide evenly; 32 over 3 neither.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{32, 48}, {29, 43}};
+  for (const auto& [nlat, nlon] : shapes) {
+    EsmConfig config = tiny_config();
+    config.nlat = nlat;
+    config.nlon = nlon;
+    config.days_per_year = 4;
+    ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
 
-  // Serial reference.
-  EsmModel serial(config, forcing);
-  std::vector<DailyFields> serial_days;
-  for (int d = 0; d < 4; ++d) serial_days.push_back(serial.run_day());
+    // Serial reference.
+    EsmModel serial(config, forcing);
+    std::vector<DailyFields> serial_days;
+    for (int d = 0; d < 4; ++d) serial_days.push_back(serial.run_day());
 
-  for (int ranks : {2, 3}) {
-    ParallelEsmDriver driver(config, forcing, ranks);
-    std::vector<DailyFields> parallel_days;
-    driver.run(4, [&](const DailyFields& day) { parallel_days.push_back(day); });
-    ASSERT_EQ(parallel_days.size(), 4u);
-    for (int d = 0; d < 4; ++d) {
-      const DailyFields& a = serial_days[static_cast<std::size_t>(d)];
-      const DailyFields& b = parallel_days[static_cast<std::size_t>(d)];
-      ASSERT_EQ(a.tas.size(), b.tas.size());
-      for (std::size_t c = 0; c < a.tas.size(); ++c) {
-        ASSERT_EQ(a.tas[c], b.tas[c]) << "ranks=" << ranks << " day=" << d << " cell=" << c;
-        ASSERT_EQ(a.tasmax[c], b.tasmax[c]);
-        ASSERT_EQ(a.sst[c], b.sst[c]);
-      }
-      for (std::size_t s = 0; s < a.psl.size(); ++s) {
-        for (std::size_t c = 0; c < a.psl[s].size(); ++c) {
-          ASSERT_EQ(a.psl[s][c], b.psl[s][c]);
-          ASSERT_EQ(a.vort850[s][c], b.vort850[s][c]);
+    for (int ranks : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << nlat << "x" << nlon << " ranks=" << ranks);
+      ParallelEsmDriver driver(config, forcing, ranks);
+      std::vector<DailyFields> parallel_days;
+      driver.run(4, [&](const DailyFields& day) { parallel_days.push_back(day); });
+      ASSERT_EQ(parallel_days.size(), 4u);
+      for (int d = 0; d < 4; ++d) {
+        const auto a = all_fields(serial_days[static_cast<std::size_t>(d)]);
+        const auto b = all_fields(parallel_days[static_cast<std::size_t>(d)]);
+        ASSERT_EQ(a.size(), 6u * 4u + 14u);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t v = 0; v < a.size(); ++v) {
+          const Field& fa = *a[v].second;
+          const Field& fb = *b[v].second;
+          ASSERT_EQ(fa.size(), fb.size()) << a[v].first;
+          for (std::size_t c = 0; c < fa.size(); ++c) {
+            ASSERT_EQ(fa[c], fb[c]) << a[v].first << " day=" << d << " cell=" << c;
+          }
         }
       }
+      // Coupler integrals: per-band sums added across ranks, so equal up to
+      // the order of the additions.
+      const CouplerDiagnostics& p = driver.coupler();
+      const CouplerDiagnostics& s = serial.coupler();
+      EXPECT_EQ(p.exchanges, s.exchanges);
+      const std::pair<double, double> integrals[] = {
+          {p.heat_sent_atm, s.heat_sent_atm},
+          {p.heat_received_ocean, s.heat_received_ocean},
+          {p.momentum_sent_atm, s.momentum_sent_atm},
+          {p.momentum_received_ocean, s.momentum_received_ocean},
+          {p.freshwater_sent_atm, s.freshwater_sent_atm},
+          {p.freshwater_received_ocean, s.freshwater_received_ocean}};
+      for (const auto& [got, want] : integrals) {
+        EXPECT_NE(want, 0.0);
+        EXPECT_NEAR(got, want, 1e-12 * std::fabs(want));
+      }
+      // Ground truth identical.
+      EXPECT_EQ(driver.events().thermal_events.size(), serial.events().thermal_events.size());
+      EXPECT_EQ(driver.events().cyclones.size(), serial.events().cyclones.size());
     }
-    // Coupler integrals agree with the serial run.
-    EXPECT_NEAR(driver.coupler().heat_sent_atm, serial.coupler().heat_sent_atm, 1e-6);
-    // Ground truth identical.
-    EXPECT_EQ(driver.events().thermal_events.size(), serial.events().thermal_events.size());
+  }
+}
+
+/// FNV-1a over the raw bytes of rows [rb, re) of every daily variable, at
+/// every step, in the order of daily_variable_names().
+struct FieldDigest {
+  std::uint64_t value = 1469598103934665603ull;
+  void add(const Field& field, std::size_t rb, std::size_t re) {
+    const auto* p = reinterpret_cast<const unsigned char*>(field.data().data());
+    for (std::size_t b = rb * field.nlon() * sizeof(float); b < re * field.nlon() * sizeof(float);
+         ++b) {
+      value ^= p[b];
+      value *= 1099511628211ull;
+    }
+  }
+  void add_day(const DailyFields& day, std::size_t rb, std::size_t re) {
+    for (const auto& named : all_fields(day)) add(*named.second, rb, re);
+  }
+};
+
+struct GoldenRun {
+  std::size_t nlat, nlon;
+  std::uint64_t seed;
+  std::size_t row_begin, row_end;  ///< Owned rows; the full grid unless banded.
+  std::uint64_t digest;
+};
+
+// Digests of 3 years x 12 days, recorded from the per-cell reference
+// implementation of EsmModel::step that the per-step planes replaced. The
+// first two are the workflow benchmark's 64x96 grid; the next five shapes
+// were drawn at random once (none a multiple of the 6-cell noise lattice);
+// the last two are band models on their owned rows, one interior band and
+// one touching the north pole.
+TEST(Model, GoldenDigestsMatchReference) {
+  const GoldenRun runs[] = {
+      {64, 96, 1, 0, 64, 0x775eef0d89e84f78ull},
+      {64, 96, 7, 0, 64, 0xbd2a2215c79b3a2cull},
+      {8, 15, 468812, 0, 8, 0xbf36bda83c2626b7ull},
+      {44, 20, 330324, 0, 44, 0x9683676d4eb0fcb9ull},
+      {25, 52, 40665, 0, 25, 0x640c11ae0cec7731ull},
+      {49, 77, 91172, 0, 49, 0xcef1f387770171e0ull},
+      {69, 45, 422647, 0, 69, 0xde433d58d6b42849ull},
+      {64, 96, 1, 21, 43, 0x34d1be6075b9a31full},
+      {49, 77, 91172, 30, 49, 0x19a3cffba597622eull},
+  };
+  for (const GoldenRun& run : runs) {
+    EsmConfig config;
+    config.nlat = run.nlat;
+    config.nlon = run.nlon;
+    config.days_per_year = 12;
+    config.seed = run.seed;
+    const ForcingTable forcing =
+        ForcingTable::from_scenario(Scenario::kSsp585, config.start_year, 4);
+    EsmModel model(config, forcing, run.row_begin, run.row_end);
+    FieldDigest digest;
+    for (int d = 0; d < 36; ++d) digest.add_day(model.run_day(), run.row_begin, run.row_end);
+    // The runs must exercise the cyclone imprints, not just the background.
+    EXPECT_FALSE(model.events().cyclones.empty());
+    EXPECT_EQ(digest.value, run.digest)
+        << std::hex << "0x" << digest.value << std::dec << " for " << run.nlat << "x" << run.nlon
+        << " seed " << run.seed << " rows [" << run.row_begin << ", " << run.row_end << ")";
   }
 }
 

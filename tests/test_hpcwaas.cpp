@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "core/workflow.hpp"
 #include "hpcwaas/service.hpp"
@@ -276,6 +277,26 @@ TEST(Batch, JobsRunAndRecordTimings) {
   EXPECT_EQ(info->state, JobState::kDone);
   EXPECT_EQ(info->node, "n0");
   EXPECT_GE(info->queue_wait_ns(), 0);
+}
+
+TEST(Batch, FinishedJobThreadsAreJoined) {
+  // An exited job thread that is never joined keeps its stack; a joined one
+  // hands it back for the next job's thread. Sequential jobs must therefore
+  // run on a few recycled stacks, not on one new stack each.
+  BatchScheduler scheduler({{"n0", 1, 16.0}});
+  JobSpec spec;
+  spec.name = "short";
+  std::set<std::uintptr_t> stacks;
+  for (int i = 0; i < 64; ++i) {
+    std::uintptr_t frame = 0;
+    auto id = scheduler.submit(spec, [&frame] {
+      frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    });
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(scheduler.wait(*id).ok());
+    stacks.insert(frame >> 16);
+  }
+  EXPECT_LT(stacks.size(), 8u);
 }
 
 TEST(Batch, RejectsOversizedJobs) {
