@@ -11,12 +11,19 @@ namespace climate::esm {
 using common::deg_to_rad;
 
 double angular_distance_deg(double lat1, double lon1, double lat2, double lon2) {
-  double dlon = std::fabs(lon1 - lon2);
+  return RowDistance(lat1, lat2, lon2)(lon1);
+}
+
+RowDistance::RowDistance(double lat, double point_lat, double point_lon)
+    : dy_(lat - point_lat),
+      lon_scale_(std::cos(deg_to_rad(0.5 * (lat + point_lat)))),
+      point_lon_(point_lon) {}
+
+double RowDistance::operator()(double lon) const {
+  double dlon = std::fabs(lon - point_lon_);
   if (dlon > 180.0) dlon = 360.0 - dlon;
-  const double mean_lat = 0.5 * (lat1 + lat2);
-  const double dx = dlon * std::cos(deg_to_rad(mean_lat));
-  const double dy = lat1 - lat2;
-  return std::sqrt(dx * dx + dy * dy);
+  const double dx = dlon * lon_scale_;
+  return std::sqrt(dx * dx + dy_ * dy_);
 }
 
 CycloneModel::CycloneModel(const EsmConfig& config) : config_(config) {}
@@ -113,39 +120,46 @@ void CycloneModel::step(int step) {
                 active_.end());
 }
 
-CycloneImprint CycloneModel::imprint(double lat, double lon) const {
-  CycloneImprint out;
+void CycloneModel::imprint_row(double lat, const double* lons, std::size_t count,
+                               CycloneImprint* out) const {
+  std::fill(out, out + count, CycloneImprint{});
   for (const ActiveCyclone& tc : active_) {
-    const double r = angular_distance_deg(lat, lon, tc.lat, tc.lon);
-    if (r > 15.0) continue;  // the widest cut-off (pressure and wind)
-    const double psl_scale = r / 4.0;
-    out.psl_hpa -= tc.depression_hpa() * std::exp(-psl_scale * psl_scale);
-    if (r <= 10.0) {
-      const double scale = r / 2.2;
-      out.warm_core_c += 3.0 * tc.intensity * std::exp(-scale * scale);
-    }
-    if (r <= 12.0) {
-      const double scale = r / 3.0;
-      out.precip_mmday += 70.0 * tc.intensity * std::exp(-scale * scale);
-    }
-    if (r < 1e-6) continue;
-    // Rankine-like tangential profile peaking at rm.
-    const double rm = 1.6;
-    const double profile = (r / rm) * std::exp(1.0 - r / rm);
-    const double speed = tc.max_wind_ms() * std::min(1.0, profile);
-    // Tangential direction: counterclockwise in NH, clockwise in SH.
-    double dlon = lon - tc.lon;
-    if (dlon > 180.0) dlon -= 360.0;
-    if (dlon < -180.0) dlon += 360.0;
-    const double dx = dlon * std::cos(deg_to_rad(0.5 * (lat + tc.lat)));
-    const double dy = lat - tc.lat;
-    const double norm = std::sqrt(dx * dx + dy * dy);
-    if (norm < 1e-9) continue;
+    const RowDistance distance(lat, tc.lat, tc.lon);
+    if (distance.beyond(15.0)) continue;
+    const double depression = tc.depression_hpa();
+    const double max_wind = tc.max_wind_ms();
     const double sign = tc.lat >= 0 ? 1.0 : -1.0;
-    out.du += sign * speed * (-dy / norm);
-    out.dv += sign * speed * (dx / norm);
+    for (std::size_t j = 0; j < count; ++j) {
+      const double r = distance(lons[j]);
+      if (r > 15.0) continue;  // the widest cut-off (pressure and wind)
+      CycloneImprint& cell = out[j];
+      const double psl_scale = r / 4.0;
+      cell.psl_hpa -= depression * std::exp(-psl_scale * psl_scale);
+      if (r <= 10.0) {
+        const double scale = r / 2.2;
+        cell.warm_core_c += 3.0 * tc.intensity * std::exp(-scale * scale);
+      }
+      if (r <= 12.0) {
+        const double scale = r / 3.0;
+        cell.precip_mmday += 70.0 * tc.intensity * std::exp(-scale * scale);
+      }
+      if (r < 1e-6) continue;
+      // Rankine-like tangential profile peaking at rm.
+      const double rm = 1.6;
+      const double profile = (r / rm) * std::exp(1.0 - r / rm);
+      const double speed = max_wind * std::min(1.0, profile);
+      // Tangential direction: counterclockwise in NH, clockwise in SH.
+      double dlon = lons[j] - tc.lon;
+      if (dlon > 180.0) dlon -= 360.0;
+      if (dlon < -180.0) dlon += 360.0;
+      const double dx = dlon * distance.lon_scale();
+      const double dy = lat - tc.lat;
+      const double norm = std::sqrt(dx * dx + dy * dy);
+      if (norm < 1e-9) continue;
+      cell.du += sign * speed * (-dy / norm);
+      cell.dv += sign * speed * (dx / norm);
+    }
   }
-  return out;
 }
 
 }  // namespace climate::esm

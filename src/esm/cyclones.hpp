@@ -8,6 +8,8 @@
 // detectors.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "esm/config.hpp"
@@ -58,8 +60,11 @@ class CycloneModel {
   /// Seasonal genesis weight in [0,1] for a hemisphere and day of year.
   double season_weight(bool northern, int day_of_year) const;
 
-  /// All field imprints at a point, from one distance per active cyclone.
-  CycloneImprint imprint(double lat, double lon) const;
+  /// All field imprints at `count` points of one latitude row, from one
+  /// distance per active cyclone and point. Every point sums the cyclones in
+  /// their order; a cyclone whose cut-off misses the whole row costs nothing
+  /// per point.
+  void imprint_row(double lat, const double* lons, std::size_t count, CycloneImprint* out) const;
 
  private:
   void spawn(int step);
@@ -74,5 +79,27 @@ class CycloneModel {
 /// Angular distance helper used by the imprints: degrees separation between
 /// two points with longitude wrap and latitude compression.
 double angular_distance_deg(double lat1, double lon1, double lat2, double lon2);
+
+/// angular_distance_deg(lat, lon, point_lat, point_lon) for the cells of one
+/// latitude row, with the row's cosine computed once, so each cell costs one
+/// square root.
+class RowDistance {
+ public:
+  RowDistance(double lat, double point_lat, double point_lon);
+
+  /// Distance from the cell at `lon` to the point.
+  double operator()(double lon) const;
+  /// Scale that turns a longitude difference into degrees of distance.
+  double lon_scale() const { return lon_scale_; }
+  /// True when no cell of the row lies within `cutoff` degrees: every cell
+  /// is at least the latitude difference away, up to rounding far below the
+  /// margin.
+  bool beyond(double cutoff) const { return std::fabs(dy_) > cutoff + 1e-9; }
+
+ private:
+  double dy_;
+  double lon_scale_;
+  double point_lon_;
+};
 
 }  // namespace climate::esm

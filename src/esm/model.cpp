@@ -127,18 +127,23 @@ void EsmModel::spawn_thermal_events(int day) {
 
 void EsmModel::fill_thermal(int day) {
   const std::size_t nlon = grid_.nlon();
-  for (std::size_t i = row_begin_; i < row_end_; ++i) {
-    for (std::size_t j = 0; j < nlon; ++j) {
-      double anomaly = 0.0;
-      for (const ThermalEvent& event : thermal_events_) {
-        if (!event.active(day)) continue;
-        const double r = angular_distance_deg(grid_.lat(i), grid_.lon(j), event.lat, event.lon);
-        if (r > 3.0 * event.radius_deg) continue;
+  const double* lons = grid_.lons().data();
+  std::fill(thermal_.begin(), thermal_.end(), 0.0);
+  // Events in order for every cell, so each cell's sum is the per-cell loop's.
+  for (const ThermalEvent& event : thermal_events_) {
+    if (!event.active(day)) continue;
+    const double cutoff = 3.0 * event.radius_deg;
+    for (std::size_t i = row_begin_; i < row_end_; ++i) {
+      const RowDistance distance(grid_.lat(i), event.lat, event.lon);
+      if (distance.beyond(cutoff)) continue;
+      double* row = thermal_.data() + (i - row_begin_) * nlon;
+      for (std::size_t j = 0; j < nlon; ++j) {
+        const double r = distance(lons[j]);
+        if (r > cutoff) continue;
         const double scale = r / event.radius_deg;
         // Plateau profile: blocking events are broad, not sharp Gaussians.
-        anomaly += event.amplitude_c * std::exp(-scale * scale * scale * scale);
+        row[j] += event.amplitude_c * std::exp(-scale * scale * scale * scale);
       }
-      thermal_[(i - row_begin_) * nlon + j] = anomaly;
     }
   }
 }
@@ -149,9 +154,10 @@ void EsmModel::fill_wind_and_imprints() {
     const double lat = grid_.lat(i);
     const double u_base = background_u_ms(lat);
     const double v_base = background_v_ms(lat);
+    const std::size_t row = (i - wind_row_begin_) * nlon;
+    cyclones_.imprint_row(lat, grid_.lons().data(), nlon, &imprints_[row]);
     for (std::size_t j = 0; j < nlon; ++j) {
-      const std::size_t c = (i - wind_row_begin_) * nlon + j;
-      imprints_[c] = cyclones_.imprint(lat, grid_.lon(j));
+      const std::size_t c = row + j;
       wind_u_[c] = u_base + imprints_[c].du + 1.5 * noise_at(noise_u_, i, j);
       wind_v_[c] = v_base + imprints_[c].dv + 1.5 * noise_at(noise_v_, i, j);
     }

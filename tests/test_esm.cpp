@@ -172,13 +172,18 @@ TEST(Cyclones, ImprintShapesAreLocal) {
   for (int step = 0; step < 400 && model.active().empty(); ++step) model.step(step);
   ASSERT_FALSE(model.active().empty());
   const ActiveCyclone& tc = model.active().front();
-  const CycloneImprint centre = model.imprint(tc.lat, tc.lon);
+  // The cyclone's own row, at its centre and 60 degrees east of it.
+  const double lons[2] = {tc.lon, tc.lon + 60.0};
+  CycloneImprint row[2];
+  model.imprint_row(tc.lat, lons, 2, row);
+  const CycloneImprint& centre = row[0];
   EXPECT_LT(centre.psl_hpa, -2.0);
-  EXPECT_NEAR(model.imprint(tc.lat, tc.lon + 60.0).psl_hpa, 0.0, 1e-6);
+  EXPECT_NEAR(row[1].psl_hpa, 0.0, 1e-6);
   EXPECT_GT(centre.warm_core_c, 0.1);
   EXPECT_GT(centre.precip_mmday, 1.0);
   // Wind is tangential: at the centre it vanishes, nearby it does not.
-  const CycloneImprint near = model.imprint(tc.lat + 1.5, tc.lon);
+  CycloneImprint near;
+  model.imprint_row(tc.lat + 1.5, &tc.lon, 1, &near);
   EXPECT_GT(std::sqrt(near.du * near.du + near.dv * near.dv), 3.0);
 }
 
