@@ -153,7 +153,7 @@ BENCHMARK(BM_ImageBuildWarm);
 void BM_RestDispatch(benchmark::State& state) {
   hw::HpcWaasService service;
   for (auto _ : state) {
-    auto response = service.handle("GET", "/workflows", Json());
+    auto response = service.rest("GET", "/v1/workflows", Json());
     benchmark::DoNotOptimize(response);
   }
 }

@@ -82,22 +82,23 @@ int main(int argc, char** argv) {
   std::printf("\ninvoking via the Execution API...\n");
   Json params = Json::object();
   params["years"] = 1;
-  auto response = service.handle("POST", "/workflows/" + *workflow_id + "/executions", params);
+  auto response = service.rest("POST", "/v1/workflows/" + *workflow_id + "/executions", params);
   if (!response.ok()) {
-    std::fprintf(stderr, "invocation failed: %s\n", response.status().to_string().c_str());
+    std::fprintf(stderr, "invocation failed (%d): %s\n", response.status,
+                 response.body.dump().c_str());
     return 1;
   }
-  const std::string exec_id = response->get_string("execution_id");
+  const std::string exec_id = response.body.get_string("execution_id");
   std::printf("execution id: %s\n", exec_id.c_str());
 
   // Poll like a remote client would.
   while (true) {
-    auto status = service.handle("GET", "/executions/" + exec_id, Json());
+    auto status = service.rest("GET", "/v1/executions/" + exec_id, Json());
     if (!status.ok()) break;
-    const std::string state = status->get_string("state");
+    const std::string state = status.body.get_string("state");
     std::printf("  state: %s\n", state.c_str());
     if (state == "succeeded" || state == "failed") {
-      std::printf("\nfinal response:\n%s\n", status->dump_pretty().c_str());
+      std::printf("\nfinal response:\n%s\n", status.body.dump_pretty().c_str());
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(200));

@@ -16,6 +16,13 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      a named kFooTag constant (log routing keys on it; an arbitrary computed
      tag breaks aggregation).
 
+  4. One owner for the Listing-1 chain: under src/, the array primitives
+     `oph_predicate(` and `wave_duration(` may appear only in src/datacube/
+     (which implements them) and src/extremes/ (whose wave_duration_cube and
+     wave_index_cube build the heat/cold-wave chain). Everything else, the
+     workflow included, calls those two functions instead of re-spelling
+     the operator strings.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -59,6 +66,8 @@ LOG_TAG_RE = re.compile(r"\bLOG_(?:TRACE|DEBUG|INFO|WARN|ERROR)\s*\(\s*([^)\s][^
 TAG_CONSTANT_RE = re.compile(r"^k\w*Tag$")
 # The macro definitions themselves forward a `component` parameter.
 LOG_TAG_EXEMPT = {pathlib.Path("src/common/log.hpp")}
+LISTING1_PRIMITIVE_RE = re.compile(r"\b(?:oph_predicate|wave_duration)\s*\(")
+LISTING1_OWNERS = {"datacube", "extremes"}
 
 
 def iter_sources():
@@ -89,6 +98,7 @@ def check_file(path: pathlib.Path, violations: list):
     rel = path.relative_to(REPO_ROOT)
     layer = layer_of(path)
     in_taskrt = layer == "taskrt"
+    builds_listing1 = rel.parts[0] == "src" and layer not in LISTING1_OWNERS
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
 
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -109,6 +119,11 @@ def check_file(path: pathlib.Path, violations: list):
                     violations.append(
                         f"{rel}:{lineno}: layer violation: {layer}/ must not include "
                         f"{target}/ (allowed: {', '.join(sorted(allowed)) or 'nothing'})")
+
+        if builds_listing1 and LISTING1_PRIMITIVE_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: Listing-1 primitive outside src/datacube/ and "
+                f"src/extremes/ (call extremes::wave_duration_cube/wave_index_cube)")
 
         if rel not in LOG_TAG_EXEMPT:
             for tag in LOG_TAG_RE.findall(line):

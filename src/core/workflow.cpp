@@ -578,20 +578,8 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                   if (!temp.ok()) throw std::runtime_error(temp.status().to_string());
                   auto baseline = client.open(ctx.in_as<std::string>(1));
                   if (!baseline.ok()) throw std::runtime_error(baseline.status().to_string());
-                  auto diff = warm ? temp->intercube(*baseline, "sub", "temp - baseline")
-                                   : baseline->intercube(*temp, "sub", "baseline - temp");
-                  if (!diff.ok()) throw std::runtime_error(diff.status().to_string());
-                  auto mask = diff->apply(
-                      common::format("oph_predicate(measure, '>=%g', 1, 0)",
-                                     extremes::kWaveThresholdC),
-                      "wave-day mask");
-                  if (!mask.ok()) throw std::runtime_error(mask.status().to_string());
-                  auto duration = mask->apply(
-                      common::format("wave_duration(measure, %d)", extremes::kMinWaveDays),
-                      "duration cube");
+                  auto duration = extremes::wave_duration_cube(*temp, *baseline, warm);
                   if (!duration.ok()) throw std::runtime_error(duration.status().to_string());
-                  (void)diff->del();
-                  (void)mask->del();
                   (void)temp->del();  // input year cube no longer needed
                   ctx.set_out(2, std::any(duration->pid()), 64);
                 });
@@ -606,70 +594,41 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
     handles.cold_max = rt.create_data();
     handles.cold_count = rt.create_data();
     handles.cold_freq = rt.create_data();
-    enum class IndexKind { kMax, kNumber, kFrequency };
     auto submit_index = [&](const char* name, DataHandle duration_h, DataHandle out_h,
-                            IndexKind kind, const std::string& filename) {
+                            extremes::WaveIndex kind, const std::string& filename) {
       rt.submit(
           name,
           constrain(durable(task_options(std::string(name) + "@" + ytag, field_codec())),
                     "data"),
           {In(duration_h), Out(out_h)},
-          [&dc_server, kind, filename, indices_dir, grid, days, burn](TaskContext& ctx) {
+          [&dc_server, kind, filename, indices_dir, grid, burn](TaskContext& ctx) {
             burn(ctx);
             datacube::Client client(dc_server, "workflow");
             auto duration = client.open(ctx.in_as<std::string>(0));
             if (!duration.ok()) throw std::runtime_error(duration.status().to_string());
-            datacube::Cube index;
-            switch (kind) {
-              case IndexKind::kMax: {
-                // Listing 1 IndexDurationMax.
-                auto cube = duration->reduce("max", 0, "Max Duration cube");
-                if (!cube.ok()) throw std::runtime_error(cube.status().to_string());
-                index = *cube;
-                break;
-              }
-              case IndexKind::kNumber: {
-                // Listing 1 IndexDurationNumber.
-                auto mask = duration->apply(
-                    "oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0')");
-                if (!mask.ok()) throw std::runtime_error(mask.status().to_string());
-                auto cube = mask->reduce("sum", 0, "Number of durations cube");
-                if (!cube.ok()) throw std::runtime_error(cube.status().to_string());
-                (void)mask->del();
-                index = *cube;
-                break;
-              }
-              case IndexKind::kFrequency: {
-                auto total = duration->reduce("sum", 0, "Total wave days cube");
-                if (!total.ok()) throw std::runtime_error(total.status().to_string());
-                auto cube = total->apply(common::format("measure / %d", days),
-                                         "Wave frequency cube");
-                if (!cube.ok()) throw std::runtime_error(cube.status().to_string());
-                (void)total->del();
-                index = *cube;
-                break;
-              }
-            }
+            auto index = extremes::wave_index_cube(*duration, kind);
+            if (!index.ok()) throw std::runtime_error(index.status().to_string());
             // Step 5: validated output stored on disk as NetCDF.
-            Status st = index.exportnc2(indices_dir, filename);
-            if (!st.ok()) throw std::runtime_error(st.to_string());
-            auto field = extremes::index_cube_to_field(index, grid);
+            const Status exported = index->exportnc2(indices_dir, filename);
+            auto field = exported.ok() ? extremes::index_cube_to_field(*index, grid)
+                                       : Result<common::Field>(exported);
+            (void)index->del();
             if (!field.ok()) throw std::runtime_error(field.status().to_string());
-            (void)index.del();
             ctx.set_out(1, std::any(*field), field->size() * sizeof(float));
           });
     };
-    submit_index("heat_index_max", heat_dur_h, handles.heat_max, IndexKind::kMax,
+    using extremes::WaveIndex;
+    submit_index("heat_index_max", heat_dur_h, handles.heat_max, WaveIndex::kDurationMax,
                  "heat_wave_duration_" + ytag);
-    submit_index("heat_index_number", heat_dur_h, handles.heat_count, IndexKind::kNumber,
+    submit_index("heat_index_number", heat_dur_h, handles.heat_count, WaveIndex::kCount,
                  "heat_wave_number_" + ytag);
-    submit_index("heat_index_frequency", heat_dur_h, handles.heat_freq, IndexKind::kFrequency,
+    submit_index("heat_index_frequency", heat_dur_h, handles.heat_freq, WaveIndex::kFrequency,
                  "heat_wave_frequency_" + ytag);
-    submit_index("cold_index_max", cold_dur_h, handles.cold_max, IndexKind::kMax,
+    submit_index("cold_index_max", cold_dur_h, handles.cold_max, WaveIndex::kDurationMax,
                  "cold_wave_duration_" + ytag);
-    submit_index("cold_index_number", cold_dur_h, handles.cold_count, IndexKind::kNumber,
+    submit_index("cold_index_number", cold_dur_h, handles.cold_count, WaveIndex::kCount,
                  "cold_wave_number_" + ytag);
-    submit_index("cold_index_frequency", cold_dur_h, handles.cold_freq, IndexKind::kFrequency,
+    submit_index("cold_index_frequency", cold_dur_h, handles.cold_freq, WaveIndex::kFrequency,
                  "cold_wave_frequency_" + ytag);
 
     // #15/#16: the ML TC pipeline, chunked across the year.

@@ -6,27 +6,12 @@ namespace climate::datacube {
 
 namespace {
 
-/// Wraps a server-produced PID into a bound Cube, capturing the schema
-/// snapshot for the handle. The snapshot lookup is best-effort: the cube was
-/// just registered, so a miss only happens if another session deleted it in
-/// the meantime, and then the handle still carries the PID.
-Result<Cube> wrap(Server* server, const std::string& session,
-                  const std::shared_ptr<ClientRetryState>& retry, Result<std::string> pid) {
-  if (!pid.ok()) return pid.status();
-  CubeHandle handle;
-  handle.pid = std::move(*pid);
-  auto schema = server->cubeschema(handle.pid);
-  if (schema.ok()) handle.schema = std::move(*schema);
-  return Cube(server, std::move(handle), session, retry);
-}
-
 /// Runs one server operation under the shared retry discipline: the circuit
 /// breaker fails fast when the service looks down, transient failures
 /// (UNAVAILABLE admission rejections, injected fragment faults) are retried
 /// with decorrelated-jitter backoff, and outcomes feed the breaker.
 template <typename Fn>
 auto with_retry(const std::shared_ptr<ClientRetryState>& retry, Fn&& fn) -> decltype(fn()) {
-  if (!retry) return fn();  // deprecated raw-PID cubes: bare single attempt
   retry->calls.fetch_add(1, std::memory_order_relaxed);
   if (!retry->breaker.allow()) {
     retry->breaker_rejections.fetch_add(1, std::memory_order_relaxed);
@@ -46,6 +31,20 @@ auto with_retry(const std::shared_ptr<ClientRetryState>& retry, Fn&& fn) -> decl
 }
 
 }  // namespace
+
+// The snapshot lookup is best-effort: the cube was just registered, so a
+// miss only happens if another session deleted it in the meantime, and then
+// the handle still carries the PID.
+Result<Cube> Cube::wrap(Server* server, const std::string& session,
+                        const std::shared_ptr<ClientRetryState>& retry,
+                        Result<std::string> pid) {
+  if (!pid.ok()) return pid.status();
+  CubeHandle handle;
+  handle.pid = std::move(*pid);
+  auto schema = server->cubeschema(handle.pid);
+  if (schema.ok()) handle.schema = std::move(*schema);
+  return Cube(server, std::move(handle), session, retry);
+}
 
 Result<Cube> Cube::reduce(const std::string& op, std::size_t group,
                           const std::string& description) const {
@@ -141,18 +140,18 @@ Status Cube::del() const {
 Result<Cube> Client::importnc(const std::string& path, const std::string& variable,
                               const ImportOptions& options) {
   Server::SessionScope scope(session_);
-  return wrap(server_, session_, retry_, with_retry(retry_, [&] {
-                return server_->importnc(path, variable, options);
-              }));
+  return Cube::wrap(server_, session_, retry_, with_retry(retry_, [&] {
+                      return server_->importnc(path, variable, options);
+                    }));
 }
 
 Result<Cube> Client::create_cube(std::string measure, std::vector<DimInfo> explicit_dims,
                                  DimInfo implicit_dim, const std::vector<float>& dense,
                                  std::string description) {
   Server::SessionScope scope(session_);
-  return wrap(server_, session_,
-              retry_, server_->create_cube(std::move(measure), std::move(explicit_dims),
-                                           std::move(implicit_dim), dense, std::move(description)));
+  return Cube::wrap(server_, session_, retry_,
+                    server_->create_cube(std::move(measure), std::move(explicit_dims),
+                                         std::move(implicit_dim), dense, std::move(description)));
 }
 
 Result<Cube> Client::open(const std::string& pid) const {

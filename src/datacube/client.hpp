@@ -78,27 +78,18 @@ struct CubeHandle {
 };
 
 /// A CubeHandle bound to a server connection: dispatches operators under
-/// the owning client's session.
+/// the owning client's session and retry discipline. Only a Client (or an
+/// operator on a Cube it produced) makes a bound Cube; a default-constructed
+/// one is invalid.
 class Cube {
  public:
   Cube() = default;
-  /// Deprecated: binds to a raw PID with no validation and no schema
-  /// snapshot; prefer Client::open, which checks the PID and captures the
-  /// schema. Kept as a forwarding shim for legacy string-PID call sites.
-  Cube(Server* server, std::string pid) : server_(server) { handle_.pid = std::move(pid); }
-  Cube(Server* server, CubeHandle handle, std::string session,
-       std::shared_ptr<ClientRetryState> retry = nullptr)
-      : server_(server),
-        handle_(std::move(handle)),
-        session_(std::move(session)),
-        retry_(std::move(retry)) {}
 
   const std::string& pid() const { return handle_.pid; }
   /// The value handle (PID + schema snapshot at creation time).
   const CubeHandle& handle() const { return handle_; }
-  /// Schema captured when this cube was produced. Empty for cubes built via
-  /// the deprecated raw-PID constructor; cubes are immutable, so for a
-  /// validated handle the snapshot never goes stale.
+  /// Schema captured when this cube was produced; cubes are immutable, so
+  /// the snapshot never goes stale.
   const CubeSchema& schema_snapshot() const { return handle_.schema; }
   const std::string& session() const { return session_; }
   bool valid() const { return server_ != nullptr && handle_.valid(); }
@@ -145,11 +136,22 @@ class Cube {
  private:
   friend class Client;
 
+  Cube(Server* server, CubeHandle handle, std::string session,
+       std::shared_ptr<ClientRetryState> retry)
+      : server_(server),
+        handle_(std::move(handle)),
+        session_(std::move(session)),
+        retry_(std::move(retry)) {}
+
+  /// Binds a server-produced PID, capturing its schema snapshot.
+  static Result<Cube> wrap(Server* server, const std::string& session,
+                           const std::shared_ptr<ClientRetryState>& retry,
+                           Result<std::string> pid);
+
   Server* server_ = nullptr;
   CubeHandle handle_;
   std::string session_ = "default";
-  /// Retry/breaker state inherited from the producing Client (null for the
-  /// deprecated raw-PID constructor: ops then run bare, single-attempt).
+  /// Retry/breaker state inherited from the producing Client.
   std::shared_ptr<ClientRetryState> retry_;
 };
 
@@ -203,13 +205,6 @@ class Client {
   /// Typed catalog listing: a handle (PID + schema) per cube, creation
   /// order.
   Result<std::vector<CubeHandle>> cubes() const;
-
-  /// Deprecated: wraps a raw PID with no validation or schema snapshot;
-  /// prefer open(). Forwarding shim for legacy call sites.
-  Cube attach(const std::string& pid) { return Cube(server_, pid); }
-
-  /// Deprecated: raw PID strings; prefer cubes(). Forwarding shim.
-  std::vector<std::string> list() const { return server_->list_cubes(); }
 
   const std::string& session() const { return session_; }
   Server& server() { return *server_; }

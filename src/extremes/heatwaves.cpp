@@ -181,54 +181,47 @@ WaveIndices compute_wave_indices(const std::vector<Field>& daily_temp, const Bas
   return out;
 }
 
-Result<WaveIndexCubes> compute_wave_indices_datacube(datacube::Client& client,
-                                                     const datacube::Cube& temp,
-                                                     const datacube::Cube& baseline, bool warm,
-                                                     int min_days, double threshold_c) {
-  (void)client;
+Result<datacube::Cube> wave_duration_cube(const datacube::Cube& temp,
+                                          const datacube::Cube& baseline, bool warm) {
   // Exceedance: warm -> temp - baseline >= threshold, cold -> baseline - temp >= threshold.
-  auto diff = warm ? temp.intercube(baseline, "sub", "temp minus baseline")
-                   : baseline.intercube(temp, "sub", "baseline minus temp");
+  auto diff = warm ? temp.intercube(baseline, "sub", "temp - baseline")
+                   : baseline.intercube(temp, "sub", "baseline - temp");
   if (!diff.ok()) return diff.status();
-
-  auto mask = diff->apply(common::format("oph_predicate(measure, '>=%g', 1, 0)", threshold_c),
+  auto mask = diff->apply(common::format("oph_predicate(measure, '>=%g', 1, 0)", kWaveThresholdC),
                           "wave-day mask");
+  (void)diff->del();
   if (!mask.ok()) return mask.status();
-
   // The "duration cube" of Listing 1: run lengths at run ends.
-  auto duration = mask->apply(common::format("wave_duration(measure, %d)", min_days),
-                              "wave duration cube");
-  if (!duration.ok()) return duration.status();
+  auto duration =
+      mask->apply(common::format("wave_duration(measure, %d)", kMinWaveDays), "duration cube");
+  (void)mask->del();
+  return duration;
+}
 
-  WaveIndexCubes out;
-  // Listing 1, IndexDurationMax: maximum length of waves in a year.
-  auto max_cube = duration->reduce("max", 0, "Max Duration cube");
-  if (!max_cube.ok()) return max_cube.status();
-  out.duration_max = *max_cube;
-
-  // Listing 1, IndexDurationNumber: predicate mask + sum.
-  auto number_mask =
-      duration->apply("oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0')");
-  if (!number_mask.ok()) return number_mask.status();
-  auto count_cube = number_mask->reduce("sum", 0, "Number of durations cube");
-  if (!count_cube.ok()) return count_cube.status();
-  out.count = *count_cube;
-  CLIMATE_RETURN_IF_ERROR(number_mask->del());
-
-  // Frequency: total wave days / days-in-year.
-  auto total_days = duration->reduce("sum", 0, "Total wave days cube");
-  if (!total_days.ok()) return total_days.status();
-  auto schema = temp.schema();
-  if (!schema.ok()) return schema.status();
-  const double days = static_cast<double>(schema->implicit_dim.size);
-  auto freq = total_days->apply(common::format("measure / %g", days), "Wave frequency cube");
-  if (!freq.ok()) return freq.status();
-  out.frequency = *freq;
-  CLIMATE_RETURN_IF_ERROR(total_days->del());
-  CLIMATE_RETURN_IF_ERROR(diff->del());
-  CLIMATE_RETURN_IF_ERROR(mask->del());
-  CLIMATE_RETURN_IF_ERROR(duration->del());
-  return out;
+Result<datacube::Cube> wave_index_cube(const datacube::Cube& duration, WaveIndex index) {
+  switch (index) {
+    case WaveIndex::kDurationMax:
+      // Listing 1, IndexDurationMax: maximum length of waves in a year.
+      return duration.reduce("max", 0, "Max Duration cube");
+    case WaveIndex::kCount: {
+      // Listing 1, IndexDurationNumber: predicate mask + sum.
+      auto mask = duration.apply("oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0')");
+      if (!mask.ok()) return mask.status();
+      auto count = mask->reduce("sum", 0, "Number of durations cube");
+      (void)mask->del();
+      return count;
+    }
+    case WaveIndex::kFrequency: {
+      // Total wave days / days-in-year.
+      auto total = duration.reduce("sum", 0, "Total wave days cube");
+      if (!total.ok()) return total.status();
+      const std::size_t days = duration.schema_snapshot().implicit_dim.size;
+      auto frequency = total->apply(common::format("measure / %zu", days), "Wave frequency cube");
+      (void)total->del();
+      return frequency;
+    }
+  }
+  return Status::InvalidArgument("unknown wave index");
 }
 
 Result<Field> index_cube_to_field(const datacube::Cube& cube, const LatLonGrid& grid) {

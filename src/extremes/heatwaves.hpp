@@ -8,10 +8,16 @@
 // (iii) the frequency (fraction of days belonging to a wave).
 //
 // Two implementations are provided and cross-validated in tests:
-//  - a direct reference implementation on dense fields, and
-//  - the datacube operator pipeline of Listing 1 (intercube difference ->
-//    oph_predicate threshold mask -> wave_duration array primitive ->
-//    reduce(max) / predicate+reduce(sum) / reduce(sum)).
+//  - compute_wave_indices, a direct reference implementation on dense
+//    fields, and
+//  - the datacube operator chain of Listing 1, in two steps that are the
+//    only place the chain is built:
+//      wave_duration_cube: intercube difference -> oph_predicate threshold
+//        mask -> wave_duration array primitive (the "duration cube");
+//      wave_index_cube: one index from a duration cube, reduce(max) /
+//        predicate + reduce(sum) / reduce(sum) / days.
+//    Both delete the intermediate cubes they create, on success and on
+//    error.
 #pragma once
 
 #include <vector>
@@ -97,19 +103,21 @@ WaveIndices compute_wave_indices(const std::vector<Field>& daily_temp, const Bas
                                  bool warm, int min_days = kMinWaveDays,
                                  double threshold_c = kWaveThresholdC);
 
-/// Datacube pipeline (Listing 1): takes cubes with rows (lat, lon) and the
-/// day-of-year array dimension. `temp` is the year's tasmax (or tasmin) and
-/// `baseline` the matching baseline cube; produces the three index cubes.
-struct WaveIndexCubes {
-  datacube::Cube duration_max;
-  datacube::Cube count;
-  datacube::Cube frequency;
-};
-Result<WaveIndexCubes> compute_wave_indices_datacube(datacube::Client& client,
-                                                     const datacube::Cube& temp,
-                                                     const datacube::Cube& baseline, bool warm,
-                                                     int min_days = kMinWaveDays,
-                                                     double threshold_c = kWaveThresholdC);
+/// Listing 1's duration cube: run lengths (at run ends) of the days whose
+/// exceedance is at least kWaveThresholdC, counting runs of kMinWaveDays or
+/// more. `temp` is the year's tasmax (warm) or tasmin (cold) cube and
+/// `baseline` the matching baseline cube, both with rows (lat, lon) and the
+/// day-of-year array dimension. The inputs are left in place.
+Result<datacube::Cube> wave_duration_cube(const datacube::Cube& temp,
+                                          const datacube::Cube& baseline, bool warm);
+
+/// The yearly indices Listing 1 derives from a duration cube.
+enum class WaveIndex { kDurationMax, kCount, kFrequency };
+
+/// One index cube (one value per row) from a duration cube. The frequency's
+/// day count is the duration cube's array length, read from its schema
+/// snapshot. The duration cube is left in place.
+Result<datacube::Cube> wave_index_cube(const datacube::Cube& duration, WaveIndex index);
 
 /// Converts a one-value-per-row index cube back into a (lat, lon) Field.
 Result<Field> index_cube_to_field(const datacube::Cube& cube, const LatLonGrid& grid);

@@ -197,15 +197,17 @@ HttpResponse HpcWaasService::rest(const std::string& method, const std::string& 
   if (!parts.empty() && parts.front().empty()) parts.erase(parts.begin());
   while (!parts.empty() && parts.back().empty()) parts.pop_back();
 
-  // Version prefix: "v1" (current) or none (legacy alias of v1). Any other
-  // "v<N>" prefix is an unknown API version.
-  if (!parts.empty() && parts.front() == "v1") {
-    parts.erase(parts.begin());
-  } else if (!parts.empty() && parts.front().size() >= 2 && parts.front()[0] == 'v' &&
-             std::isdigit(static_cast<unsigned char>(parts.front()[1]))) {
-    return error_response(404, "unknown_api_version",
-                          "unknown API version '" + parts.front() + "' (supported: v1)", route);
+  // Version prefix: "v1" is the only version. Any other "v<N>" prefix is an
+  // unknown API version; a path without one is not a route.
+  if (parts.empty() || parts.front() != "v1") {
+    if (!parts.empty() && parts.front().size() >= 2 && parts.front()[0] == 'v' &&
+        std::isdigit(static_cast<unsigned char>(parts.front()[1]))) {
+      return error_response(404, "unknown_api_version",
+                            "unknown API version '" + parts.front() + "' (supported: v1)", route);
+    }
+    return error_response(404, "not_found", route + " is not a known route", route);
   }
+  parts.erase(parts.begin());
   auto segment = [&](std::size_t i) -> std::string { return i < parts.size() ? parts[i] : ""; };
 
   if (segment(0) == "workflows" && segment(1).empty()) {
@@ -287,22 +289,5 @@ HttpResponse HpcWaasService::rest(const std::string& method, const std::string& 
   }
   return error_response(404, "not_found", route + " is not a known route", route);
 }
-
-Result<Json> HpcWaasService::handle(const std::string& method, const std::string& path,
-                                    const Json& body) {
-  HttpResponse response = rest(method, path, body);
-  if (response.ok()) return std::move(response.body);
-  const Json& error = response.body["error"];
-  const std::string message = error.get_string("message");
-  switch (response.status) {
-    case 400: return Status::InvalidArgument(message);
-    case 404: return Status::NotFound(message);
-    case 405: return Status::FailedPrecondition(message);
-    case 409: return Status::FailedPrecondition(message);
-    case 503: return Status::Unavailable(message);
-    default: return Status::Internal(message);
-  }
-}
-
 
 }  // namespace climate::hpcwaas

@@ -1,9 +1,9 @@
 // The HPCWaaS Execution API and workflow registry (paper Figure 1): the
 // developer interface deploys a workflow from its TOSCA description; the
 // end-user interface runs a deployed workflow "as a simple REST invocation"
-// and polls its status. REST is modelled as an in-process handle(method,
-// path, body) -> Json dispatch with the same routes a real gateway would
-// expose.
+// and polls its status. REST is modelled as an in-process rest(method,
+// path, body) -> HttpResponse dispatch with the same versioned routes a real
+// gateway would expose.
 #pragma once
 
 #include <functional>
@@ -113,14 +113,9 @@ class HpcWaasService {
   /// Status discipline: unknown path or missing resource -> 404, known path
   /// with an unsupported method -> 405, malformed input -> 400, transient
   /// refusal -> 503, anything else -> 500; every failure body is the
-  /// HttpResponse error envelope. Unversioned paths ("/workflows", ...) are
-  /// accepted as legacy aliases of v1; an unknown version prefix is a 404.
+  /// HttpResponse error envelope. A path without the "/v1" prefix is a 404
+  /// (not_found); an unknown version prefix is a 404 (unknown_api_version).
   HttpResponse rest(const std::string& method, const std::string& path, const Json& body);
-
-  /// Deprecated: pre-versioning dispatch; prefer rest(). Forwards to rest()
-  /// and folds the envelope back into a Status, so legacy callers keep
-  /// their Result-based contract.
-  Result<Json> handle(const std::string& method, const std::string& path, const Json& body);
 
  private:
   ContainerImageService images_;

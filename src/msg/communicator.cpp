@@ -62,30 +62,6 @@ void Communicator::allreduce(std::vector<double>& data, ReduceOp op) {
   broadcast(data, 0);
 }
 
-double Communicator::allreduce(double value, ReduceOp op) {
-  std::vector<double> one{value};
-  allreduce(one, op);
-  return one[0];
-}
-
-std::vector<double> Communicator::gather(const std::vector<double>& data, int root) {
-  constexpr int kTag = -103;
-  if (rank_ == root) {
-    std::vector<double> out;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) {
-        out.insert(out.end(), data.begin(), data.end());
-      } else {
-        std::vector<double> part = recv<double>(r, kTag);
-        out.insert(out.end(), part.begin(), part.end());
-      }
-    }
-    return out;
-  }
-  send(root, kTag, data);
-  return {};
-}
-
 World::World(int nranks) : nranks_(nranks) {
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) mailboxes_.push_back(std::make_unique<Mailbox>());

@@ -1,9 +1,10 @@
 // In-process message-passing layer modeled on MPI (see the LLNL MPI tutorial
 // idioms): a World of N ranks, point-to-point tagged send/recv, and the
-// collectives the ESM decomposition needs (barrier, broadcast, allreduce,
-// gather). Ranks run as threads of one process; messages are copied between
-// per-rank mailboxes, which preserves the distributed-memory programming
-// model (no shared mutable state between ranks except via messages).
+// collectives the ESM decomposition needs (barrier, and a vector allreduce
+// built on broadcast). Ranks run as threads of one process; messages are
+// copied between per-rank mailboxes, which preserves the distributed-memory
+// programming model (no shared mutable state between ranks except via
+// messages).
 //
 // This is the substrate on which the CMCC-CM3-lite simulator runs its
 // latitude-band domain decomposition and halo exchanges, standing in for the
@@ -22,7 +23,7 @@
 
 namespace climate::msg {
 
-/// Reduction operators for allreduce/reduce.
+/// Reduction operators for allreduce.
 enum class ReduceOp { kSum, kMin, kMax };
 
 class World;
@@ -58,23 +59,6 @@ class Communicator {
     return out;
   }
 
-  /// Typed send/recv of a single trivially copyable value.
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag, &value, sizeof(T));
-  }
-
-  template <typename T>
-  T recv_value(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes = recv_bytes(source, tag);
-    if (bytes.size() != sizeof(T)) throw std::runtime_error("recv_value: size mismatch");
-    T out;
-    std::memcpy(&out, bytes.data(), sizeof(T));
-    return out;
-  }
-
   /// Synchronizes all ranks (generation-counted barrier).
   void barrier();
 
@@ -83,13 +67,6 @@ class Communicator {
 
   /// Element-wise allreduce over equally sized vectors on every rank.
   void allreduce(std::vector<double>& data, ReduceOp op);
-
-  /// Scalar allreduce convenience.
-  double allreduce(double value, ReduceOp op);
-
-  /// Gathers each rank's vector on `root` (concatenated in rank order);
-  /// returns an empty vector on non-root ranks.
-  std::vector<double> gather(const std::vector<double>& data, int root);
 
  private:
   friend class World;

@@ -7,7 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "common/bounded_queue.hpp"
 #include "common/grid.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
@@ -245,51 +244,6 @@ TEST(Image, AsciiMapHasExpectedShape) {
   const std::vector<std::string> rows = split(art, '\n');
   EXPECT_GE(rows.size(), 2u);
   EXPECT_EQ(rows[0].size(), 32u);
-}
-
-
-TEST(BoundedQueue, FifoWithinCapacity) {
-  BoundedQueue<int> queue(3);
-  EXPECT_EQ(queue.capacity(), 3u);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_TRUE(queue.try_push(3));
-  EXPECT_FALSE(queue.try_push(4));  // full: rejected, not blocked
-  EXPECT_EQ(queue.size(), 3u);
-  auto a = queue.try_pop();
-  auto b = queue.try_pop();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(*b, 2);
-  EXPECT_TRUE(queue.try_push(4));  // slot freed
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.try_push(7));
-  queue.close();
-  EXPECT_TRUE(queue.closed());
-  EXPECT_FALSE(queue.try_push(8));  // closed: no new items
-  auto drained = queue.pop();
-  ASSERT_TRUE(drained.has_value());  // existing items still drain
-  EXPECT_EQ(*drained, 7);
-  EXPECT_FALSE(queue.pop().has_value());  // closed + empty: nullopt, no block
-}
-
-TEST(BoundedQueue, BlockingPopFeedsConsumerThread) {
-  BoundedQueue<int> queue(2);
-  std::vector<int> received;
-  std::thread consumer([&] {
-    while (auto item = queue.pop()) received.push_back(*item);
-  });
-  for (int i = 0; i < 50; ++i) {
-    while (!queue.try_push(i)) std::this_thread::yield();
-  }
-  queue.close();
-  consumer.join();
-  ASSERT_EQ(received.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
 }
 
 TEST(StripedCounter, ExactAtQuiescence) {

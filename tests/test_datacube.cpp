@@ -324,8 +324,10 @@ TEST(Client, InvalidCubeOperations) {
   EXPECT_FALSE(cube.values().ok());
   Server server(1);
   Client client(server);
-  Cube attached = client.attach("oph://local/datacube/999");
-  EXPECT_FALSE(attached.reduce("max").ok());  // unknown pid at server
+  auto opened = client.open("oph://local/datacube/999");
+  EXPECT_EQ(opened.status().code(), common::StatusCode::kNotFound);  // checked up front
+  Cube stale = client.bind(CubeHandle{"oph://local/datacube/999", {}});
+  EXPECT_FALSE(stale.reduce("max").ok());  // unknown pid at server
 }
 
 TEST(Client, ParseOpNames) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "datacube/client.hpp"
 #include "esm/climatology.hpp"
@@ -144,9 +145,30 @@ TEST(WaveIndices, ColdWavesUseMinimumTemperature) {
   EXPECT_FLOAT_EQ(indices.count.at(0, 0), 0.0f);
 }
 
+/// Transposes daily (lat, lon) fields into (lat, lon | day) cube rows.
+std::vector<float> rows_by_day(const std::vector<Field>& days) {
+  const std::size_t cells = days.front().size();
+  std::vector<float> rows(cells * days.size());
+  for (std::size_t c = 0; c < cells; ++c) {
+    for (std::size_t d = 0; d < days.size(); ++d) rows[c * days.size() + d] = days[d][c];
+  }
+  return rows;
+}
+
+/// Runs one Listing-1 index off a duration cube and reads it back as a map.
+Field index_field(const datacube::Cube& duration, WaveIndex index, const LatLonGrid& grid) {
+  auto cube = wave_index_cube(duration, index);
+  EXPECT_TRUE(cube.ok()) << cube.status().to_string();
+  if (!cube.ok()) return Field(grid);
+  auto field = index_cube_to_field(*cube, grid);
+  EXPECT_TRUE(field.ok()) << field.status().to_string();
+  EXPECT_TRUE(cube->del().ok());
+  return field.ok() ? *field : Field(grid);
+}
+
 TEST(WaveIndices, DatacubePipelineMatchesReference) {
   // The paper's Listing-1 pipeline must agree with the direct scan on real
-  // model output.
+  // model output, for heat waves (tasmax) and cold waves (tasmin).
   esm::EsmConfig config;
   config.nlat = 24;
   config.nlon = 36;
@@ -158,44 +180,103 @@ TEST(WaveIndices, DatacubePipelineMatchesReference) {
   LatLonGrid grid(config.nlat, config.nlon);
   Baseline baseline = Baseline::analytic(grid, config.days_per_year, config.steps_per_day);
 
-  std::vector<Field> tasmax_days;
+  std::vector<Field> tasmax_days, tasmin_days;
   for (int d = 0; d < config.days_per_year; ++d) {
-    tasmax_days.push_back(model.run_day().tasmax);
+    const auto day = model.run_day();
+    tasmax_days.push_back(day.tasmax);
+    tasmin_days.push_back(day.tasmin);
   }
-  const WaveIndices reference = compute_wave_indices(tasmax_days, baseline, true);
 
-  // Build the cubes and run the datacube pipeline.
   datacube::Server server(3);
   datacube::Client client(server);
-  std::vector<float> temp_rows(grid.size() * static_cast<std::size_t>(config.days_per_year));
-  for (std::size_t c = 0; c < grid.size(); ++c) {
-    for (int d = 0; d < config.days_per_year; ++d) {
-      temp_rows[c * static_cast<std::size_t>(config.days_per_year) + static_cast<std::size_t>(d)] =
-          tasmax_days[static_cast<std::size_t>(d)][c];
-    }
-  }
   std::vector<datacube::DimInfo> dims = {{"lat", grid.nlat(), grid.lats()},
                                          {"lon", grid.nlon(), grid.lons()}};
   datacube::DimInfo day_dim{"day", static_cast<std::size_t>(config.days_per_year), {}};
-  auto temp_cube = client.create_cube("tasmax", dims, day_dim, temp_rows);
-  ASSERT_TRUE(temp_cube.ok());
-  auto baseline_cube =
-      client.create_cube("baseline", dims, day_dim, baseline.tasmax_rows_by_day());
-  ASSERT_TRUE(baseline_cube.ok());
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "heat waves" : "cold waves");
+    const std::vector<Field>& days = warm ? tasmax_days : tasmin_days;
+    const WaveIndices reference = compute_wave_indices(days, baseline, warm);
 
-  auto cubes = compute_wave_indices_datacube(client, *temp_cube, *baseline_cube, true);
-  ASSERT_TRUE(cubes.ok());
-  auto dur = index_cube_to_field(cubes->duration_max, grid);
-  auto count = index_cube_to_field(cubes->count, grid);
-  auto freq = index_cube_to_field(cubes->frequency, grid);
-  ASSERT_TRUE(dur.ok());
-  ASSERT_TRUE(count.ok());
-  ASSERT_TRUE(freq.ok());
-  for (std::size_t c = 0; c < grid.size(); ++c) {
-    ASSERT_FLOAT_EQ((*dur)[c], reference.duration_max[c]) << "cell " << c;
-    ASSERT_FLOAT_EQ((*count)[c], reference.count[c]) << "cell " << c;
-    ASSERT_NEAR((*freq)[c], reference.frequency[c], 1e-5f) << "cell " << c;
+    auto temp_cube = client.create_cube(warm ? "tasmax" : "tasmin", dims, day_dim,
+                                        rows_by_day(days));
+    ASSERT_TRUE(temp_cube.ok());
+    auto baseline_cube = client.create_cube(
+        "baseline", dims, day_dim,
+        warm ? baseline.tasmax_rows_by_day() : baseline.tasmin_rows_by_day());
+    ASSERT_TRUE(baseline_cube.ok());
+
+    auto duration = wave_duration_cube(*temp_cube, *baseline_cube, warm);
+    ASSERT_TRUE(duration.ok()) << duration.status().to_string();
+    const Field dur = index_field(*duration, WaveIndex::kDurationMax, grid);
+    const Field count = index_field(*duration, WaveIndex::kCount, grid);
+    const Field freq = index_field(*duration, WaveIndex::kFrequency, grid);
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      ASSERT_FLOAT_EQ(dur[c], reference.duration_max[c]) << "cell " << c;
+      ASSERT_FLOAT_EQ(count[c], reference.count[c]) << "cell " << c;
+      ASSERT_NEAR(freq[c], reference.frequency[c], 1e-5f) << "cell " << c;
+    }
+
+    // The chain kept nothing but the duration cube it returned.
+    ASSERT_TRUE(duration->del().ok());
+    ASSERT_TRUE(temp_cube->del().ok());
+    ASSERT_TRUE(baseline_cube->del().ok());
+    EXPECT_TRUE(server.list_cubes().empty());
   }
+}
+
+TEST(WaveIndices, DatacubeChainDeletesIntermediatesOnFailure) {
+  // Fails each operator of the chain in turn (three in wave_duration_cube,
+  // then one or two per index) through a single-attempt client, so the
+  // injected UNAVAILABLE surfaces. Whichever operator fails, the server
+  // afterwards holds only the caller's cubes.
+  constexpr std::size_t kCells = 6;
+  constexpr std::size_t kDays = 12;
+  std::vector<float> temp(kCells * kDays);
+  for (std::size_t i = 0; i < temp.size(); ++i) temp[i] = i % kDays < 8 ? 9.0f : 0.0f;
+  const std::vector<float> base(kCells * kDays, 0.0f);
+  constexpr int kChainOperators = 8;
+
+  int failures = 0;
+  for (int at = 0; at <= kChainOperators; ++at) {
+    SCOPED_TRACE("fault at operator " + std::to_string(at));
+    datacube::Server server(2);
+    datacube::Client client(server, "leak-check");
+    common::RetryOptions single_attempt;
+    single_attempt.max_attempts = 1;
+    client.set_retry(single_attempt);
+    auto temp_cube = client.create_cube("tasmax", {{"cell", kCells, {}}}, {"day", kDays, {}}, temp);
+    auto base_cube = client.create_cube("baseline", {{"cell", kCells, {}}}, {"day", kDays, {}},
+                                        base);
+    ASSERT_TRUE(temp_cube.ok());
+    ASSERT_TRUE(base_cube.ok());
+    const std::vector<std::string> inputs = server.list_cubes();
+    // Operator admissions are numbered from 0 once the injector is armed.
+    auto plan = common::fault::Plan::parse(
+        R"({"seed": 1, "rules": [{"kind": "fragment_error", "at": )" + std::to_string(at) +
+        "}]}");
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    server.set_fault_injector(std::make_shared<common::fault::Injector>(*plan));
+
+    auto duration = wave_duration_cube(*temp_cube, *base_cube, true);
+    if (!duration.ok()) {
+      ++failures;
+      EXPECT_EQ(server.list_cubes(), inputs);
+      continue;
+    }
+    const std::vector<std::string> held = server.list_cubes();
+    ASSERT_EQ(held.size(), inputs.size() + 1);  // inputs + the duration cube
+    for (const WaveIndex index :
+         {WaveIndex::kDurationMax, WaveIndex::kCount, WaveIndex::kFrequency}) {
+      auto cube = wave_index_cube(*duration, index);
+      if (!cube.ok()) {
+        ++failures;
+        EXPECT_EQ(server.list_cubes(), held);
+        continue;
+      }
+      ASSERT_TRUE(cube->del().ok());
+    }
+  }
+  EXPECT_EQ(failures, kChainOperators);  // every operator position was hit once
 }
 
 TEST(WaveIndices, IndexCubeToFieldChecksShape) {

@@ -506,30 +506,31 @@ TEST_F(ServiceTest, DeployInvokeAndPollViaApi) {
   ASSERT_TRUE(workflow_id.ok()) << workflow_id.status().to_string();
 
   // REST: list workflows.
-  auto list = service_->handle("GET", "/workflows", Json());
-  ASSERT_TRUE(list.ok());
-  ASSERT_EQ((*list)["workflows"].size(), 1u);
-  EXPECT_EQ((*list)["workflows"][0].get_string("id"), *workflow_id);
+  auto list = service_->rest("GET", "/v1/workflows", Json());
+  ASSERT_EQ(list.status, 200);
+  ASSERT_EQ(list.body["workflows"].size(), 1u);
+  EXPECT_EQ(list.body["workflows"][0].get_string("id"), *workflow_id);
 
   // REST: detail exposes the declared inputs with defaults.
-  auto detail = service_->handle("GET", "/workflows/" + *workflow_id, Json());
-  ASSERT_TRUE(detail.ok());
-  EXPECT_EQ((*detail)["inputs"].size(), 2u);
+  auto detail = service_->rest("GET", "/v1/workflows/" + *workflow_id, Json());
+  ASSERT_EQ(detail.status, 200);
+  EXPECT_EQ(detail.body["inputs"].size(), 2u);
 
   // REST: start an execution ("as a simple REST invocation").
   Json params = Json::object();
-  auto started = service_->handle("POST", "/workflows/" + *workflow_id + "/executions", params);
-  ASSERT_TRUE(started.ok());
-  const std::string exec_id = started->get_string("execution_id");
+  auto started =
+      service_->rest("POST", "/v1/workflows/" + *workflow_id + "/executions", params);
+  ASSERT_EQ(started.status, 201);
+  const std::string exec_id = started.body.get_string("execution_id");
   ASSERT_FALSE(exec_id.empty());
 
   ASSERT_TRUE(service_->wait(exec_id).ok());
-  auto status = service_->handle("GET", "/executions/" + exec_id, Json());
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->get_string("state"), "succeeded");
-  EXPECT_TRUE((*status)["result"].get_bool("done"));
+  auto status = service_->rest("GET", "/v1/executions/" + exec_id, Json());
+  ASSERT_EQ(status.status, 200);
+  EXPECT_EQ(status.body.get_string("state"), "succeeded");
+  EXPECT_TRUE(status.body["result"].get_bool("done"));
   // Default input value filled in from the topology declaration.
-  EXPECT_EQ((*status)["result"].get_string("echo_years"), "1");
+  EXPECT_EQ(status.body["result"].get_string("echo_years"), "1");
 }
 
 TEST_F(ServiceTest, MissingRequiredInputRejected) {
@@ -564,16 +565,16 @@ TEST_F(ServiceTest, FailedExecutionReported) {
   auto exec = service_->invoke(*id, Json::object());
   ASSERT_TRUE(exec.ok());
   EXPECT_FALSE(service_->wait(*exec).ok());
-  auto status = service_->handle("GET", "/executions/" + *exec, Json());
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->get_string("state"), "failed");
-  EXPECT_NE(status->get_string("error").find("crashed"), std::string::npos);
+  auto status = service_->rest("GET", "/v1/executions/" + *exec, Json());
+  ASSERT_EQ(status.status, 200);
+  EXPECT_EQ(status.body.get_string("state"), "failed");
+  EXPECT_NE(status.body.get_string("error").find("crashed"), std::string::npos);
 }
 
 TEST_F(ServiceTest, UnknownRoutesAndIds) {
-  EXPECT_FALSE(service_->handle("GET", "/nope", Json()).ok());
-  EXPECT_FALSE(service_->handle("GET", "/workflows/wf-99", Json()).ok());
-  EXPECT_FALSE(service_->handle("GET", "/executions/exec-99", Json()).ok());
+  EXPECT_EQ(service_->rest("GET", "/v1/nope", Json()).status, 404);
+  EXPECT_EQ(service_->rest("GET", "/v1/workflows/wf-99", Json()).status, 404);
+  EXPECT_EQ(service_->rest("GET", "/v1/executions/exec-99", Json()).status, 404);
   EXPECT_FALSE(service_->invoke("wf-99", Json()).ok());
   EXPECT_FALSE(service_->undeploy_workflow("wf-99").ok());
 }
@@ -588,7 +589,7 @@ TEST_F(ServiceTest, UndeployRemovesWorkflow) {
 }
 
 
-TEST_F(ServiceTest, V1RoutesMirrorLegacyAliases) {
+TEST_F(ServiceTest, V1IsTheOnlyRouteVersion) {
   auto workflow_id = service_->deploy_workflow(core::case_study_topology_yaml(),
                                                [](const Json&) { return Json::object(); });
   ASSERT_TRUE(workflow_id.ok()) << workflow_id.status().to_string();
@@ -613,11 +614,9 @@ TEST_F(ServiceTest, V1RoutesMirrorLegacyAliases) {
   EXPECT_EQ(polled.status, 200);
   EXPECT_EQ(polled.body.get_string("state"), "succeeded");
 
-  // The unversioned alias serves the same representation as /v1.
-  auto legacy = service_->rest("GET", "/workflows", Json());
-  EXPECT_EQ(legacy.status, 200);
-  ASSERT_EQ(legacy.body["workflows"].size(), 1u);
-  EXPECT_EQ(legacy.body["workflows"][0].get_string("id"), *workflow_id);
+  // The same resources without the version prefix are not routes.
+  EXPECT_EQ(service_->rest("GET", "/workflows/" + *workflow_id, Json()).status, 404);
+  EXPECT_EQ(service_->rest("GET", "/executions/" + exec_id, Json()).status, 404);
 
   // Undeploy via the versioned surface.
   auto undeployed = service_->rest("DELETE", "/v1/workflows/" + *workflow_id, Json());
@@ -667,9 +666,11 @@ topology_template:
   EXPECT_EQ(rejected.status, 400);
   EXPECT_EQ(rejected.body["error"].get_string("code"), "invalid_argument");
 
-  // The legacy wrapper folds envelopes back into Status codes.
-  EXPECT_FALSE(service_->handle("GET", "/v1/workflows/wf-99", Json()).ok());
-  EXPECT_FALSE(service_->handle("PUT", "/v1/workflows", Json()).ok());
+  // Unversioned paths are not routes (no legacy aliases).
+  auto unversioned = service_->rest("GET", "/workflows", Json());
+  EXPECT_EQ(unversioned.status, 404);
+  EXPECT_EQ(unversioned.body["error"].get_string("code"), "not_found");
+  EXPECT_EQ(service_->rest("PUT", "/workflows", Json()).status, 404);
 }
 
 }  // namespace

@@ -114,24 +114,28 @@ TEST_F(WorkflowTest, IndicesMatchDirectComputation) {
   auto results = workflow.run();
   ASSERT_TRUE(results.ok());
 
-  // Recompute the heat indices directly from the daily files.
+  // Recompute the heat and cold indices directly from the daily files.
   const common::LatLonGrid grid(config.esm.nlat, config.esm.nlon);
   extremes::Baseline baseline = extremes::Baseline::analytic(
       grid, config.esm.days_per_year, config.esm.steps_per_day, 0.0);
-  std::vector<common::Field> tasmax_days;
-  for (int d = 0; d < config.esm.days_per_year; ++d) {
-    auto field = esm::read_daily_field(
-        esm::daily_filename(dir_ + "/daily", config.esm.start_year, d), "tasmax");
-    ASSERT_TRUE(field.ok());
-    tasmax_days.push_back(std::move(*field));
-  }
-  const extremes::WaveIndices reference =
-      extremes::compute_wave_indices(tasmax_days, baseline, true);
-  const extremes::WaveIndices& workflow_result = results->years[0].heat;
-  for (std::size_t c = 0; c < grid.size(); ++c) {
-    ASSERT_FLOAT_EQ(workflow_result.duration_max[c], reference.duration_max[c]) << c;
-    ASSERT_FLOAT_EQ(workflow_result.count[c], reference.count[c]) << c;
-    ASSERT_NEAR(workflow_result.frequency[c], reference.frequency[c], 1e-5) << c;
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "heat waves" : "cold waves");
+    const char* variable = warm ? "tasmax" : "tasmin";
+    std::vector<common::Field> days;
+    for (int d = 0; d < config.esm.days_per_year; ++d) {
+      auto field = esm::read_daily_field(
+          esm::daily_filename(dir_ + "/daily", config.esm.start_year, d), variable);
+      ASSERT_TRUE(field.ok());
+      days.push_back(std::move(*field));
+    }
+    const extremes::WaveIndices reference = extremes::compute_wave_indices(days, baseline, warm);
+    const extremes::WaveIndices& workflow_result =
+        warm ? results->years[0].heat : results->years[0].cold;
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      ASSERT_FLOAT_EQ(workflow_result.duration_max[c], reference.duration_max[c]) << c;
+      ASSERT_FLOAT_EQ(workflow_result.count[c], reference.count[c]) << c;
+      ASSERT_NEAR(workflow_result.frequency[c], reference.frequency[c], 1e-5) << c;
+    }
   }
 }
 
