@@ -4,7 +4,9 @@
 # observability paths and the concurrent datacube serving paths: test_obs,
 # test_taskrt, test_datacube and test_common must come back clean, and so
 # must test_esm, whose decomposed driver runs one EsmModel (with its own
-# per-step scratch planes) per thread. The
+# per-step scratch planes) per thread, and test_expression and
+# test_properties: expression scratch rows live in the fragment tasks of the
+# I/O-server pool, and PipelineProperty drives Server::apply. The
 # address run also enables UBSan (the two compose; TSan does not).
 #
 # Usage:
@@ -69,7 +71,7 @@ ctest "${CTEST_ARGS[@]}"
 if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
   echo "== TSan gate: re-running the concurrency suites explicitly"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm)$'
+    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm|test_expression|test_properties)$'
   echo "== TSan chaos gate: fault injection + node-failure recovery under TSan"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L chaos
 fi

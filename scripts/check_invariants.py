@@ -23,6 +23,13 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      workflow included, calls those two functions instead of re-spelling
      the operator strings.
 
+  5. No value-changing float optimisation: no CMakeLists.txt may pass
+     -ffast-math, -Ofast or -funsafe-math-optimizations. The datacube
+     kernels promise outputs bit-identical to a plain per-element loop (the
+     same IEEE operation per element, in the same order), and the ESM and
+     index golden digests pin them; these flags let the compiler reassociate
+     sums, drop NaN/signed-zero cases and contract multiply-adds.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -68,6 +75,10 @@ TAG_CONSTANT_RE = re.compile(r"^k\w*Tag$")
 LOG_TAG_EXEMPT = {pathlib.Path("src/common/log.hpp")}
 LISTING1_PRIMITIVE_RE = re.compile(r"\b(?:oph_predicate|wave_duration)\s*\(")
 LISTING1_OWNERS = {"datacube", "extremes"}
+CMAKE_GLOBS = ("CMakeLists.txt", "src/**/CMakeLists.txt", "tests/**/CMakeLists.txt",
+               "bench/**/CMakeLists.txt", "examples/**/CMakeLists.txt",
+               "perfbench/**/CMakeLists.txt")
+UNSAFE_MATH_RE = re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b")
 
 
 def iter_sources():
@@ -134,12 +145,27 @@ def check_file(path: pathlib.Path, violations: list):
                         f"kFooTag constant, got '{tag}'")
 
 
+def check_cmake(path: pathlib.Path, violations: list):
+    rel = path.relative_to(REPO_ROOT)
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        code = line.split("#", 1)[0]
+        match = UNSAFE_MATH_RE.search(code)
+        if match:
+            violations.append(
+                f"{rel}:{lineno}: {match.group(0)} changes float results (the datacube "
+                f"kernels and golden digests rely on IEEE semantics)")
+
+
 def main() -> int:
     violations: list = []
     checked = 0
     for path in iter_sources():
         check_file(path, violations)
         checked += 1
+    for pattern in CMAKE_GLOBS:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            check_cmake(path, violations)
+            checked += 1
     if violations:
         for violation in violations:
             print(violation)

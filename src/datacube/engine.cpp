@@ -1,7 +1,6 @@
 #include "datacube/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -31,6 +30,114 @@ Result<InterOp> parse_inter_op(const std::string& name) {
 }
 
 namespace engine {
+namespace {
+
+// Reduction accumulators: start() takes a group's first element, add() the
+// rest in order, finish() the group's element count. These are the
+// operations, in the order, of a plain per-row loop.
+struct MaxAcc {
+  float m;
+  void start(float v) { m = v; }
+  void add(float v) { m = std::max(m, v); }
+  float finish(std::size_t) const { return m; }
+};
+
+struct MinAcc {
+  float m;
+  void start(float v) { m = v; }
+  void add(float v) { m = std::min(m, v); }
+  float finish(std::size_t) const { return m; }
+};
+
+struct SumAcc {
+  double s;
+  void start(float v) { s = 0.0 + v; }
+  void add(float v) { s += v; }
+  float finish(std::size_t) const { return static_cast<float>(s); }
+};
+
+struct AvgAcc : SumAcc {
+  float finish(std::size_t n) const { return static_cast<float>(s / static_cast<double>(n)); }
+};
+
+struct StdAcc {
+  double s, s2;
+  void start(float v) {
+    s = 0.0 + v;
+    s2 = 0.0 + static_cast<double>(v) * v;
+  }
+  void add(float v) {
+    s += v;
+    s2 += static_cast<double>(v) * v;
+  }
+  float finish(std::size_t n) const {
+    const double mean = s / static_cast<double>(n);
+    const double var = std::max(0.0, s2 / static_cast<double>(n) - mean * mean);
+    return static_cast<float>(std::sqrt(var));
+  }
+};
+
+struct CountAcc {
+  void start(float) {}
+  void add(float) {}
+  float finish(std::size_t n) const { return static_cast<float>(n); }
+};
+
+// Reduces kRows consecutive rows group by group, one accumulator per row:
+// the rows' chains are independent, so their adds overlap.
+template <class Acc, std::size_t kRows>
+void reduce_block(const float* src, std::size_t alen, std::size_t group_size, std::size_t out_len,
+                  float* dst) {
+  for (std::size_t g = 0; g < out_len; ++g) {
+    const std::size_t begin = g * group_size;
+    const std::size_t end = std::min(alen, begin + group_size);
+    Acc acc[kRows] = {};
+    for (std::size_t r = 0; r < kRows; ++r) acc[r].start(src[r * alen + begin]);
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      for (std::size_t r = 0; r < kRows; ++r) acc[r].add(src[r * alen + i]);
+    }
+    for (std::size_t r = 0; r < kRows; ++r) dst[r * out_len + g] = acc[r].finish(end - begin);
+  }
+}
+
+template <class Acc>
+void reduce_rows(const float* src, std::size_t rows, std::size_t alen, std::size_t group_size,
+                 std::size_t out_len, float* dst) {
+  constexpr std::size_t kBlock = 8;
+  std::size_t r = 0;
+  for (; r + kBlock <= rows; r += kBlock) {
+    reduce_block<Acc, kBlock>(src + r * alen, alen, group_size, out_len, dst + r * out_len);
+  }
+  for (; r < rows; ++r) {
+    reduce_block<Acc, 1>(src + r * alen, alen, group_size, out_len, dst + r * out_len);
+  }
+}
+
+// out[i] = f(x[i], y[i]) over count elements.
+template <class F>
+void elementwise(const float* __restrict x, const float* __restrict y, float* __restrict out,
+                 std::size_t count, F f) {
+  for (std::size_t i = 0; i < count; ++i) out[i] = f(x[i], y[i]);
+}
+
+void combine(InterOp op, const float* x, const float* y, float* out, std::size_t n) {
+  switch (op) {
+    case InterOp::kAdd: return elementwise(x, y, out, n, [](float p, float q) { return p + q; });
+    case InterOp::kSub: return elementwise(x, y, out, n, [](float p, float q) { return p - q; });
+    case InterOp::kMul: return elementwise(x, y, out, n, [](float p, float q) { return p * q; });
+    case InterOp::kDiv:
+      // Division by zero yields 0; the quotient is computed either way so the
+      // select vectorises.
+      return elementwise(x, y, out, n, [](float p, float q) {
+        const float r = p / q;
+        return q == 0.0f ? 0.0f : r;
+      });
+    case InterOp::kMask:
+      return elementwise(x, y, out, n, [](float p, float q) { return q > 0.0f ? p : 0.0f; });
+  }
+}
+
+}  // namespace
 
 Result<CubeData> reduce(const CubeData& src, ReduceOp op, std::size_t group_size,
                         const std::string& description, const ParallelRunner& run) {
@@ -46,63 +153,23 @@ Result<CubeData> reduce(const CubeData& src, ReduceOp op, std::size_t group_size
   if (out_len == alen) out.implicit_dim.coords = src.implicit_dim.coords;
   out.fragments.resize(src.fragments.size());
 
-  const std::size_t gs = group_size;
   run(src.fragments.size(), [&](std::size_t f) {
     const Fragment& in_frag = src.fragments[f];
     Fragment& out_frag = out.fragments[f];
     out_frag.row_start = in_frag.row_start;
     out_frag.row_count = in_frag.row_count;
     out_frag.server = in_frag.server;
-    out_frag.values.assign(in_frag.row_count * out_len, 0.0f);
-    for (std::size_t r = 0; r < in_frag.row_count; ++r) {
-      const float* row = in_frag.values.data() + r * alen;
-      float* dst = out_frag.values.data() + r * out_len;
-      for (std::size_t g = 0; g < out_len; ++g) {
-        const std::size_t begin = g * gs;
-        const std::size_t end = std::min(alen, begin + gs);
-        const std::size_t n = end - begin;
-        switch (op) {
-          case ReduceOp::kMax: {
-            float m = row[begin];
-            for (std::size_t i = begin + 1; i < end; ++i) m = std::max(m, row[i]);
-            dst[g] = m;
-            break;
-          }
-          case ReduceOp::kMin: {
-            float m = row[begin];
-            for (std::size_t i = begin + 1; i < end; ++i) m = std::min(m, row[i]);
-            dst[g] = m;
-            break;
-          }
-          case ReduceOp::kSum: {
-            double s = 0;
-            for (std::size_t i = begin; i < end; ++i) s += row[i];
-            dst[g] = static_cast<float>(s);
-            break;
-          }
-          case ReduceOp::kAvg: {
-            double s = 0;
-            for (std::size_t i = begin; i < end; ++i) s += row[i];
-            dst[g] = static_cast<float>(s / static_cast<double>(n));
-            break;
-          }
-          case ReduceOp::kStd: {
-            double s = 0, s2 = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-              s += row[i];
-              s2 += static_cast<double>(row[i]) * row[i];
-            }
-            const double mean = s / static_cast<double>(n);
-            const double var = std::max(0.0, s2 / static_cast<double>(n) - mean * mean);
-            dst[g] = static_cast<float>(std::sqrt(var));
-            break;
-          }
-          case ReduceOp::kCount: {
-            dst[g] = static_cast<float>(n);
-            break;
-          }
-        }
-      }
+    out_frag.values.resize(in_frag.row_count * out_len);
+    const float* rows = in_frag.values.data();
+    float* dst = out_frag.values.data();
+    const std::size_t n = in_frag.row_count;
+    switch (op) {
+      case ReduceOp::kMax: return reduce_rows<MaxAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kMin: return reduce_rows<MinAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kSum: return reduce_rows<SumAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kAvg: return reduce_rows<AvgAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kStd: return reduce_rows<StdAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kCount: return reduce_rows<CountAcc>(rows, n, alen, group_size, out_len, dst);
     }
   });
   return out;
@@ -114,9 +181,7 @@ Result<CubeData> apply(const CubeData& src, const std::string& expression,
   if (!expr.ok()) return expr.status();
 
   const std::size_t alen = src.array_length();
-  // Determine output length on a probe row.
-  std::vector<float> probe(alen, 0.0f);
-  const std::size_t out_len = expr->eval(probe).size();
+  const std::size_t out_len = expr->output_length(alen);
   if (out_len == 0) return Status::InvalidArgument("expression produces empty output");
 
   CubeData out;
@@ -127,29 +192,19 @@ Result<CubeData> apply(const CubeData& src, const std::string& expression,
   if (out_len == alen) out.implicit_dim.coords = src.implicit_dim.coords;
   out.fragments.resize(src.fragments.size());
 
-  std::atomic<bool> length_error{false};
   run(src.fragments.size(), [&](std::size_t f) {
     const Fragment& in_frag = src.fragments[f];
     Fragment& out_frag = out.fragments[f];
     out_frag.row_start = in_frag.row_start;
     out_frag.row_count = in_frag.row_count;
     out_frag.server = in_frag.server;
-    out_frag.values.assign(in_frag.row_count * out_len, 0.0f);
-    std::vector<float> row(alen);
+    out_frag.values.resize(in_frag.row_count * out_len);
+    std::vector<float> scratch(expr->scratch_size(alen));
     for (std::size_t r = 0; r < in_frag.row_count; ++r) {
-      std::memcpy(row.data(), in_frag.values.data() + r * alen, alen * sizeof(float));
-      std::vector<float> result = expr->eval(row);
-      if (result.size() == 1 && out_len > 1) result.assign(out_len, result[0]);
-      if (result.size() != out_len) {
-        length_error.store(true);
-        return;
-      }
-      std::memcpy(out_frag.values.data() + r * out_len, result.data(), out_len * sizeof(float));
+      expr->eval_row(in_frag.values.data() + r * alen, alen, out_frag.values.data() + r * out_len,
+                     scratch.data());
     }
   });
-  if (length_error.load()) {
-    return Status::Internal("expression produced rows of differing lengths");
-  }
   return out;
 }
 
@@ -161,9 +216,6 @@ Result<CubeData> intercube(const CubeData& a, const CubeData& b, InterOp op,
                                    std::to_string(b.row_count()) + "x" +
                                    std::to_string(b.array_length()) + ")");
   }
-
-  // b may be fragmented differently: use a dense view of it.
-  const std::vector<float> b_dense = b.to_dense();
   const std::size_t alen = a.array_length();
 
   CubeData out;
@@ -180,17 +232,22 @@ Result<CubeData> intercube(const CubeData& a, const CubeData& b, InterOp op,
     out_frag.row_count = in_frag.row_count;
     out_frag.server = in_frag.server;
     out_frag.values.resize(in_frag.values.size());
-    const float* bv = b_dense.data() + in_frag.row_start * alen;
-    for (std::size_t i = 0; i < in_frag.values.size(); ++i) {
-      const float x = in_frag.values[i];
-      const float y = bv[i];
-      switch (op) {
-        case InterOp::kAdd: out_frag.values[i] = x + y; break;
-        case InterOp::kSub: out_frag.values[i] = x - y; break;
-        case InterOp::kMul: out_frag.values[i] = x * y; break;
-        case InterOp::kDiv: out_frag.values[i] = y == 0.0f ? 0.0f : x / y; break;
-        case InterOp::kMask: out_frag.values[i] = y > 0.0f ? x : 0.0f; break;
-      }
+    if (in_frag.row_count == 0) return;
+    // Read b in place, fragment by fragment over this fragment's rows: b may
+    // be fragmented differently. Start at b's last fragment beginning at or
+    // before row_start.
+    auto bf = std::upper_bound(
+        b.fragments.begin(), b.fragments.end(), in_frag.row_start,
+        [](std::size_t row, const Fragment& g) { return row < g.row_start; });
+    --bf;
+    const std::size_t end = in_frag.row_start + in_frag.row_count;
+    for (std::size_t row = in_frag.row_start; row < end; ++bf) {
+      const std::size_t stop = std::min(end, bf->row_start + bf->row_count);
+      const std::size_t offset = (row - in_frag.row_start) * alen;
+      combine(op, in_frag.values.data() + offset,
+              bf->values.data() + (row - bf->row_start) * alen, out_frag.values.data() + offset,
+              (stop - row) * alen);
+      row = stop;
     }
   });
   return out;

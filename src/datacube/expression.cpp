@@ -1,218 +1,248 @@
 #include "datacube/expression.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
-#include <functional>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 
 namespace climate::datacube {
 namespace detail {
 
-// Value during evaluation: either a scalar or an array.
-struct Value {
-  bool is_array = false;
-  float scalar = 0.0f;
-  std::vector<float> array;
+// ------------------------------------------------------------------ program
 
-  std::size_t length() const { return is_array ? array.size() : 1; }
-  float at(std::size_t i) const { return is_array ? array[i] : scalar; }
+enum class Op : std::uint8_t {
+  // Elementwise binary, with scalar broadcasting.
+  kAdd, kSub, kMul, kDiv, kLt, kGt, kLe, kGe, kEq, kNe, kMin, kMax, kPow,
+  // Elementwise unary.
+  kNeg, kAbs, kSqrt, kExp, kLog,
+  // Functions of a whole row.
+  kPredicate, kWaveDuration, kRunningMax, kRunningSum, kShift,
 };
 
-struct Node {
-  virtual ~Node() = default;
-  virtual Value eval(const std::vector<float>& measure) const = 0;
+/// An instruction operand: a constant, the measure row, or the scratch row
+/// another instruction wrote.
+struct Arg {
+  enum class Kind : std::uint8_t { kConst, kMeasure, kRow };
+  Kind kind = Kind::kConst;
+  float value = 0.0f;     ///< kConst.
+  std::uint32_t row = 0;  ///< kRow: scratch row (while parsing: the writing instruction).
+  bool is_const() const { return kind == Kind::kConst; }
 };
 
-using NodePtr = std::shared_ptr<const Node>;
+Arg constant(float value) { return {Arg::Kind::kConst, value, 0}; }
 
-struct NumberNode : Node {
-  explicit NumberNode(float v) : value(v) {}
-  float value;
-  Value eval(const std::vector<float>&) const override { return {false, value, {}}; }
+struct Instr;
+
+/// The loop of one instruction over one row, specialised on the operator and
+/// on which operands are rows (a constant operand's pointer is unused).
+using Kernel = void (*)(const Instr& in, const float* a, const float* b, const float* c,
+                        float* out, std::size_t n);
+
+struct Instr {
+  explicit Instr(Op op = Op::kAdd, Arg a = {}, Arg b = {}) : op(op), a(a), b(b) {}
+  Op op;
+  Arg a, b, c;             ///< Binary: a op b. Predicate: input, then, else.
+  Op cmp = Op::kGt;        ///< Predicate condition ...
+  float threshold = 0.0f;  ///< ... against this constant.
+  int k = 0;               ///< wave_duration min_len, shift offset.
+  std::uint32_t dst = 0;   ///< Scratch row written; the last instruction writes the output.
+  Kernel kernel = nullptr;
 };
 
-struct MeasureNode : Node {
-  Value eval(const std::vector<float>& measure) const override {
-    Value v;
-    v.is_array = true;
-    v.array = measure;
-    return v;
+struct Program {
+  std::vector<Instr> code;  ///< Postfix order.
+  Arg result;               ///< kRow: written by code.back().
+  std::uint32_t rows = 0;   ///< Scratch rows the code needs.
+};
+
+// ------------------------------------------------------------------ kernels
+
+template <Op op>
+bool compare(float a, float b) {
+  if constexpr (op == Op::kLt) return a < b;
+  else if constexpr (op == Op::kGt) return a > b;
+  else if constexpr (op == Op::kLe) return a <= b;
+  else if constexpr (op == Op::kGe) return a >= b;
+  else if constexpr (op == Op::kEq) return a == b;
+  else return a != b;
+}
+
+// One element of an elementwise operator (a unary one ignores b).
+template <Op op>
+float element(float a, float b) {
+  if constexpr (op == Op::kAdd) return a + b;
+  else if constexpr (op == Op::kSub) return a - b;
+  else if constexpr (op == Op::kMul) return a * b;
+  else if constexpr (op == Op::kDiv) {
+    // Division by zero yields 0. The quotient is computed either way so the
+    // select vectorises.
+    const float q = a / b;
+    return b == 0.0f ? 0.0f : q;
   }
-};
+  else if constexpr (op == Op::kMin) return std::min(a, b);
+  else if constexpr (op == Op::kMax) return std::max(a, b);
+  else if constexpr (op == Op::kPow) return std::pow(a, b);
+  else if constexpr (op == Op::kNeg) return -a;
+  else if constexpr (op == Op::kAbs) return std::fabs(a);
+  else if constexpr (op == Op::kSqrt) return std::sqrt(std::max(0.0f, a));
+  else if constexpr (op == Op::kExp) return std::exp(a);
+  else if constexpr (op == Op::kLog) return a <= 0.0f ? 0.0f : std::log(a);
+  else return compare<op>(a, b) ? 1.0f : 0.0f;
+}
 
-struct BinaryNode : Node {
-  BinaryNode(char op, NodePtr l, NodePtr r) : op(op), lhs(std::move(l)), rhs(std::move(r)) {}
-  char op;  // + - * / < > L(<=) G(>=) E(==) N(!=)
-  NodePtr lhs, rhs;
+// The output never aliases an operand (see link()); operands may alias
+// each other, which restrict allows because they are only read.
+template <Op op, bool kConstA, bool kConstB>
+void elementwise_loop(const Instr& in, const float* __restrict a, const float* __restrict b,
+                      const float*, float* __restrict out, std::size_t n) {
+  const float ca = in.a.value;
+  const float cb = in.b.value;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = element<op>(kConstA ? ca : a[i], kConstB ? cb : b[i]);
+  }
+}
 
-  static float apply(char op, float a, float b) {
-    switch (op) {
-      case '+': return a + b;
-      case '-': return a - b;
-      case '*': return a * b;
-      case '/': return b == 0.0f ? 0.0f : a / b;
-      case '<': return a < b ? 1.0f : 0.0f;
-      case '>': return a > b ? 1.0f : 0.0f;
-      case 'L': return a <= b ? 1.0f : 0.0f;
-      case 'G': return a >= b ? 1.0f : 0.0f;
-      case 'E': return a == b ? 1.0f : 0.0f;
-      case 'N': return a != b ? 1.0f : 0.0f;
+template <Op cmp, bool kConstThen, bool kConstElse>
+void predicate_loop(const Instr& in, const float* __restrict a, const float* __restrict t,
+                    const float* __restrict e, float* __restrict out, std::size_t n) {
+  const float threshold = in.threshold;
+  const float ct = in.b.value;
+  const float ce = in.c.value;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Both branches are loaded so the select vectorises.
+    const float then_value = kConstThen ? ct : t[i];
+    const float else_value = kConstElse ? ce : e[i];
+    out[i] = compare<cmp>(a[i], threshold) ? then_value : else_value;
+  }
+}
+
+// Run lengths of ones (> 0.5) of at least min_len, at each run's last
+// position, 0 elsewhere. Branchless: every position is written once, and the
+// run is updated with integer masks. Safe in place.
+void wave_duration_row(const float* in, float* out, std::size_t n, int min_len) {
+  if (n == 0) return;
+  int run = in[0] > 0.5f ? 1 : 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const int next = -static_cast<int>(in[i + 1] > 0.5f);  // all ones if the run goes on
+    const int qualifies = -static_cast<int>(run >= min_len);
+    out[i] = static_cast<float>(run & qualifies & ~next);
+    run = (run + 1) & next;
+  }
+  out[n - 1] = static_cast<float>(run & -static_cast<int>(run >= min_len));
+}
+
+void wave_duration_loop(const Instr& in, const float* a, const float*, const float*, float* out,
+                        std::size_t n) {
+  wave_duration_row(a, out, n, in.k);
+}
+
+template <Op op>
+void scan_loop(const Instr&, const float* __restrict a, const float*, const float*,
+               float* __restrict out, std::size_t n) {
+  if (n == 0) return;
+  float acc = a[0];
+  out[0] = acc;
+  for (std::size_t i = 1; i < n; ++i) {
+    acc = op == Op::kRunningSum ? acc + a[i] : std::max(acc, a[i]);
+    out[i] = acc;
+  }
+}
+
+void shift_loop(const Instr& in, const float* a, const float*, const float*, float* out,
+                std::size_t n) {
+  std::fill(out, out + n, 0.0f);
+  const long k = in.k;
+  const long kept = static_cast<long>(n) - std::abs(k);
+  if (kept <= 0) return;
+  const float* from = a + std::max(-k, 0L);
+  std::copy(from, from + kept, out + std::max(k, 0L));
+}
+
+// Calls pick.operator()<op>() for the runtime op, one of [First, Last].
+template <Op First, Op Last, class Pick>
+Kernel dispatch(Op op, const Pick& pick) {
+  if constexpr (First != Last) {
+    if (op != First) return dispatch<static_cast<Op>(static_cast<int>(First) + 1), Last>(op, pick);
+  }
+  return pick.template operator()<First>();
+}
+
+Kernel select_kernel(const Instr& in) {
+  const bool ca = in.a.is_const(), cb = in.b.is_const(), cc = in.c.is_const();
+  switch (in.op) {
+    case Op::kPredicate:
+      return dispatch<Op::kLt, Op::kNe>(in.cmp, [&]<Op cmp>() -> Kernel {
+        if (cb) return cc ? predicate_loop<cmp, true, true> : predicate_loop<cmp, true, false>;
+        return cc ? predicate_loop<cmp, false, true> : predicate_loop<cmp, false, false>;
+      });
+    case Op::kWaveDuration: return wave_duration_loop;
+    case Op::kRunningMax: return scan_loop<Op::kRunningMax>;
+    case Op::kRunningSum: return scan_loop<Op::kRunningSum>;
+    case Op::kShift: return shift_loop;
+    default:  // elementwise: at most one of a and b is constant
+      return dispatch<Op::kAdd, Op::kLog>(in.op, [&]<Op op>() -> Kernel {
+        if (ca) return elementwise_loop<op, true, false>;
+        return cb ? elementwise_loop<op, false, true> : elementwise_loop<op, false, false>;
+      });
+  }
+}
+
+// Drops the instructions the result does not read (predicate ignores surplus
+// arguments), gives every other value a scratch row and selects each
+// kernel. Each value has one reader, so its row is free once that reader has
+// run; the reader's own output is placed first, so it never aliases an input.
+Program link(const std::vector<Instr>& code, Arg result) {
+  Program program;
+  program.result = result;
+  if (result.kind != Arg::Kind::kRow) return program;
+  auto operands = [](Instr& in) { return std::array<Arg*, 3>{&in.a, &in.b, &in.c}; };
+
+  std::vector<Instr> live_code(code.begin(), code.begin() + result.row + 1);
+  std::vector<bool> live(live_code.size(), false);
+  live[result.row] = true;
+  for (std::size_t i = live.size(); i-- > 0;) {
+    for (Arg* arg : operands(live_code[i])) {
+      if (live[i] && arg->kind == Arg::Kind::kRow) live[arg->row] = true;
     }
-    return 0.0f;
   }
 
-  Value eval(const std::vector<float>& measure) const override {
-    const Value a = lhs->eval(measure);
-    const Value b = rhs->eval(measure);
-    Value out;
-    if (!a.is_array && !b.is_array) {
-      out.scalar = apply(op, a.scalar, b.scalar);
-      return out;
+  std::vector<std::uint32_t> row_of(live.size(), 0);
+  std::vector<std::uint32_t> free_rows;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (!live[i]) continue;
+    Instr& in = live_code[i];
+    if (i != result.row) {
+      if (free_rows.empty()) free_rows.push_back(program.rows++);
+      in.dst = row_of[i] = free_rows.back();
+      free_rows.pop_back();
     }
-    const std::size_t n = std::max(a.length(), b.length());
-    out.is_array = true;
-    out.array.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.array[i] = apply(op, a.at(a.is_array ? i : 0), b.at(b.is_array ? i : 0));
+    for (Arg* arg : operands(in)) {
+      if (arg->kind != Arg::Kind::kRow) continue;
+      arg->row = row_of[arg->row];
+      free_rows.push_back(arg->row);
     }
-    return out;
+    in.kernel = select_kernel(in);
+    program.code.push_back(in);
   }
-};
-
-struct NegNode : Node {
-  explicit NegNode(NodePtr c) : child(std::move(c)) {}
-  NodePtr child;
-  Value eval(const std::vector<float>& measure) const override {
-    Value v = child->eval(measure);
-    if (v.is_array) {
-      for (float& x : v.array) x = -x;
-    } else {
-      v.scalar = -v.scalar;
-    }
-    return v;
-  }
-};
-
-struct UnaryFnNode : Node {
-  UnaryFnNode(float (*fn)(float), NodePtr c) : fn(fn), child(std::move(c)) {}
-  float (*fn)(float);
-  NodePtr child;
-  Value eval(const std::vector<float>& measure) const override {
-    Value v = child->eval(measure);
-    if (v.is_array) {
-      for (float& x : v.array) x = fn(x);
-    } else {
-      v.scalar = fn(v.scalar);
-    }
-    return v;
-  }
-};
-
-struct BinaryFnNode : Node {
-  BinaryFnNode(float (*fn)(float, float), NodePtr a, NodePtr b)
-      : fn(fn), lhs(std::move(a)), rhs(std::move(b)) {}
-  float (*fn)(float, float);
-  NodePtr lhs, rhs;
-  Value eval(const std::vector<float>& measure) const override {
-    const Value a = lhs->eval(measure);
-    const Value b = rhs->eval(measure);
-    Value out;
-    if (!a.is_array && !b.is_array) {
-      out.scalar = fn(a.scalar, b.scalar);
-      return out;
-    }
-    const std::size_t n = std::max(a.length(), b.length());
-    out.is_array = true;
-    out.array.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.array[i] = fn(a.at(a.is_array ? i : 0), b.at(b.is_array ? i : 0));
-    }
-    return out;
-  }
-};
-
-// predicate(a, 'cond', then, else): cond is an operator + literal, applied
-// elementwise to a; result takes then/else (both may be arrays or scalars).
-struct PredicateNode : Node {
-  NodePtr input;
-  char cmp = '>';   // same encoding as BinaryNode
-  float threshold = 0.0f;
-  NodePtr then_value;
-  NodePtr else_value;
-
-  Value eval(const std::vector<float>& measure) const override {
-    const Value a = input->eval(measure);
-    const Value t = then_value->eval(measure);
-    const Value e = else_value->eval(measure);
-    const std::size_t n = std::max({a.length(), t.length(), e.length()});
-    Value out;
-    out.is_array = a.is_array || t.is_array || e.is_array;
-    if (!out.is_array) {
-      out.scalar = BinaryNode::apply(cmp, a.scalar, threshold) != 0.0f ? t.scalar : e.scalar;
-      return out;
-    }
-    out.array.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool hit = BinaryNode::apply(cmp, a.at(a.is_array ? i : 0), threshold) != 0.0f;
-      const Value& src = hit ? t : e;
-      out.array[i] = src.at(src.is_array ? i : 0);
-    }
-    return out;
-  }
-};
-
-struct WaveDurationNode : Node {
-  NodePtr input;
-  int min_len = 1;
-  Value eval(const std::vector<float>& measure) const override {
-    const Value a = input->eval(measure);
-    Value out;
-    out.is_array = true;
-    out.array = wave_duration(a.is_array ? a.array : std::vector<float>{a.scalar}, min_len);
-    return out;
-  }
-};
-
-struct ScanNode : Node {
-  enum class Kind { kRunningMax, kRunningSum };
-  Kind kind;
-  NodePtr input;
-  Value eval(const std::vector<float>& measure) const override {
-    Value v = input->eval(measure);
-    if (!v.is_array) return v;
-    float acc = 0.0f;
-    bool first = true;
-    for (float& x : v.array) {
-      if (kind == Kind::kRunningSum) {
-        acc = first ? x : acc + x;
-      } else {
-        acc = first ? x : std::max(acc, x);
-      }
-      first = false;
-      x = acc;
-    }
-    return v;
-  }
-};
-
-struct ShiftNode : Node {
-  NodePtr input;
-  int offset = 0;
-  Value eval(const std::vector<float>& measure) const override {
-    Value v = input->eval(measure);
-    if (!v.is_array || offset == 0) return v;
-    const std::size_t n = v.array.size();
-    std::vector<float> shifted(n, 0.0f);
-    for (std::size_t i = 0; i < n; ++i) {
-      const long src = static_cast<long>(i) - offset;
-      if (src >= 0 && src < static_cast<long>(n)) shifted[i] = v.array[static_cast<std::size_t>(src)];
-    }
-    v.array = std::move(shifted);
-    return v;
-  }
-};
+  return program;
+}
 
 // ---------------------------------------------------------------- tokenizer
+
+// Parses the numeral at the start of text as strtof does, without
+// exceptions; returns the characters consumed, 0 for no numeral or one out of
+// float range.
+std::size_t parse_float(const char* text, float& value) {
+  char* end = nullptr;
+  errno = 0;
+  value = std::strtof(text, &end);
+  if (end == text || errno == ERANGE) return 0;
+  return static_cast<std::size_t>(end - text);
+}
 
 enum class TokKind { kNumber, kIdent, kString, kOp, kEnd };
 
@@ -222,176 +252,207 @@ struct Token {
   float number = 0.0f;
 };
 
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
-
-  Result<std::vector<Token>> run() {
-    std::vector<Token> tokens;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-        continue;
+Result<std::vector<Token>> tokenize(const std::string& text) {
+  std::vector<Token> tokens;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const char c = text[pos];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++pos;
+    } else if (std::isdigit(static_cast<unsigned char>(c)) || (c == '.' && pos + 1 < text.size())) {
+      float v = 0.0f;
+      const std::size_t len = parse_float(text.c_str() + pos, v);
+      if (len == 0) {
+        return Status::InvalidArgument("malformed number at '" + text.substr(pos) + "'");
       }
-      if (std::isdigit(static_cast<unsigned char>(c)) || (c == '.' && pos_ + 1 < text_.size())) {
-        std::size_t end = 0;
-        const float v = std::stof(text_.substr(pos_), &end);
-        tokens.push_back({TokKind::kNumber, text_.substr(pos_, end), v});
-        pos_ += end;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[end])) || text_[end] == '_')) {
-          ++end;
-        }
-        tokens.push_back({TokKind::kIdent, text_.substr(pos_, end - pos_), 0.0f});
-        pos_ = end;
-        continue;
-      }
-      if (c == '\'' || c == '"') {
-        const char quote = c;
-        std::size_t end = text_.find(quote, pos_ + 1);
-        if (end == std::string::npos) return Status::InvalidArgument("unterminated string literal");
-        tokens.push_back({TokKind::kString, text_.substr(pos_ + 1, end - pos_ - 1), 0.0f});
-        pos_ = end + 1;
-        continue;
-      }
-      // Multi-char comparison operators.
-      static const char* kTwoChar[] = {"<=", ">=", "==", "!="};
-      bool matched = false;
-      for (const char* op : kTwoChar) {
-        if (text_.compare(pos_, 2, op) == 0) {
-          tokens.push_back({TokKind::kOp, op, 0.0f});
-          pos_ += 2;
-          matched = true;
-          break;
-        }
-      }
-      if (matched) continue;
-      if (std::string("+-*/(),<>").find(c) != std::string::npos) {
-        tokens.push_back({TokKind::kOp, std::string(1, c), 0.0f});
-        ++pos_;
-        continue;
-      }
+      tokens.push_back({TokKind::kNumber, text.substr(pos, len), v});
+      pos += len;
+    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      std::size_t end = pos;
+      while (std::isalnum(static_cast<unsigned char>(text[end])) || text[end] == '_') ++end;
+      tokens.push_back({TokKind::kIdent, text.substr(pos, end - pos), 0.0f});
+      pos = end;
+    } else if (c == '\'' || c == '"') {
+      const std::size_t end = text.find(c, pos + 1);
+      if (end == std::string::npos) return Status::InvalidArgument("unterminated string literal");
+      tokens.push_back({TokKind::kString, text.substr(pos + 1, end - pos - 1), 0.0f});
+      pos = end + 1;
+    } else if (std::string("<>=!").find(c) != std::string::npos && pos + 1 < text.size() &&
+               text[pos + 1] == '=') {
+      tokens.push_back({TokKind::kOp, text.substr(pos, 2), 0.0f});  // <= >= == !=
+      pos += 2;
+    } else if (std::string("+-*/(),<>").find(c) != std::string::npos) {
+      tokens.push_back({TokKind::kOp, std::string(1, c), 0.0f});
+      ++pos;
+    } else {
       return Status::InvalidArgument(std::string("unexpected character '") + c + "'");
     }
-    tokens.push_back({TokKind::kEnd, "", 0.0f});
-    return tokens;
   }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  tokens.push_back({TokKind::kEnd, "", 0.0f});
+  return tokens;
+}
 
 // ------------------------------------------------------------------ parser
 
+// Recursive descent that emits postfix code as it goes: each parse step
+// returns the Arg holding its value.
 class ExprParser {
  public:
   explicit ExprParser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<NodePtr> run() {
-    Result<NodePtr> node = parse_comparison();
-    if (!node.ok()) return node;
-    if (peek().kind != TokKind::kEnd) return Status::InvalidArgument("trailing tokens in expression");
-    return node;
+  Result<Program> run() {
+    Result<Arg> result = parse_binary();
+    if (!result.ok()) return result.status();
+    if (peek().kind != TokKind::kEnd) {
+      return Status::InvalidArgument("trailing tokens in expression");
+    }
+    return link(code_, *result);
   }
 
  private:
+  // A function argument: an expression or a quoted string.
+  struct FnArg {
+    bool is_string = false;
+    std::string text;
+    Arg value;
+  };
+
   const Token& peek() const { return tokens_[pos_]; }
   Token take() { return tokens_[pos_++]; }
 
   bool accept_op(const std::string& op) {
-    if (peek().kind == TokKind::kOp && peek().text == op) {
+    if (peek().kind != TokKind::kOp || peek().text != op) return false;
+    ++pos_;
+    return true;
+  }
+
+  // Appends an instruction, or folds it when its first `arity` operands are
+  // all constant by running its own kernel on one element.
+  Arg emit(Instr in, int arity) {
+    const Arg* args[] = {&in.a, &in.b, &in.c};
+    if (std::all_of(args, args + arity, [](const Arg* a) { return a->is_const(); })) {
+      Instr rows = in;
+      rows.a.kind = rows.b.kind = rows.c.kind = Arg::Kind::kRow;
+      float out = 0.0f;
+      select_kernel(rows)(rows, &in.a.value, &in.b.value, &in.c.value, &out, 1);
+      return constant(out);
+    }
+    code_.push_back(in);
+    return {Arg::Kind::kRow, 0.0f, static_cast<std::uint32_t>(code_.size() - 1)};
+  }
+
+  // Left-associative binary operators, loosest level first. Comparisons also
+  // spell predicate conditions.
+  inline static const std::map<std::string, Op> kLevels[] = {
+      {{"<", Op::kLt}, {">", Op::kGt}, {"<=", Op::kLe}, {">=", Op::kGe}, {"==", Op::kEq},
+       {"!=", Op::kNe}},
+      {{"+", Op::kAdd}, {"-", Op::kSub}},
+      {{"*", Op::kMul}, {"/", Op::kDiv}},
+  };
+
+  Result<Arg> parse_binary(std::size_t level = 0) {
+    if (level == std::size(kLevels)) return parse_unary();
+    Result<Arg> value = parse_binary(level + 1);
+    while (value.ok() && peek().kind == TokKind::kOp) {
+      const auto op = kLevels[level].find(peek().text);
+      if (op == kLevels[level].end()) break;
       ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<NodePtr> parse_comparison() {
-    Result<NodePtr> left = parse_additive();
-    if (!left.ok()) return left;
-    NodePtr node = *left;
-    while (peek().kind == TokKind::kOp &&
-           (peek().text == "<" || peek().text == ">" || peek().text == "<=" ||
-            peek().text == ">=" || peek().text == "==" || peek().text == "!=")) {
-      const std::string op = take().text;
-      Result<NodePtr> right = parse_additive();
+      Result<Arg> right = parse_binary(level + 1);
       if (!right.ok()) return right;
-      char code = op[0];
-      if (op == "<=") code = 'L';
-      else if (op == ">=") code = 'G';
-      else if (op == "==") code = 'E';
-      else if (op == "!=") code = 'N';
-      node = std::make_shared<BinaryNode>(code, node, *right);
+      value = emit(Instr(op->second, *value, *right), 2);
     }
-    return node;
+    return value;
   }
 
-  Result<NodePtr> parse_additive() {
-    Result<NodePtr> left = parse_multiplicative();
-    if (!left.ok()) return left;
-    NodePtr node = *left;
-    while (peek().kind == TokKind::kOp && (peek().text == "+" || peek().text == "-")) {
-      const char op = take().text[0];
-      Result<NodePtr> right = parse_multiplicative();
-      if (!right.ok()) return right;
-      node = std::make_shared<BinaryNode>(op, node, *right);
-    }
-    return node;
-  }
-
-  Result<NodePtr> parse_multiplicative() {
-    Result<NodePtr> left = parse_unary();
-    if (!left.ok()) return left;
-    NodePtr node = *left;
-    while (peek().kind == TokKind::kOp && (peek().text == "*" || peek().text == "/")) {
-      const char op = take().text[0];
-      Result<NodePtr> right = parse_unary();
-      if (!right.ok()) return right;
-      node = std::make_shared<BinaryNode>(op, node, *right);
-    }
-    return node;
-  }
-
-  Result<NodePtr> parse_unary() {
+  Result<Arg> parse_unary() {
     if (accept_op("-")) {
-      Result<NodePtr> child = parse_unary();
+      Result<Arg> child = parse_unary();
       if (!child.ok()) return child;
-      return NodePtr(std::make_shared<NegNode>(*child));
+      return emit(Instr(Op::kNeg, *child), 1);
     }
     if (accept_op("+")) return parse_unary();
     return parse_primary();
   }
 
-  Result<NodePtr> parse_args(std::vector<NodePtr>& args, std::vector<std::string>& strings) {
+  Result<std::vector<FnArg>> parse_args() {
     if (!accept_op("(")) return Status::InvalidArgument("expected '(' after function name");
-    if (accept_op(")")) return NodePtr(nullptr);
+    std::vector<FnArg> args;
+    if (accept_op(")")) return args;
     while (true) {
       if (peek().kind == TokKind::kString) {
-        strings.push_back(take().text);
-        args.push_back(nullptr);  // placeholder keeps positions aligned
+        args.push_back({true, take().text, {}});
       } else {
-        Result<NodePtr> arg = parse_comparison();
-        if (!arg.ok()) return arg;
-        args.push_back(*arg);
-        strings.emplace_back();
+        Result<Arg> arg = parse_binary();
+        if (!arg.ok()) return arg.status();
+        args.push_back({false, "", *arg});
       }
       if (accept_op(",")) continue;
-      if (accept_op(")")) return NodePtr(nullptr);
+      if (accept_op(")")) return args;
       return Status::InvalidArgument("expected ',' or ')' in argument list");
     }
   }
 
-  Result<NodePtr> parse_primary() {
+  // predicate(a, 'cond', then, else); Ophidia's longer 7-argument form
+  // oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0') is also
+  // accepted: string type/variable arguments are skipped.
+  Result<Arg> parse_predicate(const std::vector<FnArg>& args) {
+    std::vector<Arg> exprs;
+    const std::string* cond = nullptr;
+    std::vector<const std::string*> value_strings;
+    for (const FnArg& arg : args) {
+      const std::string& s = arg.text;
+      if (!arg.is_string) {
+        exprs.push_back(arg.value);
+      } else if (!cond && !s.empty() && std::string("><=!").find(s[0]) != std::string::npos) {
+        cond = &s;  // the first string starting with an operator
+      } else if (!s.empty() && (std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '-')) {
+        value_strings.push_back(&s);
+      }
+      // Strings like 'OPH_INT' or 'x' are type/variable markers: ignored.
+    }
+    if (!cond) return Status::InvalidArgument("predicate: missing condition string");
+
+    Instr in(Op::kPredicate);
+    const bool two_char = cond->size() > 1 && (*cond)[1] == '=';
+    const std::size_t op_len = two_char ? 2 : 1;
+    const auto cmp = kLevels[0].find(cond->substr(0, op_len));
+    if (cmp == kLevels[0].end() || parse_float(cond->c_str() + op_len, in.threshold) == 0) {
+      return Status::InvalidArgument("predicate: bad condition '" + *cond + "'");
+    }
+    in.cmp = cmp->second;
+
+    // The first expression is the input, the next ones then and else; a
+    // missing then/else comes from the numeric strings, else 0.
+    std::size_t cursor = 0;
+    in.a = cursor < exprs.size() ? exprs[cursor++] : Arg{Arg::Kind::kMeasure, 0.0f, 0};
+    for (std::size_t branch = 0; branch < 2; ++branch) {
+      Arg& value = branch == 0 ? in.b : in.c;
+      if (cursor < exprs.size()) {
+        value = exprs[cursor++];
+      } else if (branch < value_strings.size() &&
+                 parse_float(value_strings[branch]->c_str(), value.value) == 0) {
+        return Status::InvalidArgument("predicate: bad value '" + *value_strings[branch] + "'");
+      }
+    }
+    if (in.a.is_const()) {
+      // A constant condition selects one branch whole. The result is still a
+      // row when either branch is one: a constant pick is filled across the
+      // other branch's row (both branches set to it).
+      const bool hit = emit(Instr(in.cmp, in.a, constant(in.threshold)), 2).value != 0;
+      const Arg pick = hit ? in.b : in.c;
+      const Arg other = hit ? in.c : in.b;
+      if (!pick.is_const() || other.is_const()) return pick;
+      in.a = other;
+      in.b = in.c = pick;
+    }
+    return emit(in, 1);
+  }
+
+  Result<Arg> parse_primary() {
     const Token token = take();
-    if (token.kind == TokKind::kNumber) return NodePtr(std::make_shared<NumberNode>(token.number));
+    if (token.kind == TokKind::kNumber) return constant(token.number);
     if (token.kind == TokKind::kOp && token.text == "(") {
-      Result<NodePtr> inner = parse_comparison();
+      Result<Arg> inner = parse_binary();
       if (!inner.ok()) return inner;
       if (!accept_op(")")) return Status::InvalidArgument("expected ')'");
       return inner;
@@ -403,156 +464,105 @@ class ExprParser {
     // Normalize the Ophidia primitive prefix: oph_predicate == predicate.
     if (name.rfind("oph_", 0) == 0) name = name.substr(4);
 
-    if (name == "measure" || name == "x") return NodePtr(std::make_shared<MeasureNode>());
+    if (name == "measure" || name == "x") return Arg{Arg::Kind::kMeasure, 0.0f, 0};
 
     // Function call.
-    std::vector<NodePtr> args;
-    std::vector<std::string> strings;
-    Result<NodePtr> status = parse_args(args, strings);
-    if (!status.ok()) return status.status();
+    Result<std::vector<FnArg>> args = parse_args();
+    if (!args.ok()) return args.status();
+    if (name == "predicate") return parse_predicate(*args);
 
-    auto need = [&](std::size_t n) -> Status {
-      if (args.size() != n) {
-        return Status::InvalidArgument(name + " expects " + std::to_string(n) + " arguments");
-      }
-      return Status::Ok();
-    };
+    static const std::map<std::string, Op> kFunctions = {
+        {"abs", Op::kAbs},   {"sqrt", Op::kSqrt}, {"exp", Op::kExp},     {"log", Op::kLog},
+        {"min", Op::kMin},   {"max", Op::kMax},   {"pow", Op::kPow},     {"shift", Op::kShift},
+        {"running_max", Op::kRunningMax},         {"running_sum", Op::kRunningSum},
+        {"wave_duration", Op::kWaveDuration}};
+    const auto fn = kFunctions.find(name);
+    if (fn == kFunctions.end()) return Status::InvalidArgument("unknown function '" + name + "'");
+    const Op op = fn->second;
+    const std::size_t arity = op <= Op::kPow || op == Op::kWaveDuration || op == Op::kShift ? 2 : 1;
+    if (args->size() != arity) {
+      return Status::InvalidArgument(name + " expects " + std::to_string(arity) + " arguments");
+    }
+    for (const FnArg& arg : *args) {
+      if (arg.is_string) return Status::InvalidArgument(name + ": arguments must be expressions");
+    }
 
-    static const std::map<std::string, float (*)(float)> kUnary = {
-        {"abs", [](float v) { return std::fabs(v); }},
-        {"sqrt", [](float v) { return std::sqrt(std::max(0.0f, v)); }},
-        {"exp", [](float v) { return std::exp(v); }},
-        {"log", [](float v) { return v <= 0.0f ? 0.0f : std::log(v); }},
-    };
-    static const std::map<std::string, float (*)(float, float)> kBinary = {
-        {"min", [](float a, float b) { return std::min(a, b); }},
-        {"max", [](float a, float b) { return std::max(a, b); }},
-        {"pow", [](float a, float b) { return std::pow(a, b); }},
-    };
-
-    if (auto it = kUnary.find(name); it != kUnary.end()) {
-      CLIMATE_RETURN_IF_ERROR(need(1));
-      if (!args[0]) return Status::InvalidArgument(name + ": argument must be an expression");
-      return NodePtr(std::make_shared<UnaryFnNode>(it->second, args[0]));
+    Instr in(op, (*args)[0].value);
+    if (op == Op::kMin || op == Op::kMax || op == Op::kPow) {
+      in.b = (*args)[1].value;
+      return emit(in, 2);
     }
-    if (auto it = kBinary.find(name); it != kBinary.end()) {
-      CLIMATE_RETURN_IF_ERROR(need(2));
-      if (!args[0] || !args[1]) return Status::InvalidArgument(name + ": arguments must be expressions");
-      return NodePtr(std::make_shared<BinaryFnNode>(it->second, args[0], args[1]));
-    }
-    if (name == "predicate") {
-      // predicate(a, 'cond', then, else); Ophidia's longer 7-argument form
-      // oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0') is also
-      // accepted: string type/variable arguments are skipped.
-      std::vector<std::size_t> expr_positions;
-      std::vector<std::size_t> string_positions;
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i]) expr_positions.push_back(i);
-        else string_positions.push_back(i);
+    if (op == Op::kWaveDuration || op == Op::kShift) {
+      // An int constant, truncated toward zero.
+      const Arg& k = (*args)[1].value;
+      if (!k.is_const() || !(k.value >= -2147483648.0f && k.value < 2147483648.0f)) {
+        return Status::InvalidArgument(name + ": second argument must be an int constant");
       }
-      auto node = std::make_shared<PredicateNode>();
-      // Condition: the first string that parses as an operator+number.
-      bool have_cond = false;
-      std::vector<std::string> value_strings;
-      for (std::size_t pos : string_positions) {
-        const std::string& s = strings[pos];
-        if (!have_cond && !s.empty() && (s[0] == '>' || s[0] == '<' || s[0] == '=' || s[0] == '!')) {
-          std::string op = s.substr(0, (s.size() > 1 && (s[1] == '=')) ? 2 : 1);
-          char code = op[0];
-          if (op == "<=") code = 'L';
-          else if (op == ">=") code = 'G';
-          else if (op == "==") code = 'E';
-          else if (op == "!=") code = 'N';
-          node->cmp = code;
-          node->threshold = std::stof(s.substr(op.size()));
-          have_cond = true;
-        } else if (!s.empty() && (std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '-')) {
-          value_strings.push_back(s);
-        }
-        // Strings like 'OPH_INT' or 'x' are type/variable markers: ignored.
-      }
-      if (!have_cond) return Status::InvalidArgument("predicate: missing condition string");
-      std::vector<NodePtr> exprs;
-      for (std::size_t pos : expr_positions) exprs.push_back(args[pos]);
-      // First expression is the input unless only then/else were numeric.
-      std::size_t cursor = 0;
-      node->input = cursor < exprs.size() ? exprs[cursor++] : std::make_shared<MeasureNode>();
-      auto value_or = [&](std::size_t string_idx) -> NodePtr {
-        if (cursor < exprs.size()) return exprs[cursor++];
-        if (string_idx < value_strings.size()) {
-          return std::make_shared<NumberNode>(std::stof(value_strings[string_idx]));
-        }
-        return std::make_shared<NumberNode>(0.0f);
-      };
-      node->then_value = value_or(0);
-      node->else_value = value_or(1);
-      return NodePtr(node);
+      in.k = static_cast<int>(k.value);
     }
-    if (name == "wave_duration") {
-      CLIMATE_RETURN_IF_ERROR(need(2));
-      if (!args[0] || !args[1]) return Status::InvalidArgument("wave_duration: bad arguments");
-      auto node = std::make_shared<WaveDurationNode>();
-      node->input = args[0];
-      node->min_len = static_cast<int>(args[1]->eval({}).scalar);
-      return NodePtr(node);
-    }
-    if (name == "running_max" || name == "running_sum") {
-      CLIMATE_RETURN_IF_ERROR(need(1));
-      if (!args[0]) return Status::InvalidArgument(name + ": bad argument");
-      auto node = std::make_shared<ScanNode>();
-      node->kind = name == "running_max" ? ScanNode::Kind::kRunningMax : ScanNode::Kind::kRunningSum;
-      node->input = args[0];
-      return NodePtr(node);
-    }
-    if (name == "shift") {
-      CLIMATE_RETURN_IF_ERROR(need(2));
-      if (!args[0] || !args[1]) return Status::InvalidArgument("shift: bad arguments");
-      auto node = std::make_shared<ShiftNode>();
-      node->input = args[0];
-      node->offset = static_cast<int>(args[1]->eval({}).scalar);
-      return NodePtr(node);
-    }
-    return Status::InvalidArgument("unknown function '" + name + "'");
+    // A constant is its own scan and shift (wave_duration folds it as a
+    // length-1 row), and so is any row shifted by 0.
+    const bool scan_or_shift = op == Op::kRunningMax || op == Op::kRunningSum || op == Op::kShift;
+    if ((scan_or_shift && in.a.is_const()) || (op == Op::kShift && in.k == 0)) return in.a;
+    return emit(in, 1);
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::vector<Instr> code_;
 };
 
 }  // namespace detail
 
 Result<Expression> Expression::parse(const std::string& text) {
-  detail::Lexer lexer(text);
-  auto tokens = lexer.run();
+  auto tokens = detail::tokenize(text);
   if (!tokens.ok()) return tokens.status();
-  detail::ExprParser parser(std::move(*tokens));
-  auto root = parser.run();
-  if (!root.ok()) return root.status();
+  auto program = detail::ExprParser(std::move(*tokens)).run();
+  if (!program.ok()) return program.status();
   Expression expr;
   expr.text_ = text;
-  expr.root_ = *root;
+  expr.program_ = std::make_shared<const detail::Program>(std::move(*program));
   return expr;
 }
 
+std::size_t Expression::output_length(std::size_t n) const {
+  if (!program_) return 0;
+  return program_->result.is_const() ? 1 : n;
+}
+
+std::size_t Expression::scratch_size(std::size_t n) const {
+  return program_ ? program_->rows * n : 0;
+}
+
+void Expression::eval_row(const float* measure, std::size_t n, float* out, float* scratch) const {
+  using detail::Arg;
+  const detail::Program& program = *program_;
+  switch (program.result.kind) {
+    case Arg::Kind::kConst: out[0] = program.result.value; return;
+    case Arg::Kind::kMeasure: std::copy(measure, measure + n, out); return;
+    case Arg::Kind::kRow: break;
+  }
+  auto row = [&](const Arg& arg) -> const float* {
+    if (arg.kind == Arg::Kind::kMeasure) return measure;
+    return arg.kind == Arg::Kind::kRow ? scratch + arg.row * n : nullptr;
+  };
+  for (const detail::Instr& in : program.code) {
+    float* dst = &in == &program.code.back() ? out : scratch + in.dst * n;
+    in.kernel(in, row(in.a), row(in.b), row(in.c), dst, n);
+  }
+}
+
 std::vector<float> Expression::eval(const std::vector<float>& measure) const {
-  if (!root_) return {};
-  detail::Value v = root_->eval(measure);
-  if (v.is_array) return std::move(v.array);
-  return {v.scalar};
+  if (!program_) return {};
+  std::vector<float> out(output_length(measure.size()));
+  std::vector<float> scratch(scratch_size(measure.size()));
+  eval_row(measure.data(), measure.size(), out.data(), scratch.data());
+  return out;
 }
 
 std::vector<float> wave_duration(const std::vector<float>& binary, int min_len) {
-  std::vector<float> out(binary.size(), 0.0f);
-  int run = 0;
-  for (std::size_t i = 0; i < binary.size(); ++i) {
-    if (binary[i] > 0.5f) {
-      ++run;
-    } else {
-      if (run >= min_len && i > 0) out[i - 1] = static_cast<float>(run);
-      run = 0;
-    }
-  }
-  if (run >= min_len && !binary.empty()) out[binary.size() - 1] = static_cast<float>(run);
+  std::vector<float> out(binary.size());
+  detail::wave_duration_row(binary.data(), out.data(), binary.size(), min_len);
   return out;
 }
 

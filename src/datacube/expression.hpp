@@ -18,10 +18,19 @@
 //                                         run's end position, 0 elsewhere.
 //                                         This is the "duration cube" input
 //                                         of the heat/cold-wave indices.
+//                                         min_len is a constant; of a
+//                                         constant a, the result is the
+//                                         constant for a length-1 array.
 //   running_max(a), running_sum(a)     -- prefix scans
-//   shift(a, k)                        -- shift with zero fill
+//   shift(a, k)                        -- shift with zero fill, k constant
 //
-// A parsed Expression is immutable and thread-safe to evaluate.
+// Scans and shift leave a constant argument unchanged.
+//
+// Parsing compiles the text to a flat postfix program. Subexpressions that
+// do not read the measure are folded to constants, so every instruction has
+// at least one row operand and its loop is specialised on the operator and
+// on which operands are rows. A parsed Expression is immutable and
+// thread-safe to evaluate.
 #pragma once
 
 #include <memory>
@@ -36,7 +45,7 @@ using common::Result;
 using common::Status;
 
 namespace detail {
-struct Node;
+struct Program;
 }
 
 /// A compiled array expression.
@@ -47,18 +56,29 @@ class Expression {
 
   Expression() = default;
 
-  /// Evaluates over one row array; output length equals input length unless
-  /// the expression is a pure scalar (then length 1).
+  /// Output length for rows of length n: n, or 1 when the expression is
+  /// constant.
+  std::size_t output_length(std::size_t n) const;
+
+  /// Floats of scratch that eval_row needs for rows of length n.
+  std::size_t scratch_size(std::size_t n) const;
+
+  /// Evaluates one row of length n into out (output_length(n) floats);
+  /// scratch holds scratch_size(n) floats owned by the caller. Requires
+  /// valid().
+  void eval_row(const float* measure, std::size_t n, float* out, float* scratch) const;
+
+  /// Evaluates over one row array (allocating its output and scratch).
   std::vector<float> eval(const std::vector<float>& measure) const;
 
   /// Original source text.
   const std::string& text() const { return text_; }
 
-  bool valid() const { return root_ != nullptr; }
+  bool valid() const { return program_ != nullptr; }
 
  private:
   std::string text_;
-  std::shared_ptr<const detail::Node> root_;
+  std::shared_ptr<const detail::Program> program_;
 };
 
 /// Computes wave_duration directly (exposed for the reference index

@@ -4,12 +4,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <thread>
 
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "datacube/client.hpp"
+#include "datacube/engine.hpp"
 #include "datacube/server.hpp"
 #include "ncio/ncfile.hpp"
 
@@ -710,6 +714,169 @@ TEST(ClientRetry, FragmentDelayOnlyAddsLatency) {
   EXPECT_EQ(*reduced->values(), (std::vector<float>{13}));
   EXPECT_GE(faults->injected_count(), 1u);
   EXPECT_EQ(client.retry_stats().retries, 0u);  // delays are not failures
+}
+
+}  // namespace
+}  // namespace climate::datacube
+
+namespace climate::datacube {
+namespace {
+
+// Runs fragment tasks inline, in order.
+void run_serial(std::size_t count, const std::function<void(std::size_t)>& fn) {
+  for (std::size_t i = 0; i < count; ++i) fn(i);
+}
+
+// Values with zero divisors, negatives, +-0, +-inf and NaN.
+std::vector<float> special_values(common::Rng& rng, std::size_t n) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    switch (rng.uniform_index(10)) {
+      case 0: x = 0.0f; break;
+      case 1: x = -0.0f; break;
+      case 2: x = std::numeric_limits<float>::infinity(); break;
+      case 3: x = -std::numeric_limits<float>::infinity(); break;
+      case 4: x = std::numeric_limits<float>::quiet_NaN(); break;
+      default: x = static_cast<float>(rng.uniform(-50, 50)); break;
+    }
+  }
+  return v;
+}
+
+// Same bits, or both NaN (IEEE 754 leaves a NaN result's sign and payload
+// unspecified).
+bool same_value(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(Engine, IntercubeMatchesDenseReferenceAcrossFragmentations) {
+  common::Rng rng(4242);
+  const InterOp ops[] = {InterOp::kAdd, InterOp::kSub, InterOp::kMul, InterOp::kDiv,
+                         InterOp::kMask};
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t rows = 1 + rng.uniform_index(40);
+    const std::size_t alen = 1 + rng.uniform_index(40);
+    const std::size_t fa = 1 + rng.uniform_index(6);
+    const std::size_t fb = fa + 1 + rng.uniform_index(5);  // a different fragment count
+    const std::vector<float> da = special_values(rng, rows * alen);
+    const std::vector<float> db = special_values(rng, rows * alen);
+    // Alternate which side has more fragments.
+    const bool swap = trial % 2 == 1;
+    const CubeData a = cube_from_dense("a", {{"row", rows, {}}}, {"t", alen, {}}, da,
+                                       swap ? fb : fa, 2);
+    const CubeData b = cube_from_dense("b", {{"row", rows, {}}}, {"t", alen, {}}, db,
+                                       swap ? fa : fb, 3);
+    for (InterOp op : ops) {
+      auto out = engine::intercube(a, b, op, "", run_serial);
+      ASSERT_TRUE(out.ok());
+      ASSERT_TRUE(out->validate().ok());
+      const std::vector<float> got = out->to_dense();
+      ASSERT_EQ(got.size(), da.size());
+      for (std::size_t i = 0; i < da.size(); ++i) {
+        const float x = da[i];
+        const float y = db[i];
+        float want = 0.0f;
+        switch (op) {
+          case InterOp::kAdd: want = x + y; break;
+          case InterOp::kSub: want = x - y; break;
+          case InterOp::kMul: want = x * y; break;
+          case InterOp::kDiv: want = y == 0.0f ? 0.0f : x / y; break;
+          case InterOp::kMask: want = y > 0.0f ? x : 0.0f; break;
+        }
+        ASSERT_TRUE(same_value(got[i], want))
+            << "op " << static_cast<int>(op) << " element " << i << ": " << got[i] << " vs "
+            << want << " (" << rows << "x" << alen << ", fragments " << a.fragments.size()
+            << "/" << b.fragments.size() << ")";
+      }
+    }
+  }
+}
+
+// The plain per-row loop the row-blocked reduction replaced.
+std::vector<float> naive_reduce(const std::vector<float>& dense, std::size_t rows,
+                                std::size_t alen, ReduceOp op, std::size_t group_size) {
+  if (group_size == 0) group_size = alen;
+  const std::size_t out_len = (alen + group_size - 1) / group_size;
+  std::vector<float> out(rows * out_len);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = dense.data() + r * alen;
+    for (std::size_t g = 0; g < out_len; ++g) {
+      const std::size_t begin = g * group_size;
+      const std::size_t end = std::min(alen, begin + group_size);
+      const std::size_t n = end - begin;
+      double s = 0, s2 = 0;
+      float m = row[begin];
+      float lo = row[begin];
+      for (std::size_t i = begin; i < end; ++i) {
+        s += row[i];
+        s2 += static_cast<double>(row[i]) * row[i];
+        if (i > begin) {
+          m = std::max(m, row[i]);
+          lo = std::min(lo, row[i]);
+        }
+      }
+      float v = 0.0f;
+      switch (op) {
+        case ReduceOp::kMax: v = m; break;
+        case ReduceOp::kMin: v = lo; break;
+        case ReduceOp::kSum: v = static_cast<float>(s); break;
+        case ReduceOp::kAvg: v = static_cast<float>(s / static_cast<double>(n)); break;
+        case ReduceOp::kStd: {
+          const double mean = s / static_cast<double>(n);
+          const double var = std::max(0.0, s2 / static_cast<double>(n) - mean * mean);
+          v = static_cast<float>(std::sqrt(var));
+          break;
+        }
+        case ReduceOp::kCount: v = static_cast<float>(n); break;
+      }
+      out[r * out_len + g] = v;
+    }
+  }
+  return out;
+}
+
+TEST(Engine, ReduceMatchesNaiveLoopBitwise) {
+  common::Rng rng(777);
+  const ReduceOp ops[] = {ReduceOp::kMax, ReduceOp::kMin, ReduceOp::kSum,
+                          ReduceOp::kAvg, ReduceOp::kStd, ReduceOp::kCount};
+  // Row counts around and off the row block, over several fragmentations.
+  for (std::size_t rows : {1u, 7u, 8u, 9u, 17u, 31u}) {
+    for (std::size_t alen : {1u, 13u, 31u, 365u}) {
+      // Each row also holds +1e20 and -1e20: the small values summed before
+      // the first of them are absorbed, so a row's sum order shows in its
+      // result.
+      std::vector<float> dense(rows * alen);
+      for (float& v : dense) v = static_cast<float>(rng.uniform(-1000, 1000));
+      for (std::size_t r = 0; r < rows && alen > 1; ++r) {
+        dense[r * alen + rng.uniform_index(alen / 2)] = 1e20f;
+        dense[r * alen + alen / 2 + rng.uniform_index(alen - alen / 2)] = -1e20f;
+      }
+      // A few special values; not in every row, so finite sums stay covered.
+      for (int k = 0; k < 3; ++k) {
+        dense[rng.uniform_index(dense.size())] = k == 0 ? -0.0f
+                                                 : k == 1 ? std::numeric_limits<float>::infinity()
+                                                          : std::numeric_limits<float>::quiet_NaN();
+      }
+      const CubeData cube = cube_from_dense("m", {{"row", rows, {}}}, {"t", alen, {}}, dense,
+                                            1 + rng.uniform_index(4), 2);
+      for (ReduceOp op : ops) {
+        for (std::size_t group : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                  std::size_t{30}, alen}) {
+          auto out = engine::reduce(cube, op, group, "", run_serial);
+          ASSERT_TRUE(out.ok());
+          const std::vector<float> got = out->to_dense();
+          const std::vector<float> want = naive_reduce(dense, rows, alen, op, group);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_TRUE(same_value(got[i], want[i]))
+                << "op " << static_cast<int>(op) << " group " << group << " " << rows << "x"
+                << alen << " element " << i << ": " << got[i] << " vs " << want[i];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

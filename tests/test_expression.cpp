@@ -3,6 +3,10 @@
 // wave_duration primitive.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "datacube/expression.hpp"
 
@@ -203,6 +207,195 @@ TEST(Expression, WhitespaceAndUnaryPlusTolerated) {
 TEST(Expression, ChainedComparisonsEvaluateLeftToRight) {
   // (x > 0) > 0 is the binary mask again.
   EXPECT_EQ(eval("x > 0 > 0", {-1, 2}), (std::vector<float>{0, 1}));
+}
+
+}  // namespace
+}  // namespace climate::datacube
+
+// ---------------------------------------------------------------------------
+// Golden digests: seeded random expressions over the whole grammar.
+// ---------------------------------------------------------------------------
+
+namespace climate::datacube {
+namespace {
+
+// Draws random expression text over the whole grammar: every operator and
+// function, both predicate spellings, the oph_ prefix, and nesting. A `row`
+// subtree reads the measure; any other subtree is constant. wave_duration
+// only wraps row subtrees; its constant form has its own test below.
+class ExprGen {
+ public:
+  explicit ExprGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string draw(int depth, bool row) {
+    if (depth == 0) return row ? pick({"x", "measure"}) : literal();
+    auto sub = [&](bool r) { return draw(depth - 1, r); };
+    // For two operands of a row subtree, at least one reads the measure.
+    auto pair = [&]() -> std::pair<std::string, std::string> {
+      const std::uint64_t k = row ? rng_.uniform_index(3) : 3;
+      return {sub(k != 2), sub(k != 1 && k != 3)};
+    };
+    switch (rng_.uniform_index(row ? 12 : 10)) {
+      case 0: {
+        auto [a, b] = pair();
+        const std::string text =
+            a + " " + pick({"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!="}) + " " + b;
+        return rng_.bernoulli(0.5) ? "(" + text + ")" : text;
+      }
+      case 1: {
+        const std::string inner = sub(row);
+        return pick({"-", "+"}) + (rng_.bernoulli(0.5) ? inner : "(" + inner + ")");
+      }
+      case 2: return pick({"abs", "sqrt", "exp", "log", "oph_abs"}) + "(" + sub(row) + ")";
+      case 3: {
+        auto [a, b] = pair();
+        return pick({"min", "max", "pow"}) + "(" + a + ", " + b + ")";
+      }
+      case 4: {
+        // Short form; at least one of input/then/else reads the measure.
+        const std::uint64_t k = row ? rng_.uniform_index(3) : 3;
+        return pick({"predicate", "oph_predicate"}) + "(" + sub(k == 0) + ", '" + condition() +
+               "', " + sub(k == 1) + ", " + sub(k == 2) + ")";
+      }
+      case 5:
+        // The 7-argument spelling of Listing 1, with string then/else.
+        return "oph_predicate('OPH_INT','OPH_INT'," + sub(row) + ",'x','" + condition() + "','" +
+               pick({"1", "0", "-2.5", "7"}) + "','" + pick({"0", "1", "3"}) + "')";
+      case 6:
+        // A mixed form: expression then, string else.
+        return "predicate(" + sub(row) + ", '" + condition() + "', " + sub(false) + ", '" +
+               pick({"4", "-1"}) + "')";
+      case 7: return pick({"running_max", "running_sum"}) + "(" + sub(row) + ")";
+      case 8:
+        return "shift(" + sub(row) + ", " + pick({"-400", "-3", "-1", "0", "1", "2", "8", "400"}) +
+               ")";
+      case 9: {
+        auto [a, b] = pair();
+        return a + " " + pick({"<", ">="}) + " " + b + " " + pick({"==", "!="}) + " " + literal();
+      }
+      default:
+        return "wave_duration(" + sub(true) + ", " +
+               pick({"0", "1", "2", "3", "5", "2.7", "(1 + 1)"}) + ")";
+    }
+  }
+
+ private:
+  std::string pick(std::initializer_list<const char*> options) {
+    return *(options.begin() + rng_.uniform_index(options.size()));
+  }
+  std::string literal() {
+    return pick({"0", "1", "2", "0.5", "365", "3.25", ".5", "1e-3", "2.5e1", "7"});
+  }
+  std::string condition() {
+    return pick({">", ">=", "<", "<=", "==", "!="}) + pick({"0", "1", "0.5", "-1", "2.5", "-0"});
+  }
+
+  common::Rng rng_;
+};
+
+// A row mixing ordinary values with NaN, +-0, +-inf and runs of ones (so
+// comparisons hit their equality cases and divisions hit zero divisors).
+std::vector<float> random_row(common::Rng& rng, std::size_t n) {
+  std::vector<float> row(n);
+  for (float& v : row) {
+    switch (rng.uniform_index(12)) {
+      case 0: v = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: v = std::numeric_limits<float>::infinity(); break;
+      case 2: v = -std::numeric_limits<float>::infinity(); break;
+      case 3: v = 0.0f; break;
+      case 4: v = -0.0f; break;
+      case 5: v = 0.5f; break;
+      case 6: v = 2.0f; break;
+      case 7:
+      case 8:
+      case 9: v = 1.0f; break;
+      case 10: v = static_cast<float>(rng.uniform(-3, 3)); break;
+      default: v = static_cast<float>(rng.uniform(-400, 400)); break;
+    }
+  }
+  return row;
+}
+
+// FNV-1a over each output's length and float bits. IEEE 754 leaves the
+// sign and payload of a NaN result unspecified, so every NaN hashes as one
+// value; every other bit, signed zeros included, counts.
+struct RowDigest {
+  std::uint64_t value = 1469598103934665603ull;
+  void add_bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      value ^= p[i];
+      value *= 1099511628211ull;
+    }
+  }
+  void add(const std::vector<float>& out) {
+    const std::uint64_t n = out.size();
+    add_bytes(&n, sizeof(n));
+    for (float v : out) {
+      std::uint32_t bits = 0x7fc00000u;
+      if (!std::isnan(v)) std::memcpy(&bits, &v, sizeof(bits));
+      add_bytes(&bits, sizeof(bits));
+    }
+  }
+};
+
+// Digests recorded from the recursive tree evaluator that the compiled
+// program replaced: 400 expressions, each evaluated on one random row of
+// each length.
+TEST(Expression, GoldenDigestsMatchTreeEvaluator) {
+  constexpr int kExpressions = 400;
+  ExprGen gen(20261017);
+  std::vector<Expression> exprs;
+  for (int e = 0; e < kExpressions; ++e) {
+    const std::string text = gen.draw(1 + e % 5, true);
+    auto expr = Expression::parse(text);
+    ASSERT_TRUE(expr.ok()) << text << ": " << expr.status().to_string();
+    exprs.push_back(*expr);
+  }
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {1, 0x5e03a4502d203596ull},  {2, 0x3049d8c1d48417bcull},  {7, 0x88d56104b3504443ull},
+      {8, 0x075e1fb569baeac6ull},  {9, 0x5f7d2b3942da02d1ull},  {31, 0xdddb60bdceceaa51ull},
+      {365, 0x181ab29e1aca2de5ull},
+  };
+  for (const auto& [n, want] : golden) {
+    common::Rng rng(7000 + n);
+    RowDigest digest;
+    for (const Expression& expr : exprs) digest.add(expr.eval(random_row(rng, n)));
+    EXPECT_EQ(digest.value, want) << std::hex << "0x" << digest.value << std::dec
+                                  << " for row length " << n;
+  }
+}
+
+}  // namespace
+}  // namespace climate::datacube
+
+namespace climate::datacube {
+namespace {
+
+TEST(Expression, MalformedNumeralsAreInvalidArgument) {
+  EXPECT_FALSE(Expression::parse("x + .a").ok());
+  EXPECT_FALSE(Expression::parse("predicate(x, '>abc', 1, 0)").ok());
+  EXPECT_FALSE(Expression::parse("x + 1e99").ok());  // out of float range
+  EXPECT_FALSE(
+      Expression::parse("oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','-','0')").ok());
+}
+
+TEST(Expression, BadConditionsAndArgumentsAreInvalidArgument) {
+  EXPECT_FALSE(Expression::parse("predicate(x, '=1', 1, 0)").ok());
+  EXPECT_FALSE(Expression::parse("predicate(x, '!1', 1, 0)").ok());
+  EXPECT_FALSE(Expression::parse("wave_duration(x, x)").ok());  // min_len not constant
+  EXPECT_FALSE(Expression::parse("shift(x, x)").ok());
+  EXPECT_FALSE(Expression::parse("shift(x, exp(100))").ok());  // k out of int range
+}
+
+TEST(Expression, WaveDurationOfConstantBroadcasts) {
+  // wave_duration of a constant is the constant of a length-1 run, and
+  // broadcasts like any other constant.
+  EXPECT_EQ(eval("x + wave_duration(1, 1)", {1, 2, 3}), (std::vector<float>{2, 3, 4}));
+  EXPECT_EQ(eval("x * wave_duration(1, 2)", {1, 2, 3}), (std::vector<float>{0, 0, 0}));
+  EXPECT_EQ(eval("wave_duration(1, 1)", {5, 5}), (std::vector<float>{1}));
+  EXPECT_EQ(eval("predicate(wave_duration(1, 1), '>0', x, 0)", {4, 5}),
+            (std::vector<float>{4, 5}));
 }
 
 }  // namespace
