@@ -92,10 +92,7 @@ void print_skill() {
     }
   }
   const auto tracks = climate::extremes::link_tracks(per_step, config.steps_per_day);
-  std::vector<climate::extremes::DetectionFix> track_fixes;
-  for (const auto& track : tracks) {
-    for (const auto& fix : track.fixes) track_fixes.push_back({fix.step, fix.lat, fix.lon});
-  }
+  const auto track_fixes = climate::extremes::track_fixes(tracks);
   const auto ml_skill = climate::extremes::score_detections(ml_fixes, model.events().cyclones);
   const auto tracker_skill =
       climate::extremes::score_detections(track_fixes, model.events().cyclones);

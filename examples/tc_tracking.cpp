@@ -75,10 +75,7 @@ int main(int argc, char** argv) {
                 track.max_wind());
   }
 
-  std::vector<climate::extremes::DetectionFix> track_fixes;
-  for (const auto& track : tracks) {
-    for (const auto& fix : track.fixes) track_fixes.push_back({fix.step, fix.lat, fix.lon});
-  }
+  const auto track_fixes = climate::extremes::track_fixes(tracks);
   const auto tracker_skill =
       climate::extremes::score_detections(track_fixes, model.events().cyclones);
   const auto ml_skill = climate::extremes::score_detections(ml_fixes, model.events().cyclones);

@@ -6,7 +6,10 @@
 # must test_esm, whose decomposed driver runs one EsmModel (with its own
 # per-step scratch planes) per thread, and test_expression and
 # test_properties: expression scratch rows live in the fragment tasks of the
-# I/O-server pool, and PipelineProperty drives Server::apply. The
+# I/O-server pool, and PipelineProperty drives Server::apply. test_ml is gated
+# too: the workflow runs inference from several workers through one shared
+# TcLocalizer, so Conv2D and the other layers must keep their per-call
+# scratch local (TcLocalizer.ConcurrentInferenceMatchesSerial). The
 # address run also enables UBSan (the two compose; TSan does not).
 #
 # Usage:
@@ -71,7 +74,7 @@ ctest "${CTEST_ARGS[@]}"
 if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
   echo "== TSan gate: re-running the concurrency suites explicitly"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm|test_expression|test_properties)$'
+    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm|test_expression|test_properties|test_ml)$'
   echo "== TSan chaos gate: fault injection + node-failure recovery under TSan"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L chaos
 fi

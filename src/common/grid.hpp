@@ -16,7 +16,6 @@ inline constexpr double kEarthRadiusKm = 6371.0;
 inline constexpr double kPi = 3.14159265358979323846;
 
 inline double deg_to_rad(double deg) { return deg * kPi / 180.0; }
-inline double rad_to_deg(double rad) { return rad * 180.0 / kPi; }
 
 /// A regular global grid: nlat cell-centered latitudes from ~-90 to ~+90 and
 /// nlon longitudes from 0 to 360 (periodic in longitude).

@@ -66,14 +66,4 @@ double pearson(const std::vector<double>& a, const std::vector<double>& b) {
   return cov / (sa.stddev() * sb.stddev());
 }
 
-double rmse(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
 }  // namespace climate::common

@@ -35,7 +35,4 @@ double quantile(std::vector<double> values, double q);
 /// Pearson correlation of two equally-sized series; 0 when degenerate.
 double pearson(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Root-mean-square error between two equally-sized series.
-double rmse(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace climate::common

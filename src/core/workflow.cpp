@@ -175,6 +175,16 @@ void year_cube_dims(const common::LatLonGrid& grid, std::size_t days,
   implicit_dim->coords.clear();
 }
 
+/// The run-absolute day a daily file holds (its `day_of_run` attribute, 0 if
+/// absent). Every TC step number is day_of_run * steps_per_day + s: the
+/// tracker's, the CNN's and the ESM cyclone truth's.
+int read_day_of_run(const std::string& path) {
+  auto reader = ncio::FileReader::open(path);
+  if (!reader.ok()) return 0;
+  auto attr = reader->attr("", "day_of_run");
+  return attr.ok() ? static_cast<int>(std::get<std::int64_t>(*attr)) : 0;
+}
+
 }  // namespace
 
 std::string case_study_topology_yaml() {
@@ -656,12 +666,13 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                         throw std::runtime_error("tc_preprocess read failed for " + path);
                       }
                       files_read.fetch_add(1);
+                      const int day_of_run = read_day_of_run(path);
                       // Regrid to the inference grid (paper step i).
                       const common::Field tas_rg =
                           common::regrid_bilinear(*tas, infer_nlat, infer_nlon);
                       for (int s = 0; s < steps_per_day; ++s) {
                         StepPatches sp;
-                        sp.step = d * steps_per_day + s;
+                        sp.step = day_of_run * steps_per_day + s;
                         sp.grid_nlat = infer_nlat;
                         sp.grid_nlon = infer_nlon;
                         const auto su = static_cast<std::size_t>(s);
@@ -748,12 +759,7 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                       throw std::runtime_error("tracker read failed for " + file_list[d]);
                     }
                     files_read.fetch_add(1);
-                    int day_of_run = 0;
-                    auto reader = ncio::FileReader::open(file_list[d]);
-                    if (reader.ok()) {
-                      auto attr = reader->attr("", "day_of_run");
-                      if (attr.ok()) day_of_run = static_cast<int>(std::get<std::int64_t>(*attr));
-                    }
+                    const int day_of_run = read_day_of_run(file_list[d]);
                     for (std::size_t s = 0; s < psl->size(); ++s) {
                       const int step = day_of_run * steps_per_day + static_cast<int>(s);
                       per_step.push_back(extremes::detect_candidates((*psl)[s], (*wspd)[s],
@@ -792,23 +798,10 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 (void)dc_server.delete_cube(ctx.in_as<std::string>(8));
                 (void)dc_server.delete_cube(ctx.in_as<std::string>(9));
 
-                // Cross-validation: how many ML fixes lie near a
-                // deterministic track fix of the same step?
-                std::size_t agreeing = 0;
-                for (const extremes::DetectionFix& fix : fixes) {
-                  for (const extremes::TcTrack& track : tracks) {
-                    bool matched = false;
-                    for (const extremes::TcCandidate& c : track.fixes) {
-                      if (c.step == fix.step &&
-                          common::great_circle_km(c.lat, c.lon, fix.lat, fix.lon) < 500.0) {
-                        ++agreeing;
-                        matched = true;
-                        break;
-                      }
-                    }
-                    if (matched) break;
-                  }
-                }
+                // Cross-validation: ML fixes matched one-to-one to
+                // deterministic track fixes of the same step.
+                const extremes::SkillScores agreement =
+                    extremes::score_detections(fixes, extremes::track_fixes(tracks));
                 Json summary = Json::object();
                 summary["year"] = calendar_year;
                 summary["days"] = days;
@@ -820,7 +813,7 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 summary["cold_wave_mean_frequency"] = cold_freq.mean();
                 summary["ml_fixes"] = fixes.size();
                 summary["deterministic_tracks"] = tracks.size();
-                summary["ml_fixes_confirmed_by_tracker"] = agreeing;
+                summary["ml_fixes_confirmed_by_tracker"] = agreement.hits;
                 ctx.set_out(10, std::any(summary), 256);
               });
 
@@ -932,13 +925,8 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
 
     // Skill vs the injected ground truth.
     year.ml_skill = extremes::score_detections(year.ml_fixes, results.truth.cyclones);
-    std::vector<extremes::DetectionFix> track_fixes;
-    for (const extremes::TcTrack& track : year.tracks) {
-      for (const extremes::TcCandidate& c : track.fixes) {
-        track_fixes.push_back({c.step, c.lat, c.lon});
-      }
-    }
-    year.tracker_skill = extremes::score_detections(track_fixes, results.truth.cyclones);
+    year.tracker_skill =
+        extremes::score_detections(extremes::track_fixes(year.tracks), results.truth.cyclones);
     for (const char* prefix : {"heat_wave_duration_", "heat_wave_number_", "heat_wave_frequency_",
                                "cold_wave_duration_", "cold_wave_number_", "cold_wave_frequency_"}) {
       year.exported_files.push_back(indices_dir + "/" + prefix + std::to_string(year.year) + ".nc");

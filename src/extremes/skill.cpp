@@ -17,33 +17,46 @@ std::vector<DetectionFix> truth_fixes(const std::vector<esm::CycloneTruth>& trut
   return fixes;
 }
 
+std::vector<DetectionFix> track_fixes(const std::vector<TcTrack>& tracks) {
+  std::vector<DetectionFix> fixes;
+  for (const TcTrack& track : tracks) {
+    for (const TcCandidate& c : track.fixes) fixes.push_back({c.step, c.lat, c.lon});
+  }
+  return fixes;
+}
+
 SkillScores score_detections(const std::vector<DetectionFix>& detections,
                              const std::vector<esm::CycloneTruth>& truth, double match_km) {
+  return score_detections(detections, truth_fixes(truth), match_km);
+}
+
+SkillScores score_detections(const std::vector<DetectionFix>& detections,
+                             const std::vector<DetectionFix>& reference, double match_km) {
   // Group both sides by step.
   std::map<int, std::vector<DetectionFix>> detections_by_step;
   for (const DetectionFix& d : detections) detections_by_step[d.step].push_back(d);
-  std::map<int, std::vector<DetectionFix>> truth_by_step;
-  for (const DetectionFix& t : truth_fixes(truth)) truth_by_step[t.step].push_back(t);
+  std::map<int, std::vector<DetectionFix>> reference_by_step;
+  for (const DetectionFix& t : reference) reference_by_step[t.step].push_back(t);
 
   SkillScores scores;
   double error_sum = 0.0;
 
-  // Steps with truth: greedy nearest matching.
-  for (auto& [step, truths] : truth_by_step) {
+  // Steps with reference fixes: greedy nearest matching.
+  for (auto& [step, refs] : reference_by_step) {
     auto it = detections_by_step.find(step);
     std::vector<DetectionFix> dets = it == detections_by_step.end() ? std::vector<DetectionFix>{}
                                                                     : it->second;
     std::vector<bool> det_used(dets.size(), false);
-    std::vector<bool> truth_hit(truths.size(), false);
+    std::vector<bool> ref_hit(refs.size(), false);
     while (true) {
       double best = match_km;
-      std::size_t best_t = truths.size(), best_d = dets.size();
-      for (std::size_t t = 0; t < truths.size(); ++t) {
-        if (truth_hit[t]) continue;
+      std::size_t best_t = refs.size(), best_d = dets.size();
+      for (std::size_t t = 0; t < refs.size(); ++t) {
+        if (ref_hit[t]) continue;
         for (std::size_t d = 0; d < dets.size(); ++d) {
           if (det_used[d]) continue;
           const double km =
-              common::great_circle_km(truths[t].lat, truths[t].lon, dets[d].lat, dets[d].lon);
+              common::great_circle_km(refs[t].lat, refs[t].lon, dets[d].lat, dets[d].lon);
           if (km <= best) {
             best = km;
             best_t = t;
@@ -51,21 +64,21 @@ SkillScores score_detections(const std::vector<DetectionFix>& detections,
           }
         }
       }
-      if (best_t == truths.size()) break;
-      truth_hit[best_t] = true;
+      if (best_t == refs.size()) break;
+      ref_hit[best_t] = true;
       det_used[best_d] = true;
       ++scores.hits;
       error_sum += best;
     }
-    for (std::size_t t = 0; t < truths.size(); ++t) {
-      if (!truth_hit[t]) ++scores.misses;
+    for (std::size_t t = 0; t < refs.size(); ++t) {
+      if (!ref_hit[t]) ++scores.misses;
     }
     for (std::size_t d = 0; d < dets.size(); ++d) {
       if (!det_used[d]) ++scores.false_alarms;
     }
     if (it != detections_by_step.end()) detections_by_step.erase(it);
   }
-  // Remaining detection steps have no truth at all: all false alarms.
+  // Remaining detection steps have no reference fix at all: all false alarms.
   for (const auto& [step, dets] : detections_by_step) {
     scores.false_alarms += dets.size();
   }

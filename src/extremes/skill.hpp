@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "esm/events.hpp"
+#include "extremes/tc_tracker.hpp"
 
 namespace climate::extremes {
 
@@ -34,15 +35,22 @@ struct SkillScores {
   }
 };
 
-/// Matches detections against truth samples per step: a truth sample is hit
-/// when some detection of the same step lies within `match_km`; detections
-/// matching no truth are false alarms. Each detection matches at most one
-/// truth sample (greedy nearest).
+/// Matches detections against reference fixes per step: a reference fix is
+/// hit when some detection of the same step lies within `match_km`;
+/// detections matching no reference fix are false alarms. Matching is
+/// one-to-one, greedy nearest first.
+SkillScores score_detections(const std::vector<DetectionFix>& detections,
+                             const std::vector<DetectionFix>& reference, double match_km = 500.0);
+
+/// Scores detections against the simulator's ground truth (its truth_fixes).
 SkillScores score_detections(const std::vector<DetectionFix>& detections,
                              const std::vector<esm::CycloneTruth>& truth, double match_km = 500.0);
 
 /// Flattens truth tracks into per-step fixes (for detectors evaluated per
 /// time step).
 std::vector<DetectionFix> truth_fixes(const std::vector<esm::CycloneTruth>& truth);
+
+/// Flattens tracker tracks into per-step fixes.
+std::vector<DetectionFix> track_fixes(const std::vector<TcTrack>& tracks);
 
 }  // namespace climate::extremes

@@ -19,31 +19,68 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
   bias_ = {"conv.b", Tensor::zeros({out_channels}), Tensor::zeros({out_channels})};
 }
 
+namespace {
+
+// Output positions o in [begin, end) whose input position o + k - pad lies in
+// [0, n), for kernel offset k of a stride-1 convolution padded by `pad`.
+struct Span {
+  std::size_t begin, end;
+};
+Span valid_span(std::size_t n, std::size_t pad, std::size_t k) {
+  const std::size_t begin = pad > k ? pad - k : 0;
+  const std::size_t end = n + pad > k ? std::min(n, n + pad - k) : 0;
+  return {begin, std::max(begin, end)};
+}
+
+// Calls run(out, in, n) for the contiguous runs of an H x W plane that kernel
+// tap (ky, kx) touches: output offsets out..out+n read input offsets in..in+n.
+// Runs come in ascending row order; when the tap keeps whole rows (kx == pad)
+// its rows are one run.
+template <typename Run>
+void for_each_run(std::size_t H, std::size_t W, std::size_t pad, std::size_t ky, std::size_t kx,
+                  Run&& run) {
+  const Span ys = valid_span(H, pad, ky);
+  const Span xs = valid_span(W, pad, kx);
+  const std::size_t n = xs.end - xs.begin;
+  if (n == 0 || ys.begin == ys.end) return;
+  if (n == W) {
+    run(ys.begin * W, (ys.begin + ky - pad) * W, (ys.end - ys.begin) * W);
+    return;
+  }
+  for (std::size_t y = ys.begin; y < ys.end; ++y) {
+    run(y * W + xs.begin, (y + ky - pad) * W + xs.begin + kx - pad, n);
+  }
+}
+
+// dst[i] += src[i] * w along one run.
+void add_scaled(float* __restrict dst, const float* __restrict src, float w, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i] * w;
+}
+
+}  // namespace
+
+// Every output element sums its bias, then (c, ky, kx) in ascending order
+// (Layers.Conv2DGoldenDigests pins the bits). The innermost loop runs along
+// rows, so it is contiguous and vectorises.
 Tensor Conv2D::forward(const Tensor& input, bool training) {
   const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
   if (C != in_channels_) throw std::invalid_argument("Conv2D: channel mismatch");
-  Tensor out({B, out_channels_, H, W});
-  const long k = static_cast<long>(kernel_);
-  const long p = static_cast<long>(pad_);
+  const std::size_t F = out_channels_, K = kernel_, P = pad_;
+  Tensor out({B, F, H, W});
   for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t f = 0; f < out_channels_; ++f) {
-      for (std::size_t y = 0; y < H; ++y) {
-        for (std::size_t x = 0; x < W; ++x) {
-          float acc = bias_.value[f];
-          for (std::size_t c = 0; c < C; ++c) {
-            for (long ky = 0; ky < k; ++ky) {
-              const long iy = static_cast<long>(y) + ky - p;
-              if (iy < 0 || iy >= static_cast<long>(H)) continue;
-              for (long kx = 0; kx < k; ++kx) {
-                const long ix = static_cast<long>(x) + kx - p;
-                if (ix < 0 || ix >= static_cast<long>(W)) continue;
-                acc += input.at4(b, c, static_cast<std::size_t>(iy), static_cast<std::size_t>(ix)) *
-                       weight_.value.at4(f, c, static_cast<std::size_t>(ky),
-                                         static_cast<std::size_t>(kx));
-              }
-            }
+    for (std::size_t f = 0; f < F; ++f) {
+      float* oplane = out.data() + (b * F + f) * H * W;
+      std::fill(oplane, oplane + H * W, bias_.value[f]);
+      for (std::size_t c = 0; c < C; ++c) {
+        const float* iplane = input.data() + (b * C + c) * H * W;
+        const float* wc = weight_.value.data() + (f * C + c) * K * K;
+        for (std::size_t ky = 0; ky < K; ++ky) {
+          for (std::size_t kx = 0; kx < K; ++kx) {
+            const float w = wc[ky * K + kx];
+            for_each_run(H, W, P, ky, kx, [&](std::size_t o, std::size_t i, std::size_t n) {
+              add_scaled(oplane + o, iplane + i, w, n);
+            });
           }
-          out.at4(b, f, y, x) = acc;
         }
       }
     }
@@ -52,35 +89,39 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   return out;
 }
 
+// Accumulation orders (Layers.Conv2DGoldenDigests pins the bits):
+//  - bias grad over (b, y, x) ascending;
+//  - each weight's grad over (b, y, x) ascending;
+//  - each input element's grad over (f, ky descending, kx descending), which
+//    is (f, y, x) ascending seen from the input side.
+// Zero output gradients are not skipped: they add +-0 to accumulators that
+// start at +0 and never reach -0, which leaves every bit unchanged.
 Tensor Conv2D::backward(const Tensor& grad_output) {
   const Tensor& input = input_cache_;
   const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
+  const std::size_t F = out_channels_, K = kernel_, P = pad_;
   Tensor grad_input(input.shape());
-  const long k = static_cast<long>(kernel_);
-  const long p = static_cast<long>(pad_);
   for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t f = 0; f < out_channels_; ++f) {
-      for (std::size_t y = 0; y < H; ++y) {
-        for (std::size_t x = 0; x < W; ++x) {
-          const float g = grad_output.at4(b, f, y, x);
-          if (g == 0.0f) continue;
-          bias_.grad[f] += g;
-          for (std::size_t c = 0; c < C; ++c) {
-            for (long ky = 0; ky < k; ++ky) {
-              const long iy = static_cast<long>(y) + ky - p;
-              if (iy < 0 || iy >= static_cast<long>(H)) continue;
-              for (long kx = 0; kx < k; ++kx) {
-                const long ix = static_cast<long>(x) + kx - p;
-                if (ix < 0 || ix >= static_cast<long>(W)) continue;
-                const std::size_t uy = static_cast<std::size_t>(iy);
-                const std::size_t ux = static_cast<std::size_t>(ix);
-                weight_.grad.at4(f, c, static_cast<std::size_t>(ky), static_cast<std::size_t>(kx)) +=
-                    g * input.at4(b, c, uy, ux);
-                grad_input.at4(b, c, uy, ux) +=
-                    g * weight_.value.at4(f, c, static_cast<std::size_t>(ky),
-                                          static_cast<std::size_t>(kx));
-              }
-            }
+    for (std::size_t f = 0; f < F; ++f) {
+      const float* gplane = grad_output.data() + (b * F + f) * H * W;
+      float bias_sum = bias_.grad[f];
+      for (std::size_t i = 0; i < H * W; ++i) bias_sum += gplane[i];
+      bias_.grad[f] = bias_sum;
+
+      for (std::size_t c = 0; c < C; ++c) {
+        const float* iplane = input.data() + (b * C + c) * H * W;
+        float* giplane = grad_input.data() + (b * C + c) * H * W;
+        const float* wc = weight_.value.data() + (f * C + c) * K * K;
+        float* gwc = weight_.grad.data() + (f * C + c) * K * K;
+        for (std::size_t ky = K; ky-- > 0;) {
+          for (std::size_t kx = K; kx-- > 0;) {
+            const float w = wc[ky * K + kx];
+            float wsum = gwc[ky * K + kx];
+            for_each_run(H, W, P, ky, kx, [&](std::size_t o, std::size_t i, std::size_t n) {
+              for (std::size_t j = 0; j < n; ++j) wsum += gplane[o + j] * iplane[i + j];
+              add_scaled(giplane + i, gplane + o, w, n);
+            });
+            gwc[ky * K + kx] = wsum;
           }
         }
       }

@@ -12,8 +12,8 @@
 // Hot paths use the macros below with string-literal names: the metric
 // handle is resolved once into a function-local static, so the steady-state
 // cost is one branch plus one relaxed atomic update. Call sites whose metric
-// name is dynamic (per-task-function histograms, per-layer timings) use the
-// inline helpers, paying one registry map lookup per call — acceptable at
+// name is dynamic (per-task-function histograms, per-layer timings) use
+// obs::observe_histogram, paying one registry map lookup per call — acceptable at
 // task/operator granularity.
 #pragma once
 
@@ -25,21 +25,9 @@ namespace climate::obs {
 
 #if defined(CLIMATE_OBS_DISABLED)
 
-inline void counter_add(std::string_view, std::uint64_t = 1) {}
-inline void gauge_set(std::string_view, std::int64_t) {}
 inline void observe_histogram(std::string_view, double) {}
 
 #else
-
-/// Dynamic-name counter increment (one registry lookup per call).
-inline void counter_add(std::string_view name, std::uint64_t delta = 1) {
-  if (enabled()) MetricsRegistry::global().counter(name)->add(delta);
-}
-
-/// Dynamic-name gauge set.
-inline void gauge_set(std::string_view name, std::int64_t value) {
-  if (enabled()) MetricsRegistry::global().gauge(name)->set(value);
-}
 
 /// Dynamic-name histogram observation.
 inline void observe_histogram(std::string_view name, double value) {

@@ -5,12 +5,10 @@
 
 #include <cmath>
 #include <filesystem>
-#include <set>
 
 #include "esm/climatology.hpp"
 #include "esm/cyclones.hpp"
 #include "esm/diagnostics.hpp"
-#include "esm/ensemble.hpp"
 #include "ncio/ncfile.hpp"
 #include "esm/model.hpp"
 #include "esm/parallel.hpp"
@@ -528,54 +526,6 @@ TEST(Diagnostics, TropicalCycloneLeavesSignature) {
   double deepest = 1e9;
   for (const auto& row : recorder.rows()) deepest = std::min(deepest, row.min_psl_hpa);
   EXPECT_LT(deepest, 1000.0);  // at least one strong low appeared
-}
-
-}  // namespace
-}  // namespace climate::esm
-
-namespace climate::esm {
-namespace {
-
-TEST(Ensemble, MembersDecorrelateAndStatisticsBehave) {
-  EsmConfig config = tiny_config();
-  config.days_per_year = 365;
-  ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
-  EnsembleDriver driver(config, forcing, 4);
-  EXPECT_EQ(driver.member_seed(0), config.seed);
-  EXPECT_NE(driver.member_seed(1), driver.member_seed(2));
-
-  int observed_members = 0;
-  std::set<int> seen;
-  const auto stats = driver.run(3, [&](int member, const DailyFields& day) {
-    seen.insert(member);
-    observed_members = static_cast<int>(seen.size());
-    EXPECT_GE(day.day_of_run, 0);
-  });
-  EXPECT_EQ(observed_members, 4);
-  ASSERT_EQ(stats.size(), 3u);
-  for (const EnsembleDay& day : stats) {
-    // Spread is positive somewhere (weather decorrelated) but bounded.
-    EXPECT_GT(day.spread.max(), 0.05f);
-    EXPECT_LT(day.spread.max(), 15.0f);
-    // Ensemble mean stays physical.
-    EXPECT_GT(day.mean.mean(), -30.0);
-    EXPECT_LT(day.mean.mean(), 40.0);
-  }
-}
-
-TEST(Ensemble, SingleMemberHasZeroSpreadAndEqualsModel) {
-  EsmConfig config = tiny_config();
-  ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
-  EnsembleDriver driver(config, forcing, 1);
-  const auto stats = driver.run(2);
-  EsmModel reference(config, forcing);
-  for (const EnsembleDay& day : stats) {
-    const DailyFields fields = reference.run_day();
-    EXPECT_FLOAT_EQ(day.spread.max(), 0.0f);
-    for (std::size_t c = 0; c < fields.tas.size(); ++c) {
-      ASSERT_FLOAT_EQ(day.mean[c], fields.tas[c]);
-    }
-  }
 }
 
 }  // namespace

@@ -462,6 +462,25 @@ TEST(Skill, TruthFixesFlattening) {
   EXPECT_EQ(truth_fixes(truth).size(), 5u);
 }
 
+TEST(Skill, TwoDetectionsNearOneTrackFixMatchOnce) {
+  // Two ML fixes lie within 500 km of one tracker fix at the same step: the
+  // nearer one confirms it and the other is a false alarm.
+  TcTrack track;
+  track.fixes.push_back({4, 15.0, 140.0, 975.0, 35.0, 8.0});
+  track.fixes.push_back({5, 15.5, 139.0, 972.0, 36.0, 8.5});
+  const std::vector<DetectionFix> reference = track_fixes({track});
+  ASSERT_EQ(reference.size(), 2u);
+  EXPECT_EQ(reference[1].step, 5);
+
+  const std::vector<DetectionFix> ml = {{4, 14.8, 139.0}, {4, 15.5, 140.5}};
+  const SkillScores scores = score_detections(ml, reference);
+  EXPECT_EQ(scores.hits, 1u);
+  EXPECT_EQ(scores.false_alarms, 1u);
+  EXPECT_EQ(scores.misses, 1u);  // the step-5 fix has no ML fix
+  EXPECT_DOUBLE_EQ(scores.mean_center_error_km,
+                   common::great_circle_km(15.0, 140.0, 15.5, 140.5));
+}
+
 }  // namespace
 }  // namespace climate::extremes
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "ml/network.hpp"
 #include "ml/tc_pipeline.hpp"
@@ -12,6 +15,30 @@ namespace climate::ml {
 namespace {
 
 namespace fs = std::filesystem;
+
+// FNV-1a over shapes and float bit patterns, so digests pin every bit.
+struct Digest {
+  std::uint64_t value = 1469598103934665603ull;
+  void add_bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      value ^= p[i];
+      value *= 1099511628211ull;
+    }
+  }
+  void add(float v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    add_bytes(&bits, sizeof(bits));
+  }
+  void add(const Tensor& t) {
+    for (std::size_t d : t.shape()) {
+      const std::uint64_t n = d;
+      add_bytes(&n, sizeof(n));
+    }
+    for (std::size_t i = 0; i < t.size(); ++i) add(t[i]);
+  }
+};
 
 TEST(Tensor, ShapeAndAccessors) {
   Tensor t({2, 3});
@@ -134,6 +161,86 @@ TEST(Layers, Conv2DPreservesSpatialSize) {
   Tensor out = conv.forward(input, false);
   EXPECT_EQ(out.shape(), (std::vector<std::size_t>{2, 8, 10, 12}));
   EXPECT_THROW(Conv2D(1, 1, 4, rng), std::invalid_argument);  // even kernel
+}
+
+// Digests recorded from the per-element Conv2D loops that the row-wise ones
+// replaced. Shapes cover kernels 1/3/5, planes smaller than the kernel, and
+// channel counts that are not powers of two. A third of the output gradients
+// are exact zeros (half of them -0), so the zero paths are exercised, and
+// backward runs twice so gradients also accumulate onto non-zero values.
+TEST(Layers, Conv2DGoldenDigests) {
+  struct Case {
+    std::size_t B, C, F, K, H, W;
+    std::uint64_t out, grad_input, grad_weight, grad_bias;
+  };
+  const Case cases[] = {
+      {1, 1, 1, 1, 1, 1,
+       0x46aedecc5b574b3aull, 0x8b5fb46ccda5ab41ull,
+       0xb07f98982b27dc79ull, 0xf728d5736c463b3eull},
+      {2, 3, 5, 3, 1, 1,
+       0x5cb86dd4365820c0ull, 0x4a88c33934a9a1ddull,
+       0x5114f6721e541d05ull, 0x1e8499ac575475bdull},
+      {1, 2, 3, 5, 3, 2,
+       0x930b7d08b327cb8dull, 0x5a7d86e7bcfd3103ull,
+       0x87a04b3a01b1d5dfull, 0xd57db788d61e2ceeull},
+      {3, 5, 7, 5, 9, 13,
+       0xf2237c7ff8ea3cd1ull, 0xd2d85ded98afc299ull,
+       0xd5d8e431d597133cull, 0xfe45a6b1779b2a18ull},
+      {4, 4, 8, 3, 16, 16,
+       0xcd68b17e8ba7bd4aull, 0x53bcba8855983fefull,
+       0xe19176cdd7bdaf3bull, 0x2db21507da1397e6ull},
+      {2, 3, 6, 1, 7, 5,
+       0x3f591bfd3a0ebb83ull, 0xf197a55d8922a409ull,
+       0xea46ee84f7d93cb7ull, 0x33c1564182b136e3ull},
+      {4, 7, 3, 3, 2, 9,
+       0x215f536b7d2c039full, 0xc5019d4eb49a17feull,
+       0xa7564f3b2b075f11ull, 0xb0a67a585e7aadedull},
+      {1, 6, 5, 5, 4, 4,
+       0xcf7d2cff39db36d0ull, 0x1e3d4e9942868b03ull,
+       0x0105f7de190fefe6ull, 0xe21e5e1656c21ec6ull},
+      {3, 8, 16, 3, 8, 8,
+       0x0e660c704bf6f6fbull, 0x2f08b9fbc1c7d7a2ull,
+       0x4de4098aec7a437cull, 0xc0432e4d7c9a79b9ull},
+  };
+  std::uint64_t seed = 900;
+  for (const Case& c : cases) {
+    common::Rng rng(++seed);
+    Conv2D conv(c.C, c.F, c.K, rng);
+    Parameter* weight = conv.parameters()[0];
+    Parameter* bias = conv.parameters()[1];
+    for (std::size_t i = 0; i < bias->value.size(); ++i) {
+      bias->value[i] = static_cast<float>(rng.normal(0, 0.5));
+    }
+    Tensor input({c.B, c.C, c.H, c.W});
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      input[i] = rng.uniform() < 0.1 ? 0.0f : static_cast<float>(rng.normal(0, 1));
+    }
+    auto random_grad = [&]() {
+      Tensor g({c.B, c.F, c.H, c.W});
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        const double u = rng.uniform();
+        g[i] = u < 1.0 / 6 ? 0.0f : u < 1.0 / 3 ? -0.0f : static_cast<float>(rng.normal(0, 1));
+      }
+      return g;
+    };
+
+    Digest out, grad_input, grad_weight, grad_bias;
+    out.add(conv.forward(input, true));
+    grad_input.add(conv.backward(random_grad()));
+    grad_input.add(conv.backward(random_grad()));
+    grad_weight.add(weight->grad);
+    grad_bias.add(bias->grad);
+    const std::string shape = "B" + std::to_string(c.B) + " C" + std::to_string(c.C) + " F" +
+                              std::to_string(c.F) + " K" + std::to_string(c.K) + " " +
+                              std::to_string(c.H) + "x" + std::to_string(c.W);
+    EXPECT_EQ(out.value, c.out) << std::hex << "out 0x" << out.value << " " << shape;
+    EXPECT_EQ(grad_input.value, c.grad_input)
+        << std::hex << "grad_input 0x" << grad_input.value << " " << shape;
+    EXPECT_EQ(grad_weight.value, c.grad_weight)
+        << std::hex << "grad_weight 0x" << grad_weight.value << " " << shape;
+    EXPECT_EQ(grad_bias.value, c.grad_bias)
+        << std::hex << "grad_bias 0x" << grad_bias.value << " " << shape;
+  }
 }
 
 TEST(Layers, MaxPoolHalvesAndSelectsMax) {
@@ -407,6 +514,73 @@ TEST(TcPipeline, DetectEndToEndOnSyntheticField) {
   // One cell of this very coarse 32x48 test grid spans ~600 km; require the
   // centre within a few cells.
   EXPECT_LT(best, 2200.0);
+}
+
+// Seeded random patches with random labels (not learnable; only the bits of
+// the arithmetic matter here).
+std::vector<TcPatch> random_patches(std::size_t count, std::uint64_t seed) {
+  const std::size_t patch = 16;
+  common::Rng rng(seed);
+  std::vector<TcPatch> patches(count);
+  for (TcPatch& p : patches) {
+    p.features = Tensor({kTcChannels, patch, patch});
+    for (std::size_t i = 0; i < p.features.size(); ++i) {
+      p.features[i] = static_cast<float>(rng.normal(0, 1));
+    }
+    p.has_tc = rng.bernoulli(0.5);
+    p.center_row_frac = static_cast<float>(rng.uniform());
+    p.center_col_frac = static_cast<float>(rng.uniform());
+  }
+  return patches;
+}
+
+void add_outputs(Digest& digest, const std::vector<TcLocalizer::Output>& outputs) {
+  for (const TcLocalizer::Output& o : outputs) {
+    digest.add(o.presence);
+    digest.add(o.row_frac);
+    digest.add(o.col_frac);
+  }
+}
+
+// Digests recorded from the per-element Conv2D loops: every parameter after
+// two epochs on 300 patches, and the trained network's outputs on 100 more
+// (two inference chunks).
+TEST(TcLocalizer, GoldenWeightsAfterTraining) {
+  TcLocalizer localizer(16, 4242);
+  const std::vector<TcPatch> train = random_patches(300, 77);
+  for (int epoch = 0; epoch < 2; ++epoch) localizer.train_epoch(train);
+  Digest weights;
+  for (Parameter* p : localizer.net().parameters()) weights.add(p->value);
+  Digest outputs;
+  add_outputs(outputs, localizer.infer(random_patches(100, 78)));
+  EXPECT_EQ(weights.value, 0xcfda9367ee6c6a2eull) << std::hex << "weights 0x" << weights.value;
+  EXPECT_EQ(outputs.value, 0x9146e9a9d10d1a68ull) << std::hex << "outputs 0x" << outputs.value;
+}
+
+// The workflow shares one localizer across runtime workers, so inference
+// must not write layer state: concurrent calls match serial ones bitwise.
+TEST(TcLocalizer, ConcurrentInferenceMatchesSerial) {
+  TcLocalizer localizer(16, 5);
+  localizer.train_epoch(random_patches(32, 6));
+  const std::vector<TcPatch> patches = random_patches(12, 8);
+  Digest serial;
+  add_outputs(serial, localizer.infer(patches));
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 50;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        Digest d;
+        add_outputs(d, localizer.infer(patches));
+        if (d.value != serial.value) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "esm/model.hpp"
 #include "esm/writer.hpp"
 #include "hpcwaas/service.hpp"
+#include "ml/tc_pipeline.hpp"
 
 namespace climate::core {
 namespace {
@@ -199,6 +200,34 @@ TEST_F(WorkflowTest, MlPipelineRunsWithPretrainedWeights) {
   EXPECT_EQ(counts.at("tc_georeference"), 1u);
   // The skill record exists (values depend on the short training).
   EXPECT_GE(results->years[0].ml_skill.pod(), 0.0);
+}
+
+TEST_F(WorkflowTest, CnnFixesUseRunAbsoluteSteps) {
+  // CNN fixes carry the same run-absolute step numbers as the tracker and the
+  // ESM truth: day_of_run * steps_per_day + s, not a day count within the
+  // year. Untrained weights and a zero threshold make every patch a fix.
+  WorkflowConfig config = small_config(dir_);
+  config.years = 2;
+  config.esm.days_per_year = 6;
+  const std::string weights = dir_ + "/tc_weights.bin";
+  fs::create_directories(dir_);
+  ASSERT_TRUE(ml::TcLocalizer(config.tc_patch, config.esm.seed).save(weights).ok());
+  config.run_ml_tc = true;
+  config.tc_weights_path = weights;
+  config.tc_threshold = 0.0;
+  config.tc_chunk_days = 3;
+  auto results = ExtremeEventsWorkflow(config).run();
+  ASSERT_TRUE(results.ok()) << results.status().to_string();
+  ASSERT_EQ(results->years.size(), 2u);
+  const int steps_per_year = config.esm.days_per_year * config.esm.steps_per_day;
+  for (int y = 0; y < 2; ++y) {
+    const auto& fixes = results->years[static_cast<std::size_t>(y)].ml_fixes;
+    ASSERT_FALSE(fixes.empty()) << "year " << y;
+    for (const extremes::DetectionFix& fix : fixes) {
+      EXPECT_GE(fix.step, y * steps_per_year) << "year " << y;
+      EXPECT_LT(fix.step, (y + 1) * steps_per_year) << "year " << y;
+    }
+  }
 }
 
 TEST_F(WorkflowTest, CheckpointRecoverySkipsAnalysis) {
