@@ -18,7 +18,6 @@ std::size_t CubeCatalog::shard_index(const std::string& pid) {
 std::unique_lock<std::mutex> CubeCatalog::lock_shard(const Shard& shard) const {
   std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
   if (!lock.owns_lock()) {
-    shard.contended.fetch_add(1, std::memory_order_relaxed);
     contention_.increment();
     OBS_COUNTER_ADD("datacube.catalog.shard_contention", 1);
     lock.lock();
@@ -88,30 +87,13 @@ Result<std::map<std::string, std::string>> CubeCatalog::metadata(const std::stri
   return it->second.metadata;
 }
 
-std::size_t CubeCatalog::size() const {
-  std::size_t count = 0;
-  for (const Shard& shard : shards_) {
-    auto lock = lock_shard(shard);
-    count += shard.entries.size();
-  }
-  return count;
-}
-
 std::size_t CubeCatalog::resident_bytes() const {
   std::size_t bytes = 0;
   for (const Shard& shard : shards_) {
     auto lock = lock_shard(shard);
-    for (const auto& [pid, entry] : shard.entries) bytes += entry.cube->byte_size();
+    for (const auto& [pid, entry] : shard.entries) bytes += entry.cube->held_bytes();
   }
   return bytes;
-}
-
-std::array<std::uint64_t, CubeCatalog::kShards> CubeCatalog::contention_by_shard() const {
-  std::array<std::uint64_t, kShards> counts{};
-  for (std::size_t s = 0; s < kShards; ++s) {
-    counts[s] = shards_[s].contended.load(std::memory_order_relaxed);
-  }
-  return counts;
 }
 
 }  // namespace climate::datacube

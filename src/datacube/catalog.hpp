@@ -46,18 +46,12 @@ class CubeCatalog {
   Status set_metadata(const std::string& pid, const std::string& key, const std::string& value);
   Result<std::map<std::string, std::string>> metadata(const std::string& pid) const;
 
-  /// Number of catalogued cubes.
-  std::size_t size() const;
-
-  /// Total bytes of all catalogued cubes.
+  /// Bytes of values the catalogued cubes hold (a deferred cube holds none).
   std::size_t resident_bytes() const;
 
   /// Times a shard lock was found held by another thread (across all
-  /// shards); the per-shard breakdown is in contention_by_shard().
+  /// shards).
   std::uint64_t lock_contention() const { return contention_.total(); }
-
-  /// Per-shard contended-acquisition counts, index = shard.
-  std::array<std::uint64_t, kShards> contention_by_shard() const;
 
  private:
   struct Entry {
@@ -69,7 +63,6 @@ class CubeCatalog {
   struct alignas(common::kCacheLineSize) Shard {
     mutable std::mutex mutex;
     std::unordered_map<std::string, Entry> entries;
-    mutable std::atomic<std::uint64_t> contended{0};
   };
 
   /// Lock-free PID -> shard routing (FNV-1a over the PID bytes).

@@ -129,7 +129,9 @@ Result<CubeSchema> Cube::schema() const {
 
 Result<std::vector<float>> Cube::values() const {
   if (!valid()) return Status::FailedPrecondition("values on invalid cube");
-  return server_->fetch_dense(pid());
+  // Reading a deferred cube evaluates it under admission, which can reject.
+  Server::SessionScope scope(session_);
+  return with_retry(retry_, [&] { return server_->fetch_dense(pid()); });
 }
 
 Status Cube::del() const {

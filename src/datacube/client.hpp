@@ -127,7 +127,8 @@ class Cube {
   /// Schema snapshot (fresh from the catalog; see also schema_snapshot()).
   Result<CubeSchema> schema() const;
 
-  /// Dense row-major values (synchronizes data to the client).
+  /// Dense row-major values (synchronizes data to the client). A deferred
+  /// cube is evaluated here, under admission and the retry discipline.
   Result<std::vector<float>> values() const;
 
   /// Delete the server-side cube.

@@ -1,7 +1,6 @@
 #include "datacube/cube.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace climate::datacube {
 
@@ -24,7 +23,7 @@ Status CubeData::validate() const {
       return Status::Internal("fragment rows are not contiguous at row " +
                               std::to_string(frag.row_start));
     }
-    if (frag.values.size() != frag.row_count * alen) {
+    if (frag.values.size() != (deferred() ? 0 : frag.row_count * alen)) {
       return Status::Internal("fragment buffer size mismatch at row " +
                               std::to_string(frag.row_start));
     }
@@ -40,9 +39,10 @@ Status CubeData::validate() const {
 std::vector<float> CubeData::to_dense() const {
   std::vector<float> dense(element_count());
   const std::size_t alen = array_length();
+  // std::copy, not memcpy: an empty cube's buffers may be null.
   for (const Fragment& frag : fragments) {
-    std::memcpy(dense.data() + frag.row_start * alen, frag.values.data(),
-                frag.values.size() * sizeof(float));
+    std::copy(frag.values.begin(), frag.values.end(),
+              dense.begin() + static_cast<std::ptrdiff_t>(frag.row_start * alen));
   }
   return dense;
 }
@@ -78,8 +78,8 @@ CubeData cube_from_dense(std::string measure, std::vector<DimInfo> explicit_dims
   const std::size_t alen = cube.array_length();
   cube.fragments = make_fragments(cube.row_count(), alen, nfragments, nservers);
   for (Fragment& frag : cube.fragments) {
-    std::memcpy(frag.values.data(), dense.data() + frag.row_start * alen,
-                frag.values.size() * sizeof(float));
+    std::copy_n(dense.begin() + static_cast<std::ptrdiff_t>(frag.row_start * alen),
+                frag.values.size(), frag.values.begin());
   }
   return cube;
 }

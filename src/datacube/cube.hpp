@@ -4,9 +4,17 @@
 // Rows are partitioned into fragments, and fragments are distributed across
 // the I/O servers of the framework, which process them in parallel and keep
 // them in memory between operators.
+//
+// A cube is either materialised (its fragments hold the values) or deferred:
+// the output of elementwise operators that nothing has read yet. A deferred
+// cube keeps its fragment layout (row ranges, no values) and a chain of
+// pending steps over the cubes it reads; whichever operator reads it
+// evaluates the chain row by row (datacube/engine.hpp, "Listing-1 fusion" in
+// DESIGN.md).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +24,10 @@ namespace climate::datacube {
 
 using common::Result;
 using common::Status;
+
+namespace engine {
+struct Chain;
+}
 
 /// One dimension: name, size and coordinate values (e.g. latitudes).
 struct DimInfo {
@@ -34,7 +46,7 @@ struct Fragment {
   std::size_t row_start = 0;
   std::size_t row_count = 0;
   int server = 0;              ///< Owning I/O server index.
-  std::vector<float> values;   ///< row_count * array_length floats.
+  std::vector<float> values;   ///< row_count * array_length floats; empty when deferred.
 };
 
 /// In-memory datacube: explicit dims x implicit array dimension.
@@ -44,6 +56,11 @@ struct CubeData {
   DimInfo implicit_dim;                ///< The per-row array dimension.
   std::vector<Fragment> fragments;     ///< Disjoint row partition, ordered.
   std::string description;             ///< Free-text provenance note.
+  /// Set on a deferred cube: its values are this chain's output, and its
+  /// fragments hold row ranges only.
+  std::shared_ptr<const engine::Chain> chain;
+
+  bool deferred() const { return chain != nullptr; }
 
   /// Number of rows (product of explicit dimension sizes).
   std::size_t row_count() const {
@@ -58,17 +75,21 @@ struct CubeData {
   /// Total elements in the cube.
   std::size_t element_count() const { return row_count() * array_length(); }
 
-  /// Approximate in-memory size in bytes.
+  /// Size of the cube's values in bytes, held or not.
   std::size_t byte_size() const { return element_count() * sizeof(float); }
+
+  /// Bytes of values the cube holds itself: byte_size(), or 0 when deferred.
+  std::size_t held_bytes() const { return deferred() ? 0 : byte_size(); }
 
   /// Multi-index of a flat row over the explicit dims (outermost first).
   std::vector<std::size_t> row_multi_index(std::size_t row) const;
 
   /// Validates internal consistency (fragments cover all rows exactly once,
-  /// value buffers have the right size).
+  /// value buffers have the right size, or are empty when deferred).
   Status validate() const;
 
-  /// Gathers all fragment values into one dense row-major buffer.
+  /// Gathers all fragment values of a materialised cube into one dense
+  /// row-major buffer.
   std::vector<float> to_dense() const;
 };
 

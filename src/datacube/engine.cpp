@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
-#include "datacube/expression.hpp"
+#include "obs/obs.hpp"
 
 namespace climate::datacube {
 
@@ -100,19 +101,6 @@ void reduce_block(const float* src, std::size_t alen, std::size_t group_size, st
   }
 }
 
-template <class Acc>
-void reduce_rows(const float* src, std::size_t rows, std::size_t alen, std::size_t group_size,
-                 std::size_t out_len, float* dst) {
-  constexpr std::size_t kBlock = 8;
-  std::size_t r = 0;
-  for (; r + kBlock <= rows; r += kBlock) {
-    reduce_block<Acc, kBlock>(src + r * alen, alen, group_size, out_len, dst + r * out_len);
-  }
-  for (; r < rows; ++r) {
-    reduce_block<Acc, 1>(src + r * alen, alen, group_size, out_len, dst + r * out_len);
-  }
-}
-
 // out[i] = f(x[i], y[i]) over count elements.
 template <class F>
 void elementwise(const float* __restrict x, const float* __restrict y, float* __restrict out,
@@ -137,120 +125,231 @@ void combine(InterOp op, const float* x, const float* y, float* out, std::size_t
   }
 }
 
+// Reads a cube's rows: a materialised cube's in place, a deferred cube's
+// evaluated from its chain through scratch rows this reader owns. One reader
+// per fragment task.
+class RowReader {
+ public:
+  explicit RowReader(const CubeData& cube) : cube_(cube), alen_(cube.array_length()) {
+    if (!cube.deferred()) return;
+    const Chain& chain = *cube.chain;
+    a_ = std::make_unique<RowReader>(*chain.a);
+    if (chain.b) b_ = std::make_unique<RowReader>(*chain.b);
+    std::size_t step_scratch = 0;
+    for (const Expression& step : chain.steps) {
+      step_scratch = std::max(step_scratch, step.scratch_size(alen_));
+    }
+    // a's row, b's row, two stage outputs, then the steps' scratch.
+    scratch_.resize(4 * alen_ + step_scratch);
+  }
+
+  /// Rows [r, r + count), count >= 1, at stride array_length: in place for a
+  /// materialised cube (they must lie in one fragment), else evaluated into
+  /// dst.
+  const float* rows(std::size_t r, std::size_t count, float* dst) {
+    if (!cube_.deferred()) return in_place(r);
+    for (std::size_t i = 0; i < count; ++i) evaluate(r + i, dst + i * alen_);
+    return dst;
+  }
+
+ private:
+  const float* in_place(std::size_t r) {
+    const std::vector<Fragment>& frags = cube_.fragments;
+    if (frag_ >= frags.size() || r < frags[frag_].row_start ||
+        r - frags[frag_].row_start >= frags[frag_].row_count) {
+      // The last fragment starting at or before r holds it: an empty
+      // fragment is followed by one with the same start.
+      const auto it = std::upper_bound(
+          frags.begin(), frags.end(), r,
+          [](std::size_t row, const Fragment& frag) { return row < frag.row_start; });
+      frag_ = static_cast<std::size_t>(it - frags.begin()) - 1;
+    }
+    const Fragment& frag = frags[frag_];
+    return frag.values.data() + (r - frag.row_start) * alen_;
+  }
+
+  // Row r of the chain into dst: a op b, then each step, alternating between
+  // two stage rows and ending in dst, so no stage writes a row it reads.
+  void evaluate(std::size_t r, float* dst) {
+    const Chain& chain = *cube_.chain;
+    float* const a_row = scratch_.data();
+    float* const b_row = a_row + alen_;
+    float* const stage_rows[2] = {b_row + alen_, b_row + 2 * alen_};
+    float* const step_scratch = b_row + 3 * alen_;
+    const std::size_t stages = (b_ ? 1 : 0) + chain.steps.size();
+    std::size_t stage = 0;
+    auto next_out = [&] { return ++stage == stages ? dst : stage_rows[stage % 2]; };
+
+    const float* x = a_->rows(r, 1, a_row);
+    if (b_) {
+      float* out = next_out();
+      combine(chain.op, x, b_->rows(r, 1, b_row), out, alen_);
+      x = out;
+    }
+    for (const Expression& step : chain.steps) {
+      float* out = next_out();
+      step.eval_row(x, alen_, out, step_scratch);
+      x = out;
+    }
+  }
+
+  const CubeData& cube_;
+  const std::size_t alen_;
+  std::size_t frag_ = 0;  // in_place's cursor
+  std::unique_ptr<RowReader> a_, b_;
+  std::vector<float> scratch_;
+};
+
+// Runs fn over src's fragments. Reading a deferred cube evaluates its chain;
+// the trace shows that as a "materialize" span inside the operator's.
+void read_fragments(const CubeData& src, const ParallelRunner& run,
+                    const std::function<void(std::size_t)>& fn) {
+  if (!src.deferred()) return run(src.fragments.size(), fn);
+  OBS_SPAN("datacube", "materialize");
+  OBS_SCOPED_LATENCY("datacube.op_ns.materialize");
+  run(src.fragments.size(), fn);
+}
+
+// A cube with src's rows and fragment layout and out_len elements per row;
+// the caller fills the values, or sets a chain.
+CubeData derived(const CubeData& src, std::size_t out_len, std::string description) {
+  CubeData out;
+  out.measure = src.measure;
+  out.description = std::move(description);
+  out.explicit_dims = src.explicit_dims;
+  out.implicit_dim = DimInfo{src.implicit_dim.name, out_len, {}};
+  if (out_len == src.array_length()) out.implicit_dim.coords = src.implicit_dim.coords;
+  out.fragments.reserve(src.fragments.size());
+  for (const Fragment& frag : src.fragments) {
+    out.fragments.push_back({frag.row_start, frag.row_count, frag.server, {}});
+  }
+  return out;
+}
+
+constexpr std::size_t kReduceBlock = 8;
+
+// Reduces one fragment's rows kReduceBlock at a time, the remainder one by
+// one; a deferred cube's rows are evaluated into `block` first.
+template <class Acc>
+void reduce_fragment(RowReader& reader, const Fragment& frag, std::size_t alen,
+                     std::size_t group_size, std::size_t out_len, float* block, float* dst) {
+  for (std::size_t r = 0; r < frag.row_count; r += kReduceBlock) {
+    const std::size_t count = std::min(kReduceBlock, frag.row_count - r);
+    const float* rows = reader.rows(frag.row_start + r, count, block);
+    float* out = dst + r * out_len;
+    if (count == kReduceBlock) {
+      reduce_block<Acc, kReduceBlock>(rows, alen, group_size, out_len, out);
+      continue;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      reduce_block<Acc, 1>(rows + i * alen, alen, group_size, out_len, out + i * out_len);
+    }
+  }
+}
+
 }  // namespace
 
 Result<CubeData> reduce(const CubeData& src, ReduceOp op, std::size_t group_size,
                         const std::string& description, const ParallelRunner& run) {
   const std::size_t alen = src.array_length();
+  if (alen == 0) return Status::InvalidArgument("reduce produces empty output");
   if (group_size == 0) group_size = alen;
   const std::size_t out_len = (alen + group_size - 1) / group_size;
 
-  CubeData out;
-  out.measure = src.measure;
-  out.description = description.empty() ? "reduce" : description;
-  out.explicit_dims = src.explicit_dims;
-  out.implicit_dim = DimInfo{src.implicit_dim.name, out_len, {}};
-  if (out_len == alen) out.implicit_dim.coords = src.implicit_dim.coords;
-  out.fragments.resize(src.fragments.size());
-
-  run(src.fragments.size(), [&](std::size_t f) {
+  CubeData out = derived(src, out_len, description.empty() ? "reduce" : description);
+  read_fragments(src, run, [&](std::size_t f) {
     const Fragment& in_frag = src.fragments[f];
     Fragment& out_frag = out.fragments[f];
-    out_frag.row_start = in_frag.row_start;
-    out_frag.row_count = in_frag.row_count;
-    out_frag.server = in_frag.server;
     out_frag.values.resize(in_frag.row_count * out_len);
-    const float* rows = in_frag.values.data();
-    float* dst = out_frag.values.data();
-    const std::size_t n = in_frag.row_count;
+    RowReader reader(src);
+    std::vector<float> block(src.deferred() ? kReduceBlock * alen : 0);
+    auto reduce_with = [&](auto acc) {
+      reduce_fragment<decltype(acc)>(reader, in_frag, alen, group_size, out_len, block.data(),
+                                     out_frag.values.data());
+    };
     switch (op) {
-      case ReduceOp::kMax: return reduce_rows<MaxAcc>(rows, n, alen, group_size, out_len, dst);
-      case ReduceOp::kMin: return reduce_rows<MinAcc>(rows, n, alen, group_size, out_len, dst);
-      case ReduceOp::kSum: return reduce_rows<SumAcc>(rows, n, alen, group_size, out_len, dst);
-      case ReduceOp::kAvg: return reduce_rows<AvgAcc>(rows, n, alen, group_size, out_len, dst);
-      case ReduceOp::kStd: return reduce_rows<StdAcc>(rows, n, alen, group_size, out_len, dst);
-      case ReduceOp::kCount: return reduce_rows<CountAcc>(rows, n, alen, group_size, out_len, dst);
+      case ReduceOp::kMax: return reduce_with(MaxAcc{});
+      case ReduceOp::kMin: return reduce_with(MinAcc{});
+      case ReduceOp::kSum: return reduce_with(SumAcc{});
+      case ReduceOp::kAvg: return reduce_with(AvgAcc{});
+      case ReduceOp::kStd: return reduce_with(StdAcc{});
+      case ReduceOp::kCount: return reduce_with(CountAcc{});
     }
   });
   return out;
 }
 
-Result<CubeData> apply(const CubeData& src, const std::string& expression,
+Result<CubeData> apply(const std::shared_ptr<const CubeData>& src, const std::string& expression,
                        const std::string& description, const ParallelRunner& run) {
   auto expr = Expression::parse(expression);
   if (!expr.ok()) return expr.status();
 
-  const std::size_t alen = src.array_length();
+  const std::size_t alen = src->array_length();
   const std::size_t out_len = expr->output_length(alen);
   if (out_len == 0) return Status::InvalidArgument("expression produces empty output");
 
-  CubeData out;
-  out.measure = src.measure;
-  out.description = description.empty() ? "apply(" + expression + ")" : description;
-  out.explicit_dims = src.explicit_dims;
-  out.implicit_dim = DimInfo{src.implicit_dim.name, out_len, {}};
-  if (out_len == alen) out.implicit_dim.coords = src.implicit_dim.coords;
-  out.fragments.resize(src.fragments.size());
+  CubeData out =
+      derived(*src, out_len, description.empty() ? "apply(" + expression + ")" : description);
+  if (expr->elementwise()) {
+    Chain chain;
+    if (src->deferred()) {
+      chain = *src->chain;
+    } else {
+      chain.a = src;
+    }
+    chain.steps.push_back(*std::move(expr));
+    out.chain = std::make_shared<const Chain>(std::move(chain));
+    return out;
+  }
 
-  run(src.fragments.size(), [&](std::size_t f) {
-    const Fragment& in_frag = src.fragments[f];
+  read_fragments(*src, run, [&](std::size_t f) {
+    const Fragment& in_frag = src->fragments[f];
     Fragment& out_frag = out.fragments[f];
-    out_frag.row_start = in_frag.row_start;
-    out_frag.row_count = in_frag.row_count;
-    out_frag.server = in_frag.server;
     out_frag.values.resize(in_frag.row_count * out_len);
+    RowReader reader(*src);
+    std::vector<float> row(src->deferred() ? alen : 0);
     std::vector<float> scratch(expr->scratch_size(alen));
     for (std::size_t r = 0; r < in_frag.row_count; ++r) {
-      expr->eval_row(in_frag.values.data() + r * alen, alen, out_frag.values.data() + r * out_len,
-                     scratch.data());
+      expr->eval_row(reader.rows(in_frag.row_start + r, 1, row.data()), alen,
+                     out_frag.values.data() + r * out_len, scratch.data());
     }
   });
   return out;
 }
 
-Result<CubeData> intercube(const CubeData& a, const CubeData& b, InterOp op,
-                           const std::string& description, const ParallelRunner& run) {
-  if (a.row_count() != b.row_count() || a.array_length() != b.array_length()) {
-    return Status::InvalidArgument("intercube: shape mismatch (" + std::to_string(a.row_count()) +
-                                   "x" + std::to_string(a.array_length()) + " vs " +
-                                   std::to_string(b.row_count()) + "x" +
-                                   std::to_string(b.array_length()) + ")");
+Result<CubeData> intercube(const std::shared_ptr<const CubeData>& a,
+                           const std::shared_ptr<const CubeData>& b, InterOp op,
+                           const std::string& description) {
+  if (a->row_count() != b->row_count() || a->array_length() != b->array_length()) {
+    return Status::InvalidArgument("intercube: shape mismatch (" + std::to_string(a->row_count()) +
+                                   "x" + std::to_string(a->array_length()) + " vs " +
+                                   std::to_string(b->row_count()) + "x" +
+                                   std::to_string(b->array_length()) + ")");
   }
-  const std::size_t alen = a.array_length();
-
-  CubeData out;
-  out.measure = a.measure;
-  out.description = description.empty() ? "intercube" : description;
-  out.explicit_dims = a.explicit_dims;
-  out.implicit_dim = a.implicit_dim;
-  out.fragments.resize(a.fragments.size());
-
-  run(a.fragments.size(), [&](std::size_t f) {
-    const Fragment& in_frag = a.fragments[f];
-    Fragment& out_frag = out.fragments[f];
-    out_frag.row_start = in_frag.row_start;
-    out_frag.row_count = in_frag.row_count;
-    out_frag.server = in_frag.server;
-    out_frag.values.resize(in_frag.values.size());
-    if (in_frag.row_count == 0) return;
-    // Read b in place, fragment by fragment over this fragment's rows: b may
-    // be fragmented differently. Start at b's last fragment beginning at or
-    // before row_start.
-    auto bf = std::upper_bound(
-        b.fragments.begin(), b.fragments.end(), in_frag.row_start,
-        [](std::size_t row, const Fragment& g) { return row < g.row_start; });
-    --bf;
-    const std::size_t end = in_frag.row_start + in_frag.row_count;
-    for (std::size_t row = in_frag.row_start; row < end; ++bf) {
-      const std::size_t stop = std::min(end, bf->row_start + bf->row_count);
-      const std::size_t offset = (row - in_frag.row_start) * alen;
-      combine(op, in_frag.values.data() + offset,
-              bf->values.data() + (row - bf->row_start) * alen, out_frag.values.data() + offset,
-              (stop - row) * alen);
-      row = stop;
-    }
-  });
+  CubeData out = derived(*a, a->array_length(), description.empty() ? "intercube" : description);
+  out.chain = std::make_shared<const Chain>(Chain{a, b, op, {}});
   return out;
+}
+
+std::shared_ptr<const CubeData> materialize(const std::shared_ptr<const CubeData>& src,
+                                            const ParallelRunner& run) {
+  if (!src->deferred()) return src;
+  const std::size_t alen = src->array_length();
+  CubeData out = derived(*src, alen, src->description);
+  read_fragments(*src, run, [&](std::size_t f) {
+    Fragment& frag = out.fragments[f];
+    frag.values.resize(frag.row_count * alen);
+    if (frag.row_count == 0) return;
+    RowReader reader(*src);
+    reader.rows(frag.row_start, frag.row_count, frag.values.data());
+  });
+  return std::make_shared<const CubeData>(std::move(out));
+}
+
+std::size_t source_elements(const CubeData& cube) {
+  if (!cube.deferred()) return cube.element_count();
+  const Chain& chain = *cube.chain;
+  return source_elements(*chain.a) + (chain.b ? source_elements(*chain.b) : 0);
 }
 
 Result<CubeData> subset(const CubeData& src, const std::string& dim_name, std::size_t start,

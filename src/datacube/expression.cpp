@@ -19,7 +19,8 @@ enum class Op : std::uint8_t {
   kAdd, kSub, kMul, kDiv, kLt, kGt, kLe, kGe, kEq, kNe, kMin, kMax, kPow,
   // Elementwise unary.
   kNeg, kAbs, kSqrt, kExp, kLog,
-  // Functions of a whole row.
+  // Elementwise conditional: the ops up to here are elementwise (see
+  // Expression::elementwise). Then functions of a whole row.
   kPredicate, kWaveDuration, kRunningMax, kRunningSum, kShift,
 };
 
@@ -520,7 +521,6 @@ Result<Expression> Expression::parse(const std::string& text) {
   auto program = detail::ExprParser(std::move(*tokens)).run();
   if (!program.ok()) return program.status();
   Expression expr;
-  expr.text_ = text;
   expr.program_ = std::make_shared<const detail::Program>(std::move(*program));
   return expr;
 }
@@ -528,6 +528,12 @@ Result<Expression> Expression::parse(const std::string& text) {
 std::size_t Expression::output_length(std::size_t n) const {
   if (!program_) return 0;
   return program_->result.is_const() ? 1 : n;
+}
+
+bool Expression::elementwise() const {
+  if (!program_ || program_->result.is_const()) return false;
+  return std::all_of(program_->code.begin(), program_->code.end(),
+                     [](const detail::Instr& in) { return in.op <= detail::Op::kPredicate; });
 }
 
 std::size_t Expression::scratch_size(std::size_t n) const {

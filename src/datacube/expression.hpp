@@ -71,13 +71,15 @@ class Expression {
   /// Evaluates over one row array (allocating its output and scratch).
   std::vector<float> eval(const std::vector<float>& measure) const;
 
-  /// Original source text.
-  const std::string& text() const { return text_; }
+  /// True when each output element depends only on the input element at the
+  /// same position: the program holds only arithmetic, comparisons and
+  /// predicates (no scan or shift), and its result is a row, so
+  /// output_length(n) == n.
+  bool elementwise() const;
 
   bool valid() const { return program_ != nullptr; }
 
  private:
-  std::string text_;
   std::shared_ptr<const detail::Program> program_;
 };
 

@@ -205,7 +205,8 @@ Status Server::exportnc(const std::string& pid, const std::string& path) {
   if (!ticket.ok()) return ticket.status();
   auto cube_result = lookup(pid);
   if (!cube_result.ok()) return cube_result.status();
-  const CubeData& cube = **cube_result;
+  const auto held = engine::materialize(*cube_result, fragment_runner());
+  const CubeData& cube = *held;
 
   auto writer = ncio::FileWriter::create(path);
   if (!writer.ok()) return writer.status();
@@ -269,7 +270,7 @@ Result<std::string> Server::reduce(const std::string& pid, ReduceOp op, std::siz
   auto out = engine::reduce(src, op, group_size, description, fragment_runner());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(src.element_count());
+  stats_.elements_processed.add(engine::source_elements(src));
   return register_cube(std::move(*out));
 }
 
@@ -282,11 +283,10 @@ Result<std::string> Server::apply(const std::string& pid, const std::string& exp
   if (!ticket.ok()) return ticket.status();
   auto cube_result = lookup(pid);
   if (!cube_result.ok()) return cube_result.status();
-  const CubeData& src = **cube_result;
-  auto out = engine::apply(src, expression, description, fragment_runner());
+  auto out = engine::apply(*cube_result, expression, description, fragment_runner());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(src.element_count());
+  if (!out->deferred()) stats_.elements_processed.add(engine::source_elements(**cube_result));
   return register_cube(std::move(*out));
 }
 
@@ -301,12 +301,9 @@ Result<std::string> Server::intercube(const std::string& pid_a, const std::strin
   if (!a_result.ok()) return a_result.status();
   auto b_result = lookup(pid_b);
   if (!b_result.ok()) return b_result.status();
-  const CubeData& a = **a_result;
-  const CubeData& b = **b_result;
-  auto out = engine::intercube(a, b, op, description, fragment_runner());
+  auto out = engine::intercube(*a_result, *b_result, op, description);
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
-  stats_.elements_processed.add(a.element_count() * 2);
+  stats_.operators_executed.increment();  // deferred: reads no values yet
   return register_cube(std::move(*out));
 }
 
@@ -320,11 +317,11 @@ Result<std::string> Server::subset(const std::string& pid, const std::string& di
   if (!ticket.ok()) return ticket.status();
   auto cube_result = lookup(pid);
   if (!cube_result.ok()) return cube_result.status();
-  const CubeData& src = **cube_result;
-  auto out = engine::subset(src, dim_name, start, end, description, io_servers());
+  const auto src = engine::materialize(*cube_result, fragment_runner());
+  auto out = engine::subset(*src, dim_name, start, end, description, io_servers());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(src.element_count());
+  stats_.elements_processed.add(engine::source_elements(**cube_result));
   return register_cube(std::move(*out));
 }
 
@@ -339,12 +336,13 @@ Result<std::string> Server::merge(const std::string& pid_a, const std::string& p
   if (!a_result.ok()) return a_result.status();
   auto b_result = lookup(pid_b);
   if (!b_result.ok()) return b_result.status();
-  const CubeData& a = **a_result;
-  const CubeData& b = **b_result;
-  auto out = engine::merge(a, b, description, io_servers());
+  const auto a = engine::materialize(*a_result, fragment_runner());
+  const auto b = engine::materialize(*b_result, fragment_runner());
+  auto out = engine::merge(*a, *b, description, io_servers());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(a.element_count() + b.element_count());
+  stats_.elements_processed.add(engine::source_elements(**a_result) +
+                                engine::source_elements(**b_result));
   return register_cube(std::move(*out));
 }
 
@@ -359,12 +357,13 @@ Result<std::string> Server::concat_implicit(const std::string& pid_a, const std:
   if (!a_result.ok()) return a_result.status();
   auto b_result = lookup(pid_b);
   if (!b_result.ok()) return b_result.status();
-  const CubeData& a = **a_result;
-  const CubeData& b = **b_result;
-  auto out = engine::concat_implicit(a, b, description, io_servers());
+  const auto a = engine::materialize(*a_result, fragment_runner());
+  const auto b = engine::materialize(*b_result, fragment_runner());
+  auto out = engine::concat_implicit(*a, *b, description, io_servers());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(a.element_count() + b.element_count());
+  stats_.elements_processed.add(engine::source_elements(**a_result) +
+                                engine::source_elements(**b_result));
   return register_cube(std::move(*out));
 }
 
@@ -377,11 +376,11 @@ Result<std::string> Server::aggregate(const std::string& pid, const std::string&
   if (!ticket.ok()) return ticket.status();
   auto cube_result = lookup(pid);
   if (!cube_result.ok()) return cube_result.status();
-  const CubeData& src = **cube_result;
-  auto out = engine::aggregate(src, dim_name, op, description, io_servers());
+  const auto src = engine::materialize(*cube_result, fragment_runner());
+  auto out = engine::aggregate(*src, dim_name, op, description, io_servers());
   if (!out.ok()) return out.status();
   stats_.operators_executed.increment();
-  stats_.elements_processed.add(src.element_count());
+  stats_.elements_processed.add(engine::source_elements(**cube_result));
   return register_cube(std::move(*out));
 }
 
@@ -407,12 +406,22 @@ Result<CubeSchema> Server::cubeschema(const std::string& pid) const {
   return schema;
 }
 
-Result<std::shared_ptr<const CubeData>> Server::get(const std::string& pid) const {
-  return lookup(pid);
+Result<std::shared_ptr<const CubeData>> Server::materialized(const std::string& pid,
+                                                             const char* op) {
+  auto cube_result = lookup(pid);
+  if (!cube_result.ok() || !(*cube_result)->deferred()) return cube_result;
+  auto ticket = admit_op(op);
+  if (!ticket.ok()) return ticket.status();
+  stats_.elements_processed.add(engine::source_elements(**cube_result));
+  return engine::materialize(*cube_result, fragment_runner());
 }
 
-Result<std::vector<float>> Server::fetch_dense(const std::string& pid) const {
-  auto cube_result = lookup(pid);
+Result<std::shared_ptr<const CubeData>> Server::get(const std::string& pid) {
+  return materialized(pid, "get");
+}
+
+Result<std::vector<float>> Server::fetch_dense(const std::string& pid) {
+  auto cube_result = materialized(pid, "values");
   if (!cube_result.ok()) return cube_result.status();
   return (*cube_result)->to_dense();
 }

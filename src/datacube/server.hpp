@@ -5,10 +5,18 @@
 // which the client-side bindings talk to) dispatches data-processing
 // operators to a pool of I/O servers that hold the cube fragments in memory
 // and process them in parallel. Cubes are immutable: every operator
-// registers a new cube in the catalog and returns its PID; intermediate
-// results therefore stay in memory between operators (the paper's "Ophidia
-// can store the datasets in memory between different operators' execution"),
-// and the number of I/O servers can be scaled up dynamically (experiment E4).
+// registers a new cube in the catalog and returns its PID, so results stay
+// in memory between operators (the paper's "Ophidia can store the datasets
+// in memory between different operators' execution"), and the number of I/O
+// servers can be scaled up dynamically (experiment E4).
+//
+// Elementwise operators (intercube, and apply of an elementwise expression)
+// register a deferred cube: its pending steps plus pinned inputs, no values.
+// The operator that reads it evaluates the steps row by row inside its own
+// pass, so an elementwise intermediate never occupies memory (Listing-1
+// fusion, datacube/engine.hpp). A deferred operator still passes admission
+// and counts as executed when it is called; get() and fetch_dense() of a
+// deferred cube evaluate it under an admission ticket of their own.
 //
 // The serving path is built for concurrent multi-session traffic:
 //  - the catalog is sharded with per-shard locks (datacube/catalog.hpp), so
@@ -54,7 +62,9 @@ struct ServerStats {
   std::uint64_t disk_bytes_read = 0;
   std::uint64_t disk_writes = 0;
   std::uint64_t disk_bytes_written = 0;
-  std::uint64_t elements_processed = 0;  ///< Cube elements touched by operators.
+  /// Held cube elements read by kernels (a deferred input counts its chain's
+  /// inputs; a deferred operator reads nothing until its cube is read).
+  std::uint64_t elements_processed = 0;
   std::uint64_t cubes_created = 0;
   std::uint64_t cubes_deleted = 0;
 };
@@ -158,10 +168,12 @@ class Server {
                              const std::string& description = "");
 
   /// Applies an array expression per row (Ophidia apply + array primitives).
+  /// An elementwise expression yields a deferred cube.
   Result<std::string> apply(const std::string& pid, const std::string& expression,
                             const std::string& description = "");
 
-  /// Element-wise binary operator between two shape-identical cubes.
+  /// Element-wise binary operator between two shape-identical cubes; yields
+  /// a deferred cube.
   Result<std::string> intercube(const std::string& pid_a, const std::string& pid_b, InterOp op,
                                 const std::string& description = "");
 
@@ -195,11 +207,13 @@ class Server {
   /// Schema/metadata snapshot of a cube.
   Result<CubeSchema> cubeschema(const std::string& pid) const;
 
-  /// Immutable cube contents (shared; survives catalog deletion).
-  Result<std::shared_ptr<const CubeData>> get(const std::string& pid) const;
+  /// Immutable, materialised cube contents (shared; survives catalog
+  /// deletion). A deferred cube is evaluated afresh, admitted as "get".
+  Result<std::shared_ptr<const CubeData>> get(const std::string& pid);
 
-  /// Dense row-major copy of a cube's values.
-  Result<std::vector<float>> fetch_dense(const std::string& pid) const;
+  /// Dense row-major copy of a cube's values. A deferred cube is evaluated
+  /// afresh, admitted as "values" (so it can be rejected as UNAVAILABLE).
+  Result<std::vector<float>> fetch_dense(const std::string& pid);
 
   /// All catalogued PIDs, in creation order.
   std::vector<std::string> list_cubes() const;
@@ -210,7 +224,7 @@ class Server {
 
   ServerStats stats() const;
 
-  /// Total bytes of all catalogued cubes (in-memory footprint).
+  /// Bytes of values the catalogued cubes hold (a deferred cube holds none).
   std::size_t resident_bytes() const;
 
   /// Contended catalog shard-lock acquisitions (see CubeCatalog).
@@ -252,6 +266,9 @@ class Server {
 
   std::string register_cube(CubeData cube);
   Result<std::shared_ptr<const CubeData>> lookup(const std::string& pid) const;
+  /// A cube's values for a read outside an operator: a deferred cube's chain
+  /// is evaluated under an admission ticket taken as `op`.
+  Result<std::shared_ptr<const CubeData>> materialized(const std::string& pid, const char* op);
   /// Shared entry gate of every operator: chaos injection (fragment-op error
   /// or latency spike) followed by admission. The returned ticket must stay
   /// alive for the operator's duration.

@@ -2,6 +2,7 @@
 // client bindings, import/export, and operator algebra properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "common/rng.hpp"
 #include "datacube/client.hpp"
 #include "datacube/engine.hpp"
+#include "datacube/expression.hpp"
 #include "datacube/server.hpp"
 #include "ncio/ncfile.hpp"
 
@@ -126,6 +128,23 @@ TEST(Server, GroupedReduceUnevenTail) {
   ASSERT_TRUE(out.ok());
   auto dense = server.fetch_dense(*out);
   EXPECT_EQ((*dense), (std::vector<float>{3, 7, 5}));  // (1+2)(3+4)(5)
+}
+
+TEST(Server, ReduceOfEmptyImplicitDimIsInvalidArgument) {
+  // A zero-length implicit dimension used to divide by zero in the reduce
+  // kernel (group_size 0 became the array length, 0).
+  Server server(2);
+  auto pid = server.create_cube("m", {{"row", 3, {}}}, {"day", 0, {}}, {});
+  ASSERT_TRUE(pid.ok());
+  for (std::size_t group : {std::size_t{0}, std::size_t{5}}) {
+    EXPECT_EQ(server.reduce(*pid, ReduceOp::kMax, group).status().code(),
+              common::StatusCode::kInvalidArgument);
+  }
+  common::Json request = common::Json::object();
+  request["operator"] = "reduce";
+  request["cube"] = *pid;
+  request["operation"] = "sum";
+  EXPECT_EQ(server.execute(request).status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST(Server, ApplyExpression) {
@@ -666,6 +685,41 @@ TEST(ClientRetry, AbsorbsInjectedFragmentFaults) {
   EXPECT_EQ(faults->injected_count(), 2u);
 }
 
+TEST(ClientRetry, AbsorbsFaultWhenReadingDeferredCube) {
+  Server server(2);
+  Client client(server);
+  common::RetryOptions retry;
+  retry.max_attempts = 4;
+  retry.base_delay_ms = 0.05;
+  retry.max_delay_ms = 0.5;
+  client.set_retry(retry);
+  auto a = client.create_cube("m", {{"row", 2, {}}}, {"t", 3, {}}, {1, 2, 3, 4, 5, 6});
+  auto b = client.create_cube("m", {{"row", 2, {}}}, {"t", 3, {}}, {1, 1, 1, 2, 2, 2});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  auto diff = a->intercube(*b, "sub");
+  ASSERT_TRUE(diff.ok());
+
+  // Every read evaluated outside an operator fails twice, then passes.
+  auto plan = common::fault::Plan::parse(
+      R"({"seed": 23, "rules": [{"kind": "fragment_error", "target": "values", "rate": 1.0,
+          "max": 2}]})");
+  ASSERT_TRUE(plan.ok());
+  auto faults = std::make_shared<common::fault::Injector>(*plan);
+  server.set_fault_injector(faults);
+
+  // A materialised cube's values are read without admission.
+  EXPECT_EQ(*a->values(), (std::vector<float>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(faults->injected_count(), 0u);
+
+  auto values = diff->values();
+  ASSERT_TRUE(values.ok()) << values.status().to_string();
+  EXPECT_EQ(*values, (std::vector<float>{0, 1, 2, 2, 3, 4}));
+  EXPECT_EQ(faults->injected_count(), 2u);
+  EXPECT_GE(client.retry_stats().retries, 2u);
+  EXPECT_EQ(client.retry_stats().exhausted, 0u);
+}
+
 TEST(ClientRetry, BreakerOpensUnderPersistentFaults) {
   Server server(1);
   auto plan = common::fault::Plan::parse(
@@ -750,6 +804,18 @@ bool same_value(float a, float b) {
   return std::memcmp(&a, &b, sizeof(float)) == 0;
 }
 
+// One element of a plain intercube loop.
+float reference_combine(InterOp op, float x, float y) {
+  switch (op) {
+    case InterOp::kAdd: return x + y;
+    case InterOp::kSub: return x - y;
+    case InterOp::kMul: return x * y;
+    case InterOp::kDiv: return y == 0.0f ? 0.0f : x / y;
+    case InterOp::kMask: return y > 0.0f ? x : 0.0f;
+  }
+  return 0.0f;
+}
+
 TEST(Engine, IntercubeMatchesDenseReferenceAcrossFragmentations) {
   common::Rng rng(4242);
   const InterOp ops[] = {InterOp::kAdd, InterOp::kSub, InterOp::kMul, InterOp::kDiv,
@@ -763,31 +829,25 @@ TEST(Engine, IntercubeMatchesDenseReferenceAcrossFragmentations) {
     const std::vector<float> db = special_values(rng, rows * alen);
     // Alternate which side has more fragments.
     const bool swap = trial % 2 == 1;
-    const CubeData a = cube_from_dense("a", {{"row", rows, {}}}, {"t", alen, {}}, da,
-                                       swap ? fb : fa, 2);
-    const CubeData b = cube_from_dense("b", {{"row", rows, {}}}, {"t", alen, {}}, db,
-                                       swap ? fa : fb, 3);
+    const auto a = std::make_shared<const CubeData>(cube_from_dense(
+        "a", {{"row", rows, {}}}, {"t", alen, {}}, da, swap ? fb : fa, 2));
+    const auto b = std::make_shared<const CubeData>(cube_from_dense(
+        "b", {{"row", rows, {}}}, {"t", alen, {}}, db, swap ? fa : fb, 3));
     for (InterOp op : ops) {
-      auto out = engine::intercube(a, b, op, "", run_serial);
+      auto out = engine::intercube(a, b, op, "");
       ASSERT_TRUE(out.ok());
       ASSERT_TRUE(out->validate().ok());
-      const std::vector<float> got = out->to_dense();
+      const auto held =
+          engine::materialize(std::make_shared<const CubeData>(*std::move(out)), run_serial);
+      ASSERT_TRUE(held->validate().ok());
+      const std::vector<float> got = held->to_dense();
       ASSERT_EQ(got.size(), da.size());
       for (std::size_t i = 0; i < da.size(); ++i) {
-        const float x = da[i];
-        const float y = db[i];
-        float want = 0.0f;
-        switch (op) {
-          case InterOp::kAdd: want = x + y; break;
-          case InterOp::kSub: want = x - y; break;
-          case InterOp::kMul: want = x * y; break;
-          case InterOp::kDiv: want = y == 0.0f ? 0.0f : x / y; break;
-          case InterOp::kMask: want = y > 0.0f ? x : 0.0f; break;
-        }
+        const float want = reference_combine(op, da[i], db[i]);
         ASSERT_TRUE(same_value(got[i], want))
             << "op " << static_cast<int>(op) << " element " << i << ": " << got[i] << " vs "
-            << want << " (" << rows << "x" << alen << ", fragments " << a.fragments.size()
-            << "/" << b.fragments.size() << ")";
+            << want << " (" << rows << "x" << alen << ", fragments " << a->fragments.size()
+            << "/" << b->fragments.size() << ")";
       }
     }
   }
@@ -877,6 +937,246 @@ TEST(Engine, ReduceMatchesNaiveLoopBitwise) {
       }
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Listing-1 fusion: deferred elementwise chains
+// ---------------------------------------------------------------------------
+
+// A cube over dense rows x alen split at random cut points; a repeated cut
+// makes an empty fragment.
+std::shared_ptr<const CubeData> randomly_fragmented(common::Rng& rng,
+                                                    const std::vector<float>& dense,
+                                                    std::size_t rows, std::size_t alen) {
+  CubeData cube;
+  cube.measure = "m";
+  cube.explicit_dims = {{"row", rows, {}}};
+  cube.implicit_dim = {"t", alen, {}};
+  std::vector<std::size_t> cuts = {0, rows};
+  for (std::size_t extra = rng.uniform_index(5); extra > 0; --extra) {
+    cuts.push_back(rng.uniform_index(rows + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    Fragment frag;
+    frag.row_start = cuts[i];
+    frag.row_count = cuts[i + 1] - cuts[i];
+    frag.server = static_cast<int>(i % 3);
+    frag.values.assign(dense.begin() + static_cast<long>(cuts[i] * alen),
+                       dense.begin() + static_cast<long>(cuts[i + 1] * alen));
+    cube.fragments.push_back(std::move(frag));
+  }
+  EXPECT_TRUE(cube.validate().ok());
+  return std::make_shared<const CubeData>(std::move(cube));
+}
+
+// Expression::eval on each row of a dense rows x alen buffer.
+std::vector<float> reference_apply(const std::string& text, const std::vector<float>& dense,
+                                   std::size_t rows, std::size_t alen) {
+  auto expr = Expression::parse(text);
+  EXPECT_TRUE(expr.ok()) << text;
+  std::vector<float> out;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto row = dense.begin() + static_cast<long>(r * alen);
+    const std::vector<float> values =
+        expr->eval(std::vector<float>(row, row + static_cast<long>(alen)));
+    out.insert(out.end(), values.begin(), values.end());
+  }
+  return out;
+}
+
+void expect_same_values(const std::vector<float>& got, const std::vector<float>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(same_value(got[i], want[i]))
+        << what << " element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+std::shared_ptr<const CubeData> shared(Result<CubeData> cube) {
+  EXPECT_TRUE(cube.ok()) << cube.status().to_string();
+  return std::make_shared<const CubeData>(*std::move(cube));
+}
+
+TEST(Fusion, ChainsMatchDenseReferenceBitwise) {
+  // Deferred chains read by materialize, by a scan apply and by every
+  // reduction, against plain per-row loops: every element must get the same
+  // IEEE operations in the same order.
+  const char* const kElementwise[] = {
+      "x * 1.5 + 2", "predicate(x, '>=5', 1, 0)", "x - 3", "abs(x) / (x + 1)", "max(x, 0) * x",
+      "-x", "sqrt(x)", "log(x)", "exp(x / 50)", "pow(x, 2)", "predicate(x, '<0', x * 2, 1)",
+      "x > 1", "x == 0", "min(x, 2) - 7 / x", "x"};
+  const char* const kScans[] = {"wave_duration(x, 3)", "running_sum(x)", "running_max(x)",
+                                "shift(x, 2)", "shift(x, -1)",
+                                "wave_duration(predicate(x, '>0', 1, 0), 2)",
+                                "running_sum(x) + x"};
+  const InterOp kOps[] = {InterOp::kAdd, InterOp::kSub, InterOp::kMul, InterOp::kDiv,
+                          InterOp::kMask};
+  const ReduceOp kReduceOps[] = {ReduceOp::kMax, ReduceOp::kMin, ReduceOp::kSum,
+                                 ReduceOp::kAvg, ReduceOp::kStd, ReduceOp::kCount};
+  common::Rng rng(2718);
+  auto pick = [&rng](const auto& texts) { return texts[rng.uniform_index(std::size(texts))]; };
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t rows = 1 + rng.uniform_index(30);
+    const std::size_t alen = 1 + rng.uniform_index(40);
+    const std::vector<float> da = special_values(rng, rows * alen);
+    std::vector<float> want_b = special_values(rng, rows * alen);
+    const auto a = randomly_fragmented(rng, da, rows, alen);
+    auto b = randomly_fragmented(rng, want_b, rows, alen);
+    if (trial % 2 == 1) {
+      // An intercube over a deferred operand.
+      const char* text = pick(kElementwise);
+      b = shared(engine::apply(b, text, "", run_serial));
+      ASSERT_TRUE(b->deferred()) << text;
+      want_b = reference_apply(text, want_b, rows, alen);
+    }
+    const InterOp op = kOps[trial % std::size(kOps)];
+    auto cube = shared(engine::intercube(a, b, op, ""));
+    ASSERT_TRUE(cube->deferred());
+    std::vector<float> want(da.size());
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] = reference_combine(op, da[i], want_b[i]);
+    for (std::size_t steps = rng.uniform_index(4); steps > 0; --steps) {
+      const char* text = pick(kElementwise);
+      cube = shared(engine::apply(cube, text, "", run_serial));
+      ASSERT_TRUE(cube->deferred()) << text;
+      want = reference_apply(text, want, rows, alen);
+    }
+    EXPECT_EQ(engine::source_elements(*cube), 2 * rows * alen);
+
+    const auto held = engine::materialize(cube, run_serial);
+    ASSERT_FALSE(held->deferred());
+    ASSERT_TRUE(held->validate().ok());
+    expect_same_values(held->to_dense(), want, "materialize");
+
+    // A chain that ends in a scan is evaluated into a materialised cube.
+    const char* scan = pick(kScans);
+    const auto scanned = shared(engine::apply(cube, scan, "", run_serial));
+    ASSERT_FALSE(scanned->deferred());
+    expect_same_values(scanned->to_dense(), reference_apply(scan, want, rows, alen), scan);
+
+    for (ReduceOp reduce_op : kReduceOps) {
+      for (std::size_t group : {std::size_t{0}, 1 + rng.uniform_index(alen)}) {
+        auto reduced = engine::reduce(*cube, reduce_op, group, "", run_serial);
+        ASSERT_TRUE(reduced.ok());
+        expect_same_values(reduced->to_dense(), naive_reduce(want, rows, alen, reduce_op, group),
+                           "reduce op " + std::to_string(static_cast<int>(reduce_op)) +
+                               " group " + std::to_string(group));
+      }
+    }
+  }
+}
+
+TEST(Fusion, DeferredCubeOutlivesItsRootsAndFeedsSeveralReads) {
+  Server server(3);
+  common::Rng rng(31337);
+  constexpr std::size_t kRows = 23;
+  constexpr std::size_t kLen = 17;
+  std::vector<float> da(kRows * kLen), db(kRows * kLen);
+  for (float& v : da) v = static_cast<float>(rng.uniform(-10, 10));
+  for (float& v : db) v = static_cast<float>(rng.uniform(-10, 10));
+  auto pa = server.create_cube("m", {{"row", kRows, {}}}, {"t", kLen, {}}, da);
+  server.set_io_servers(2);  // b is fragmented differently
+  auto pb = server.create_cube("m", {{"row", kRows, {}}}, {"t", kLen, {}}, db);
+  ASSERT_TRUE(pa.ok());
+  ASSERT_TRUE(pb.ok());
+  const std::size_t held = server.resident_bytes();
+  const ServerStats before = server.stats();
+
+  auto diff = server.intercube(*pa, *pb, InterOp::kSub);
+  ASSERT_TRUE(diff.ok());
+  auto positive = server.apply(*diff, "predicate(x, '>=0', x, 0)");
+  ASSERT_TRUE(positive.ok());
+  // Deferred: counted as operators, but no values held and none read.
+  EXPECT_EQ(server.stats().operators_executed - before.operators_executed, 2u);
+  EXPECT_EQ(server.stats().elements_processed, before.elements_processed);
+  EXPECT_EQ(server.resident_bytes(), held);
+  auto schema = server.cubeschema(*positive);
+  ASSERT_TRUE(schema.ok());
+  EXPECT_EQ(schema->byte_size, kRows * kLen * sizeof(float));
+  EXPECT_EQ(schema->fragment_count, 3u);  // a's layout
+
+  // The intermediate and both roots go before anything reads the chain.
+  ASSERT_TRUE(server.delete_cube(*diff).ok());
+  ASSERT_TRUE(server.delete_cube(*pa).ok());
+  ASSERT_TRUE(server.delete_cube(*pb).ok());
+  EXPECT_EQ(server.resident_bytes(), 0u);
+
+  std::vector<float> want(da.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const float d = da[i] - db[i];
+    want[i] = d >= 0.0f ? d : 0.0f;
+  }
+  EXPECT_EQ(*server.fetch_dense(*positive), want);
+  for (ReduceOp op : {ReduceOp::kMax, ReduceOp::kSum, ReduceOp::kStd}) {
+    auto reduced = server.reduce(*positive, op, 5);
+    ASSERT_TRUE(reduced.ok());
+    EXPECT_EQ(*server.fetch_dense(*reduced), naive_reduce(want, kRows, kLen, op, 5));
+  }
+  // The read and each reduction took both roots' elements once.
+  EXPECT_EQ(server.stats().elements_processed - before.elements_processed, 4 * 2 * kRows * kLen);
+}
+
+TEST(Fusion, ConcurrentReadersOfOneDeferredCubeWhileItsRootsAreDeleted) {
+  // Four sessions reduce and read one shared deferred cube while another
+  // thread deletes its roots; every result must equal the serial one (run
+  // under TSan via scripts/check.sh).
+  Server server(4);
+  Client owner(server, "owner");
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kLen = 50;
+  constexpr std::size_t kSessions = 4;
+  constexpr int kRounds = 8;
+  std::vector<float> da(kRows * kLen), db(kRows * kLen);
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    da[i] = static_cast<float>((i * 37) % 101) * 0.25f;
+    db[i] = static_cast<float>((i * 11) % 53) * 0.5f;
+  }
+  auto a = owner.create_cube("m", {{"row", kRows, {}}}, {"t", kLen, {}}, da);
+  auto b = owner.create_cube("m", {{"row", kRows, {}}}, {"t", kLen, {}}, db);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  auto diff = a->intercube(*b, "sub");
+  ASSERT_TRUE(diff.ok());
+  auto shared_cube = diff->apply("predicate(x, '>0', x, 0)");
+  ASSERT_TRUE(shared_cube.ok());
+
+  auto read_all = [](const Cube& cube) {
+    std::vector<std::vector<float>> out;
+    out.push_back(*cube.values());
+    for (const auto& [op, group] : {std::pair{"max", 0}, std::pair{"sum", 7}}) {
+      auto reduced = cube.reduce(op, group);
+      EXPECT_TRUE(reduced.ok());
+      if (!reduced.ok()) return out;
+      out.push_back(*reduced->values());
+      EXPECT_TRUE(reduced->del().ok());
+    }
+    return out;
+  };
+  const auto serial = read_all(*shared_cube);
+
+  std::atomic<bool> started{false};
+  std::thread deleter([&] {
+    while (!started.load()) std::this_thread::yield();
+    EXPECT_TRUE(diff->del().ok());
+    EXPECT_TRUE(a->del().ok());
+    EXPECT_TRUE(b->del().ok());
+  });
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kSessions; ++t) {
+    readers.emplace_back([&, t] {
+      Client client(server, "reader-" + std::to_string(t));
+      const Cube cube = client.bind(shared_cube->handle());
+      started.store(true);
+      for (int round = 0; round < kRounds; ++round) EXPECT_EQ(read_all(cube), serial);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  deleter.join();
+  EXPECT_EQ(server.list_cubes(), std::vector<std::string>{shared_cube->pid()});
+  EXPECT_EQ(server.admission_snapshot().inflight, 0u);
 }
 
 }  // namespace

@@ -398,5 +398,25 @@ TEST(Expression, WaveDurationOfConstantBroadcasts) {
             (std::vector<float>{4, 5}));
 }
 
+TEST(Expression, ElementwiseIsAPropertyOfTheCompiledProgram) {
+  // Elementwise programs are deferred by the datacube's apply; anything with
+  // a scan or shift, or a constant result, is not elementwise.
+  auto elementwise = [](const std::string& text) {
+    auto expr = Expression::parse(text);
+    EXPECT_TRUE(expr.ok()) << text;
+    return expr->elementwise();
+  };
+  for (const char* text : {"x", "x * 2 + 1", "predicate(x, '>0', 1, 0)", "max(x, 3) > 2",
+                           "oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0')",
+                           "shift(x, 0) - 1", "x + running_sum(4)"}) {
+    EXPECT_TRUE(elementwise(text)) << text;
+  }
+  for (const char* text : {"wave_duration(x, 3)", "running_sum(x) + x", "shift(x, 1)",
+                           "predicate(running_max(x), '>0', 1, 0)", "5", "wave_duration(1, 1)"}) {
+    EXPECT_FALSE(elementwise(text)) << text;
+  }
+  EXPECT_FALSE(Expression().elementwise());
+}
+
 }  // namespace
 }  // namespace climate::datacube
