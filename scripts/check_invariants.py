@@ -30,6 +30,12 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      index golden digests pin them; these flags let the compiler reassociate
      sums, drop NaN/signed-zero cases and contract multiply-adds.
 
+  6. One open per daily file per consumer: `ncio::FileReader` may not appear
+     under src/core/. The workflow reads daily files only through
+     esm::DailyFileReader (or the read_daily_* wrappers over it), which
+     parses a file's header once for every variable a task reads, so a task
+     cannot quietly go back to one open per variable.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -60,8 +66,7 @@ LAYER_DEPS = {
     # hpcwaas builds per-deployment run reports via the profiler (pseudo
     # task traces over the topology's depends_on edges).
     "hpcwaas": {"common", "obs", "obs/prof", "taskrt"},
-    "core": {"common", "datacube", "esm", "extremes", "ml", "ncio", "obs", "obs/prof",
-             "taskrt"},
+    "core": {"common", "datacube", "esm", "extremes", "ml", "obs", "obs/prof", "taskrt"},
 }
 
 SOURCE_GLOBS = ("src/**/*.hpp", "src/**/*.cpp", "tests/**/*.cpp", "bench/**/*.cpp",
@@ -78,6 +83,7 @@ LISTING1_OWNERS = {"datacube", "extremes"}
 CMAKE_GLOBS = ("CMakeLists.txt", "src/**/CMakeLists.txt", "tests/**/CMakeLists.txt",
                "bench/**/CMakeLists.txt", "examples/**/CMakeLists.txt",
                "perfbench/**/CMakeLists.txt")
+NCIO_READER_RE = re.compile(r"\bncio::FileReader\b")
 UNSAFE_MATH_RE = re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b")
 
 
@@ -110,6 +116,7 @@ def check_file(path: pathlib.Path, violations: list):
     layer = layer_of(path)
     in_taskrt = layer == "taskrt"
     builds_listing1 = rel.parts[0] == "src" and layer not in LISTING1_OWNERS
+    in_core = layer == "core"
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
 
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -135,6 +142,11 @@ def check_file(path: pathlib.Path, violations: list):
             violations.append(
                 f"{rel}:{lineno}: Listing-1 primitive outside src/datacube/ and "
                 f"src/extremes/ (call extremes::wave_duration_cube/wave_index_cube)")
+
+        if in_core and NCIO_READER_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: ncio::FileReader under src/core/ (read daily files through "
+                f"esm::DailyFileReader, one open per file)")
 
         if rel not in LOG_TAG_EXEMPT:
             for tag in LOG_TAG_RE.findall(line):

@@ -13,7 +13,6 @@
 #include "esm/diagnostics.hpp"
 #include "esm/model.hpp"
 #include "esm/writer.hpp"
-#include "ncio/ncfile.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "taskrt/stream.hpp"
@@ -173,16 +172,6 @@ void year_cube_dims(const common::LatLonGrid& grid, std::size_t days,
   implicit_dim->name = "day";
   implicit_dim->size = days;
   implicit_dim->coords.clear();
-}
-
-/// The run-absolute day a daily file holds (its `day_of_run` attribute, 0 if
-/// absent). Every TC step number is day_of_run * steps_per_day + s: the
-/// tracker's, the CNN's and the ESM cyclone truth's.
-int read_day_of_run(const std::string& path) {
-  auto reader = ncio::FileReader::open(path);
-  if (!reader.ok()) return 0;
-  auto attr = reader->attr("", "day_of_run");
-  return attr.ok() ? static_cast<int>(std::get<std::int64_t>(*attr)) : 0;
 }
 
 }  // namespace
@@ -491,21 +480,22 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 const common::LatLonGrid& g = model->grid();
                 esm::DiagnosticsRecorder recorder;
                 int calendar_year = 0;
+                // Day d is written while day d + 1 is simulated.
+                esm::DailyFileSink sink(dir, g);
                 for (int day = 0; day < esm_cfg.days_per_year; ++day) {
                   esm::DailyFields daily = model->run_day();
                   calendar_year = daily.year;
                   // Online diagnostics are computed while the fields are
                   // still in memory, before the write (section 3).
                   if (diagnostics) recorder.record(daily, g);
-                  const std::string path = esm::daily_filename(dir, daily.year, daily.day_of_year);
-                  const std::string tmp = path + ".part";
-                  auto bytes = esm::write_daily_file(tmp, daily, g);
-                  if (!bytes.ok()) throw std::runtime_error(bytes.status().to_string());
-                  std::error_code rename_ec;
-                  fs::rename(tmp, path, rename_ec);
-                  if (rename_ec) throw std::runtime_error("rename failed: " + rename_ec.message());
-                  bytes_written.fetch_add(*bytes);
+                  const Status pushed = sink.push(std::move(daily));
+                  if (!pushed.ok()) throw std::runtime_error(pushed.to_string());
                 }
+                // Every daily file is on disk before the task completes: the
+                // durable_outputs promise.
+                const Status written = sink.finish();
+                if (!written.ok()) throw std::runtime_error(written.to_string());
+                bytes_written.fetch_add(sink.bytes_written());
                 if (diagnostics) {
                   const Status st = recorder.save(diag_dir + "/diagnostics_" +
                                                   std::to_string(calendar_year) + ".nc");
@@ -658,15 +648,19 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                     auto chunk = std::make_shared<std::vector<StepPatches>>();
                     for (int d = begin; d < end; ++d) {
                       const std::string& path = file_list[static_cast<std::size_t>(d)];
-                      auto psl = esm::read_daily_steps(path, "psl");
-                      auto wspd = esm::read_daily_steps(path, "wspd");
-                      auto vort = esm::read_daily_steps(path, "vort850");
-                      auto tas = esm::read_daily_field(path, "tas");
+                      auto file = esm::DailyFileReader::open(path);
+                      if (!file.ok()) {
+                        throw std::runtime_error("tc_preprocess read failed for " + path);
+                      }
+                      auto psl = file->steps("psl");
+                      auto wspd = file->steps("wspd");
+                      auto vort = file->steps("vort850");
+                      auto tas = file->field("tas");
                       if (!psl.ok() || !wspd.ok() || !vort.ok() || !tas.ok()) {
                         throw std::runtime_error("tc_preprocess read failed for " + path);
                       }
                       files_read.fetch_add(1);
-                      const int day_of_run = read_day_of_run(path);
+                      const int day_of_run = file->day_of_run();
                       // Regrid to the inference grid (paper step i).
                       const common::Field tas_rg =
                           common::regrid_bilinear(*tas, infer_nlat, infer_nlon);
@@ -752,14 +746,18 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                   extremes::TrackerCriteria criteria;
                   std::vector<std::vector<extremes::TcCandidate>> per_step;
                   for (std::size_t d = 0; d < file_list.size(); ++d) {
-                    auto psl = esm::read_daily_steps(file_list[d], "psl");
-                    auto wspd = esm::read_daily_steps(file_list[d], "wspd");
-                    auto vort = esm::read_daily_steps(file_list[d], "vort850");
+                    auto file = esm::DailyFileReader::open(file_list[d]);
+                    if (!file.ok()) {
+                      throw std::runtime_error("tracker read failed for " + file_list[d]);
+                    }
+                    auto psl = file->steps("psl");
+                    auto wspd = file->steps("wspd");
+                    auto vort = file->steps("vort850");
                     if (!psl.ok() || !wspd.ok() || !vort.ok()) {
                       throw std::runtime_error("tracker read failed for " + file_list[d]);
                     }
                     files_read.fetch_add(1);
-                    const int day_of_run = read_day_of_run(file_list[d]);
+                    const int day_of_run = file->day_of_run();
                     for (std::size_t s = 0; s < psl->size(); ++s) {
                       const int step = day_of_run * steps_per_day + static_cast<int>(s);
                       per_step.push_back(extremes::detect_candidates((*psl)[s], (*wspd)[s],

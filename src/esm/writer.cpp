@@ -2,28 +2,38 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/strings.hpp"
-#include "ncio/ncfile.hpp"
 #include "obs/obs.hpp"
 
 namespace climate::esm {
 namespace {
 
-/// Flattens per-step fields into (lat, lon, time) order.
-std::vector<float> interleave_steps(const std::vector<Field>& steps) {
-  if (steps.empty()) return {};
-  const std::size_t nlat = steps[0].nlat();
-  const std::size_t nlon = steps[0].nlon();
+/// Flattens per-step fields into (lat, lon, time) order in `out`, which
+/// callers reuse across variables.
+void interleave_steps(const std::vector<Field>& steps, std::vector<float>& out) {
   const std::size_t nstep = steps.size();
-  std::vector<float> out(nlat * nlon * nstep);
-  for (std::size_t i = 0; i < nlat; ++i) {
-    for (std::size_t j = 0; j < nlon; ++j) {
-      float* cell = out.data() + (i * nlon + j) * nstep;
-      for (std::size_t s = 0; s < nstep; ++s) cell[s] = steps[s].at(i, j);
-    }
+  const std::size_t cells = nstep == 0 ? 0 : steps[0].size();
+  out.resize(cells * nstep);
+  for (std::size_t s = 0; s < nstep; ++s) {
+    const float* src = steps[s].data().data();
+    float* dst = out.data() + s;
+    for (std::size_t c = 0; c < cells; ++c) dst[c * nstep] = src[c];
   }
-  return out;
+}
+
+/// Writes `day` as <name>.part and renames it into place.
+Result<std::uint64_t> publish_daily_file(const std::string& dir, const DailyFields& day,
+                                         const LatLonGrid& grid) {
+  const std::string path = daily_filename(dir, day.year, day.day_of_year);
+  const std::string part = path + ".part";
+  Result<std::uint64_t> bytes = write_daily_file(part, day, grid);
+  if (!bytes.ok()) return bytes;
+  std::error_code ec;
+  std::filesystem::rename(part, path, ec);
+  if (ec) return Status::Unavailable("rename failed for " + path + ": " + ec.message());
+  return bytes;
 }
 
 }  // namespace
@@ -92,9 +102,10 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
   for (std::size_t s = 0; s < nstep; ++s) times[s] = 6.0 * static_cast<double>(s);
   CLIMATE_RETURN_IF_ERROR(writer->put_var("time", times.data(), times.size()));
 
+  std::vector<float> interleaved;
   auto put_steps = [&](const char* name, const std::vector<Field>& steps) -> Status {
-    const std::vector<float> data = interleave_steps(steps);
-    return writer->put_var(name, data.data(), data.size());
+    interleave_steps(steps, interleaved);
+    return writer->put_var(name, interleaved.data(), interleaved.size());
   };
   CLIMATE_RETURN_IF_ERROR(put_steps("psl", day.psl));
   CLIMATE_RETURN_IF_ERROR(put_steps("ua850", day.ua850));
@@ -127,39 +138,121 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
   return bytes;
 }
 
-Result<common::Field> read_daily_field(const std::string& path, const std::string& variable) {
+Result<DailyFileReader> DailyFileReader::open(const std::string& path) {
   auto reader = ncio::FileReader::open(path);
   if (!reader.ok()) return reader.status();
-  auto shape = reader->var_shape(variable);
+  return DailyFileReader(std::move(*reader));
+}
+
+Result<common::Field> DailyFileReader::field(const std::string& variable) {
+  auto shape = reader_.var_shape(variable);
   if (!shape.ok()) return shape.status();
   if (shape->size() != 2) return Status::InvalidArgument(variable + " is not a 2D field");
-  auto data = reader->read_floats(variable);
+  auto data = reader_.read_floats(variable);
   if (!data.ok()) return data.status();
   common::Field field((*shape)[0], (*shape)[1]);
   std::memcpy(field.data().data(), data->data(), data->size() * sizeof(float));
   return field;
 }
 
-Result<std::vector<common::Field>> read_daily_steps(const std::string& path,
-                                                    const std::string& variable) {
-  auto reader = ncio::FileReader::open(path);
-  if (!reader.ok()) return reader.status();
-  auto shape = reader->var_shape(variable);
+Result<std::vector<common::Field>> DailyFileReader::steps(const std::string& variable) {
+  auto shape = reader_.var_shape(variable);
   if (!shape.ok()) return shape.status();
   if (shape->size() != 3) return Status::InvalidArgument(variable + " is not a 3D field");
-  auto data = reader->read_floats(variable);
+  auto data = reader_.read_floats(variable);
   if (!data.ok()) return data.status();
-  const std::size_t nlat = (*shape)[0];
-  const std::size_t nlon = (*shape)[1];
+  const std::size_t cells = (*shape)[0] * (*shape)[1];
   const std::size_t nstep = (*shape)[2];
-  std::vector<common::Field> steps(nstep, common::Field(nlat, nlon));
-  for (std::size_t i = 0; i < nlat; ++i) {
-    for (std::size_t j = 0; j < nlon; ++j) {
-      const float* cell = data->data() + (i * nlon + j) * nstep;
-      for (std::size_t s = 0; s < nstep; ++s) steps[s].at(i, j) = cell[s];
-    }
+  std::vector<common::Field> steps(nstep, common::Field((*shape)[0], (*shape)[1]));
+  for (std::size_t s = 0; s < nstep; ++s) {
+    const float* src = data->data() + s;
+    float* dst = steps[s].data().data();
+    for (std::size_t c = 0; c < cells; ++c) dst[c] = src[c * nstep];
   }
   return steps;
+}
+
+int DailyFileReader::day_of_run() const {
+  auto attr = reader_.attr("", "day_of_run");
+  const std::int64_t* day = attr.ok() ? std::get_if<std::int64_t>(&*attr) : nullptr;
+  return day ? static_cast<int>(*day) : 0;
+}
+
+Result<common::Field> read_daily_field(const std::string& path, const std::string& variable) {
+  auto file = DailyFileReader::open(path);
+  if (!file.ok()) return file.status();
+  return file->field(variable);
+}
+
+Result<std::vector<common::Field>> read_daily_steps(const std::string& path,
+                                                    const std::string& variable) {
+  auto file = DailyFileReader::open(path);
+  if (!file.ok()) return file.status();
+  return file->steps(variable);
+}
+
+// ------------------------------------------------------------- DailyFileSink
+
+DailyFileSink::DailyFileSink(std::string dir, LatLonGrid grid)
+    : dir_(std::move(dir)), grid_(std::move(grid)) {
+  thread_ = std::thread(&DailyFileSink::run, this);
+}
+
+DailyFileSink::~DailyFileSink() { (void)finish(); }
+
+void DailyFileSink::wait_idle(std::unique_lock<std::mutex>& lock) {
+  OBS_SCOPED_LATENCY("esm.writer_wait_ns");
+  cv_.wait(lock, [this] { return !slot_.has_value(); });
+}
+
+Status DailyFileSink::push(DailyFields&& day) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  wait_idle(lock);
+  if (!error_.ok()) return error_;
+  if (stopping_) return Status::FailedPrecondition("push after finish");
+  slot_.emplace(std::move(day));
+  cv_.notify_all();
+  return Status::Ok();
+}
+
+Status DailyFileSink::finish() {
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (stopping_) return error_;
+    wait_idle(lock);
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  return error_;
+}
+
+std::uint64_t DailyFileSink::bytes_written() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
+void DailyFileSink::run() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    cv_.wait(lock, [this] { return slot_.has_value() || stopping_; });
+    if (!slot_) return;
+    lock.unlock();
+    Result<std::uint64_t> bytes = Status::Internal("daily file not written");
+    try {
+      bytes = publish_daily_file(dir_, *slot_, grid_);
+    } catch (const std::exception& e) {
+      bytes = Status::Internal(std::string("daily file write threw: ") + e.what());
+    }
+    lock.lock();
+    if (bytes.ok()) {
+      bytes_ += *bytes;
+    } else if (error_.ok()) {
+      error_ = bytes.status();
+    }
+    slot_.reset();
+    cv_.notify_all();
+  }
 }
 
 }  // namespace climate::esm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace climate::ncio {
 namespace {
@@ -34,9 +35,17 @@ void write_attr(std::string& buf, const std::string& name, const AttrValue& valu
   }
 }
 
+/// Bytes a reader reads before it starts parsing a header. A daily file's
+/// header is about 1 KB, so one probe almost always holds all of it.
+constexpr std::uint64_t kHeaderProbeBytes = 4096;
+
+/// Parses a header from `bytes`, a prefix of the `file_size`-byte stream `in`
+/// whose read position is at the prefix's end. When a field runs past the
+/// prefix the parser doubles it (up to the whole file) and reads on.
 class HeaderParser {
  public:
-  HeaderParser(const std::string& bytes) : bytes_(bytes) {}
+  HeaderParser(std::string& bytes, std::istream& in, std::uint64_t file_size)
+      : bytes_(bytes), in_(in), file_size_(file_size) {}
 
   Status read_u32(std::uint32_t& v) { return read_raw(&v, 4); }
   Status read_u64(std::uint64_t& v) { return read_raw(&v, 8); }
@@ -46,7 +55,7 @@ class HeaderParser {
   Status read_string(std::string& out) {
     std::uint32_t len = 0;
     CLIMATE_RETURN_IF_ERROR(read_u32(len));
-    if (pos_ + len > bytes_.size()) return Status::DataLoss("truncated string");
+    if (!available(len)) return Status::DataLoss("truncated string");
     out.assign(bytes_, pos_, len);
     pos_ += len;
     return Status::Ok();
@@ -82,33 +91,31 @@ class HeaderParser {
 
  private:
   Status read_raw(void* out, std::size_t n) {
-    if (pos_ + n > bytes_.size()) return Status::DataLoss("truncated header");
+    if (!available(n)) return Status::DataLoss("truncated header");
     std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return Status::Ok();
   }
 
-  const std::string& bytes_;
+  /// True once the `n` bytes after the read position are in `bytes_`.
+  bool available(std::uint64_t n) {
+    const std::uint64_t want = pos_ + n;
+    if (want <= bytes_.size()) return true;
+    if (want > file_size_) return false;
+    std::uint64_t size = std::max<std::uint64_t>(bytes_.size(), kHeaderProbeBytes);
+    while (size < want) size *= 2;
+    size = std::min(size, file_size_);
+    const std::size_t have = bytes_.size();
+    bytes_.resize(size);
+    in_.read(bytes_.data() + have, static_cast<std::streamsize>(size - have));
+    return static_cast<bool>(in_);
+  }
+
+  std::string& bytes_;
+  std::istream& in_;
+  const std::uint64_t file_size_;
   std::size_t pos_ = 0;
 };
-
-template <typename From>
-std::vector<float> to_floats(const std::vector<char>& raw) {
-  const std::size_t n = raw.size() / sizeof(From);
-  std::vector<float> out(n);
-  const From* src = reinterpret_cast<const From*>(raw.data());
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(src[i]);
-  return out;
-}
-
-template <typename From>
-std::vector<double> to_doubles(const std::vector<char>& raw) {
-  const std::size_t n = raw.size() / sizeof(From);
-  std::vector<double> out(n);
-  const From* src = reinterpret_cast<const From*>(raw.data());
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(src[i]);
-  return out;
-}
 
 }  // namespace
 
@@ -230,6 +237,7 @@ Status FileWriter::end_def() {
     } else {
       out_->write(header.data(), static_cast<std::streamsize>(header.size()));
       if (!*out_) return Status::DataLoss("header write failed for " + path_);
+      pos_ = header.size();
     }
   }
   return Status::Ok();
@@ -256,10 +264,12 @@ Status FileWriter::put_raw(const std::string& name, DType dtype, const void* dat
                                    std::to_string(var->element_count) + " elements, got " +
                                    std::to_string(count));
   }
-  out_->seekp(static_cast<std::streamoff>(var->data_offset));
-  out_->write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(count * dtype_size(dtype)));
+  // A seek flushes the stream's buffer and costs a system call; variables
+  // written in definition order follow one another, so they skip it.
+  if (var->data_offset != pos_) out_->seekp(static_cast<std::streamoff>(var->data_offset));
+  out_->write(static_cast<const char*>(data), static_cast<std::streamsize>(var->byte_size()));
   if (!*out_) return Status::DataLoss("data write failed for " + path_);
+  pos_ = var->data_offset + var->byte_size();
   return Status::Ok();
 }
 
@@ -274,52 +284,6 @@ Status FileWriter::put_var(const std::string& name, const std::int32_t* data, st
 }
 Status FileWriter::put_var(const std::string& name, const std::int64_t* data, std::size_t count) {
   return put_raw(name, DType::kInt64, data, count);
-}
-
-Status FileWriter::put_slab(const std::string& name, const std::vector<std::uint64_t>& start,
-                            const std::vector<std::uint64_t>& count, const float* data) {
-  if (!defs_done_) return Status::FailedPrecondition("put_slab before end_def");
-  const VarInfo* var = find_var(name);
-  if (var == nullptr) return Status::NotFound("variable '" + name + "'");
-  if (var->dtype != DType::kFloat32) return Status::InvalidArgument("put_slab supports float32 only");
-  const std::size_t rank = var->dim_ids.size();
-  if (start.size() != rank || count.size() != rank) {
-    return Status::InvalidArgument("put_slab rank mismatch for '" + name + "'");
-  }
-  std::vector<std::uint64_t> shape(rank);
-  for (std::size_t d = 0; d < rank; ++d) {
-    shape[d] = dims_[var->dim_ids[d]].length;
-    if (count[d] == 0 || start[d] + count[d] > shape[d]) {
-      return Status::OutOfRange("put_slab out of range on dim " + std::to_string(d));
-    }
-  }
-  // Strides in elements, outermost first.
-  std::vector<std::uint64_t> stride(rank, 1);
-  for (std::size_t d = rank; d-- > 1;) stride[d - 1] = stride[d] * shape[d];
-
-  // Iterate over all but the innermost dimension; each inner run is
-  // contiguous on disk.
-  const std::uint64_t inner = rank == 0 ? 1 : count[rank - 1];
-  std::vector<std::uint64_t> idx(rank, 0);
-  auto advance = [&]() -> bool {  // odometer over dims [0, rank-1)
-    for (std::size_t d = rank - 1; d-- > 0;) {
-      if (++idx[d] < count[d]) return true;
-      idx[d] = 0;
-    }
-    return false;
-  };
-  std::uint64_t src_pos = 0;
-  while (true) {
-    std::uint64_t offset_elems = 0;
-    for (std::size_t d = 0; d < rank; ++d) offset_elems += (start[d] + idx[d]) * stride[d];
-    out_->seekp(static_cast<std::streamoff>(var->data_offset + offset_elems * sizeof(float)));
-    out_->write(reinterpret_cast<const char*>(data + src_pos),
-                static_cast<std::streamsize>(inner * sizeof(float)));
-    if (!*out_) return Status::DataLoss("slab write failed for " + path_);
-    src_pos += inner;
-    if (rank <= 1 || !advance()) break;
-  }
-  return Status::Ok();
 }
 
 Status FileWriter::close() {
@@ -340,12 +304,12 @@ Result<FileReader> FileReader::open(const std::string& path) {
   reader.in_ = std::make_unique<std::ifstream>(path, std::ios::binary);
   if (!*reader.in_) return Status::NotFound("cannot open " + path);
 
-  // Read the whole header region: we do not know its size up front, so read
-  // a generous prefix (headers are tiny compared to data).
+  // The header's size is not stored: read a small probe and let the parser
+  // read more only if the header runs past it.
   reader.in_->seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(reader.in_->tellg());
   reader.in_->seekg(0);
-  const std::uint64_t prefix = std::min<std::uint64_t>(file_size, 1 << 20);
+  const std::uint64_t prefix = std::min<std::uint64_t>(file_size, kHeaderProbeBytes);
   std::string bytes(prefix, '\0');
   reader.in_->read(bytes.data(), static_cast<std::streamsize>(prefix));
   if (!*reader.in_) return Status::DataLoss("cannot read header of " + path);
@@ -353,7 +317,7 @@ Result<FileReader> FileReader::open(const std::string& path) {
   if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
     return Status::InvalidArgument(path + " is not a CDF-lite file");
   }
-  HeaderParser parser(bytes);
+  HeaderParser parser(bytes, *reader.in_, file_size);
   std::uint32_t magic_and_version[2];
   CLIMATE_RETURN_IF_ERROR(parser.read_u32(magic_and_version[0]));
   CLIMATE_RETURN_IF_ERROR(parser.read_u32(magic_and_version[1]));
@@ -433,36 +397,41 @@ Result<std::vector<std::uint64_t>> FileReader::var_shape(const std::string& name
   return shape;
 }
 
-Result<std::vector<float>> FileReader::read_floats(const std::string& name) {
+template <typename To>
+Result<std::vector<To>> FileReader::read_converted(const std::string& name) {
   Result<VarInfo> info = var_info(name);
   if (!info.ok()) return info.status();
-  std::vector<char> raw(info->byte_size());
+  std::vector<To> out(info->element_count);
   in_->seekg(static_cast<std::streamoff>(info->data_offset));
-  in_->read(raw.data(), static_cast<std::streamsize>(raw.size()));
-  if (!*in_) return Status::DataLoss("read failed for variable '" + name + "'");
+  // Reads the stored elements (type From) and converts them; a variable
+  // stored as To is read straight into the result.
+  const auto bytes = static_cast<std::streamsize>(info->byte_size());
+  auto read_as = [&](auto stored) {
+    using From = decltype(stored);
+    if constexpr (std::is_same_v<From, To>) {
+      in_->read(reinterpret_cast<char*>(out.data()), bytes);
+    } else {
+      std::vector<From> raw(out.size());
+      in_->read(reinterpret_cast<char*>(raw.data()), bytes);
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<To>(raw[i]);
+    }
+  };
   switch (info->dtype) {
-    case DType::kFloat32: return to_floats<float>(raw);
-    case DType::kFloat64: return to_floats<double>(raw);
-    case DType::kInt32: return to_floats<std::int32_t>(raw);
-    case DType::kInt64: return to_floats<std::int64_t>(raw);
+    case DType::kFloat32: read_as(float{}); break;
+    case DType::kFloat64: read_as(double{}); break;
+    case DType::kInt32: read_as(std::int32_t{}); break;
+    case DType::kInt64: read_as(std::int64_t{}); break;
   }
-  return Status::Internal("unreachable");
+  if (!*in_) return Status::DataLoss("read failed for variable '" + name + "'");
+  return out;
+}
+
+Result<std::vector<float>> FileReader::read_floats(const std::string& name) {
+  return read_converted<float>(name);
 }
 
 Result<std::vector<double>> FileReader::read_doubles(const std::string& name) {
-  Result<VarInfo> info = var_info(name);
-  if (!info.ok()) return info.status();
-  std::vector<char> raw(info->byte_size());
-  in_->seekg(static_cast<std::streamoff>(info->data_offset));
-  in_->read(raw.data(), static_cast<std::streamsize>(raw.size()));
-  if (!*in_) return Status::DataLoss("read failed for variable '" + name + "'");
-  switch (info->dtype) {
-    case DType::kFloat32: return to_doubles<float>(raw);
-    case DType::kFloat64: return to_doubles<double>(raw);
-    case DType::kInt32: return to_doubles<std::int32_t>(raw);
-    case DType::kInt64: return to_doubles<std::int64_t>(raw);
-  }
-  return Status::Internal("unreachable");
+  return read_converted<double>(name);
 }
 
 Result<std::vector<float>> FileReader::read_slab(const std::string& name,

@@ -7,12 +7,14 @@
 //   - multidimensional variables (float32/float64/int32/int64) over those
 //     dimensions, stored row-major,
 //   - global and per-variable attributes (int64/double/string),
-//   - whole-variable and hyperslab (start/count) reads and writes.
+//   - whole-variable writes; whole-variable and hyperslab (start/count) reads.
 //
 // On-disk layout (little-endian, as on every supported platform):
 //   magic "CDFL" | u32 version | header (dims, global attrs, vars) | data
 // Each variable records its absolute data offset, so readers can seek
-// directly and hyperslab reads touch only the requested byte ranges.
+// directly and hyperslab reads touch only the requested byte ranges. The
+// header's length is not stored: a reader parses a small prefix and reads
+// more only while the parser runs out of bytes.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +64,9 @@ struct VarInfo {
 };
 
 /// Write-side handle. Usage: create() -> def_dim/def_var/put_attr ->
-/// end_def() -> put_var/put_slab -> close(). All def_* calls must precede
-/// end_def(); all data writes must follow it.
+/// end_def() -> put_var -> close(). All def_* calls must precede end_def();
+/// all data writes must follow it. Variables written in definition order
+/// stream out without a seek; the writer buffers no more than its stream does.
 class FileWriter {
  public:
   /// Creates (truncates) the file at `path`.
@@ -91,10 +94,6 @@ class FileWriter {
   Status put_var(const std::string& name, const std::int32_t* data, std::size_t count);
   Status put_var(const std::string& name, const std::int64_t* data, std::size_t count);
 
-  /// Writes a hyperslab: `start`/`count` give per-dimension origin and shape.
-  Status put_slab(const std::string& name, const std::vector<std::uint64_t>& start,
-                  const std::vector<std::uint64_t>& count, const float* data);
-
   /// Flushes and closes; afterwards the writer is unusable.
   Status close();
 
@@ -114,9 +113,11 @@ class FileWriter {
   std::vector<VarInfo> vars_;
   bool defs_done_ = false;
   std::uint64_t total_bytes_ = 0;
+  std::uint64_t pos_ = 0;  ///< Stream position after the last write.
 };
 
-/// Read-side handle; header is parsed on open, data on demand.
+/// Read-side handle; header is parsed on open (reading only about as many
+/// bytes as it spans), data on demand.
 class FileReader {
  public:
   /// Opens and validates an existing CDF-lite file.
@@ -154,6 +155,9 @@ class FileReader {
 
  private:
   FileReader() = default;
+
+  template <typename To>
+  Result<std::vector<To>> read_converted(const std::string& name);
 
   std::string path_;
   std::unique_ptr<std::ifstream> in_;

@@ -1,10 +1,11 @@
-// Unit tests for the CDF-lite file format: round trips, hyperslabs,
-// attributes, error paths.
+// Unit tests for the CDF-lite file format: round trips, hyperslab reads,
+// attributes, headers of any size, error paths.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "ncio/ncfile.hpp"
 
@@ -131,28 +132,28 @@ TEST_F(NcioTest, HyperslabReadMatchesManualSlice) {
   }
 }
 
-TEST_F(NcioTest, HyperslabWriteThenFullRead) {
-  auto writer = FileWriter::create(path("slabw.nc"));
+// Variables written in definition order stream out without seeking; any
+// other order (or a rewrite) must still land at each variable's offset.
+TEST_F(NcioTest, PutVarInAnyOrderLandsAtItsOffset) {
+  auto writer = FileWriter::create(path("order.nc"));
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->def_dim("r", 3).ok());
-  ASSERT_TRUE(writer->def_dim("c", 4).ok());
-  ASSERT_TRUE(writer->def_var("v", DType::kFloat32, {"r", "c"}).ok());
+  ASSERT_TRUE(writer->def_dim("n", 3).ok());
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(writer->def_var(name, DType::kFloat32, {"n"}).ok());
+  }
   ASSERT_TRUE(writer->end_def().ok());
-  std::vector<float> zero(12, 0.0f);
-  ASSERT_TRUE(writer->put_var("v", zero.data(), zero.size()).ok());
-  std::vector<float> patch = {9, 8, 7, 6};
-  ASSERT_TRUE(writer->put_slab("v", {1, 1}, {2, 2}, patch.data()).ok());
+  const std::vector<float> a = {1, 2, 3}, b = {4, 5, 6}, c = {7, 8, 9}, stale = {0, 0, 0};
+  ASSERT_TRUE(writer->put_var("c", c.data(), 3).ok());
+  ASSERT_TRUE(writer->put_var("b", stale.data(), 3).ok());
+  ASSERT_TRUE(writer->put_var("a", a.data(), 3).ok());
+  ASSERT_TRUE(writer->put_var("b", b.data(), 3).ok());  // follows a: no seek
   ASSERT_TRUE(writer->close().ok());
 
-  auto reader = FileReader::open(path("slabw.nc"));
+  auto reader = FileReader::open(path("order.nc"));
   ASSERT_TRUE(reader.ok());
-  auto values = reader->read_floats("v");
-  ASSERT_TRUE(values.ok());
-  EXPECT_FLOAT_EQ((*values)[1 * 4 + 1], 9.0f);
-  EXPECT_FLOAT_EQ((*values)[1 * 4 + 2], 8.0f);
-  EXPECT_FLOAT_EQ((*values)[2 * 4 + 1], 7.0f);
-  EXPECT_FLOAT_EQ((*values)[2 * 4 + 2], 6.0f);
-  EXPECT_FLOAT_EQ((*values)[0], 0.0f);
+  EXPECT_EQ(*reader->read_floats("a"), a);
+  EXPECT_EQ(*reader->read_floats("b"), b);
+  EXPECT_EQ(*reader->read_floats("c"), c);
 }
 
 TEST_F(NcioTest, ErrorPaths) {
@@ -229,6 +230,63 @@ TEST_F(NcioTest, ManyVariablesHeaderSurvives) {
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader->vars().size(), 60u);
   EXPECT_EQ(*reader->read_floats("variable_59"), data);
+}
+
+/// Writes a file whose global attribute "blob" is `blob`, followed by one
+/// variable, so the header spans about blob.size() bytes.
+void write_blob_file(const std::string& path, const std::string& blob,
+                     const std::vector<float>& data) {
+  auto writer = FileWriter::create(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->def_dim("n", data.size()).ok());
+  ASSERT_TRUE(writer->def_var("v", DType::kFloat32, {"n"}).ok());
+  ASSERT_TRUE(writer->put_attr("", "blob", blob).ok());
+  ASSERT_TRUE(writer->end_def().ok());
+  ASSERT_TRUE(writer->put_var("v", data.data(), data.size()).ok());
+  ASSERT_TRUE(writer->close().ok());
+}
+
+// A header larger than any fixed prefix a reader might read up front.
+TEST_F(NcioTest, HeaderLargerThanOneMiBOpens) {
+  std::string blob(2u << 20, '\0');
+  for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<char>('a' + i % 23);
+  const std::vector<float> data = {1.5f, -2.5f, 3.5f};
+  write_blob_file(path("big_header.nc"), blob, data);
+  auto reader = FileReader::open(path("big_header.nc"));
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  EXPECT_EQ(std::get<std::string>(*reader->attr("", "blob")), blob);
+  EXPECT_EQ(*reader->read_floats("v"), data);
+}
+
+// Headers ending just before, at and just after the reader's first probe
+// (and its doublings) parse the same as any other.
+TEST_F(NcioTest, HeadersAroundProbeSizesOpen) {
+  const std::vector<float> data = {4.0f, 5.0f};
+  for (std::size_t len : {0u, 3900u, 4000u, 4020u, 4040u, 4100u, 8150u, 8200u, 20000u}) {
+    SCOPED_TRACE(len);
+    const std::string blob(len, 'x');
+    write_blob_file(path("probe.nc"), blob, data);
+    auto reader = FileReader::open(path("probe.nc"));
+    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+    EXPECT_EQ(std::get<std::string>(*reader->attr("", "blob")).size(), len);
+    EXPECT_EQ(*reader->read_floats("v"), data);
+  }
+}
+
+// Cutting a file anywhere inside its header is reported, never misparsed.
+TEST_F(NcioTest, TruncatedHeaderRejected) {
+  write_blob_file(path("whole.nc"), std::string(6000, 'y'), {1.0f});
+  std::ifstream in(path("whole.nc"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  for (std::size_t cut : {std::size_t{4}, std::size_t{12}, std::size_t{4096}, std::size_t{6000},
+                          bytes.size() - 1}) {
+    SCOPED_TRACE(cut);
+    {
+      std::ofstream out(path("cut.nc"), std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(cut));
+    }
+    EXPECT_FALSE(FileReader::open(path("cut.nc")).ok());
+  }
 }
 
 TEST_F(NcioTest, ScalarHyperslabOnOneDimVar) {
