@@ -19,7 +19,6 @@
 #include "obs/obs.hpp"
 #include "obs/prof/profile.hpp"
 #include "taskrt/stream.hpp"
-#include "taskrt/trace.hpp"
 
 namespace {
 
@@ -60,18 +59,19 @@ void print_comparison() {
       std::printf("run failed\n");
       return;
     }
+    const climate::obs::prof::Analysis profile = streaming->profile();
     // Overlap of analysis task families with the simulation tasks.
     double overlap = 0.0;
     int families = 0;
     for (const char* family : {"load_tmax", "load_tmin", "heat_duration", "cold_duration",
                                "tc_deterministic_tracking"}) {
-      overlap += streaming->trace.overlap_fraction(family, "esm_simulation");
+      overlap += profile.overlap_fraction(family, "esm_simulation");
       ++families;
     }
     overlap /= families;
     // Mean worker utilization over the makespan.
     double utilization = 0.0;
-    for (const auto& [node, busy] : streaming->trace.node_utilization()) utilization += busy;
+    for (const auto& node : profile.nodes) utilization += node.utilization;
     utilization /= static_cast<double>(workers);
     std::printf("%8zu %14.0f %14.0f %8.2fx %17.0f%% (util %.0f%%)\n", workers,
                 staged->makespan_ms, streaming->makespan_ms,
@@ -80,7 +80,7 @@ void print_comparison() {
     if (workers == 4) {
       // Attribution report of the widest streaming run: which task functions
       // hold the critical path once analysis overlaps the simulation.
-      std::printf("\n%s\n", streaming->profile().text_report().c_str());
+      std::printf("\n%s\n", profile.text_report().c_str());
     }
   }
   std::printf("\npaper shape: the integrated workflow wins because per-year analysis\n"
@@ -122,7 +122,7 @@ void emit_merged_trace() {
   obs::write_text_file(
       trace_path,
       obs::chrome_trace_json(obs::SpanCollector::global().snapshot(),
-                             climate::taskrt::to_obs_track_events(results->trace),
+                             obs::prof::to_track_events(results->trace),
                              obs::prof::to_flow_events(results->trace)));
   obs::write_text_file(prom_path, obs::prometheus_text(obs::MetricsRegistry::global().snapshot()));
   std::printf("merged Perfetto trace (spans + node tracks + dep flows): %s\n", trace_path.c_str());

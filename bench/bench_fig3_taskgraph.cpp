@@ -13,6 +13,7 @@
 #include <fstream>
 
 #include "core/workflow.hpp"
+#include "obs/prof/profile.hpp"
 
 namespace {
 
@@ -66,7 +67,7 @@ void print_graphs() {
       std::printf("%-28s %8zu\n", name.c_str(), count);
     }
     const std::string dot_path = base + "/workflow_" + std::to_string(years) + "y.dot";
-    std::ofstream(dot_path) << results->trace.to_dot();
+    std::ofstream(dot_path) << results->profile().to_dot();
     std::printf("graph written to %s\n", dot_path.c_str());
 
     if (years == 2) {
@@ -113,9 +114,9 @@ void BM_DotExport(benchmark::State& state) {
               [](climate::taskrt::TaskContext& ctx) { ctx.set_out(0, ctx.in(0)); });
   }
   rt.wait_all();
-  const climate::taskrt::Trace trace = rt.trace();
+  const climate::obs::prof::Analysis analysis = climate::obs::prof::analyze(rt.trace());
   for (auto _ : state) {
-    const std::string dot = trace.to_dot();
+    const std::string dot = analysis.to_dot();
     benchmark::DoNotOptimize(dot);
   }
 }

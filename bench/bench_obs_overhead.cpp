@@ -6,9 +6,8 @@
 //
 // One binary measures all sides using the runtime kill-switch
 // (obs::set_enabled): the "off" runs still pay the single relaxed atomic
-// load per OBS_* site, which upper-bounds the true compiled-out cost
-// (rebuild with -DCLIMATE_OBS=OFF for the macro-expansion-to-nothing
-// number). Micro-benchmarks below price the individual primitives.
+// load per OBS_* site. Micro-benchmarks below price the individual
+// primitives.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

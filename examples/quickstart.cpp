@@ -7,8 +7,10 @@
 //   ./quickstart
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "datacube/client.hpp"
+#include "obs/prof/profile.hpp"
 #include "taskrt/runtime.hpp"
 
 using climate::datacube::Client;
@@ -63,6 +65,7 @@ int main() {
 
   // The runtime recorded the dependency graph it executed.
   rt.wait_all();
-  std::printf("\ntask graph (DOT):\n%s", rt.trace().to_dot().c_str());
+  const std::string dot = climate::obs::prof::analyze(rt.trace()).to_dot();
+  std::printf("\ntask graph (DOT):\n%s", dot.c_str());
   return 0;
 }

@@ -36,6 +36,12 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      parses a file's header once for every variable a task reads, so a task
      cannot quietly go back to one open per variable.
 
+  7. One task lifecycle record: under src/taskrt/ and src/obs/prof/, a field
+     or variable named `submit_ns`, `ready_ns` or `queued_ns` may be declared
+     only in src/taskrt/trace.hpp (taskrt::TaskTrace). The runtime's task
+     record and the profiler's TaskCost derive from TaskTrace and copy it as
+     one slice, so a second copy of the lifecycle cannot creep back.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -84,6 +90,10 @@ CMAKE_GLOBS = ("CMakeLists.txt", "src/**/CMakeLists.txt", "tests/**/CMakeLists.t
                "bench/**/CMakeLists.txt", "examples/**/CMakeLists.txt",
                "perfbench/**/CMakeLists.txt")
 NCIO_READER_RE = re.compile(r"\bncio::FileReader\b")
+LIFECYCLE_DECL_RE = re.compile(
+    r"\b(?!return\b|else\b|case\b)[\w:>]+\s*[&*]?\s+(submit_ns|ready_ns|queued_ns)\s*[=;{]")
+LIFECYCLE_LAYERS = {"taskrt", "obs/prof"}
+LIFECYCLE_HOME = pathlib.Path("src/taskrt/trace.hpp")
 UNSAFE_MATH_RE = re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b")
 
 
@@ -117,6 +127,7 @@ def check_file(path: pathlib.Path, violations: list):
     in_taskrt = layer == "taskrt"
     builds_listing1 = rel.parts[0] == "src" and layer not in LISTING1_OWNERS
     in_core = layer == "core"
+    owns_lifecycle = layer not in LIFECYCLE_LAYERS or rel == LIFECYCLE_HOME
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
 
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -147,6 +158,13 @@ def check_file(path: pathlib.Path, violations: list):
             violations.append(
                 f"{rel}:{lineno}: ncio::FileReader under src/core/ (read daily files through "
                 f"esm::DailyFileReader, one open per file)")
+
+        if not owns_lifecycle:
+            match = LIFECYCLE_DECL_RE.search(line)
+            if match:
+                violations.append(
+                    f"{rel}:{lineno}: '{match.group(1)}' declared outside src/taskrt/trace.hpp "
+                    f"(derive from taskrt::TaskTrace instead of re-declaring the lifecycle)")
 
         if rel not in LOG_TAG_EXEMPT:
             for tag in LOG_TAG_RE.findall(line):

@@ -134,9 +134,7 @@ struct WorkflowResults {
   /// Attribution profile of the executed task graph (critical path, per-task
   /// wait/transfer/exec breakdown, node utilization). Recomputed from `trace`
   /// on each call; run() also writes run_report.{txt,json} to output_dir.
-  obs::prof::Analysis profile(const obs::prof::AnalyzeOptions& options = {}) const {
-    return obs::prof::analyze(trace, options);
-  }
+  obs::prof::Analysis profile() const { return obs::prof::analyze(trace); }
 };
 
 /// Pre-trains the TC localizer "on historical data": runs a one-year

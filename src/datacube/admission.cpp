@@ -104,11 +104,6 @@ void AdmissionController::set_options(AdmissionOptions options) {
   if (granted) cv_.notify_all();
 }
 
-AdmissionOptions AdmissionController::options() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return options_;
-}
-
 AdmissionController::Snapshot AdmissionController::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap;

@@ -76,7 +76,6 @@ class AdmissionController {
 
   /// Reconfigures the bounds; raising max_inflight grants queued waiters.
   void set_options(AdmissionOptions options);
-  AdmissionOptions options() const;
 
   struct Snapshot {
     std::size_t inflight = 0;       ///< Tickets currently held.

@@ -124,7 +124,6 @@ class Server {
 
   /// Reconfigures the operator admission bounds.
   void set_admission(AdmissionOptions options) { admission_.set_options(options); }
-  AdmissionOptions admission_options() const { return admission_.options(); }
   AdmissionController::Snapshot admission_snapshot() const { return admission_.snapshot(); }
 
   /// Simulated storage round-trip paid per fragment access, modelling the

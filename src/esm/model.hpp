@@ -97,10 +97,6 @@ class EsmModel {
   /// [row_begin, row_end) of the fields are populated in band mode.
   DailyFields run_day();
 
-  /// Day index of the next day to simulate (0-based, whole run).
-  int current_day() const { return step_count_ / config_.steps_per_day; }
-  int current_year() const { return config_.start_year + current_day() / config_.days_per_year; }
-
   const EsmConfig& config() const { return config_; }
   const LatLonGrid& grid() const { return grid_; }
   /// Ground truth of every injected event so far (thermal events + the

@@ -10,7 +10,6 @@ namespace climate::ml {
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
   Tensor x = input;
-#if !defined(CLIMATE_OBS_DISABLED)
   if (obs::enabled()) {
     const std::size_t nlayers = layers_.size();
     if (hists_ready_.load(std::memory_order_acquire) != nlayers) {
@@ -31,7 +30,6 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
     }
     return x;
   }
-#endif
   for (auto& layer : layers_) x = layer->forward(x, training);
   return x;
 }
@@ -51,12 +49,6 @@ std::vector<Parameter*> Sequential::parameters() {
 
 void Sequential::zero_grad() {
   for (Parameter* p : parameters()) p->grad.fill(0.0f);
-}
-
-std::size_t Sequential::parameter_count() {
-  std::size_t count = 0;
-  for (Parameter* p : parameters()) count += p->value.size();
-  return count;
 }
 
 Status Sequential::save_weights(const std::string& path) {

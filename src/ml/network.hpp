@@ -43,14 +43,9 @@ class Sequential {
   /// Zeroes all parameter gradients.
   void zero_grad();
 
-  /// Total learnable scalar count.
-  std::size_t parameter_count();
-
   /// Saves / loads all parameter values (binary, shape-checked on load).
   Status save_weights(const std::string& path);
   Status load_weights(const std::string& path);
-
-  std::size_t layer_count() const { return layers_.size(); }
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
@@ -81,9 +76,6 @@ class AdamOptimizer {
 
   /// Applies one update from the accumulated gradients.
   void step();
-
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
 
  private:
   std::vector<Parameter*> params_;

@@ -375,13 +375,6 @@ Result<FileReader> FileReader::open(const std::string& path) {
   return reader;
 }
 
-Result<std::uint64_t> FileReader::dim_length(const std::string& name) const {
-  for (const Dim& dim : dims_) {
-    if (dim.name == name) return dim.length;
-  }
-  return Status::NotFound("dimension '" + name + "'");
-}
-
 Result<VarInfo> FileReader::var_info(const std::string& name) const {
   for (const VarInfo& var : vars_) {
     if (var.name == name) return var;

@@ -128,10 +128,6 @@ class FileReader {
 
   const std::vector<Dim>& dims() const { return dims_; }
   const std::vector<VarInfo>& vars() const { return vars_; }
-  const std::map<std::string, AttrValue>& global_attrs() const { return global_attrs_; }
-
-  /// Looks up a dimension length by name.
-  Result<std::uint64_t> dim_length(const std::string& name) const;
 
   /// Looks up a variable's metadata by name.
   Result<VarInfo> var_info(const std::string& name) const;

@@ -8,20 +8,8 @@ namespace {
 std::atomic<std::uint32_t> g_next_thread_id{0};
 std::atomic<bool> g_enabled{true};
 
-struct Epoch {
-  std::chrono::steady_clock::time_point steady;
-  std::int64_t wall_ns;
-};
-
-const Epoch& epoch() {
-  static const Epoch e = [] {
-    Epoch out;
-    out.steady = std::chrono::steady_clock::now();
-    out.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::system_clock::now().time_since_epoch())
-                      .count();
-    return out;
-  }();
+std::chrono::steady_clock::time_point epoch() {
+  static const std::chrono::steady_clock::time_point e = std::chrono::steady_clock::now();
   return e;
 }
 
@@ -37,12 +25,9 @@ void set_enabled(bool enabled) { g_enabled.store(enabled, std::memory_order_rela
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                              epoch().steady)
-      .count();
+  const auto since_epoch = std::chrono::steady_clock::now() - epoch();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch).count();
 }
-
-std::int64_t wall_ns_at_epoch() { return epoch().wall_ns; }
 
 // ---------------------------------------------------------------- Histogram
 

@@ -13,8 +13,7 @@
 // Metric handles returned by the registry are stable for the registry's
 // lifetime, so call sites can look a metric up once (the OBS_* macros in
 // obs.hpp cache the handle in a function-local static) and pay only the
-// atomic update afterwards. Compile the whole layer out with
-// -DCLIMATE_OBS=OFF (see obs.hpp).
+// atomic update afterwards.
 #pragma once
 
 #include <array>
@@ -51,10 +50,6 @@ bool enabled();
 /// Every producer of timestamps — spans, the taskrt runtime trace — uses
 /// this clock so one run merges into a single aligned timeline.
 std::int64_t now_ns();
-
-/// Wall-clock nanoseconds since the Unix epoch at obs epoch time; lets logs
-/// (wall clock) be joined with spans (monotonic) by time.
-std::int64_t wall_ns_at_epoch();
 
 /// Monotonically increasing counter.
 class Counter {

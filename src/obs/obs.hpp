@@ -1,13 +1,9 @@
 // Umbrella header of the observability subsystem, plus the instrumentation
 // macros every layer uses.
 //
-// Two knobs control cost:
-//  - compile time: configure with -DCLIMATE_OBS=OFF (defines
-//    CLIMATE_OBS_DISABLED) and every OBS_* macro expands to nothing — zero
-//    code, zero data, call-site arguments are not evaluated;
-//  - run time: obs::set_enabled(false) short-circuits the macros behind one
-//    relaxed atomic load (how bench_obs_overhead measures instrumentation
-//    cost inside a single binary).
+// One switch controls cost: obs::set_enabled(false) short-circuits the
+// macros behind one relaxed atomic load (how bench_obs_overhead measures
+// instrumentation cost inside a single binary).
 //
 // Hot paths use the macros below with string-literal names: the metric
 // handle is resolved once into a function-local static, so the steady-state
@@ -23,36 +19,22 @@
 
 namespace climate::obs {
 
-#if defined(CLIMATE_OBS_DISABLED)
-
-inline void observe_histogram(std::string_view, double) {}
-
-#else
-
 /// Dynamic-name histogram observation.
 inline void observe_histogram(std::string_view name, double value) {
   if (enabled()) MetricsRegistry::global().histogram(name)->observe(value);
 }
 
-#endif  // CLIMATE_OBS_DISABLED
-
 /// RAII latency timer feeding a pre-resolved histogram (null = no-op).
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram* histogram) {
-#if !defined(CLIMATE_OBS_DISABLED)
     if (enabled() && histogram != nullptr) {
       histogram_ = histogram;
       start_ns_ = now_ns();
     }
-#else
-    (void)histogram;
-#endif
   }
   ~ScopedLatency() {
-#if !defined(CLIMATE_OBS_DISABLED)
     if (histogram_ != nullptr) histogram_->observe_ns(now_ns() - start_ns_);
-#endif
   }
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
@@ -66,29 +48,6 @@ class ScopedLatency {
 
 #define CLIMATE_OBS_CONCAT_IMPL(a, b) a##b
 #define CLIMATE_OBS_CONCAT(a, b) CLIMATE_OBS_CONCAT_IMPL(a, b)
-
-#if defined(CLIMATE_OBS_DISABLED)
-
-#define OBS_COUNTER_ADD(name, delta) \
-  do {                               \
-  } while (0)
-#define OBS_GAUGE_SET(name, value) \
-  do {                             \
-  } while (0)
-#define OBS_GAUGE_ADD(name, delta) \
-  do {                             \
-  } while (0)
-#define OBS_HISTOGRAM_OBSERVE(name, value) \
-  do {                                     \
-  } while (0)
-#define OBS_SCOPED_LATENCY(name) \
-  do {                           \
-  } while (0)
-#define OBS_SPAN(category, name) \
-  do {                           \
-  } while (0)
-
-#else
 
 /// Adds `delta` to the counter `name` (string literal; handle cached).
 #define OBS_COUNTER_ADD(name, delta)                               \
@@ -140,5 +99,3 @@ class ScopedLatency {
 /// Opens a scoped span; `category` is the layer, `name` the operation.
 #define OBS_SPAN(category, name) \
   ::climate::obs::Span CLIMATE_OBS_CONCAT(obs_span_, __LINE__)(category, name)
-
-#endif  // CLIMATE_OBS_DISABLED

@@ -13,12 +13,13 @@ using taskrt::TaskId;
 using taskrt::TaskState;
 using taskrt::TaskTrace;
 
-// Same qualitative palette as taskrt::Trace::to_dot so the profiled graph
-// stays visually comparable with the plain Figure-3 rendering.
+// Palette roughly matching the qualitative colours of Figure 3.
 const char* kPalette[] = {"#4C72B0", "#DD8452", "#55A868", "#C44E52", "#8172B3",
                           "#937860", "#DA8BC3", "#8C8C8C", "#CCB974", "#64B5CD",
                           "#2F4B7C", "#FFA600", "#A05195", "#F95D6A", "#665191"};
 constexpr std::size_t kPaletteSize = sizeof(kPalette) / sizeof(kPalette[0]);
+constexpr std::int64_t kTimelineBuckets = 60;  // per node timeline
+constexpr std::size_t kReportRows = 12;        // per text_report() section
 
 bool executed(const TaskTrace& t) { return t.start_ns >= 0 && t.end_ns >= t.start_ns; }
 
@@ -74,9 +75,8 @@ const TaskCost* Analysis::find(TaskId id) const {
   return nullptr;
 }
 
-Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options) {
+Analysis analyze(const taskrt::Trace& trace) {
   Analysis analysis;
-  analysis.report_rows_ = options.report_rows == 0 ? 12 : options.report_rows;
   const std::vector<TaskTrace>& traced = trace.tasks();
 
   // ---------------------------------------------------- per-task costs
@@ -85,21 +85,11 @@ Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options) {
   std::int64_t run_end = -1;
   for (const TaskTrace& t : traced) {
     TaskCost c;
-    c.id = t.id;
-    c.name = t.name;
-    c.state = t.state;
-    c.node = t.node;
-    c.submit_ns = t.submit_ns;
-    c.start_ns = t.start_ns;
-    c.end_ns = t.end_ns;
-    c.deps = t.deps;
+    static_cast<TaskTrace&>(c) = t;
     if (t.ready_ns >= 0) c.dep_wait_ns = std::max<std::int64_t>(0, t.ready_ns - t.submit_ns);
     if (t.start_ns >= 0 && t.queued_ns >= 0) {
       c.queue_wait_ns = std::max<std::int64_t>(0, t.start_ns - t.queued_ns);
     }
-    c.transfer_ns = t.transfer_ns;
-    c.exec_ns = t.exec_ns;
-    c.checkpoint_ns = t.checkpoint_ns;
     if (executed(t)) {
       ++analysis.executed_tasks;
       c.overhead_ns =
@@ -221,12 +211,9 @@ Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options) {
             });
 
   // ---------------------------------------------------- node rollups
-  const std::size_t buckets = std::max<std::size_t>(1, options.timeline_buckets);
   const std::int64_t bucket_ns =
-      analysis.makespan_ns > 0
-          ? (analysis.makespan_ns + static_cast<std::int64_t>(buckets) - 1) /
-                static_cast<std::int64_t>(buckets)
-          : 1;
+      analysis.makespan_ns > 0 ? (analysis.makespan_ns + kTimelineBuckets - 1) / kTimelineBuckets
+                               : 1;
   std::map<int, NodeStat> nodes;
   for (const TaskCost& c : analysis.tasks) {
     if (c.node < 0 || c.busy_ns() == 0) continue;
@@ -236,7 +223,7 @@ Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options) {
       for (Timeline* timeline : {&n.utilization_timeline, &n.queue_depth_timeline}) {
         timeline->origin_ns = analysis.run_start_ns;
         timeline->bucket_ns = bucket_ns;
-        timeline->values.assign(buckets, 0.0);
+        timeline->values.assign(kTimelineBuckets, 0.0);
       }
     }
     ++n.tasks;
@@ -250,6 +237,38 @@ Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options) {
     analysis.nodes.push_back(std::move(n));
   }
   return analysis;
+}
+
+double Analysis::overlap_fraction(const std::string& name_a, const std::string& name_b) const {
+  // Collect the execution intervals of b, then measure what portion of a's
+  // intervals intersects their union.
+  std::vector<std::pair<std::int64_t, std::int64_t>> b_intervals;
+  for (const TaskCost& t : tasks) {
+    if (t.name == name_b && t.busy_ns() > 0) b_intervals.emplace_back(t.start_ns, t.end_ns);
+  }
+  std::sort(b_intervals.begin(), b_intervals.end());
+  // Merge into disjoint intervals.
+  std::vector<std::pair<std::int64_t, std::int64_t>> merged;
+  for (const auto& iv : b_intervals) {
+    if (!merged.empty() && iv.first <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, iv.second);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  std::int64_t a_total = 0;
+  std::int64_t a_overlap = 0;
+  for (const TaskCost& t : tasks) {
+    if (t.name != name_a || t.busy_ns() == 0) continue;
+    a_total += t.busy_ns();
+    for (const auto& iv : merged) {
+      const std::int64_t lo = std::max(t.start_ns, iv.first);
+      const std::int64_t hi = std::min(t.end_ns, iv.second);
+      if (hi > lo) a_overlap += hi - lo;
+    }
+  }
+  if (a_total == 0) return 0.0;
+  return static_cast<double>(a_overlap) / static_cast<double>(a_total);
 }
 
 std::string Analysis::text_report() const {
@@ -274,7 +293,7 @@ std::string Analysis::text_report() const {
   std::size_t rows = 0;
   for (const FunctionStat& f : functions) {
     if (f.critical_ns == 0) continue;
-    if (++rows > report_rows_) {
+    if (++rows > kReportRows) {
       out += "  ...\n";
       break;
     }
@@ -292,7 +311,7 @@ std::string Analysis::text_report() const {
   out += "nodes:\n";
   rows = 0;
   for (const NodeStat& n : nodes) {
-    if (++rows > report_rows_) {
+    if (++rows > kReportRows) {
       out += "  ...\n";
       break;
     }
@@ -309,7 +328,7 @@ std::string Analysis::text_report() const {
             [](const TaskCost* a, const TaskCost* b) { return a->slack_ns > b->slack_ns; });
   if (!off_path.empty()) {
     out += "top slack among off-path tasks:\n";
-    for (std::size_t i = 0; i < off_path.size() && i < report_rows_; ++i) {
+    for (std::size_t i = 0; i < off_path.size() && i < kReportRows; ++i) {
       const TaskCost& c = *off_path[i];
       out += common::format("  t%-5llu %-24s slack %s (node %d)\n",
                             static_cast<unsigned long long>(c.id), c.name.c_str(),
@@ -395,11 +414,16 @@ common::Json Analysis::json_report() const {
 }
 
 std::string Analysis::to_dot() const {
+  // Colours in first-appearance order, so the graph is stable across runs of
+  // the same workflow.
   std::map<std::string, std::size_t> colour_of;
-  for (const TaskCost& c : tasks) colour_of.emplace(c.name, colour_of.size());
+  std::vector<std::string> order;
+  for (const TaskCost& c : tasks) {
+    if (colour_of.emplace(c.name, colour_of.size()).second) order.push_back(c.name);
+  }
 
   std::string dot =
-      "digraph workflow_profile {\n  rankdir=TB;\n"
+      "digraph workflow {\n  rankdir=TB;\n"
       "  node [shape=circle, style=filled, fontsize=9];\n"
       "  // thick red outline/edges = critical path\n";
   for (const TaskCost& c : tasks) {
@@ -437,8 +461,29 @@ std::string Analysis::to_dot() const {
         "  t%llu -> t%llu [style=dashed, color=\"red\", penwidth=2, tooltip=\"sync barrier\"];\n",
         static_cast<unsigned long long>(from), static_cast<unsigned long long>(to));
   }
+  dot += "  // legend\n";
+  for (const std::string& name : order) {
+    dot += common::format("  // %s -> %s\n", name.c_str(),
+                          kPalette[colour_of[name] % kPaletteSize]);
+  }
   dot += "}\n";
   return dot;
+}
+
+std::vector<TrackEvent> to_track_events(const taskrt::Trace& trace) {
+  std::vector<TrackEvent> events;
+  events.reserve(trace.tasks().size());
+  for (const TaskTrace& t : trace.tasks()) {
+    if (!executed(t)) continue;
+    TrackEvent ev;
+    ev.track = common::format("node%d", t.node);
+    ev.name = t.name;
+    ev.category = "taskrt.task";
+    ev.start_ns = t.start_ns;
+    ev.end_ns = t.end_ns;
+    events.push_back(std::move(ev));
+  }
+  return events;
 }
 
 std::vector<FlowEvent> to_flow_events(const taskrt::Trace& trace) {

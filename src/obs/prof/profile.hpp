@@ -1,5 +1,5 @@
-// Workflow flight recorder (ISSUE 3 tentpole): post-hoc attribution profiler
-// over an executed taskrt DAG.
+// Workflow flight recorder: post-hoc attribution profiler over an executed
+// taskrt DAG, and the one home of every analysis and export of a trace.
 //
 // The runtime stamps the full task lifecycle (submit -> ready -> queued ->
 // start -> end, plus transfer/exec/checkpoint components); analyze() turns
@@ -18,8 +18,8 @@
 // path tasks decompose cleanly into on-task segments [start, end] and wait
 // segments [end(prev), start(cur)]; per-function critical_ns plus the total
 // critical_wait_ns therefore sum exactly to critical_path_ns, which in turn
-// matches Trace::makespan_ns() up to scheduling jitter (the walk's root is
-// normally the globally first-starting task).
+// matches makespan_ns up to scheduling jitter (the walk's root is normally
+// the globally first-starting task).
 //
 // This layer sits above both obs/ and taskrt/ (library climate_prof) so that
 // neither grows a dependency on the other beyond the existing
@@ -38,37 +38,19 @@
 
 namespace climate::obs::prof {
 
-/// Knobs for analyze(). Defaults fit interactive reports.
-struct AnalyzeOptions {
-  /// Buckets of the per-node utilization / queue-depth timelines.
-  std::size_t timeline_buckets = 60;
-  /// Rows shown per section of text_report() (functions, nodes, slack).
-  std::size_t report_rows = 12;
-};
-
-/// One task's cost breakdown. Stamps are on the obs::now_ns() clock; the
-/// *_ns components partition the task's life:
+/// One task's trace record plus its cost breakdown. The derived *_ns
+/// components and the recorded transfer/exec/checkpoint times partition the
+/// task's life:
 ///   submit --dep_wait--> ready --queue_wait--> start
 ///          --transfer + exec + overhead--> end [--checkpoint--> saved]
-struct TaskCost {
-  taskrt::TaskId id = 0;
-  std::string name;
-  taskrt::TaskState state = taskrt::TaskState::kPending;
-  int node = -1;
-  std::int64_t submit_ns = 0;
-  std::int64_t start_ns = -1;
-  std::int64_t end_ns = -1;
+struct TaskCost : taskrt::TaskTrace {
   std::int64_t dep_wait_ns = 0;    ///< submit -> all dependencies satisfied.
   std::int64_t queue_wait_ns = 0;  ///< Last enqueue -> dequeued by a worker.
-  std::int64_t transfer_ns = 0;    ///< Input staging + simulated interconnect.
-  std::int64_t exec_ns = 0;        ///< Task body (summed over retries).
-  std::int64_t checkpoint_ns = 0;  ///< Checkpoint save after completion.
   std::int64_t overhead_ns = 0;    ///< (end-start) - transfer - exec, >= 0.
   /// Realized slack: how much later this task could have finished without
   /// moving any executed successor's start (0 for tasks that gated one).
   std::int64_t slack_ns = 0;
   bool on_critical_path = false;
-  std::vector<taskrt::TaskId> deps;
 
   /// Wall time on a worker (start -> end); 0 when the task never ran.
   std::int64_t busy_ns() const {
@@ -135,32 +117,37 @@ struct Analysis {
   /// Lookup by task id; nullptr when the id is not in the trace.
   const TaskCost* find(taskrt::TaskId id) const;
 
+  /// Fraction of `name_a` execution time overlapped with any `name_b`
+  /// execution (the paper's simulation/analytics concurrency claim).
+  double overlap_fraction(const std::string& name_a, const std::string& name_b) const;
+
   /// Human-readable run report ("esm_step: 61% of critical path; node2 idle
-  /// 34%"), sections truncated to AnalyzeOptions::report_rows.
+  /// 34%"), each section truncated to 12 rows.
   std::string text_report() const;
 
   /// The same content as structured JSON (machine-readable artifact).
   common::Json json_report() const;
 
-  /// Graphviz DOT of the executed DAG with the critical path highlighted
-  /// (red, thick); node fill colour still encodes the function name.
+  /// Graphviz DOT of the executed DAG (Figure 3): node fill colour encodes
+  /// the function name, stable in first-appearance order and listed in a
+  /// legend comment; the critical path is highlighted (red, thick).
   std::string to_dot() const;
-
- private:
-  friend Analysis analyze(const taskrt::Trace&, const AnalyzeOptions&);
-  std::size_t report_rows_ = 12;
 };
 
-/// Runs the full attribution analysis over an executed trace.
-Analysis analyze(const taskrt::Trace& trace, const AnalyzeOptions& options = {});
+/// Runs the full attribution analysis over an executed trace, with 60
+/// buckets per node timeline.
+Analysis analyze(const taskrt::Trace& trace);
 
 /// Convenience accessor: profile a runtime's current trace.
-inline Analysis profile(const taskrt::Runtime& runtime, const AnalyzeOptions& options = {}) {
-  return analyze(runtime.trace(), options);
-}
+inline Analysis profile(const taskrt::Runtime& runtime) { return analyze(runtime.trace()); }
+
+/// The executed tasks as Chrome-trace slices, one track per node, so
+/// chrome_trace_json can merge the task timeline with the cross-layer spans.
+/// Tasks that never started are skipped.
+std::vector<TrackEvent> to_track_events(const taskrt::Trace& trace);
 
 /// Dependency edges of the executed DAG as Chrome-trace flow arrows between
-/// the per-node task tracks produced by taskrt::to_obs_track_events (arrow
+/// the per-node task tracks produced by to_track_events (arrow
 /// endpoints are clamped inside the producing/consuming slices).
 std::vector<FlowEvent> to_flow_events(const taskrt::Trace& trace);
 

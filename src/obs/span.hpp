@@ -69,22 +69,15 @@ class SpanCollector {
   std::atomic<std::size_t> capacity_{1u << 20};
 };
 
-/// RAII span. When the obs layer is compiled out (CLIMATE_OBS_DISABLED) or
-/// disabled at runtime, construction and destruction do nothing.
+/// RAII span. When the obs layer is disabled at runtime, construction and
+/// destruction do nothing.
 class Span {
  public:
   Span(std::string_view category, std::string_view name) {
-#if !defined(CLIMATE_OBS_DISABLED)
     if (enabled()) begin(category, name);
-#else
-    (void)category;
-    (void)name;
-#endif
   }
   ~Span() {
-#if !defined(CLIMATE_OBS_DISABLED)
     if (active_) finish();
-#endif
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -256,10 +256,8 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
 
     auto add_dep = [&](TaskId dep) {
       if (dep == kNoTask || dep == id) return;
-      task->trace_deps.insert(dep);
-      const TaskRecord& dep_task = *tasks_[dep - 1];
-      if (dep_task.state == TaskState::kCompleted) return;
-      task->deps.insert(dep);
+      auto at = std::lower_bound(task->deps.begin(), task->deps.end(), dep);
+      if (at == task->deps.end() || *at != dep) task->deps.insert(at, dep);
     };
 
     if (param.direction == Direction::kIn || param.direction == Direction::kInOut) {
@@ -370,6 +368,7 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
     return id;
   }
 
+  // Only predecessors not yet terminal gate the task.
   record.pending = 0;
   for (TaskId dep : record.deps) {
     TaskRecord& dep_task = *tasks_[dep - 1];
@@ -1387,7 +1386,7 @@ verify::GraphView Runtime::build_graph_view_locked() const {
     verify::GraphNode node;
     node.id = task->id;
     node.name = task->name;
-    node.deps.assign(task->trace_deps.begin(), task->trace_deps.end());
+    node.deps = task->deps;
     node.accesses.reserve(task->bindings.size());
     for (const ParamBinding& binding : task->bindings) {
       verify::GraphAccess access;
@@ -1427,29 +1426,7 @@ Trace Runtime::trace() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TaskTrace> traces;
   traces.reserve(tasks_.size());
-  for (const auto& task : tasks_) {
-    TaskTrace t;
-    t.id = task->id;
-    t.name = task->name;
-    t.state = task->state;
-    t.node = task->node;
-    t.submit_ns = task->submit_ns;
-    t.ready_ns = task->ready_ns;
-    t.queued_ns = task->queued_ns;
-    t.start_ns = task->start_ns;
-    t.end_ns = task->end_ns;
-    t.transfer_ns = task->transfer_ns;
-    t.exec_ns = task->exec_ns;
-    t.checkpoint_ns = task->checkpoint_ns;
-    t.deps.assign(task->trace_deps.begin(), task->trace_deps.end());
-    t.from_checkpoint = task->from_checkpoint;
-    t.attempts = task->attempts;
-    t.node_failures = task->node_failures;
-    t.speculated = task->speculated;
-    t.error = task->error;
-    t.cancelled_by = task->cancelled_by;
-    traces.push_back(std::move(t));
-  }
+  for (const auto& task : tasks_) traces.push_back(static_cast<const TaskTrace&>(*task));
   return Trace(std::move(traces));
 }
 

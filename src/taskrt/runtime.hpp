@@ -315,38 +315,18 @@ class Runtime {
     bool backup = false;                        // speculative copy
   };
 
-  struct TaskRecord {
-    TaskId id = 0;
-    std::string name;
+  /// A task's trace record (lifecycle stamps, placement, state and
+  /// dependency edges; trace.hpp) plus the scheduler's working state.
+  struct TaskRecord : TaskTrace {
     TaskOptions options;
     TaskFn fn;
     std::vector<ParamBinding> bindings;
     std::vector<Param> original_params;
-    std::set<TaskId> deps;         // predecessor tasks still incomplete at submit
-    std::set<TaskId> trace_deps;   // all data predecessors, even if already
-                                   // complete — keeps the exported task graph
-                                   // independent of execution timing
     std::size_t pending = 0;       // unfinished predecessors
     std::vector<TaskId> successors;
-    TaskState state = TaskState::kPending;
-    int attempts = 0;
-    int node = -1;
     std::map<int, AttemptInfo> live_attempts;  // attempt index -> in-flight info
-    int node_failures = 0;         // attempts lost to dead nodes (not retries)
     bool backup_pending = false;   // queued speculative copy awaiting pickup
-    bool speculated = false;       // a backup was ever launched
     bool replaying = false;        // re-executing for data recovery
-    TaskId cancelled_by = kNoTask; // root failed task for cancellations
-    std::int64_t submit_ns = 0;
-    std::int64_t ready_ns = -1;      // dependencies satisfied (first time)
-    std::int64_t queued_ns = -1;     // pushed onto a ready queue (re-stamped on retry)
-    std::int64_t start_ns = -1;
-    std::int64_t end_ns = -1;
-    std::int64_t transfer_ns = 0;    // input staging + simulated interconnect
-    std::int64_t exec_ns = 0;        // task body time, summed over attempts
-    std::int64_t checkpoint_ns = 0;  // checkpoint save time (after end_ns)
-    bool from_checkpoint = false;
-    std::string error;
   };
 
   /// Per-node liveness and chaos state (all fields guarded by mutex_; the

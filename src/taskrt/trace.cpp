@@ -1,19 +1,6 @@
 #include "taskrt/trace.hpp"
 
-#include <algorithm>
-
-#include "common/strings.hpp"
-#include "obs/export.hpp"
-
 namespace climate::taskrt {
-namespace {
-
-// Palette roughly matching the qualitative colours of Figure 3.
-const char* kPalette[] = {"#4C72B0", "#DD8452", "#55A868", "#C44E52", "#8172B3",
-                          "#937860", "#DA8BC3", "#8C8C8C", "#CCB974", "#64B5CD",
-                          "#2F4B7C", "#FFA600", "#A05195", "#F95D6A", "#665191"};
-
-}  // namespace
 
 std::map<std::string, std::size_t> Trace::counts_by_name() const {
   std::map<std::string, std::size_t> counts;
@@ -25,140 +12,6 @@ std::size_t Trace::edge_count() const {
   std::size_t edges = 0;
   for (const TaskTrace& t : tasks_) edges += t.deps.size();
   return edges;
-}
-
-std::int64_t Trace::makespan_ns() const {
-  std::int64_t first = -1;
-  std::int64_t last = -1;
-  for (const TaskTrace& t : tasks_) {
-    if (t.start_ns < 0 || t.end_ns < 0) continue;
-    if (first < 0 || t.start_ns < first) first = t.start_ns;
-    last = std::max(last, t.end_ns);
-  }
-  if (first < 0) return 0;
-  return last - first;
-}
-
-std::int64_t Trace::total_busy_ns() const {
-  std::int64_t busy = 0;
-  for (const TaskTrace& t : tasks_) {
-    if (t.start_ns >= 0 && t.end_ns >= t.start_ns) busy += t.end_ns - t.start_ns;
-  }
-  return busy;
-}
-
-double Trace::overlap_fraction(const std::string& name_a, const std::string& name_b) const {
-  // Collect the execution intervals of b, then measure what portion of a's
-  // intervals intersects their union.
-  std::vector<std::pair<std::int64_t, std::int64_t>> b_intervals;
-  for (const TaskTrace& t : tasks_) {
-    if (t.name == name_b && t.start_ns >= 0 && t.end_ns > t.start_ns) {
-      b_intervals.emplace_back(t.start_ns, t.end_ns);
-    }
-  }
-  std::sort(b_intervals.begin(), b_intervals.end());
-  // Merge into disjoint intervals.
-  std::vector<std::pair<std::int64_t, std::int64_t>> merged;
-  for (const auto& iv : b_intervals) {
-    if (!merged.empty() && iv.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, iv.second);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  std::int64_t a_total = 0;
-  std::int64_t a_overlap = 0;
-  for (const TaskTrace& t : tasks_) {
-    if (t.name != name_a || t.start_ns < 0 || t.end_ns <= t.start_ns) continue;
-    a_total += t.end_ns - t.start_ns;
-    for (const auto& iv : merged) {
-      const std::int64_t lo = std::max(t.start_ns, iv.first);
-      const std::int64_t hi = std::min(t.end_ns, iv.second);
-      if (hi > lo) a_overlap += hi - lo;
-    }
-  }
-  if (a_total == 0) return 0.0;
-  return static_cast<double>(a_overlap) / static_cast<double>(a_total);
-}
-
-std::map<int, double> Trace::node_utilization() const {
-  const std::int64_t span = makespan_ns();
-  std::map<int, double> busy;
-  for (const TaskTrace& t : tasks_) {
-    if (t.node < 0 || t.start_ns < 0 || t.end_ns <= t.start_ns) continue;
-    busy[t.node] += static_cast<double>(t.end_ns - t.start_ns);
-  }
-  if (span > 0) {
-    for (auto& [node, ns] : busy) ns /= static_cast<double>(span);
-  }
-  return busy;
-}
-
-std::map<std::string, std::int64_t> Trace::busy_ns_by_name() const {
-  std::map<std::string, std::int64_t> busy;
-  for (const TaskTrace& t : tasks_) {
-    if (t.start_ns >= 0 && t.end_ns > t.start_ns) busy[t.name] += t.end_ns - t.start_ns;
-  }
-  return busy;
-}
-
-std::string Trace::to_dot() const {
-  // Assign colours per function name in first-appearance order so the graph
-  // is stable across runs of the same workflow.
-  std::map<std::string, std::size_t> colour_of;
-  std::vector<std::string> order;
-  for (const TaskTrace& t : tasks_) {
-    if (colour_of.emplace(t.name, colour_of.size()).second) order.push_back(t.name);
-  }
-  constexpr std::size_t kPaletteSize = sizeof(kPalette) / sizeof(kPalette[0]);
-
-  std::string dot = "digraph workflow {\n  rankdir=TB;\n  node [shape=circle, style=filled, fontsize=9];\n";
-  for (const TaskTrace& t : tasks_) {
-    const char* colour = kPalette[colour_of[t.name] % kPaletteSize];
-    dot += common::format("  t%llu [label=\"%llu\", fillcolor=\"%s\", tooltip=\"%s\"];\n",
-                          static_cast<unsigned long long>(t.id),
-                          static_cast<unsigned long long>(t.id), colour, t.name.c_str());
-  }
-  for (const TaskTrace& t : tasks_) {
-    for (TaskId dep : t.deps) {
-      dot += common::format("  t%llu -> t%llu;\n", static_cast<unsigned long long>(dep),
-                            static_cast<unsigned long long>(t.id));
-    }
-  }
-  dot += "  // legend\n";
-  for (const std::string& name : order) {
-    dot += common::format("  // %s -> %s\n", name.c_str(),
-                          kPalette[colour_of[name] % kPaletteSize]);
-  }
-  dot += "}\n";
-  return dot;
-}
-
-std::string Trace::to_gantt_csv() const {
-  std::string csv = "id,name,node,start_us,end_us\n";
-  for (const TaskTrace& t : tasks_) {
-    if (t.start_ns < 0) continue;
-    csv += common::format("%llu,%s,%d,%.1f,%.1f\n", static_cast<unsigned long long>(t.id),
-                          t.name.c_str(), t.node, static_cast<double>(t.start_ns) / 1e3,
-                          static_cast<double>(t.end_ns) / 1e3);
-  }
-  return csv;
-}
-
-std::vector<obs::TrackEvent> to_obs_track_events(const Trace& trace) {
-  std::vector<obs::TrackEvent> events;
-  events.reserve(trace.tasks().size());
-  for (const TaskTrace& t : trace.tasks()) {
-    if (t.start_ns < 0 || t.end_ns < t.start_ns) continue;
-    obs::TrackEvent ev;
-    ev.track = common::format("node%d", t.node);
-    ev.name = t.name;
-    ev.category = "taskrt.task";
-    ev.start_ns = t.start_ns;
-    ev.end_ns = t.end_ns;
-    events.push_back(std::move(ev));
-  }
-  return events;
 }
 
 }  // namespace climate::taskrt

@@ -1,7 +1,7 @@
-// Execution trace of a workflow run: per-task timings and placement, plus
-// exporters for the artifacts the paper shows — the runtime task graph of
-// Figure 3 (DOT, one colour per task function) and Gantt/overlap metrics
-// used by the concurrency experiment (E2).
+// Execution trace of a workflow run: one record per task with its timings,
+// placement and dependency edges — the runtime task graph of Figure 3.
+// Analyses of it (timings, critical path, DOT and Chrome-trace export) live
+// in obs/prof.
 #pragma once
 
 #include <cstdint>
@@ -13,11 +13,12 @@
 
 namespace climate::taskrt {
 
-/// One task's trace record. Times are nanoseconds on the obs::now_ns()
-/// clock. The full lifecycle state machine is recorded so the profiler
-/// (src/obs/prof) can decompose each task into dependency-wait
-/// (submit -> ready), queue-wait (queued -> start), data transfer, body
-/// execution and checkpoint components:
+/// One task's trace record, the only declaration of a task's lifecycle: the
+/// runtime's task record and the profiler's TaskCost both derive from it.
+/// Times are nanoseconds on the obs::now_ns() clock. The full lifecycle state
+/// machine is recorded so the profiler (src/obs/prof) can decompose each task
+/// into dependency-wait (submit -> ready), queue-wait (queued -> start), data
+/// transfer, body execution and checkpoint components:
 ///
 ///   submit --(dep wait)--> ready -> queued --(queue wait)--> start
 ///          --(transfer + exec + overhead)--> end [--> checkpoint save]
@@ -35,7 +36,7 @@ struct TaskTrace {
   std::int64_t transfer_ns = 0;   ///< Input staging + simulated interconnect time.
   std::int64_t exec_ns = 0;       ///< Task body time (summed over retry attempts).
   std::int64_t checkpoint_ns = 0; ///< Checkpoint save time (after end_ns).
-  std::vector<TaskId> deps;  ///< Predecessor task ids.
+  std::vector<TaskId> deps;  ///< Data predecessors, ascending, no duplicates.
   bool from_checkpoint = false;
   int attempts = 0;          ///< Execution attempts (retries + speculative backups).
   int node_failures = 0;     ///< Attempts lost to node crashes (not retries).
@@ -44,9 +45,11 @@ struct TaskTrace {
   /// cause, e.g. "cancelled by failure of task 7 ('load_tmax')".
   std::string error;
   TaskId cancelled_by = kNoTask;  ///< Root failed task for cancellations.
+
+  bool operator==(const TaskTrace&) const = default;
 };
 
-/// Snapshot of a finished (or running) workflow's task graph and timings.
+/// Snapshot of a finished (or running) workflow's tasks, in submission order.
 class Trace {
  public:
   Trace() = default;
@@ -60,44 +63,8 @@ class Trace {
   /// Total number of dependency edges.
   std::size_t edge_count() const;
 
-  /// Wall-clock span from first task start to last task end, ns.
-  std::int64_t makespan_ns() const;
-
-  /// Sum of task execution times, ns (serial work).
-  std::int64_t total_busy_ns() const;
-
-  /// Fraction of `name_a` execution time overlapped with any `name_b`
-  /// execution (the paper's simulation/analytics concurrency claim).
-  double overlap_fraction(const std::string& name_a, const std::string& name_b) const;
-
-  /// Busy fraction of each node over the makespan (node index -> [0,1]).
-  std::map<int, double> node_utilization() const;
-
-  /// Total execution time per function name, ns.
-  std::map<std::string, std::int64_t> busy_ns_by_name() const;
-
-  /// Graphviz DOT rendering: one node per task, coloured by function name
-  /// (Figure 3 regeneration). Stable colour assignment in name order.
-  std::string to_dot() const;
-
-  /// CSV rows "id,name,node,start_us,end_us" for Gantt plotting.
-  std::string to_gantt_csv() const;
-
  private:
   std::vector<TaskTrace> tasks_;
 };
-
-}  // namespace climate::taskrt
-
-namespace climate::obs {
-struct TrackEvent;
-}
-
-namespace climate::taskrt {
-
-/// Converts a runtime trace into observability track events (one track per
-/// executing node) so obs::chrome_trace_json can merge the task timeline
-/// with the cross-layer spans. Tasks that never started are skipped.
-std::vector<obs::TrackEvent> to_obs_track_events(const Trace& trace);
 
 }  // namespace climate::taskrt

@@ -183,7 +183,6 @@ TEST_F(NcioTest, ErrorPaths) {
   EXPECT_FALSE(reader->read_floats("missing").ok());
   EXPECT_FALSE(reader->read_slab("v", {0}, {4}).ok());      // out of range
   EXPECT_FALSE(reader->read_slab("v", {0, 0}, {1, 1}).ok()); // rank mismatch
-  EXPECT_FALSE(reader->dim_length("zz").ok());
 }
 
 TEST_F(NcioTest, RejectsNonCdfFiles) {

@@ -1,13 +1,17 @@
 // Tests for the workflow flight recorder (obs/prof): critical-path
 // reconstruction, per-task attribution on a synthetic DAG with known
-// timings, lifecycle stamp ordering on a real runtime, flow events and the
-// report renderers.
+// timings, lifecycle stamp ordering on a real runtime, the overlap and
+// utilization figures of E2, and the exporters (reports, DOT, Chrome-trace
+// tracks and flows).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "obs/prof/profile.hpp"
 #include "taskrt/runtime.hpp"
 
@@ -16,6 +20,19 @@ namespace {
 
 using taskrt::TaskState;
 using taskrt::TaskTrace;
+
+// A completed task that ran on `node` over [start, end].
+TaskTrace ran(taskrt::TaskId id, const std::string& name, int node, std::int64_t start,
+              std::int64_t end) {
+  TaskTrace t;
+  t.id = id;
+  t.name = name;
+  t.state = TaskState::kCompleted;
+  t.node = node;
+  t.start_ns = start;
+  t.end_ns = end;
+  return t;
+}
 
 // Hand-built three-task DAG with exactly known stamps (ns):
 //
@@ -108,8 +125,56 @@ TEST(Prof, SyntheticDagCriticalPathAndAttribution) {
   EXPECT_EQ(on_path + analysis.critical_wait_ns, analysis.critical_path_ns);
 }
 
+// The JSON report of the synthetic DAG, byte for byte: the task record and
+// the analyzer may be reorganised, the report they produce may not change.
+TEST(Prof, SyntheticJsonReportDigestIsPinned) {
+  const std::string json = analyze(synthetic_trace()).json_report().dump();
+  const std::uint64_t digest = common::fnv1a64(json);
+  EXPECT_EQ(digest, 0xc4dac2b4a2b4ca85ull) << std::hex << "0x" << digest << "\n" << json;
+}
+
+// Every TaskCost is its task's trace record plus derived fields: the record
+// itself is carried over unchanged, whatever its state.
+TEST(Prof, TaskCostsCarryTheirTraceRecords) {
+  std::vector<TaskTrace> tasks = synthetic_trace().tasks();
+  TaskTrace failed = ran(4, "retried", 1, 260, 300);
+  failed.state = TaskState::kFailed;
+  failed.submit_ns = 5;
+  failed.ready_ns = 250;
+  failed.queued_ns = 255;
+  failed.transfer_ns = 3;
+  failed.exec_ns = 30;
+  failed.checkpoint_ns = 7;
+  failed.deps = {2, 3};
+  failed.attempts = 3;
+  failed.node_failures = 1;
+  failed.speculated = true;
+  failed.error = "boom";
+  tasks.push_back(failed);
+  TaskTrace cancelled;
+  cancelled.id = 5;
+  cancelled.name = "orphan";
+  cancelled.state = TaskState::kCancelled;
+  cancelled.end_ns = 300;
+  cancelled.deps = {4};
+  cancelled.error = "cancelled by failure of task 4 ('retried')";
+  cancelled.cancelled_by = 4;
+  tasks.push_back(cancelled);
+  TaskTrace restored = ran(6, "restored", -1, 10, 10);
+  restored.from_checkpoint = true;
+  tasks.push_back(restored);
+
+  const taskrt::Trace trace(std::move(tasks));
+  const Analysis analysis = analyze(trace);
+  ASSERT_EQ(analysis.tasks.size(), trace.tasks().size());
+  for (std::size_t i = 0; i < trace.tasks().size(); ++i) {
+    EXPECT_TRUE(static_cast<const TaskTrace&>(analysis.tasks[i]) == trace.tasks()[i])
+        << trace.tasks()[i].name;
+  }
+}
+
 TEST(Prof, NodeRollupsAndTimelines) {
-  const Analysis analysis = analyze(synthetic_trace(), {.timeline_buckets = 25});
+  const Analysis analysis = analyze(synthetic_trace());
   ASSERT_EQ(analysis.nodes.size(), 2u);
 
   const NodeStat& node0 = analysis.nodes[0];
@@ -119,10 +184,10 @@ TEST(Prof, NodeRollupsAndTimelines) {
   EXPECT_NEAR(node0.utilization, 160.0 / 250.0, 1e-9);
   EXPECT_NEAR(node0.idle_fraction, 1.0 - 160.0 / 250.0, 1e-9);
 
-  // Timeline buckets are 10 ns wide; summed coverage equals busy time.
+  // 60 buckets over 250 ns are 5 ns wide; summed coverage equals busy time.
   const Timeline& util = node0.utilization_timeline;
-  ASSERT_EQ(util.values.size(), 25u);
-  EXPECT_EQ(util.bucket_ns, 10);
+  ASSERT_EQ(util.values.size(), 60u);
+  EXPECT_EQ(util.bucket_ns, 5);
   double covered = 0.0;
   for (double v : util.values) covered += v * static_cast<double>(util.bucket_ns);
   EXPECT_NEAR(covered, 160.0, 1e-6);
@@ -174,7 +239,7 @@ TEST(Prof, FlowEventsClampedInsideSlices) {
 
   // The merged Chrome trace with tracks + flows must stay valid JSON.
   const std::string json =
-      chrome_trace_json({}, taskrt::to_obs_track_events(trace), flows);
+      chrome_trace_json({}, to_track_events(trace), flows);
   ASSERT_TRUE(common::Json::parse(json).ok());
 }
 
@@ -259,23 +324,12 @@ TEST(Prof, SyncBarrierBridgesCriticalPath) {
   // B has no recorded producer (its input was built on the master from
   // synced results), but it was submitted only after A finished — the walk
   // must bridge the barrier so the path still spans the run.
-  std::vector<TaskTrace> tasks;
-  tasks.push_back({.id = 1,
-                   .name = "produce",
-                   .state = TaskState::kCompleted,
-                   .node = 0,
-                   .submit_ns = 0,
-                   .start_ns = 0,
-                   .end_ns = 100,
-                   .exec_ns = 100});
-  tasks.push_back({.id = 2,
-                   .name = "post_sync",
-                   .state = TaskState::kCompleted,
-                   .node = 0,
-                   .submit_ns = 110,
-                   .start_ns = 120,
-                   .end_ns = 200,
-                   .exec_ns = 80});
+  TaskTrace produce = ran(1, "produce", 0, 0, 100);
+  produce.exec_ns = 100;
+  TaskTrace post_sync = ran(2, "post_sync", 0, 120, 200);
+  post_sync.submit_ns = 110;
+  post_sync.exec_ns = 80;
+  std::vector<TaskTrace> tasks = {produce, post_sync};
 
   const Analysis analysis = analyze(taskrt::Trace(std::move(tasks)));
   ASSERT_EQ(analysis.critical_path.size(), 2u);
@@ -297,6 +351,94 @@ TEST(Prof, EmptyTraceProducesEmptyAnalysis) {
   EXPECT_TRUE(analysis.critical_path.empty());
   EXPECT_FALSE(analysis.text_report().empty());  // still renders
   EXPECT_TRUE(common::Json::parse(analysis.json_report().dump()).ok());
+}
+
+std::vector<TaskTrace> two_family_tasks() {
+  std::vector<TaskTrace> tasks = {ran(1, "simulate", 0, 0, 1000), ran(2, "analyse", 1, 500, 1500),
+                                  ran(3, "simulate", 0, 1000, 2000)};
+  tasks[1].deps = {1};
+  return tasks;
+}
+
+TEST(Prof, DotIsWellFormed) {
+  const std::string dot = analyze(taskrt::Trace(two_family_tasks())).to_dot();
+  EXPECT_EQ(dot.rfind("digraph workflow {", 0), 0u);  // starts the graph
+  EXPECT_EQ(dot.find('{'), dot.rfind('{'));           // a single block
+  EXPECT_NE(dot.find("}\n"), std::string::npos);
+  // One node statement per task, one edge per dependency.
+  EXPECT_NE(dot.find("t1 ["), std::string::npos);
+  EXPECT_NE(dot.find("t2 ["), std::string::npos);
+  EXPECT_NE(dot.find("t3 ["), std::string::npos);
+  EXPECT_NE(dot.find("t1 -> t2;"), std::string::npos);
+}
+
+TEST(Prof, DotColoursAreStablePerName) {
+  const std::string dot = analyze(taskrt::Trace(two_family_tasks())).to_dot();
+  // Both "simulate" tasks share a fill colour, "analyse" differs.
+  auto colour_of = [&dot](const std::string& node) {
+    const std::size_t at = dot.find(node + " [");
+    const std::size_t fill = dot.find("fillcolor=\"", at) + 11;
+    return dot.substr(fill, dot.find('"', fill) - fill);
+  };
+  EXPECT_EQ(colour_of("t1"), colour_of("t3"));
+  EXPECT_NE(colour_of("t1"), colour_of("t2"));
+  // The legend lists each function's colour in first-appearance order.
+  EXPECT_NE(dot.find("  // legend\n  // simulate -> " + colour_of("t1") + "\n  // analyse -> " +
+                     colour_of("t2") + "\n}"),
+            std::string::npos)
+      << dot;
+  // Colour assignment is deterministic across exports of the same trace.
+  EXPECT_EQ(dot, analyze(taskrt::Trace(two_family_tasks())).to_dot());
+}
+
+TEST(Prof, OverlapFractionComputed) {
+  const Analysis analysis = analyze(taskrt::Trace({ran(1, "a", 0, 0, 100), ran(2, "b", 1, 50, 150)}));
+  EXPECT_NEAR(analysis.overlap_fraction("a", "b"), 0.5, 1e-9);
+  EXPECT_NEAR(analysis.overlap_fraction("b", "a"), 0.5, 1e-9);
+  EXPECT_NEAR(analysis.overlap_fraction("a", "missing"), 0.0, 1e-9);
+}
+
+TEST(Prof, OverlapFractionEdgeCases) {
+  // Empty trace: no intervals at all.
+  EXPECT_DOUBLE_EQ(analyze(taskrt::Trace()).overlap_fraction("a", "b"), 0.0);
+
+  // Non-overlapping names: a ends before b starts.
+  const Analysis analysis =
+      analyze(taskrt::Trace({ran(1, "a", 0, 0, 100), ran(2, "b", 0, 100, 200)}));
+  EXPECT_DOUBLE_EQ(analysis.overlap_fraction("a", "b"), 0.0);
+  // Unknown family on either side is 0, not NaN.
+  EXPECT_DOUBLE_EQ(analysis.overlap_fraction("missing", "b"), 0.0);
+  EXPECT_DOUBLE_EQ(analysis.overlap_fraction("a", "missing"), 0.0);
+  // Full self overlap.
+  EXPECT_DOUBLE_EQ(analysis.overlap_fraction("a", "a"), 1.0);
+}
+
+TEST(Prof, NodeUtilizationAndBusyByName) {
+  const Analysis analysis = analyze(taskrt::Trace(
+      {ran(1, "sim", 0, 0, 100), ran(2, "sim", 1, 0, 50), ran(3, "post", 1, 50, 100)}));
+  ASSERT_EQ(analysis.nodes.size(), 2u);
+  EXPECT_NEAR(analysis.nodes[0].utilization, 1.0, 1e-9);
+  EXPECT_NEAR(analysis.nodes[1].utilization, 1.0, 1e-9);  // 50 + 50 over span 100
+  auto busy_of = [&analysis](const std::string& name) {
+    for (const FunctionStat& f : analysis.functions) {
+      if (f.name == name) return f.busy_ns;
+    }
+    return std::int64_t{-1};
+  };
+  EXPECT_EQ(busy_of("sim"), 150);
+  EXPECT_EQ(busy_of("post"), 50);
+}
+
+TEST(Prof, ToTrackEventsSkipsUnstarted) {
+  std::vector<TaskTrace> tasks = two_family_tasks();
+  tasks.push_back(TaskTrace{});  // never ran
+  const std::vector<TrackEvent> events = to_track_events(taskrt::Trace(std::move(tasks)));
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].track, "node0");
+  EXPECT_EQ(events[0].name, "simulate");
+  EXPECT_EQ(events[0].category, "taskrt.task");
+  EXPECT_EQ(events[1].track, "node1");
+  EXPECT_EQ(events[2].end_ns, 2000);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the task runtime: dependency inference, execution order,
-// sync semantics, locality/transfers, constraints, graph export.
+// sync semantics, locality/transfers, constraints, graph structure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -224,15 +224,8 @@ TEST(Runtime, TraceRecordsGraphStructure) {
   EXPECT_EQ(counts.at("stage1"), 1u);
   EXPECT_EQ(counts.at("stage2"), 2u);
   EXPECT_EQ(trace.edge_count(), 2u);  // both stage2 tasks depend on stage1
-  EXPECT_GT(trace.makespan_ns(), 0);
-
-  const std::string dot = trace.to_dot();
-  EXPECT_NE(dot.find("digraph workflow"), std::string::npos);
-  EXPECT_NE(dot.find("t1 -> t2"), std::string::npos);
-  EXPECT_NE(dot.find("t1 -> t3"), std::string::npos);
-
-  const std::string gantt = trace.to_gantt_csv();
-  EXPECT_NE(gantt.find("id,name,node,start_us,end_us"), std::string::npos);
+  EXPECT_EQ(trace.tasks()[1].deps, std::vector<TaskId>{1});
+  EXPECT_EQ(trace.tasks()[2].deps, std::vector<TaskId>{1});
 }
 
 TEST(Runtime, ManyTasksDiamondGraph) {
@@ -260,28 +253,6 @@ TEST(Runtime, ManyTasksDiamondGraph) {
   });
   EXPECT_EQ(rt.sync_as<int>(total_h), kN * (kN - 1) / 2);
 }
-
-TEST(Trace, OverlapFractionComputed) {
-  std::vector<TaskTrace> tasks(2);
-  tasks[0].id = 1;
-  tasks[0].name = "a";
-  tasks[0].start_ns = 0;
-  tasks[0].end_ns = 100;
-  tasks[1].id = 2;
-  tasks[1].name = "b";
-  tasks[1].start_ns = 50;
-  tasks[1].end_ns = 150;
-  Trace trace(std::move(tasks));
-  EXPECT_NEAR(trace.overlap_fraction("a", "b"), 0.5, 1e-9);
-  EXPECT_NEAR(trace.overlap_fraction("b", "a"), 0.5, 1e-9);
-  EXPECT_NEAR(trace.overlap_fraction("a", "missing"), 0.0, 1e-9);
-}
-
-}  // namespace
-}  // namespace climate::taskrt
-
-namespace climate::taskrt {
-namespace {
 
 TEST(Runtime, ReleaseDataFreesAndGuards) {
   Runtime rt;
@@ -358,29 +329,6 @@ TEST(Runtime, ContainerStartupDelaysTasks) {
   EXPECT_GT(containerized, bare + 50.0);  // 10 tasks x 10 ms, minus slack
 }
 
-}  // namespace
-}  // namespace climate::taskrt
-
-namespace climate::taskrt {
-namespace {
-
-TEST(Trace, NodeUtilizationAndBusyByName) {
-  std::vector<TaskTrace> tasks(3);
-  tasks[0] = {.id = 1, .name = "sim", .state = TaskState::kCompleted, .node = 0,
-              .start_ns = 0, .end_ns = 100};
-  tasks[1] = {.id = 2, .name = "sim", .state = TaskState::kCompleted, .node = 1,
-              .start_ns = 0, .end_ns = 50};
-  tasks[2] = {.id = 3, .name = "post", .state = TaskState::kCompleted, .node = 1,
-              .start_ns = 50, .end_ns = 100};
-  Trace trace(std::move(tasks));
-  const auto utilization = trace.node_utilization();
-  EXPECT_NEAR(utilization.at(0), 1.0, 1e-9);
-  EXPECT_NEAR(utilization.at(1), 1.0, 1e-9);  // 50 + 50 over span 100
-  const auto busy = trace.busy_ns_by_name();
-  EXPECT_EQ(busy.at("sim"), 150);
-  EXPECT_EQ(busy.at("post"), 50);
-}
-
 TEST(Runtime, MultiCoreNodeRunsTasksConcurrently) {
   RuntimeOptions options;
   NodeSpec fat;
@@ -404,128 +352,6 @@ TEST(Runtime, MultiCoreNodeRunsTasksConcurrently) {
   }
   rt.wait_all();
   EXPECT_GE(peak.load(), 2);  // one node, several cores
-}
-
-}  // namespace
-}  // namespace climate::taskrt
-
-// Exporter-focused tests for taskrt::Trace (ISSUE 1 satellite): DOT
-// well-formedness and stable colour assignment, Gantt CSV row shape,
-// overlap_fraction edge cases, and the obs track-event adapter.
-#include <algorithm>
-#include <string>
-#include <vector>
-
-#include "obs/export.hpp"
-#include "taskrt/trace.hpp"
-
-namespace climate::taskrt {
-namespace {
-
-std::vector<TaskTrace> two_family_tasks() {
-  std::vector<TaskTrace> tasks(3);
-  tasks[0].id = 1;
-  tasks[0].name = "simulate";
-  tasks[0].node = 0;
-  tasks[0].start_ns = 0;
-  tasks[0].end_ns = 1000;
-  tasks[1].id = 2;
-  tasks[1].name = "analyse";
-  tasks[1].node = 1;
-  tasks[1].start_ns = 500;
-  tasks[1].end_ns = 1500;
-  tasks[1].deps = {1};
-  tasks[2].id = 3;
-  tasks[2].name = "simulate";
-  tasks[2].node = 0;
-  tasks[2].start_ns = 1000;
-  tasks[2].end_ns = 2000;
-  return tasks;
-}
-
-TEST(TraceExport, DotIsWellFormed) {
-  const Trace trace(two_family_tasks());
-  const std::string dot = trace.to_dot();
-  EXPECT_EQ(dot.rfind("digraph workflow {", 0), 0u);  // starts the graph
-  EXPECT_EQ(dot.find('{'), dot.rfind('{'));           // a single block
-  EXPECT_NE(dot.find("}\n"), std::string::npos);
-  // One node statement per task, one edge per dependency.
-  EXPECT_NE(dot.find("t1 ["), std::string::npos);
-  EXPECT_NE(dot.find("t2 ["), std::string::npos);
-  EXPECT_NE(dot.find("t3 ["), std::string::npos);
-  EXPECT_NE(dot.find("t1 -> t2;"), std::string::npos);
-}
-
-TEST(TraceExport, DotColoursAreStablePerName) {
-  const Trace trace(two_family_tasks());
-  const std::string dot = trace.to_dot();
-  // Both "simulate" tasks share a fill colour, "analyse" differs.
-  auto colour_of = [&dot](const std::string& node) {
-    const std::size_t at = dot.find(node + " [");
-    const std::size_t fill = dot.find("fillcolor=\"", at) + 11;
-    return dot.substr(fill, dot.find('"', fill) - fill);
-  };
-  EXPECT_EQ(colour_of("t1"), colour_of("t3"));
-  EXPECT_NE(colour_of("t1"), colour_of("t2"));
-  // Colour assignment is deterministic across exports of the same trace.
-  EXPECT_EQ(dot, Trace(two_family_tasks()).to_dot());
-}
-
-TEST(TraceExport, GanttCsvRowShape) {
-  const Trace trace(two_family_tasks());
-  const std::string csv = trace.to_gantt_csv();
-  EXPECT_EQ(csv.rfind("id,name,node,start_us,end_us\n", 0), 0u);
-  // Every data row has exactly 4 commas; never-started tasks are skipped.
-  std::size_t rows = 0;
-  std::size_t pos = csv.find('\n') + 1;
-  while (pos < csv.size()) {
-    const std::size_t end = csv.find('\n', pos);
-    const std::string row = csv.substr(pos, end - pos);
-    EXPECT_EQ(std::count(row.begin(), row.end(), ','), 4) << row;
-    ++rows;
-    pos = end + 1;
-  }
-  EXPECT_EQ(rows, 3u);
-
-  std::vector<TaskTrace> with_unstarted = two_family_tasks();
-  with_unstarted.push_back(TaskTrace{});  // start_ns = -1: not run
-  const std::string csv2 = Trace(std::move(with_unstarted)).to_gantt_csv();
-  EXPECT_EQ(std::count(csv2.begin(), csv2.end(), '\n'), 4);  // header + 3 rows
-}
-
-TEST(TraceExport, OverlapFractionEdgeCases) {
-  // Empty trace: no intervals at all.
-  EXPECT_DOUBLE_EQ(Trace().overlap_fraction("a", "b"), 0.0);
-
-  // Non-overlapping names: a ends before b starts.
-  std::vector<TaskTrace> tasks(2);
-  tasks[0].id = 1;
-  tasks[0].name = "a";
-  tasks[0].start_ns = 0;
-  tasks[0].end_ns = 100;
-  tasks[1].id = 2;
-  tasks[1].name = "b";
-  tasks[1].start_ns = 100;
-  tasks[1].end_ns = 200;
-  const Trace trace(std::move(tasks));
-  EXPECT_DOUBLE_EQ(trace.overlap_fraction("a", "b"), 0.0);
-  // Unknown family on either side is 0, not NaN.
-  EXPECT_DOUBLE_EQ(trace.overlap_fraction("missing", "b"), 0.0);
-  EXPECT_DOUBLE_EQ(trace.overlap_fraction("a", "missing"), 0.0);
-  // Full self overlap.
-  EXPECT_DOUBLE_EQ(trace.overlap_fraction("a", "a"), 1.0);
-}
-
-TEST(TraceExport, ToObsTrackEventsSkipsUnstarted) {
-  std::vector<TaskTrace> tasks = two_family_tasks();
-  tasks.push_back(TaskTrace{});  // never ran
-  const auto events = to_obs_track_events(Trace(std::move(tasks)));
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].track, "node0");
-  EXPECT_EQ(events[0].name, "simulate");
-  EXPECT_EQ(events[0].category, "taskrt.task");
-  EXPECT_EQ(events[1].track, "node1");
-  EXPECT_EQ(events[2].end_ns, 2000);
 }
 
 }  // namespace

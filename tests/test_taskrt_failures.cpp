@@ -3,6 +3,7 @@
 // (paper section 4.2.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -343,6 +344,74 @@ TEST_F(CheckpointTest, RuntimeCountsCheckpointRestores) {
     EXPECT_EQ(rt.stats().tasks_from_checkpoint, 1u);
     EXPECT_EQ(rt.stats().tasks_executed, 0u);
   }
+}
+
+// Runtime::trace() on a fixed DAG that exercises every lifecycle path: a
+// task restored from a checkpoint, a retried task, a failed task, the
+// successor it cancels and a join whose dependencies were discovered out of
+// order and twice.
+TEST_F(CheckpointTest, TraceRecordsEveryLifecyclePath) {
+  RuntimeOptions options;
+  options.checkpoint_dir = dir_;
+  TaskOptions restore;
+  restore.checkpoint_key = "restore-me";
+  restore.codec = int_codec();
+  {
+    Runtime rt(options);
+    DataHandle out = rt.create_data();
+    rt.submit("restore", restore, {Out(out)}, [](TaskContext& ctx) { ctx.set_out(0, std::any(5)); });
+    rt.wait_all();
+  }
+  Runtime rt(options);
+  DataHandle a = rt.create_data();
+  DataHandle b = rt.create_data();
+  DataHandle c = rt.create_data();
+  DataHandle d = rt.create_data();
+  rt.submit("restore", restore, {Out(a)}, [](TaskContext& ctx) { ctx.set_out(0, std::any(5)); });
+  TaskOptions retry;
+  retry.on_failure = FailurePolicy::kRetry;
+  retry.max_retries = 3;
+  std::atomic<int> flaky_runs{0};
+  rt.submit("flaky", retry, {In(a), Out(b)}, [&](TaskContext& ctx) {
+    if (flaky_runs.fetch_add(1) < 2) throw std::runtime_error("transient");
+    ctx.set_out(1, std::any(ctx.in_as<int>(0) + 1));
+  });
+  TaskOptions cancel;
+  cancel.on_failure = FailurePolicy::kCancelSuccessors;
+  rt.submit("bad", cancel, {In(b), Out(c)},
+            [](TaskContext&) { throw std::runtime_error("dead"); });
+  rt.submit("orphan", {In(c), Out(d)}, [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
+  // In(b) finds task 2; Out(a) then finds reader 2 again and writer 1.
+  rt.submit("join", {In(b), Out(a)}, [](TaskContext& ctx) { ctx.set_out(1, std::any(0)); });
+  rt.wait_all();
+
+  const Trace trace = rt.trace();
+  const std::vector<TaskTrace>& tasks = trace.tasks();
+  ASSERT_EQ(tasks.size(), 5u);
+  const std::vector<std::string> names = {"restore", "flaky", "bad", "orphan", "join"};
+  const std::vector<TaskState> states = {TaskState::kCompleted, TaskState::kCompleted,
+                                         TaskState::kFailed, TaskState::kCancelled,
+                                         TaskState::kCompleted};
+  const std::vector<int> attempts = {0, 3, 1, 0, 1};
+  const std::vector<std::vector<TaskId>> deps = {{}, {1}, {2}, {3}, {1, 2}};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const TaskTrace& t = tasks[i];
+    EXPECT_EQ(t.id, i + 1);
+    EXPECT_EQ(t.name, names[i]);
+    EXPECT_EQ(t.state, states[i]) << t.name;
+    EXPECT_EQ(t.attempts, attempts[i]) << t.name;
+    EXPECT_EQ(t.from_checkpoint, i == 0) << t.name;
+    EXPECT_EQ(t.cancelled_by, i == 3 ? 3 : kNoTask) << t.name;
+    EXPECT_EQ(t.deps, deps[i]) << t.name;
+    EXPECT_TRUE(std::is_sorted(t.deps.begin(), t.deps.end())) << t.name;
+    EXPECT_EQ(std::adjacent_find(t.deps.begin(), t.deps.end()), t.deps.end()) << t.name;
+    if (t.start_ns < 0) continue;  // never executed
+    EXPECT_LE(t.submit_ns, t.ready_ns) << t.name;
+    EXPECT_LE(t.ready_ns, t.queued_ns) << t.name;
+    EXPECT_LE(t.queued_ns, t.start_ns) << t.name;
+    EXPECT_LE(t.start_ns, t.end_ns) << t.name;
+  }
+  EXPECT_EQ(tasks[3].start_ns, -1);  // the cancelled successor never ran
 }
 
 }  // namespace
