@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
   config.tc_spawn_per_day = 0.7;
   config.seed = 11;
 
-  // Pre-train the CNN on an independent historical run.
-  const std::string weights = "/tmp/tc_tracking_example.weights";
+  // Pre-train the CNN on an independent historical run (once: the weights
+  // are kept in the working directory and reused by later runs).
+  const std::string weights = "tc_tracking_example.weights";
   if (!std::filesystem::exists(weights)) {
     std::printf("pre-training the CNN localizer...\n");
     auto loss = climate::core::pretrain_tc_localizer(config, weights, 16, 8, 50);

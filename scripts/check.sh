@@ -3,14 +3,15 @@
 # build, and run ctest. The thread-sanitizer run is the gate for the lock-free
 # observability paths and the concurrent datacube serving paths: test_obs,
 # test_taskrt, test_datacube and test_common must come back clean, and so
-# must test_esm, whose decomposed driver runs one EsmModel (with its own
-# per-step scratch planes) per thread, and test_expression and
+# must test_esm, whose DailyFileSink hands each day to a helper thread that
+# writes it while the model simulates the next, and test_expression and
 # test_properties: expression scratch rows live in the fragment tasks of the
 # I/O-server pool, and PipelineProperty drives Server::apply. test_ml is gated
 # too: the workflow runs inference from several workers through one shared
 # TcLocalizer, so Conv2D and the other layers must keep their per-call
 # scratch local (TcLocalizer.ConcurrentInferenceMatchesSerial). The
-# address run also enables UBSan (the two compose; TSan does not).
+# address run also enables UBSan (the two compose; TSan does not). Both runs
+# also execute the examples (ctest label "examples").
 #
 # Usage:
 #   scripts/check.sh [thread|address|undefined|none|--full] [ctest-regex]

@@ -11,6 +11,10 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
 
   2. Layering: each src/<layer>/ may include only from its declared lower
      layers (see LAYER_DEPS). Catches, e.g., esm/ reaching into hpcwaas/.
+     Every layer must be declared: a source file under a src/<dir>/ missing
+     from LAYER_DEPS, or a src/ include whose top-level directory is not a
+     declared layer, is a violation, so a new or deleted layer cannot
+     (re)appear without a reviewed edit here.
 
   3. Log tag hygiene: LOG_* macro calls use a string-literal component tag or
      a named kFooTag constant (log routing keys on it; an arbitrary computed
@@ -58,7 +62,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # reviewed decision.
 LAYER_DEPS = {
     "common": set(),
-    "msg": set(),
     "ncio": {"common"},
     "obs": {"common"},
     # The attribution profiler is a nested layer (library climate_prof) that
@@ -66,7 +69,7 @@ LAYER_DEPS = {
     "obs/prof": {"common", "obs", "taskrt"},
     "taskrt": {"common", "obs"},
     "datacube": {"common", "ncio", "obs"},
-    "esm": {"common", "msg", "ncio", "obs"},
+    "esm": {"common", "ncio", "obs"},
     "ml": {"common", "obs"},
     "extremes": {"common", "datacube", "esm"},
     # hpcwaas builds per-deployment run reports via the profiler (pseudo
@@ -129,6 +132,10 @@ def check_file(path: pathlib.Path, violations: list):
     in_core = layer == "core"
     owns_lifecycle = layer not in LIFECYCLE_LAYERS or rel == LIFECYCLE_HOME
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
+    if layer is not None and allowed is None:
+        violations.append(
+            f"{rel}:1: src/{layer}/ is not a declared layer (add it to LAYER_DEPS with the "
+            f"layers it may include)")
 
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -144,7 +151,11 @@ def check_file(path: pathlib.Path, violations: list):
             match = INCLUDE_RE.match(line)
             if match:
                 target = include_layer(match.group(1))
-                if target != layer and target in LAYER_DEPS and target not in allowed:
+                if target not in LAYER_DEPS:
+                    violations.append(
+                        f"{rel}:{lineno}: {layer}/ includes {target}/, which is not a declared "
+                        f"layer")
+                elif target != layer and target not in allowed:
                     violations.append(
                         f"{rel}:{lineno}: layer violation: {layer}/ must not include "
                         f"{target}/ (allowed: {', '.join(sorted(allowed)) or 'nothing'})")

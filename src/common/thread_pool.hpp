@@ -1,9 +1,8 @@
-// Fixed-size thread pool with futures, used as the "compute node" substrate
-// by the task runtime, the datacube I/O servers, and the ESM decomposition.
+// Fixed-size thread pool with futures: the worker pool of the datacube I/O
+// servers.
 //
 // Each worker has a stable index (0..size-1) retrievable from inside a task
-// via ThreadPool::current_worker(), which the task runtime uses to model data
-// locality across simulated nodes.
+// via ThreadPool::current_worker().
 #pragma once
 
 #include <condition_variable>

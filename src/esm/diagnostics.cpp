@@ -68,7 +68,11 @@ common::Result<std::vector<DailyDiagnostics>> DiagnosticsRecorder::load(const st
   if (!reader.ok()) return reader.status();
   auto count_attr = reader->attr("", "rows");
   if (!count_attr.ok()) return count_attr.status();
-  const auto count = static_cast<std::size_t>(std::get<std::int64_t>(*count_attr));
+  const std::int64_t* rows_attr = std::get_if<std::int64_t>(&*count_attr);
+  if (rows_attr == nullptr || *rows_attr < 0) {
+    return common::Status::DataLoss("diagnostics file: 'rows' is not a non-negative integer");
+  }
+  const auto count = static_cast<std::size_t>(*rows_attr);
   auto tas = reader->read_doubles("global_mean_tas");
   auto pr = reader->read_doubles("global_mean_pr");
   auto psl = reader->read_doubles("min_psl");
@@ -77,6 +81,11 @@ common::Result<std::vector<DailyDiagnostics>> DiagnosticsRecorder::load(const st
   auto anom = reader->read_doubles("max_tas_anomaly");
   if (!tas.ok() || !pr.ok() || !psl.ok() || !wspd.ok() || !ice.ok() || !anom.ok()) {
     return common::Status::DataLoss("diagnostics file missing variables");
+  }
+  for (const auto* column : {&*tas, &*pr, &*psl, &*wspd, &*ice, &*anom}) {
+    if (column->size() < count) {
+      return common::Status::DataLoss("diagnostics file: 'rows' exceeds its columns");
+    }
   }
   std::vector<DailyDiagnostics> rows(count);
   for (std::size_t i = 0; i < count; ++i) {

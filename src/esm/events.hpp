@@ -5,7 +5,7 @@
 //
 // Event spawning is driven by hash-based (counter-mode) randomness keyed on
 // (seed, day), so the same configuration produces the same events regardless
-// of the domain decomposition or thread schedule.
+// of the thread that runs the model.
 #pragma once
 
 #include <cstdint>

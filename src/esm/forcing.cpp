@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ncio/ncfile.hpp"
 
@@ -68,10 +69,15 @@ Result<ForcingTable> ForcingTable::load(const std::string& path) {
   if (!reader.ok()) return reader.status();
   auto start = reader->attr("", "start_year");
   if (!start.ok()) return start.status();
+  const std::int64_t* start_year = std::get_if<std::int64_t>(&*start);
+  if (start_year == nullptr || *start_year < std::numeric_limits<int>::min() ||
+      *start_year > std::numeric_limits<int>::max()) {
+    return Status::DataLoss("forcing file: 'start_year' is not an int");
+  }
   auto values = reader->read_doubles("co2_ppm");
   if (!values.ok()) return values.status();
   ForcingTable table;
-  table.start_year_ = static_cast<int>(std::get<std::int64_t>(*start));
+  table.start_year_ = static_cast<int>(*start_year);
   table.co2_ = std::move(*values);
   return table;
 }

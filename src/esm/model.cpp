@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ctime>
 
 #include "esm/climatology.hpp"
 #include "obs/obs.hpp"
@@ -14,23 +15,23 @@ constexpr std::size_t kNoiseCoarse = 6;
 
 Field make_field(const LatLonGrid& grid, float fill = 0.0f) { return Field(grid, fill); }
 
+/// CPU time consumed by the calling thread [ns].
+std::int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 }  // namespace
 
 EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing)
-    : EsmModel(config, forcing, 0, config.nlat) {}
-
-EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing, std::size_t row_begin,
-                   std::size_t row_end)
     : config_(config),
       forcing_(forcing),
       grid_(config.nlat, config.nlon),
-      row_begin_(row_begin),
-      row_end_(row_end),
       t_anom_(grid_),
       sst_(grid_),
       cyclones_(config) {
-  // Initialize the slab ocean at its day-0 climatology (all rows so the halo
-  // region is sane too; only owned rows evolve).
+  // Initialize the slab ocean at its day-0 climatology.
   for (std::size_t i = 0; i < grid_.nlat(); ++i) {
     const float sst0 = static_cast<float>(baseline_sst_c(grid_.lat(i), 0, config_.days_per_year));
     for (std::size_t j = 0; j < grid_.nlon(); ++j) sst_.at(i, j) = sst0;
@@ -55,13 +56,11 @@ EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing, std::si
   for (std::vector<double>* plane : {&noise_anom_, &noise_u_, &noise_v_, &noise_psl_, &noise_pr_}) {
     plane->resize((coarse_lat + 1) * noise_cols_);
   }
-  thermal_.resize((row_end_ - row_begin_) * grid_.nlon());
-  wind_row_begin_ = row_begin_ > 0 ? row_begin_ - 1 : row_begin_;
-  wind_row_end_ = row_end_ < grid_.nlat() ? row_end_ + 1 : row_end_;
-  const std::size_t wind_cells = (wind_row_end_ - wind_row_begin_) * grid_.nlon();
-  wind_u_.resize(wind_cells);
-  wind_v_.resize(wind_cells);
-  imprints_.resize(wind_cells);
+  const std::size_t cells = grid_.size();
+  thermal_.resize(cells);
+  wind_u_.resize(cells);
+  wind_v_.resize(cells);
+  imprints_.resize(cells);
 }
 
 void EsmModel::fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const {
@@ -133,10 +132,10 @@ void EsmModel::fill_thermal(int day) {
   for (const ThermalEvent& event : thermal_events_) {
     if (!event.active(day)) continue;
     const double cutoff = 3.0 * event.radius_deg;
-    for (std::size_t i = row_begin_; i < row_end_; ++i) {
+    for (std::size_t i = 0; i < grid_.nlat(); ++i) {
       const RowDistance distance(grid_.lat(i), event.lat, event.lon);
       if (distance.beyond(cutoff)) continue;
-      double* row = thermal_.data() + (i - row_begin_) * nlon;
+      double* row = thermal_.data() + i * nlon;
       for (std::size_t j = 0; j < nlon; ++j) {
         const double r = distance(lons[j]);
         if (r > cutoff) continue;
@@ -150,11 +149,11 @@ void EsmModel::fill_thermal(int day) {
 
 void EsmModel::fill_wind_and_imprints() {
   const std::size_t nlon = grid_.nlon();
-  for (std::size_t i = wind_row_begin_; i < wind_row_end_; ++i) {
+  for (std::size_t i = 0; i < grid_.nlat(); ++i) {
     const double lat = grid_.lat(i);
     const double u_base = background_u_ms(lat);
     const double v_base = background_v_ms(lat);
-    const std::size_t row = (i - wind_row_begin_) * nlon;
+    const std::size_t row = i * nlon;
     cyclones_.imprint_row(lat, grid_.lons().data(), nlon, &imprints_[row]);
     for (std::size_t j = 0; j < nlon; ++j) {
       const std::size_t c = row + j;
@@ -165,8 +164,8 @@ void EsmModel::fill_wind_and_imprints() {
 }
 
 void EsmModel::update_anomaly(int day) {
-  // Daily AR(1) update with zonal advection and lateral diffusion. Stencil
-  // uses rows [row_begin-1, row_end] (halo rows in band mode).
+  // Daily AR(1) update with zonal advection and lateral diffusion; the
+  // stencil's north/south neighbours are clamped at the poles.
   const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
   Field next = t_anom_;
@@ -175,7 +174,7 @@ void EsmModel::update_anomaly(int day) {
   const double sigma = config_.anomaly_noise_c;
   const double c = config_.advection_cells_per_step;
   const double k = config_.diffusion;
-  for (std::size_t i = row_begin_; i < row_end_; ++i) {
+  for (std::size_t i = 0; i < nlat; ++i) {
     const std::size_t north = i + 1 < nlat ? i + 1 : i;
     const std::size_t south = i > 0 ? i - 1 : i;
     for (std::size_t j = 0; j < nlon; ++j) {
@@ -219,7 +218,6 @@ void EsmModel::begin_day(int day) {
   today_.zg500 = make_field(grid_);
   today_.uas = make_field(grid_);
   today_.vas = make_field(grid_);
-  day_open_ = true;
 }
 
 void EsmModel::step() {
@@ -265,18 +263,18 @@ void EsmModel::step() {
   Field& wspd_out = today_.wspd[s];
   Field& vort_out = today_.vort850[s];
   Field& pr_out = today_.pr6h[s];
-  for (std::size_t i = row_begin_; i < row_end_; ++i) {
+  for (std::size_t i = 0; i < nlat; ++i) {
     const double lat = grid_.lat(i);
     const double weight = grid_.area_weight(i);
     const double t_base = baseline_temperature_c(lat, doy, config_.days_per_year);
     const double psl_base = baseline_psl_hpa(lat);
     const double pr_base = baseline_precip_mmday(lat, doy, config_.days_per_year);
     const double sst_clim = baseline_sst_c(lat, doy, config_.days_per_year);
-    // Wind-plane offsets of this row and of its clamped stencil neighbours.
-    const std::size_t here = (i - wind_row_begin_) * nlon;
-    const std::size_t north = ((i + 1 < nlat ? i + 1 : i) - wind_row_begin_) * nlon;
-    const std::size_t south = ((i > 0 ? i - 1 : i) - wind_row_begin_) * nlon;
-    const double* thermal = thermal_.data() + (i - row_begin_) * nlon;
+    // Plane offsets of this row and of its clamped stencil neighbours.
+    const std::size_t here = i * nlon;
+    const std::size_t north = (i + 1 < nlat ? i + 1 : i) * nlon;
+    const std::size_t south = (i > 0 ? i - 1 : i) * nlon;
+    const double* thermal = thermal_.data() + here;
     for (std::size_t j = 0; j < nlon; ++j) {
       // --- atmosphere instantaneous state ---
       const CycloneImprint& tc = imprints_[here + j];
@@ -356,22 +354,16 @@ void EsmModel::step() {
 DailyFields EsmModel::run_day() {
   OBS_SPAN("esm", "run_day");
   OBS_COUNTER_ADD("esm.days_simulated", 1);
+  // CPU time beside the span's wall time: the gap between the two is time
+  // the day spent waiting for a core.
+  const bool timed = obs::enabled();
+  const std::int64_t cpu_start = timed ? thread_cpu_ns() : 0;
   const int steps = config_.steps_per_day;
   for (int s = 0; s < steps; ++s) step();
-  day_open_ = false;
-  return std::move(today_);
-}
-
-std::vector<float> EsmModel::export_anomaly_row(std::size_t row) const {
-  std::vector<float> values(grid_.nlon());
-  for (std::size_t j = 0; j < grid_.nlon(); ++j) values[j] = t_anom_.at(row, j);
-  return values;
-}
-
-void EsmModel::import_anomaly_row(std::size_t row, const std::vector<float>& values) {
-  for (std::size_t j = 0; j < grid_.nlon() && j < values.size(); ++j) {
-    t_anom_.at(row, j) = values[j];
+  if (timed) {
+    OBS_HISTOGRAM_OBSERVE("esm.run_day_cpu_ns", static_cast<double>(thread_cpu_ns() - cpu_start));
   }
+  return std::move(today_);
 }
 
 }  // namespace climate::esm

@@ -13,11 +13,9 @@
 //    to the ocean and the SST, sea ice cover and surface velocities are sent
 //    back") and records conservation diagnostics.
 //
-// Determinism and decomposability: all stochastic terms are counter-mode
-// hash functions of (seed, time, cell), so a domain-decomposed run over the
-// msg/ layer reproduces the serial fields bit-for-bit. The only neighbour
-// dependency is the anomaly advection/diffusion stencil, exposed through the
-// halo-row API used by ParallelEsmDriver.
+// Determinism: all stochastic terms are counter-mode hash functions of
+// (seed, time, cell), so a run is reproducible from its configuration and
+// forcing alone; golden digests in tests/test_esm.cpp pin its fields.
 #pragma once
 
 #include <memory>
@@ -79,22 +77,15 @@ struct CouplerDiagnostics {
   double freshwater_received_ocean = 0.0;
 };
 
-/// The coupled model. Operates on the full grid or, for the decomposed
-/// driver, on a band of latitude rows [row_begin, row_end).
+/// The coupled model over the full grid.
 class EsmModel {
  public:
-  /// Full-grid model.
   EsmModel(const EsmConfig& config, const ForcingTable& forcing);
-
-  /// Band model for domain decomposition (rows [row_begin, row_end)).
-  EsmModel(const EsmConfig& config, const ForcingTable& forcing, std::size_t row_begin,
-           std::size_t row_end);
 
   /// Advances one six-hourly step (all components + coupling).
   void step();
 
-  /// Runs a full day (steps_per_day steps) and returns its output. Only rows
-  /// [row_begin, row_end) of the fields are populated in band mode.
+  /// Runs a full day (steps_per_day steps) and returns its output.
   DailyFields run_day();
 
   const EsmConfig& config() const { return config_; }
@@ -107,12 +98,6 @@ class EsmModel {
   }
   const CouplerDiagnostics& coupler() const { return coupler_; }
 
-  // --- halo API used by the parallel driver (anomaly field rows) ---
-  std::vector<float> export_anomaly_row(std::size_t row) const;
-  void import_anomaly_row(std::size_t row, const std::vector<float>& values);
-  std::size_t row_begin() const { return row_begin_; }
-  std::size_t row_end() const { return row_end_; }
-
  private:
   /// Position of a grid index on the coarse noise lattice: the lower node
   /// and the bilinear weight of the upper one.
@@ -122,14 +107,13 @@ class EsmModel {
   };
 
   void spawn_thermal_events(int day);
-  /// Sum of the active blocking events at every owned cell, into thermal_.
+  /// Sum of the active blocking events at every cell, into thermal_.
   void fill_thermal(int day);
   /// Hashes the coarse nodes of noise `tag` at time `t` into `plane`.
   void fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const;
   /// Spatially coherent noise at a cell, interpolated from a filled plane.
   double noise_at(const std::vector<double>& plane, std::size_t i, std::size_t j) const;
-  /// Fills the cyclone imprints and the wind over the wind plane: the owned
-  /// rows plus one halo row on each side, clamped at the poles.
+  /// Fills the cyclone imprints and the wind at every cell.
   void fill_wind_and_imprints();
   void update_anomaly(int day);
   void begin_day(int day);
@@ -137,8 +121,6 @@ class EsmModel {
   EsmConfig config_;
   ForcingTable forcing_;
   LatLonGrid grid_;
-  std::size_t row_begin_ = 0;
-  std::size_t row_end_ = 0;
 
   Field t_anom_;  ///< Prognostic temperature anomaly [degC].
   Field sst_;     ///< Prognostic slab-ocean temperature [degC].
@@ -150,11 +132,9 @@ class EsmModel {
 
   int step_count_ = 0;
   DailyFields today_;
-  bool day_open_ = false;
 
-  // Scratch planes of the step, sized once and refilled in place. Band
-  // fields hold the owned rows [row_begin_, row_end_); the wind plane holds
-  // rows [wind_row_begin_, wind_row_end_).
+  // Scratch planes of the step, sized once and refilled in place. The
+  // per-cell planes are row-major over the whole grid.
   std::vector<NoiseCoord> noise_lat_;  ///< Per grid row.
   std::vector<NoiseCoord> noise_lon_;  ///< Per grid column.
   std::size_t noise_cols_ = 0;         ///< Node columns of a noise plane.
@@ -164,11 +144,9 @@ class EsmModel {
   std::vector<double> noise_psl_;      ///< Pressure noise nodes.
   std::vector<double> noise_pr_;       ///< Precipitation noise nodes.
   std::vector<double> thermal_;        ///< Blocking-event anomaly (daily).
-  std::size_t wind_row_begin_ = 0;
-  std::size_t wind_row_end_ = 0;
   std::vector<double> wind_u_;
   std::vector<double> wind_v_;
-  std::vector<CycloneImprint> imprints_;  ///< Over the wind plane's rows.
+  std::vector<CycloneImprint> imprints_;
 };
 
 }  // namespace climate::esm

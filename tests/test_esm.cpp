@@ -1,6 +1,7 @@
 // Tests for the coupled model: climatology sanity, forcing I/O, event
 // seeding, physical plausibility of the fields, coupler conservation,
-// daily file round trips, and serial/parallel equivalence.
+// daily file round trips, golden digests of the fields, and loaders that
+// reject malformed files.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +13,6 @@
 #include "esm/diagnostics.hpp"
 #include "ncio/ncfile.hpp"
 #include "esm/model.hpp"
-#include "esm/parallel.hpp"
 #include "esm/writer.hpp"
 
 namespace climate::esm {
@@ -109,6 +109,25 @@ TEST(Forcing, SaveLoadRoundTrip) {
   for (int y = 2015; y < 2025; ++y) {
     EXPECT_DOUBLE_EQ(loaded->co2_ppm(y), table.co2_ppm(y));
   }
+  fs::remove(path);
+}
+
+TEST(Forcing, LoadRejectsNonIntegerStartYear) {
+  const std::string path = (fs::temp_directory_path() / "forcing_start_string.nc").string();
+  {
+    auto writer = ncio::FileWriter::create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->def_dim("year", 2).ok());
+    ASSERT_TRUE(writer->def_var("co2_ppm", ncio::DType::kFloat64, {"year"}).ok());
+    ASSERT_TRUE(writer->put_attr("", "start_year", std::string("2015")).ok());
+    ASSERT_TRUE(writer->end_def().ok());
+    const double co2[] = {410.0, 412.0};
+    ASSERT_TRUE(writer->put_var("co2_ppm", co2, 2).ok());
+    ASSERT_TRUE(writer->close().ok());
+  }
+  auto loaded = ForcingTable::load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kDataLoss);
   fs::remove(path);
 }
 
@@ -493,105 +512,41 @@ TEST(Writer, DailyFileReaderReadsEveryVariableFromOneOpen) {
   fs::remove_all(dir);
 }
 
-TEST(Parallel, MatchesSerialBitForBit) {
-  // 29 rows split over 2, 3 or 4 ranks never divide evenly; 32 over 3 neither.
-  const std::pair<std::size_t, std::size_t> shapes[] = {{32, 48}, {29, 43}};
-  for (const auto& [nlat, nlon] : shapes) {
-    EsmConfig config = tiny_config();
-    config.nlat = nlat;
-    config.nlon = nlon;
-    config.days_per_year = 4;
-    ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
-
-    // Serial reference.
-    EsmModel serial(config, forcing);
-    std::vector<DailyFields> serial_days;
-    for (int d = 0; d < 4; ++d) serial_days.push_back(serial.run_day());
-
-    for (int ranks : {2, 3, 4}) {
-      SCOPED_TRACE(testing::Message() << nlat << "x" << nlon << " ranks=" << ranks);
-      ParallelEsmDriver driver(config, forcing, ranks);
-      std::vector<DailyFields> parallel_days;
-      driver.run(4, [&](const DailyFields& day) { parallel_days.push_back(day); });
-      ASSERT_EQ(parallel_days.size(), 4u);
-      for (int d = 0; d < 4; ++d) {
-        const auto a = all_fields(serial_days[static_cast<std::size_t>(d)]);
-        const auto b = all_fields(parallel_days[static_cast<std::size_t>(d)]);
-        ASSERT_EQ(a.size(), 6u * 4u + 14u);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t v = 0; v < a.size(); ++v) {
-          const Field& fa = *a[v].second;
-          const Field& fb = *b[v].second;
-          ASSERT_EQ(fa.size(), fb.size()) << a[v].first;
-          for (std::size_t c = 0; c < fa.size(); ++c) {
-            ASSERT_EQ(fa[c], fb[c]) << a[v].first << " day=" << d << " cell=" << c;
-          }
-        }
-      }
-      // Coupler integrals: per-band sums added across ranks, so equal up to
-      // the order of the additions.
-      const CouplerDiagnostics& p = driver.coupler();
-      const CouplerDiagnostics& s = serial.coupler();
-      EXPECT_EQ(p.exchanges, s.exchanges);
-      const std::pair<double, double> integrals[] = {
-          {p.heat_sent_atm, s.heat_sent_atm},
-          {p.heat_received_ocean, s.heat_received_ocean},
-          {p.momentum_sent_atm, s.momentum_sent_atm},
-          {p.momentum_received_ocean, s.momentum_received_ocean},
-          {p.freshwater_sent_atm, s.freshwater_sent_atm},
-          {p.freshwater_received_ocean, s.freshwater_received_ocean}};
-      for (const auto& [got, want] : integrals) {
-        EXPECT_NE(want, 0.0);
-        EXPECT_NEAR(got, want, 1e-12 * std::fabs(want));
-      }
-      // Ground truth identical.
-      EXPECT_EQ(driver.events().thermal_events.size(), serial.events().thermal_events.size());
-      EXPECT_EQ(driver.events().cyclones.size(), serial.events().cyclones.size());
-    }
-  }
-}
-
-/// FNV-1a over the raw bytes of rows [rb, re) of every daily variable, at
-/// every step, in the order of daily_variable_names().
+/// FNV-1a over the raw bytes of every daily variable, at every step, in the
+/// order of daily_variable_names().
 struct FieldDigest {
   std::uint64_t value = 1469598103934665603ull;
-  void add(const Field& field, std::size_t rb, std::size_t re) {
+  void add(const Field& field) {
     const auto* p = reinterpret_cast<const unsigned char*>(field.data().data());
-    for (std::size_t b = rb * field.nlon() * sizeof(float); b < re * field.nlon() * sizeof(float);
-         ++b) {
+    for (std::size_t b = 0; b < field.size() * sizeof(float); ++b) {
       value ^= p[b];
       value *= 1099511628211ull;
     }
   }
-  void add_day(const DailyFields& day, std::size_t rb, std::size_t re) {
-    for (const auto& named : all_fields(day)) add(*named.second, rb, re);
+  void add_day(const DailyFields& day) {
+    for (const auto& named : all_fields(day)) add(*named.second);
   }
 };
 
 struct GoldenRun {
   std::size_t nlat, nlon;
   std::uint64_t seed;
-  std::size_t row_begin, row_end;  ///< Owned rows; the full grid unless banded.
   std::uint64_t digest;
 };
 
 // Digests of 3 years x 12 days, recorded from the per-cell reference
 // implementation of EsmModel::step that the per-step planes replaced. The
 // first two are the workflow benchmark's 64x96 grid; the next five shapes
-// were drawn at random once (none a multiple of the 6-cell noise lattice);
-// the last two are band models on their owned rows, one interior band and
-// one touching the north pole.
+// were drawn at random once (none a multiple of the 6-cell noise lattice).
 TEST(Model, GoldenDigestsMatchReference) {
   const GoldenRun runs[] = {
-      {64, 96, 1, 0, 64, 0x775eef0d89e84f78ull},
-      {64, 96, 7, 0, 64, 0xbd2a2215c79b3a2cull},
-      {8, 15, 468812, 0, 8, 0xbf36bda83c2626b7ull},
-      {44, 20, 330324, 0, 44, 0x9683676d4eb0fcb9ull},
-      {25, 52, 40665, 0, 25, 0x640c11ae0cec7731ull},
-      {49, 77, 91172, 0, 49, 0xcef1f387770171e0ull},
-      {69, 45, 422647, 0, 69, 0xde433d58d6b42849ull},
-      {64, 96, 1, 21, 43, 0x34d1be6075b9a31full},
-      {49, 77, 91172, 30, 49, 0x19a3cffba597622eull},
+      {64, 96, 1, 0x775eef0d89e84f78ull},
+      {64, 96, 7, 0xbd2a2215c79b3a2cull},
+      {8, 15, 468812, 0xbf36bda83c2626b7ull},
+      {44, 20, 330324, 0x9683676d4eb0fcb9ull},
+      {25, 52, 40665, 0x640c11ae0cec7731ull},
+      {49, 77, 91172, 0xcef1f387770171e0ull},
+      {69, 45, 422647, 0xde433d58d6b42849ull},
   };
   for (const GoldenRun& run : runs) {
     EsmConfig config;
@@ -601,14 +556,14 @@ TEST(Model, GoldenDigestsMatchReference) {
     config.seed = run.seed;
     const ForcingTable forcing =
         ForcingTable::from_scenario(Scenario::kSsp585, config.start_year, 4);
-    EsmModel model(config, forcing, run.row_begin, run.row_end);
+    EsmModel model(config, forcing);
     FieldDigest digest;
-    for (int d = 0; d < 36; ++d) digest.add_day(model.run_day(), run.row_begin, run.row_end);
+    for (int d = 0; d < 36; ++d) digest.add_day(model.run_day());
     // The runs must exercise the cyclone imprints, not just the background.
     EXPECT_FALSE(model.events().cyclones.empty());
     EXPECT_EQ(digest.value, run.digest)
         << std::hex << "0x" << digest.value << std::dec << " for " << run.nlat << "x" << run.nlon
-        << " seed " << run.seed << " rows [" << run.row_begin << ", " << run.row_end << ")";
+        << " seed " << run.seed;
   }
 }
 
@@ -681,6 +636,42 @@ TEST(Diagnostics, SaveLoadRoundTrip) {
     EXPECT_DOUBLE_EQ((*rows)[i].global_mean_tas_c, recorder.rows()[i].global_mean_tas_c);
     EXPECT_DOUBLE_EQ((*rows)[i].min_psl_hpa, recorder.rows()[i].min_psl_hpa);
     EXPECT_DOUBLE_EQ((*rows)[i].max_wspd_ms, recorder.rows()[i].max_wspd_ms);
+  }
+  fs::remove(path);
+}
+
+/// Writes a diagnostics file whose six columns hold `column_length` values
+/// and whose global attribute `rows` is `rows`.
+void write_diagnostics_file(const std::string& path, const ncio::AttrValue& rows,
+                            std::size_t column_length) {
+  auto writer = ncio::FileWriter::create(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->def_dim("day", column_length).ok());
+  static const char* kVars[] = {"global_mean_tas", "global_mean_pr", "min_psl",
+                                "max_wspd",        "ice_area",       "max_tas_anomaly"};
+  for (const char* name : kVars) {
+    ASSERT_TRUE(writer->def_var(name, ncio::DType::kFloat64, {"day"}).ok());
+  }
+  ASSERT_TRUE(writer->put_attr("", "rows", rows).ok());
+  ASSERT_TRUE(writer->end_def().ok());
+  const std::vector<double> column(column_length, 1.0);
+  for (const char* name : kVars) {
+    ASSERT_TRUE(writer->put_var(name, column.data(), column.size()).ok());
+  }
+  ASSERT_TRUE(writer->close().ok());
+}
+
+TEST(Diagnostics, LoadRejectsMalformedRowCount) {
+  // More rows than the columns hold, a negative count, and a count of the
+  // wrong attribute type.
+  const std::string path = (fs::temp_directory_path() / "diag_malformed.nc").string();
+  const ncio::AttrValue counts[] = {std::int64_t{1000}, std::int64_t{-1}, std::string("3")};
+  for (std::size_t k = 0; k < std::size(counts); ++k) {
+    SCOPED_TRACE(k);
+    write_diagnostics_file(path, counts[k], 3);
+    auto rows = DiagnosticsRecorder::load(path);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), common::StatusCode::kDataLoss);
   }
   fs::remove(path);
 }
