@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 
 #include "common/image.hpp"
 #include "common/log.hpp"
@@ -50,12 +52,28 @@ void append_pod(std::string& out, const T& v) {
   append_bytes(out, &v, sizeof(T));
 }
 
+// Deserializers read through these checks: a read past the blob's end
+// throws, which the runtime reports as a failed checkpoint load and answers
+// by re-executing the task.
+void read_bytes(const std::string& in, std::size_t* pos, void* dst, std::size_t n) {
+  if (n > in.size() - *pos) throw std::out_of_range("checkpoint blob too short");
+  if (n != 0) std::memcpy(dst, in.data() + *pos, n);  // dst may be null when n is 0
+  *pos += n;
+}
+
 template <typename T>
 T read_pod(const std::string& in, std::size_t* pos) {
   T v{};
-  std::memcpy(&v, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
+  read_bytes(in, pos, &v, sizeof(T));
   return v;
+}
+
+// A count of `elem_size`-byte items, rejected unless that many fit in the
+// rest of the blob (so a corrupt count never sizes an allocation).
+std::size_t read_count(const std::string& in, std::size_t* pos, std::size_t elem_size) {
+  const auto n = read_pod<std::uint64_t>(in, pos);
+  if (n > (in.size() - *pos) / elem_size) throw std::out_of_range("checkpoint blob too short");
+  return n;
 }
 
 /// Codec for common::Field outputs.
@@ -73,8 +91,11 @@ taskrt::OutputCodec field_codec() {
     std::size_t pos = 0;
     const auto nlat = read_pod<std::uint64_t>(in, &pos);
     const auto nlon = read_pod<std::uint64_t>(in, &pos);
+    if (nlon != 0 && nlat > (in.size() - pos) / sizeof(float) / nlon) {
+      throw std::out_of_range("checkpoint blob too short");
+    }
     common::Field field(nlat, nlon);
-    std::memcpy(field.data().data(), in.data() + pos, nlat * nlon * sizeof(float));
+    read_bytes(in, &pos, field.data().data(), nlat * nlon * sizeof(float));
     return field;
   };
   return codec;
@@ -112,21 +133,16 @@ taskrt::OutputCodec cube_codec(datacube::Server* server) {
   codec.deserialize = [server](const std::string& in) -> std::any {
     std::size_t pos = 0;
     auto read_string = [&] {
-      const auto n = read_pod<std::uint64_t>(in, &pos);
-      std::string s = in.substr(pos, n);
-      pos += n;
+      std::string s(read_count(in, &pos, 1), '\0');
+      read_bytes(in, &pos, s.data(), s.size());
       return s;
     };
     auto read_dim = [&] {
       datacube::DimInfo dim;
       dim.name = read_string();
       dim.size = read_pod<std::uint64_t>(in, &pos);
-      const auto ncoords = read_pod<std::uint64_t>(in, &pos);
-      dim.coords.resize(ncoords);
-      if (ncoords != 0) {  // empty vector data() may be null; memcpy forbids it
-        std::memcpy(dim.coords.data(), in.data() + pos, ncoords * sizeof(double));
-      }
-      pos += ncoords * sizeof(double);
+      dim.coords.resize(read_count(in, &pos, sizeof(double)));
+      read_bytes(in, &pos, dim.coords.data(), dim.coords.size() * sizeof(double));
       return dim;
     };
     const std::string measure = read_string();
@@ -134,12 +150,12 @@ taskrt::OutputCodec cube_codec(datacube::Server* server) {
     std::vector<datacube::DimInfo> dims;
     for (std::uint64_t d = 0; d < ndims; ++d) dims.push_back(read_dim());
     datacube::DimInfo implicit = read_dim();
-    const auto nvalues = read_pod<std::uint64_t>(in, &pos);
-    std::vector<float> dense(nvalues);
-    std::memcpy(dense.data(), in.data() + pos, nvalues * sizeof(float));
+    std::vector<float> dense(read_count(in, &pos, sizeof(float)));
+    read_bytes(in, &pos, dense.data(), dense.size() * sizeof(float));
     auto pid = server->create_cube(measure, std::move(dims), std::move(implicit), dense,
                                    "restored from checkpoint");
-    return pid.ok() ? std::any(*pid) : std::any(std::string());
+    if (!pid.ok()) throw std::runtime_error("checkpointed cube: " + pid.status().to_string());
+    return std::any(*pid);
   };
   return codec;
 }
@@ -351,7 +367,6 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
   rt_options.container_startup_ms = cfg.container_startup_ms;
   rt_options.verify = cfg.verify;
   rt_options.faults = faults;
-  rt_options.speculation = cfg.speculation;
   if (cfg.heterogeneous) {
     // Future-work deployment: dedicated node classes per requirement kind
     // ("large HPC systems for the ESM simulation, data-oriented ... systems
@@ -478,7 +493,8 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 auto model = ctx.in_as<std::shared_ptr<esm::EsmModel>>(1);
                 if (!model) model = std::make_shared<esm::EsmModel>(esm_cfg, forcing);
                 const common::LatLonGrid& g = model->grid();
-                esm::DiagnosticsRecorder recorder;
+                std::optional<esm::DiagnosticsRecorder> recorder;
+                if (diagnostics) recorder.emplace();
                 int calendar_year = 0;
                 // Day d is written while day d + 1 is simulated.
                 esm::DailyFileSink sink(dir, g);
@@ -487,7 +503,7 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                   calendar_year = daily.year;
                   // Online diagnostics are computed while the fields are
                   // still in memory, before the write (section 3).
-                  if (diagnostics) recorder.record(daily, g);
+                  if (recorder) recorder->record(daily, g);
                   const Status pushed = sink.push(std::move(daily));
                   if (!pushed.ok()) throw std::runtime_error(pushed.to_string());
                 }
@@ -496,9 +512,9 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 const Status written = sink.finish();
                 if (!written.ok()) throw std::runtime_error(written.to_string());
                 bytes_written.fetch_add(sink.bytes_written());
-                if (diagnostics) {
-                  const Status st = recorder.save(diag_dir + "/diagnostics_" +
-                                                  std::to_string(calendar_year) + ".nc");
+                if (recorder) {
+                  const Status st = recorder->save(diag_dir + "/diagnostics_" +
+                                                   std::to_string(calendar_year) + ".nc");
                   if (!st.ok()) throw std::runtime_error(st.to_string());
                 }
                 ctx.set_out(1, std::any(model), 1 << 20);

@@ -98,10 +98,6 @@ struct WorkflowConfig {
   /// injector is armed (here or via CLIMATE_FAULTS) and this is 0, a default
   /// budget of 3 is used.
   int task_retries = 0;
-
-  /// Straggler mitigation: speculative backup copies for tasks running far
-  /// beyond their function's trailing mean (see RuntimeOptions::speculation).
-  bool speculation = false;
 };
 
 /// Per-year outputs.

@@ -93,25 +93,6 @@ Result<Cube> Cube::merge(const Cube& other, const std::string& description) cons
               }));
 }
 
-Result<Cube> Cube::concat(const Cube& other, const std::string& description) const {
-  if (!valid() || !other.valid()) return Status::FailedPrecondition("concat on invalid cube");
-  Server::SessionScope scope(session_);
-  return wrap(server_, session_, retry_, with_retry(retry_, [&] {
-                return server_->concat_implicit(pid(), other.pid(), description);
-              }));
-}
-
-Result<Cube> Cube::aggregate(const std::string& dim, const std::string& op,
-                             const std::string& description) const {
-  if (!valid()) return Status::FailedPrecondition("aggregate on invalid cube");
-  auto parsed = parse_reduce_op(op);
-  if (!parsed.ok()) return parsed.status();
-  Server::SessionScope scope(session_);
-  return wrap(server_, session_, retry_, with_retry(retry_, [&] {
-                return server_->aggregate(pid(), dim, *parsed, description);
-              }));
-}
-
 Status Cube::exportnc2(const std::string& output_path, const std::string& output_name) const {
   if (!valid()) return Status::FailedPrecondition("exportnc2 on invalid cube");
   std::string path = output_path;

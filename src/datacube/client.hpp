@@ -113,14 +113,6 @@ class Cube {
   /// Concatenate along the first explicit dimension.
   Result<Cube> merge(const Cube& other, const std::string& description = "") const;
 
-  /// Concatenate along the implicit (array) dimension.
-  Result<Cube> concat(const Cube& other, const std::string& description = "") const;
-
-  /// Collapse an explicit dimension with a reduction ("max","min","sum",
-  /// "avg","std","count") — spatial aggregation.
-  Result<Cube> aggregate(const std::string& dim, const std::string& op,
-                         const std::string& description = "") const;
-
   /// Export to a CDF-lite file, PyOphidia exportnc2-style.
   Status exportnc2(const std::string& output_path, const std::string& output_name) const;
 

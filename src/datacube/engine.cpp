@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -456,125 +455,6 @@ Result<CubeData> merge(const CubeData& a, const CubeData& b, const std::string& 
   CubeData out =
       cube_from_dense(a.measure, std::move(out_dims), a.implicit_dim, dense, nservers, nservers);
   out.description = description.empty() ? "merge" : description;
-  return out;
-}
-
-Result<CubeData> concat_implicit(const CubeData& a, const CubeData& b,
-                                 const std::string& description, std::size_t nservers) {
-  if (a.row_count() != b.row_count() || a.explicit_dims.size() != b.explicit_dims.size()) {
-    return Status::InvalidArgument("concat_implicit: explicit dimension mismatch");
-  }
-  for (std::size_t d = 0; d < a.explicit_dims.size(); ++d) {
-    if (a.explicit_dims[d].size != b.explicit_dims[d].size) {
-      return Status::InvalidArgument("concat_implicit: explicit dimension size mismatch");
-    }
-  }
-  const std::size_t alen_a = a.array_length();
-  const std::size_t alen_b = b.array_length();
-  const std::vector<float> dense_a = a.to_dense();
-  const std::vector<float> dense_b = b.to_dense();
-  const std::size_t rows = a.row_count();
-  std::vector<float> out_dense(rows * (alen_a + alen_b));
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::memcpy(out_dense.data() + r * (alen_a + alen_b), dense_a.data() + r * alen_a,
-                alen_a * sizeof(float));
-    std::memcpy(out_dense.data() + r * (alen_a + alen_b) + alen_a, dense_b.data() + r * alen_b,
-                alen_b * sizeof(float));
-  }
-  DimInfo implicit = a.implicit_dim;
-  implicit.size = alen_a + alen_b;
-  if (!a.implicit_dim.coords.empty() && !b.implicit_dim.coords.empty()) {
-    implicit.coords = a.implicit_dim.coords;
-    implicit.coords.insert(implicit.coords.end(), b.implicit_dim.coords.begin(),
-                           b.implicit_dim.coords.end());
-  } else {
-    implicit.coords.clear();
-  }
-  CubeData out = cube_from_dense(a.measure, a.explicit_dims, std::move(implicit), out_dense,
-                                 nservers, nservers);
-  out.description = description.empty() ? "concat_implicit" : description;
-  return out;
-}
-
-Result<CubeData> aggregate(const CubeData& src, const std::string& dim_name, ReduceOp op,
-                           const std::string& description, std::size_t nservers) {
-  std::size_t dim_index = src.explicit_dims.size();
-  for (std::size_t d = 0; d < src.explicit_dims.size(); ++d) {
-    if (src.explicit_dims[d].name == dim_name) dim_index = d;
-  }
-  if (dim_index == src.explicit_dims.size()) {
-    return Status::NotFound("aggregate: no explicit dimension '" + dim_name + "'");
-  }
-
-  const std::size_t alen = src.array_length();
-  const std::vector<float> dense = src.to_dense();
-
-  // Output dims: the collapsed one removed.
-  std::vector<DimInfo> out_dims;
-  for (std::size_t d = 0; d < src.explicit_dims.size(); ++d) {
-    if (d != dim_index) out_dims.push_back(src.explicit_dims[d]);
-  }
-  std::size_t out_rows = 1;
-  for (const DimInfo& d : out_dims) out_rows *= d.size;
-  const std::size_t collapse_n = src.explicit_dims[dim_index].size;
-
-  // Strides of the source row index space.
-  std::vector<std::size_t> strides(src.explicit_dims.size(), 1);
-  for (std::size_t d = src.explicit_dims.size(); d-- > 1;) {
-    strides[d - 1] = strides[d] * src.explicit_dims[d].size;
-  }
-
-  // Accumulators per output row per array position.
-  std::vector<double> sum(out_rows * alen, 0.0);
-  std::vector<double> sum_sq(op == ReduceOp::kStd ? out_rows * alen : 0, 0.0);
-  std::vector<float> extreme(out_rows * alen,
-                             op == ReduceOp::kMax ? -std::numeric_limits<float>::infinity()
-                                                  : std::numeric_limits<float>::infinity());
-
-  std::vector<std::size_t> idx(src.explicit_dims.size(), 0);
-  const std::size_t src_rows = src.row_count();
-  for (std::size_t row = 0; row < src_rows; ++row) {
-    // Output row index: strip dim_index from the multi-index.
-    std::size_t out_row = 0;
-    for (std::size_t d = 0; d < src.explicit_dims.size(); ++d) {
-      if (d == dim_index) continue;
-      out_row = out_row * src.explicit_dims[d].size + idx[d];
-    }
-    const float* src_values = dense.data() + row * alen;
-    for (std::size_t k = 0; k < alen; ++k) {
-      const std::size_t o = out_row * alen + k;
-      const float v = src_values[k];
-      sum[o] += v;
-      if (op == ReduceOp::kStd) sum_sq[o] += static_cast<double>(v) * v;
-      if (op == ReduceOp::kMax) extreme[o] = std::max(extreme[o], v);
-      if (op == ReduceOp::kMin) extreme[o] = std::min(extreme[o], v);
-    }
-    for (std::size_t d = src.explicit_dims.size(); d-- > 0;) {
-      if (++idx[d] < src.explicit_dims[d].size) break;
-      idx[d] = 0;
-    }
-  }
-
-  std::vector<float> out_dense(out_rows * alen);
-  for (std::size_t o = 0; o < out_dense.size(); ++o) {
-    switch (op) {
-      case ReduceOp::kSum: out_dense[o] = static_cast<float>(sum[o]); break;
-      case ReduceOp::kAvg: out_dense[o] = static_cast<float>(sum[o] / collapse_n); break;
-      case ReduceOp::kMax:
-      case ReduceOp::kMin: out_dense[o] = extreme[o]; break;
-      case ReduceOp::kCount: out_dense[o] = static_cast<float>(collapse_n); break;
-      case ReduceOp::kStd: {
-        const double mean = sum[o] / collapse_n;
-        const double var = std::max(0.0, sum_sq[o] / collapse_n - mean * mean);
-        out_dense[o] = static_cast<float>(std::sqrt(var));
-        break;
-      }
-    }
-  }
-  if (out_dims.empty()) out_dims.push_back({"scalar", 1, {}});
-  CubeData out = cube_from_dense(src.measure, std::move(out_dims), src.implicit_dim, out_dense,
-                                 nservers, nservers);
-  out.description = description.empty() ? "aggregate(" + dim_name + ")" : description;
   return out;
 }
 

@@ -90,13 +90,5 @@ Result<CubeData> subset(const CubeData& src, const std::string& dim_name, std::s
 Result<CubeData> merge(const CubeData& a, const CubeData& b, const std::string& description,
                        std::size_t nservers);
 
-/// Concatenates two cubes along the implicit (array) dimension.
-Result<CubeData> concat_implicit(const CubeData& a, const CubeData& b,
-                                 const std::string& description, std::size_t nservers);
-
-/// Collapses one explicit dimension with a reduction.
-Result<CubeData> aggregate(const CubeData& src, const std::string& dim_name, ReduceOp op,
-                           const std::string& description, std::size_t nservers);
-
 }  // namespace engine
 }  // namespace climate::datacube

@@ -346,44 +346,6 @@ Result<std::string> Server::merge(const std::string& pid_a, const std::string& p
   return register_cube(std::move(*out));
 }
 
-Result<std::string> Server::concat_implicit(const std::string& pid_a, const std::string& pid_b,
-                                            const std::string& description) {
-  OBS_SPAN("datacube", "concat");
-  OBS_SCOPED_LATENCY("datacube.op_ns.concat");
-  OBS_COUNTER_ADD("datacube.operators", 1);
-  auto ticket = admit_op("concat");
-  if (!ticket.ok()) return ticket.status();
-  auto a_result = lookup(pid_a);
-  if (!a_result.ok()) return a_result.status();
-  auto b_result = lookup(pid_b);
-  if (!b_result.ok()) return b_result.status();
-  const auto a = engine::materialize(*a_result, fragment_runner());
-  const auto b = engine::materialize(*b_result, fragment_runner());
-  auto out = engine::concat_implicit(*a, *b, description, io_servers());
-  if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
-  stats_.elements_processed.add(engine::source_elements(**a_result) +
-                                engine::source_elements(**b_result));
-  return register_cube(std::move(*out));
-}
-
-Result<std::string> Server::aggregate(const std::string& pid, const std::string& dim_name,
-                                      ReduceOp op, const std::string& description) {
-  OBS_SPAN("datacube", "aggregate");
-  OBS_SCOPED_LATENCY("datacube.op_ns.aggregate");
-  OBS_COUNTER_ADD("datacube.operators", 1);
-  auto ticket = admit_op("aggregate");
-  if (!ticket.ok()) return ticket.status();
-  auto cube_result = lookup(pid);
-  if (!cube_result.ok()) return cube_result.status();
-  const auto src = engine::materialize(*cube_result, fragment_runner());
-  auto out = engine::aggregate(*src, dim_name, op, description, io_servers());
-  if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
-  stats_.elements_processed.add(engine::source_elements(**cube_result));
-  return register_cube(std::move(*out));
-}
-
 Status Server::delete_cube(const std::string& pid) {
   CLIMATE_RETURN_IF_ERROR(catalog_.erase(pid));
   stats_.cubes_deleted.increment();
@@ -451,128 +413,5 @@ ServerStats Server::stats() const {
 }
 
 std::size_t Server::resident_bytes() const { return catalog_.resident_bytes(); }
-
-}  // namespace climate::datacube
-
-namespace climate::datacube {
-
-common::Result<common::Json> Server::execute(const common::Json& request) {
-  using common::Json;
-  const std::string op = request.get_string("operator");
-  if (op.empty()) return Status::InvalidArgument("request has no 'operator'");
-
-  auto pid_response = [](Result<std::string> pid) -> Result<Json> {
-    if (!pid.ok()) return pid.status();
-    Json response = Json::object();
-    response["status"] = "OK";
-    response["cube"] = *pid;
-    return response;
-  };
-  const std::string cube = request.get_string("cube");
-  const std::string description = request.get_string("description");
-
-  if (op == "importnc") {
-    ImportOptions options;
-    options.nfragments = static_cast<std::size_t>(request.get_int("nfragments", 0));
-    options.implicit_dim = request.get_string("implicit_dim");
-    return pid_response(importnc(request.get_string("path"), request.get_string("measure"),
-                                 options));
-  }
-  if (op == "exportnc") {
-    const Status st = exportnc(cube, request.get_string("path"));
-    if (!st.ok()) return st;
-    Json response = Json::object();
-    response["status"] = "OK";
-    return response;
-  }
-  if (op == "reduce") {
-    auto parsed = parse_reduce_op(request.get_string("operation", "max"));
-    if (!parsed.ok()) return parsed.status();
-    return pid_response(reduce(cube, *parsed,
-                               static_cast<std::size_t>(request.get_int("group", 0)),
-                               description));
-  }
-  if (op == "apply") {
-    return pid_response(apply(cube, request.get_string("query"), description));
-  }
-  if (op == "intercube") {
-    auto parsed = parse_inter_op(request.get_string("operation", "sub"));
-    if (!parsed.ok()) return parsed.status();
-    return pid_response(intercube(cube, request.get_string("cube2"), *parsed, description));
-  }
-  if (op == "subset") {
-    return pid_response(subset(cube, request.get_string("dim"),
-                               static_cast<std::size_t>(request.get_int("start", 0)),
-                               static_cast<std::size_t>(request.get_int("end", 0)), description));
-  }
-  if (op == "mergecubes") {
-    return pid_response(merge(cube, request.get_string("cube2"), description));
-  }
-  if (op == "concat") {
-    return pid_response(concat_implicit(cube, request.get_string("cube2"), description));
-  }
-  if (op == "aggregate") {
-    auto parsed = parse_reduce_op(request.get_string("operation", "avg"));
-    if (!parsed.ok()) return parsed.status();
-    return pid_response(aggregate(cube, request.get_string("dim"), *parsed, description));
-  }
-  if (op == "delete") {
-    const Status st = delete_cube(cube);
-    if (!st.ok()) return st;
-    Json response = Json::object();
-    response["status"] = "OK";
-    return response;
-  }
-  if (op == "cubeschema") {
-    auto schema = cubeschema(cube);
-    if (!schema.ok()) return schema.status();
-    Json response = Json::object();
-    response["status"] = "OK";
-    response["measure"] = schema->measure;
-    response["description"] = schema->description;
-    response["elements"] = schema->element_count;
-    response["fragments"] = schema->fragment_count;
-    Json dims = Json::array();
-    for (const DimInfo& dim : schema->explicit_dims) {
-      Json d = Json::object();
-      d["name"] = dim.name;
-      d["size"] = dim.size;
-      dims.push_back(std::move(d));
-    }
-    response["explicit_dims"] = std::move(dims);
-    Json implicit = Json::object();
-    implicit["name"] = schema->implicit_dim.name;
-    implicit["size"] = schema->implicit_dim.size;
-    response["implicit_dim"] = std::move(implicit);
-    return response;
-  }
-  if (op == "list") {
-    Json response = Json::object();
-    response["status"] = "OK";
-    Json cubes = Json::array();
-    for (const std::string& pid : list_cubes()) cubes.push_back(pid);
-    response["cubes"] = std::move(cubes);
-    return response;
-  }
-  if (op == "metadata") {
-    const std::string key = request.get_string("key");
-    if (!key.empty() && request.contains("value")) {
-      const Status st = set_metadata(cube, key, request.get_string("value"));
-      if (!st.ok()) return st;
-      Json response = Json::object();
-      response["status"] = "OK";
-      return response;
-    }
-    auto meta = metadata(cube);
-    if (!meta.ok()) return meta.status();
-    Json response = Json::object();
-    response["status"] = "OK";
-    Json entries = Json::object();
-    for (const auto& [k, v] : *meta) entries[k] = v;
-    response["metadata"] = std::move(entries);
-    return response;
-  }
-  return Status::Unimplemented("unknown operator '" + op + "'");
-}
 
 }  // namespace climate::datacube

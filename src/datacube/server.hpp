@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "common/json.hpp"
 #include "common/striped.hpp"
 #include "common/thread_pool.hpp"
 #include "datacube/admission.hpp"
@@ -186,18 +185,6 @@ class Server {
   Result<std::string> merge(const std::string& pid_a, const std::string& pid_b,
                             const std::string& description = "");
 
-  /// Concatenates two cubes along the implicit (array) dimension — how a
-  /// year cube is assembled from shorter segments (Ophidia's mergecubes2
-  /// flavour). Explicit dimensions must match.
-  Result<std::string> concat_implicit(const std::string& pid_a, const std::string& pid_b,
-                                      const std::string& description = "");
-
-  /// Collapses one explicit dimension with a reduction (spatial
-  /// aggregation, e.g. the zonal/global means of post-processing). The
-  /// resulting cube keeps the remaining explicit dims and the implicit dim.
-  Result<std::string> aggregate(const std::string& pid, const std::string& dim_name, ReduceOp op,
-                                const std::string& description = "");
-
   // ----- catalog ----------------------------------------------------------
 
   /// Removes a cube from the catalog, freeing its memory.
@@ -228,27 +215,6 @@ class Server {
 
   /// Contended catalog shard-lock acquisitions (see CubeCatalog).
   std::uint64_t catalog_contention() const { return catalog_.lock_contention(); }
-
-  // ----- textual operator dispatch ----------------------------------------
-
-  /// Executes one operator from a JSON request, the wire-level submission
-  /// format of the framework (what the client bindings send in the
-  /// original's client/server split):
-  ///
-  ///   {"operator": "reduce", "cube": "<pid>", "operation": "max"}
-  ///   {"operator": "apply", "cube": "<pid>", "query": "predicate(x,'>0',1,0)"}
-  ///   {"operator": "intercube", "cube": a, "cube2": b, "operation": "sub"}
-  ///   {"operator": "subset", "cube": pid, "dim": "t", "start": 0, "end": 9}
-  ///   {"operator": "importnc", "path": ..., "measure": ...}
-  ///   {"operator": "exportnc", "cube": pid, "path": ...}
-  ///   {"operator": "delete", "cube": pid} / {"operator": "cubeschema", ...}
-  ///   {"operator": "aggregate", "cube": pid, "dim": ..., "operation": ...}
-  ///   {"operator": "mergecubes", ...} / {"operator": "concat", ...}
-  ///   {"operator": "list"}
-  ///
-  /// Responses carry {"status": "OK", "cube": "<new pid>"} (or the operator's
-  /// own payload); failures return the error Status.
-  Result<common::Json> execute(const common::Json& request);
 
  private:
   /// Lock-free striped counterpart of ServerStats.

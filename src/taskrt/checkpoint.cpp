@@ -26,20 +26,31 @@ bool CheckpointStore::contains(const std::string& key) const {
 }
 
 Result<std::vector<std::string>> CheckpointStore::load(const std::string& key) const {
-  std::ifstream in(path_for(key), std::ios::binary);
+  const std::string path = path_for(key);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("no checkpoint for key '" + key + "'");
+  // Every length field is checked against the bytes left in the file before
+  // anything is allocated for it: a corrupt field is DATA_LOSS, not a huge
+  // allocation.
+  std::error_code ec;
+  std::uint64_t remaining = fs::file_size(path, ec);
+  if (ec) return Status::DataLoss("cannot size checkpoint for '" + key + "': " + ec.message());
+  auto read_field = [&](auto* field) {
+    if (remaining < sizeof(*field)) return false;
+    remaining -= sizeof(*field);
+    return static_cast<bool>(in.read(reinterpret_cast<char*>(field), sizeof(*field)));
+  };
+  const Status corrupt = Status::DataLoss("corrupt checkpoint for '" + key + "'");
   std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) return Status::DataLoss("corrupt checkpoint for '" + key + "'");
+  if (!read_field(&count) || count > remaining / sizeof(std::uint64_t)) return corrupt;
   std::vector<std::string> outputs;
   outputs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint64_t len = 0;
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    if (!in) return Status::DataLoss("corrupt checkpoint for '" + key + "'");
+    if (!read_field(&len) || len > remaining) return corrupt;
+    remaining -= len;
     std::string blob(len, '\0');
-    in.read(blob.data(), static_cast<std::streamsize>(len));
-    if (!in) return Status::DataLoss("corrupt checkpoint for '" + key + "'");
+    if (!in.read(blob.data(), static_cast<std::streamsize>(len))) return corrupt;
     outputs.push_back(std::move(blob));
   }
   return outputs;

@@ -17,6 +17,9 @@ namespace climate::taskrt {
 namespace {
 constexpr const char* kLogTag = "taskrt";
 
+/// Size hint in bytes of data created without one.
+constexpr std::size_t kDefaultSizeHint = 8;
+
 // CLIMATE_VERIFY=1/true/on enables the verifier; unset/0/false/off disables.
 bool env_flag(const char* name) {
   const char* raw = std::getenv(name);
@@ -223,7 +226,7 @@ DataHandle Runtime::create_data(std::any initial, std::size_t size_bytes) {
   VersionRecord version;
   version.ready = initial.has_value();
   version.value = std::make_shared<std::any>(std::move(initial));
-  version.size_bytes = size_bytes ? size_bytes : options_.default_size_hint;
+  version.size_bytes = size_bytes ? size_bytes : kDefaultSizeHint;
   if (version.ready) version.replicas.insert(-1);  // lives on the master
   record.versions.push_back(std::move(version));
   return DataHandle{id};
@@ -332,17 +335,17 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
   // from its stored outputs, regardless of dependencies (recovery semantics).
   if (checkpoints_ && !options.checkpoint_key.empty() && options.codec.usable() &&
       checkpoints_->contains(options.checkpoint_key)) {
-    auto blobs = checkpoints_->load(options.checkpoint_key);
-    if (blobs.ok()) {
+    auto values = restore_outputs(*task);
+    if (values.ok()) {
       task->from_checkpoint = true;
       tasks_.push_back(std::move(task));
-      commit_outputs_from_checkpoint(*tasks_.back(), *blobs);
+      commit_outputs_from_checkpoint(*tasks_.back(), std::move(*values));
       completion_cv_.notify_all();
       scheduler_cv_.notify_all();
       return id;
     }
     LOG_WARN(kLogTag) << "checkpoint load failed for key '" << options.checkpoint_key
-                      << "': " << blobs.status().to_string() << "; re-executing";
+                      << "': " << values.status().to_string() << "; re-executing";
   }
 
   // A dependency that already failed or was cancelled poisons this task.
@@ -751,18 +754,34 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
               transfer_done_ns - stage_begin_ns, body_ns);
 }
 
-void Runtime::commit_outputs_from_checkpoint(TaskRecord& task,
-                                             const std::vector<std::string>& blobs) {
-  std::size_t blob_index = 0;
+Result<std::vector<std::any>> Runtime::restore_outputs(const TaskRecord& task) const {
+  const std::string& key = task.options.checkpoint_key;
+  auto blobs = checkpoints_->load(key);
+  if (!blobs.ok()) return blobs.status();
+  const auto written = static_cast<std::size_t>(
+      std::count_if(task.bindings.begin(), task.bindings.end(),
+                    [](const ParamBinding& b) { return b.direction != Direction::kIn; }));
+  if (blobs->size() != written) {
+    return Status::DataLoss("checkpoint for '" + key + "' holds " +
+                            std::to_string(blobs->size()) + " outputs, task writes " +
+                            std::to_string(written));
+  }
+  std::vector<std::any> values;
+  values.reserve(written);
+  try {
+    for (const std::string& blob : *blobs) values.push_back(task.options.codec.deserialize(blob));
+  } catch (const std::exception& e) {
+    return Status::DataLoss("checkpoint for '" + key + "' does not decode: " + e.what());
+  }
+  return values;
+}
+
+void Runtime::commit_outputs_from_checkpoint(TaskRecord& task, std::vector<std::any> values) {
+  std::size_t value_index = 0;
   for (const ParamBinding& binding : task.bindings) {
     if (binding.direction == Direction::kIn) continue;
     VersionRecord& version = data_[binding.data].versions[binding.write_version];
-    std::any value;
-    if (blob_index < blobs.size()) {
-      value = task.options.codec.deserialize(blobs[blob_index]);
-    }
-    ++blob_index;
-    version.value = std::make_shared<std::any>(std::move(value));
+    version.value = std::make_shared<std::any>(std::move(values[value_index++]));
     version.ready = true;
     version.replicas.insert(-1);
   }
@@ -1030,7 +1049,7 @@ void Runtime::monitor_loop() {
       for (auto& task_ptr : tasks_) {
         TaskRecord& task = *task_ptr;
         if (task.state != TaskState::kRunning || task.live_attempts.size() != 1 ||
-            task.backup_pending || task.speculated || !task.options.allow_speculation) {
+            task.backup_pending || task.speculated) {
           continue;
         }
         const auto stat_it = fn_stats_.find(task.name);
@@ -1181,19 +1200,14 @@ void Runtime::replay_task_locked(TaskId id) {
   // Checkpoint fast path: restore the stored outputs instead of re-running.
   if (checkpoints_ && !task.options.checkpoint_key.empty() && task.options.codec.usable() &&
       checkpoints_->contains(task.options.checkpoint_key)) {
-    auto blobs = checkpoints_->load(task.options.checkpoint_key);
-    if (blobs.ok()) {
-      std::size_t blob_index = 0;
+    auto values = restore_outputs(task);
+    if (values.ok()) {
+      std::size_t value_index = 0;
       for (const ParamBinding& binding : task.bindings) {
         if (binding.direction == Direction::kIn) continue;
         VersionRecord& version = data_[binding.data].versions[binding.write_version];
-        std::any value;
-        if (blob_index < blobs->size()) {
-          value = task.options.codec.deserialize((*blobs)[blob_index]);
-        }
-        ++blob_index;
         if (!version.ready) ++recovery_.data_versions_rematerialized;
-        version.value = std::make_shared<std::any>(std::move(value));
+        version.value = std::make_shared<std::any>(std::move((*values)[value_index++]));
         version.ready = true;
         version.cancelled = false;
         version.replicas.insert(-1);
@@ -1207,6 +1221,8 @@ void Runtime::replay_task_locked(TaskId id) {
       scheduler_cv_.notify_all();
       return;
     }
+    LOG_WARN(kLogTag) << "checkpoint load failed for key '" << task.options.checkpoint_key
+                      << "': " << values.status().to_string() << "; re-executing";
   }
 
   // Lineage re-execution: back to pending, outputs reset, lost producers

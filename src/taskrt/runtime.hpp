@@ -158,9 +158,6 @@ struct RuntimeOptions {
   /// Directory for task-level checkpoints; empty disables checkpointing.
   std::string checkpoint_dir;
 
-  /// Default size hint in bytes for data without an explicit hint.
-  std::size_t default_size_hint = 8;
-
   /// Arms the verifier: per-parameter read/write tracking against the
   /// declared directions plus a graph lint at sync/shutdown. kAuto follows
   /// the CLIMATE_VERIFY environment variable. Diagnostics never change
@@ -351,7 +348,12 @@ class Runtime {
   void complete_locked(TaskRecord& task);
   void cancel_locked(TaskRecord& task, TaskId cause, const std::string& reason);
   void cancel_successors(TaskId id, const std::string& reason);
-  void commit_outputs_from_checkpoint(TaskRecord& task, const std::vector<std::string>& blobs);
+  /// Loads and decodes `task`'s checkpointed outputs, one value per written
+  /// binding. A record the store cannot read, with the wrong output count,
+  /// or with a blob the codec rejects (by throwing) is DATA_LOSS: the caller
+  /// re-executes the task instead.
+  Result<std::vector<std::any>> restore_outputs(const TaskRecord& task) const;
+  void commit_outputs_from_checkpoint(TaskRecord& task, std::vector<std::any> values);
   int pick_node(const TaskRecord& task);
   bool node_eligible(int node_index, const TaskRecord& task) const;
   bool node_alive_locked(std::size_t node_index) const {

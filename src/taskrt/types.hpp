@@ -110,7 +110,9 @@ enum class FailurePolicy { kFail, kRetry, kIgnore, kCancelSuccessors };
 const char* failure_policy_name(FailurePolicy policy);
 
 /// Serializer pair used by task-level checkpointing: turns each output value
-/// into bytes and back.
+/// into bytes and back. `deserialize` throws on bytes it cannot decode (a
+/// checkpoint read back from disk may be corrupt); the runtime then
+/// re-executes the task.
 struct OutputCodec {
   std::function<std::string(const std::any&)> serialize;
   std::function<std::any(const std::string&)> deserialize;
@@ -136,10 +138,6 @@ struct TaskOptions {
   /// tasks with external side effects or non-idempotent state (e.g. the
   /// chained ESM simulation mutating its model in place).
   bool durable_outputs = false;
-
-  /// Opt-out from speculative straggler re-execution (only meaningful when
-  /// RuntimeOptions::speculation is on).
-  bool allow_speculation = true;
 };
 
 /// Description of one simulated compute node of the cluster.

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/fault.hpp"
+#include "taskrt/checkpoint.hpp"
 #include "taskrt/runtime.hpp"
 
 namespace climate::taskrt {
@@ -129,50 +130,92 @@ TEST(Chaos, NodeCrashRecoversByLineageReplay) {
   EXPECT_EQ(rt.verify_report().violation_count(), 0u);
 }
 
-// Same crash, but the producer checkpointed its outputs: recovery restores
-// from the checkpoint instead of re-running the body.
-TEST(Chaos, NodeCrashRecoversFromCheckpoint) {
+// Crashes the node holding a checkpointed producer's only output, then
+// runs a consumer of it. With `corrupt`, the checkpoint is first replaced by
+// bytes its codec rejects.
+struct CheckpointCrash {
+  int doubled = 0;
+  int producer_runs = 0;
+  RecoveryReport recovery;
+  std::size_t violations = 0;
+};
+
+void crash_checkpointed_producer(bool corrupt, CheckpointCrash* out) {
   const std::string dir =
       (fs::temp_directory_path() / "climate_chaos_ckpt").string();
   fs::remove_all(dir);
   RuntimeOptions options = pinned_cluster();
   options.checkpoint_dir = dir;
-  Runtime rt(options);
+  {  // leaving this scope joins the worker that may still be saving a checkpoint
+    Runtime rt(options);
 
-  DataHandle filler_h = rt.create_data();
-  rt.submit("filler", pin("b"), {Out(filler_h)}, [](TaskContext& ctx) {
-    sleep_ms(120);
-    ctx.set_out(0, std::any(0));
-  });
+    DataHandle filler_h = rt.create_data();
+    rt.submit("filler", pin("b"), {Out(filler_h)}, [](TaskContext& ctx) {
+      sleep_ms(120);
+      ctx.set_out(0, std::any(0));
+    });
 
-  std::atomic<int> producer_runs{0};
-  TaskOptions producer_options = pin("a");
-  producer_options.checkpoint_key = "chaos_producer";
-  producer_options.codec = int_codec();
-  DataHandle value_h = rt.create_data();
-  rt.submit("producer", producer_options, {Out(value_h)}, [&producer_runs](TaskContext& ctx) {
-    producer_runs.fetch_add(1);
-    ctx.set_out(0, std::any(21));
-  });
-  const int producer_node = wait_for_completion(rt, "producer");
-  ASSERT_GE(producer_node, 0);
-  rt.crash_node(static_cast<std::size_t>(producer_node));
-  wait_for_node_death(rt, 1);
+    std::atomic<int> producer_runs{0};
+    TaskOptions producer_options = pin("a");
+    producer_options.checkpoint_key = "chaos_producer";
+    producer_options.codec = int_codec();
+    DataHandle value_h = rt.create_data();
+    rt.submit("producer", producer_options, {Out(value_h)}, [&producer_runs](TaskContext& ctx) {
+      producer_runs.fetch_add(1);
+      ctx.set_out(0, std::any(21));
+    });
+    const int producer_node = wait_for_completion(rt, "producer");
+    ASSERT_GE(producer_node, 0);
+    if (corrupt) {
+      // The runtime saves the checkpoint after the task completes; overwrite
+      // it only once that save is in place.
+      CheckpointStore store(dir);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!store.contains("chaos_producer")) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "checkpoint never saved";
+        sleep_ms(1);
+      }
+      ASSERT_TRUE(store.save("chaos_producer", {"not a number"}).ok());
+    }
+    rt.crash_node(static_cast<std::size_t>(producer_node));
+    wait_for_node_death(rt, 1);
 
-  DataHandle doubled_h = rt.create_data();
-  rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
-    ctx.set_out(1, std::any(ctx.in_as<int>(0) * 2));
-  });
-  EXPECT_EQ(rt.sync_as<int>(doubled_h), 42);
-  EXPECT_EQ(rt.sync_as<int>(filler_h), 0);
-  rt.wait_all();
-
-  const RecoveryReport recovery = rt.recovery();
-  EXPECT_EQ(recovery.node_failures, 1u);
-  EXPECT_GE(recovery.checkpoint_restores, 1u);
-  EXPECT_EQ(producer_runs.load(), 1);  // the body never re-ran
-  EXPECT_EQ(rt.verify_report().violation_count(), 0u);
+    DataHandle doubled_h = rt.create_data();
+    rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
+      ctx.set_out(1, std::any(ctx.in_as<int>(0) * 2));
+    });
+    out->doubled = rt.sync_as<int>(doubled_h);
+    EXPECT_EQ(rt.sync_as<int>(filler_h), 0);
+    rt.wait_all();
+    out->producer_runs = producer_runs.load();
+    out->recovery = rt.recovery();
+    out->violations = rt.verify_report().violation_count();
+  }
   fs::remove_all(dir);
+}
+
+// Same crash, but the producer checkpointed its outputs: recovery restores
+// from the checkpoint instead of re-running the body.
+TEST(Chaos, NodeCrashRecoversFromCheckpoint) {
+  CheckpointCrash run;
+  ASSERT_NO_FATAL_FAILURE(crash_checkpointed_producer(false, &run));
+  EXPECT_EQ(run.doubled, 42);
+  EXPECT_EQ(run.recovery.node_failures, 1u);
+  EXPECT_GE(run.recovery.checkpoint_restores, 1u);
+  EXPECT_EQ(run.producer_runs, 1);  // the body never re-ran
+  EXPECT_EQ(run.violations, 0u);
+}
+
+// Same crash, but the checkpoint no longer decodes: recovery falls back to
+// lineage replay instead of restoring a bad value.
+TEST(Chaos, NodeCrashWithCorruptCheckpointReplaysByLineage) {
+  CheckpointCrash run;
+  ASSERT_NO_FATAL_FAILURE(crash_checkpointed_producer(true, &run));
+  EXPECT_EQ(run.doubled, 42);
+  EXPECT_EQ(run.recovery.node_failures, 1u);
+  EXPECT_EQ(run.recovery.checkpoint_restores, 0u);
+  EXPECT_EQ(run.producer_runs, 2);  // original + lineage replay
+  EXPECT_EQ(run.violations, 0u);
 }
 
 // Durable outputs (filesystem / datacube service) survive the crash: no

@@ -140,11 +140,6 @@ TEST(Server, ReduceOfEmptyImplicitDimIsInvalidArgument) {
     EXPECT_EQ(server.reduce(*pid, ReduceOp::kMax, group).status().code(),
               common::StatusCode::kInvalidArgument);
   }
-  common::Json request = common::Json::object();
-  request["operator"] = "reduce";
-  request["cube"] = *pid;
-  request["operation"] = "sum";
-  EXPECT_EQ(server.execute(request).status().code(), common::StatusCode::kInvalidArgument);
 }
 
 TEST(Server, ApplyExpression) {
@@ -229,6 +224,23 @@ TEST(Server, MergeAlongFirstDim) {
   auto dense = server.fetch_dense(*out);
   EXPECT_EQ(dense->size(), 10u);
   EXPECT_FLOAT_EQ((*dense)[4], 100.0f);
+
+  // A deferred operand (an intercube result holds no values) is
+  // materialised by merge before it is concatenated.
+  auto doubled = server.intercube(b, b, InterOp::kAdd);
+  ASSERT_TRUE(doubled.ok());
+  const std::uint64_t read_before = server.stats().elements_processed;
+  auto mixed = server.merge(a, *doubled);
+  ASSERT_TRUE(mixed.ok());
+  // a's 4 held elements plus the chain's two reads of b's 6.
+  EXPECT_EQ(server.stats().elements_processed - read_before, 4u + 12u);
+  auto mixed_dense = server.fetch_dense(*mixed);
+  ASSERT_TRUE(mixed_dense.ok());
+  std::vector<float> expected = {0, 1, 10, 11};
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t k = 0; k < 2; ++k) expected.push_back(2.0f * (100 + r * 10 + k));
+  }
+  EXPECT_EQ(*mixed_dense, expected);
 }
 
 TEST(Server, CatalogLifecycle) {

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "taskrt/checkpoint.hpp"
@@ -344,6 +346,61 @@ TEST_F(CheckpointTest, RuntimeCountsCheckpointRestores) {
     EXPECT_EQ(rt.stats().tasks_from_checkpoint, 1u);
     EXPECT_EQ(rt.stats().tasks_executed, 0u);
   }
+}
+
+// A checkpoint that does not decode is reported and the task re-runs: a
+// length field far past the end of the file (it once sized a 2^62-byte
+// allocation), and a well-framed blob too short for its codec's header.
+TEST_F(CheckpointTest, CorruptCheckpointReExecutesTask) {
+  OutputCodec raw_int;  // the blob is exactly the int's bytes
+  raw_int.serialize = [](const std::any& value) {
+    const int v = any_as<int>(value);
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  raw_int.deserialize = [](const std::string& blob) -> std::any {
+    int v = 0;
+    if (blob.size() < sizeof(v)) throw std::out_of_range("blob shorter than its header");
+    std::memcpy(&v, blob.data(), sizeof(v));
+    return v;
+  };
+  std::atomic<int> executions{0};
+  auto run_workflow = [&]() -> int {
+    RuntimeOptions options;
+    options.checkpoint_dir = dir_;
+    Runtime rt(options);
+    DataHandle out = rt.create_data();
+    TaskOptions topts;
+    topts.checkpoint_key = "fragile";
+    topts.codec = raw_int;
+    rt.submit("fragile", topts, {Out(out)}, [&](TaskContext& ctx) {
+      executions.fetch_add(1);
+      ctx.set_out(0, std::any(77));
+    });
+    return rt.sync_as<int>(out);
+  };
+  EXPECT_EQ(run_workflow(), 77);
+  ASSERT_EQ(executions.load(), 1);
+  CheckpointStore store(dir_);
+
+  // Case 1: the first output's length field (after the 4-byte count).
+  std::string path;
+  for (const auto& entry : fs::directory_iterator(dir_)) path = entry.path().string();
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(sizeof(std::uint32_t));
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    file.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_EQ(store.load("fragile").status().code(), common::StatusCode::kDataLoss);
+  EXPECT_EQ(run_workflow(), 77);
+  EXPECT_EQ(executions.load(), 2);
+  EXPECT_EQ(run_workflow(), 77);  // the re-run saved a good checkpoint
+  EXPECT_EQ(executions.load(), 2);
+
+  // Case 2: a readable record whose blob is shorter than the codec's header.
+  ASSERT_TRUE(store.save("fragile", {"ab"}).ok());
+  EXPECT_EQ(run_workflow(), 77);
+  EXPECT_EQ(executions.load(), 3);
 }
 
 // Runtime::trace() on a fixed DAG that exercises every lifecycle path: a

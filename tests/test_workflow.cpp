@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/workflow.hpp"
 #include "esm/diagnostics.hpp"
@@ -245,6 +246,45 @@ TEST_F(WorkflowTest, CheckpointRecoverySkipsAnalysis) {
   for (std::size_t c = 0; c < first->years[0].heat.count.size(); ++c) {
     ASSERT_FLOAT_EQ(first->years[0].heat.count[c], second->years[0].heat.count[c]);
   }
+}
+
+// Cuts every output blob of every checkpoint record in `dir` to half its
+// length, keeping the record framing (u32 count, then per output a u64
+// length and the bytes) valid, so only the codecs can notice.
+void halve_checkpoint_blobs(const std::string& dir) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::uint32_t count = 0;
+    in.read(reinterpret_cast<char*>(&count), sizeof(count));
+    std::string out(reinterpret_cast<const char*>(&count), sizeof(count));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint64_t len = 0;
+      in.read(reinterpret_cast<char*>(&len), sizeof(len));
+      std::string blob(len, '\0');
+      in.read(blob.data(), static_cast<std::streamsize>(len));
+      len /= 2;
+      out.append(reinterpret_cast<const char*>(&len), sizeof(len));
+      out.append(blob, 0, len);
+    }
+    ASSERT_TRUE(in) << entry.path();
+    in.close();
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc) << out;
+  }
+}
+
+TEST_F(WorkflowTest, TruncatedCheckpointBlobsReExecuteAnalysis) {
+  // The field and cube codecs check every read against the blob: a short
+  // blob fails the restore and the task runs again, with the same results.
+  WorkflowConfig config = small_config(dir_);
+  config.checkpoint_dir = dir_ + "/ckpt";
+  auto first = ExtremeEventsWorkflow(config).run();
+  ASSERT_TRUE(first.ok());
+  halve_checkpoint_blobs(config.checkpoint_dir);
+  auto second = ExtremeEventsWorkflow(config).run();
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(second->runtime_stats.tasks_from_checkpoint, 0u);
+  EXPECT_EQ(first->years[0].heat.count.data(), second->years[0].heat.count.data());
+  EXPECT_EQ(first->years[0].cold.duration_max.data(), second->years[0].cold.duration_max.data());
 }
 
 TEST_F(WorkflowTest, MissingOutputDirRejected) {
