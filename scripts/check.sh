@@ -9,9 +9,12 @@
 # I/O-server pool, and PipelineProperty drives Server::apply. test_ml is gated
 # too: the workflow runs inference from several workers through one shared
 # TcLocalizer, so Conv2D and the other layers must keep their per-call
-# scratch local (TcLocalizer.ConcurrentInferenceMatchesSerial). The
-# address run also enables UBSan (the two compose; TSan does not). Both runs
-# also execute the examples (ctest label "examples").
+# scratch local (TcLocalizer.ConcurrentInferenceMatchesSerial). So is
+# test_taskrt_failures: a worker saves a completed task's checkpoint outside
+# the runtime lock while the master's wait_all waits for that save to finish
+# (CheckpointTest.WaitAllOutlastsCheckpointSaves). The address run also
+# enables UBSan (the two compose; TSan does not). Both runs also execute the
+# examples (ctest label "examples").
 #
 # Usage:
 #   scripts/check.sh [thread|address|undefined|none|--full] [ctest-regex]
@@ -75,7 +78,7 @@ ctest "${CTEST_ARGS[@]}"
 if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
   echo "== TSan gate: re-running the concurrency suites explicitly"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_obs|test_taskrt|test_datacube|test_common|test_esm|test_expression|test_properties|test_ml)$'
+    -R '^(test_obs|test_taskrt|test_taskrt_failures|test_datacube|test_common|test_esm|test_expression|test_properties|test_ml)$'
   echo "== TSan chaos gate: fault injection + node-failure recovery under TSan"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L chaos
 fi

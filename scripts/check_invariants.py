@@ -46,6 +46,13 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      record and the profiler's TaskCost derive from TaskTrace and copy it as
      one slice, so a second copy of the lifecycle cannot creep back.
 
+  8. No polling in the task runtime: src/taskrt/runtime.cpp may not call
+     `wait_for(` or `wait_until(`. Workers, sync and wait_all wait untimed on
+     condition variables that every state change notifies, and a crashed
+     node is declared dead by the event that completes it (crash_node, the
+     injected crash, its last body returning), so a timed wait could only
+     hide a missed notify or bring back a timeout-driven watchdog.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -98,6 +105,8 @@ LIFECYCLE_DECL_RE = re.compile(
 LIFECYCLE_LAYERS = {"taskrt", "obs/prof"}
 LIFECYCLE_HOME = pathlib.Path("src/taskrt/trace.hpp")
 UNSAFE_MATH_RE = re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b")
+TIMED_WAIT_RE = re.compile(r"\bwait_(?:for|until)\s*\(")
+NO_POLLING_FILE = pathlib.Path("src/taskrt/runtime.cpp")
 
 
 def iter_sources():
@@ -169,6 +178,11 @@ def check_file(path: pathlib.Path, violations: list):
             violations.append(
                 f"{rel}:{lineno}: ncio::FileReader under src/core/ (read daily files through "
                 f"esm::DailyFileReader, one open per file)")
+
+        if rel == NO_POLLING_FILE and TIMED_WAIT_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: timed wait in the task runtime (wait untimed on a "
+                f"condition variable that the state change notifies)")
 
         if not owns_lifecycle:
             match = LIFECYCLE_DECL_RE.search(line)

@@ -970,9 +970,6 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
     recovery["data_versions_lost"] = static_cast<double>(rec.data_versions_lost);
     recovery["data_versions_rematerialized"] =
         static_cast<double>(rec.data_versions_rematerialized);
-    recovery["deadline_failures"] = static_cast<double>(rec.deadline_failures);
-    recovery["speculative_backups"] = static_cast<double>(rec.speculative_backups);
-    recovery["speculative_wins"] = static_cast<double>(rec.speculative_wins);
     recovery["recovery_exec_ms"] = static_cast<double>(rec.recovery_exec_ns) / 1e6;
     results.summary["recovery"] = std::move(recovery);
     LOG_INFO(kLogTag) << "chaos run: " << rec.faults_injected << " faults injected, "

@@ -125,8 +125,7 @@ void TaskContext::simulate_compute(std::chrono::nanoseconds duration) const {
   const auto deadline = std::chrono::steady_clock::now() + duration;
   // Busy-wait in small sleeps: sleeping models blocking I/O well enough and
   // does not oversubscribe the (possibly single-core) host. A cancelled
-  // attempt (deadline kill, losing speculative copy) stops early — its
-  // result is discarded at commit anyway.
+  // attempt stops early — its result is discarded at commit anyway.
   while (std::chrono::steady_clock::now() < deadline) {
     if (cancelled()) return;
     std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -167,10 +166,8 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   }
 
   node_queues_.resize(nodes_.size());
-  const std::int64_t boot_ns = now_ns();
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     node_runtime_.push_back(std::make_unique<NodeRuntime>());
-    node_runtime_.back()->heartbeat_ns = boot_ns;
   }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const int cores = std::max(1, nodes_[n].cores);
@@ -178,7 +175,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
       workers_.emplace_back([this, n] { worker_loop(static_cast<int>(n)); });
     }
   }
-  monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 Runtime::~Runtime() {
@@ -192,9 +188,7 @@ Runtime::~Runtime() {
     stopping_ = true;
   }
   scheduler_cv_.notify_all();
-  monitor_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
-  if (monitor_.joinable()) monitor_.join();
 
   if (verifier_) {
     {
@@ -465,37 +459,19 @@ int Runtime::pick_node(const TaskRecord& task) {
 
 void Runtime::worker_loop(int node_index) {
   NodeRuntime& self = *node_runtime_[static_cast<std::size_t>(node_index)];
-  // A task is claimable when ready, or when it is a running straggler with a
-  // queued speculative backup copy.
-  const auto claimable = [&](const TaskRecord& task) {
-    return task.state == TaskState::kReady ||
-           (task.state == TaskState::kRunning && task.backup_pending);
-  };
-  const auto heartbeat_interval = std::chrono::nanoseconds(
-      static_cast<std::int64_t>(std::max(0.5, options_.heartbeat_interval_ms) * 1e6));
 
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    // Liveness stamp: an idle worker proves its node alive every loop turn.
-    // During a long task body no stamps happen, which is why the monitor only
-    // declares death when the node also has no body in flight.
-    self.heartbeat_ns = now_ns();
     if (stopping_) return;
     if (self.crashed) return;  // injected node failure: stop draining
 
     TaskId task_id = kNoTask;
-    bool backup = false;
     auto& own = node_queues_[static_cast<std::size_t>(node_index)];
     while (!own.empty() && task_id == kNoTask) {
       const TaskId candidate = own.front();
       own.pop_front();
       OBS_GAUGE_ADD("taskrt.ready_queue_depth", -1);
-      TaskRecord& task = *tasks_[candidate - 1];
-      if (claimable(task)) {
-        task_id = candidate;
-        backup = task.state == TaskState::kRunning;
-        if (backup) task.backup_pending = false;
-      }
+      if (tasks_[candidate - 1]->state == TaskState::kReady) task_id = candidate;
     }
     if (task_id == kNoTask) {
       // Steal from the longest eligible queue.
@@ -506,7 +482,8 @@ void Runtime::worker_loop(int node_index) {
         if (node_queues_[n].size() <= victim_len) continue;
         bool has_eligible = false;
         for (TaskId id : node_queues_[n]) {
-          if (claimable(*tasks_[id - 1]) && node_eligible(node_index, *tasks_[id - 1])) {
+          const TaskRecord& task = *tasks_[id - 1];
+          if (task.state == TaskState::kReady && node_eligible(node_index, task)) {
             has_eligible = true;
             break;
           }
@@ -520,10 +497,8 @@ void Runtime::worker_loop(int node_index) {
         auto& q = node_queues_[victim];
         for (auto it = q.begin(); it != q.end(); ++it) {
           TaskRecord& task = *tasks_[*it - 1];
-          if (claimable(task) && node_eligible(node_index, task)) {
+          if (task.state == TaskState::kReady && node_eligible(node_index, task)) {
             task_id = *it;
-            backup = task.state == TaskState::kRunning;
-            if (backup) task.backup_pending = false;
             q.erase(it);
             OBS_GAUGE_ADD("taskrt.ready_queue_depth", -1);
             OBS_COUNTER_ADD("taskrt.steals", 1);
@@ -533,19 +508,20 @@ void Runtime::worker_loop(int node_index) {
       }
     }
     if (task_id == kNoTask) {
-      // Bounded wait instead of a bare cv wait: the timeout doubles as the
-      // heartbeat cadence.
-      scheduler_cv_.wait_for(lock, heartbeat_interval);
+      // Untimed: every change that makes a task claimable (enqueue_ready,
+      // which retries, re-homing and re-blocking all go through) or stops a
+      // worker notifies scheduler_cv_ under or after mutex_.
+      scheduler_cv_.wait(lock);
       continue;
     }
 
     lock.unlock();
-    execute_task(task_id, node_index, backup);
+    execute_task(task_id, node_index);
     lock.lock();
   }
 }
 
-void Runtime::execute_task(TaskId id, int node_index, bool backup) {
+void Runtime::execute_task(TaskId id, int node_index) {
   TaskContext ctx;
   std::int64_t transfer_bytes = 0;
   std::int64_t stage_begin_ns = 0;
@@ -565,12 +541,7 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
       if (task.state == TaskState::kReady) enqueue_ready(id);
       return;
     }
-    if (backup) {
-      // A speculative copy only makes sense while the primary is in flight.
-      if (task.state != TaskState::kRunning || task.live_attempts.empty()) return;
-    } else if (task.state != TaskState::kReady) {
-      return;
-    }
+    if (task.state != TaskState::kReady) return;
 
     // Injected node crash, decided at task pickup BEFORE any attempt
     // bookkeeping: no retry budget is consumed and no side effects leak —
@@ -581,9 +552,8 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
       node.crashed = true;
       OBS_COUNTER_ADD("fault.injected.taskrt.node_crash", 1);
       obs::Span span("fault", "inject:node_crash");
-      if (!backup) enqueue_ready(id);  // re-home the popped task
-      scheduler_cv_.notify_all();
-      monitor_cv_.notify_all();
+      enqueue_ready(id);  // re-home the popped task
+      handle_node_death_locked(static_cast<std::size_t>(node_index));
       return;
     }
     if (faults_) {
@@ -600,10 +570,7 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
     for (const ParamBinding& binding : task.bindings) {
       if (binding.direction == Direction::kOut) continue;
       if (!data_.at(binding.data).versions[binding.read_version].ready) {
-        if (!backup) {
-          reblock_on_lost_inputs_locked(task);
-          scheduler_cv_.notify_all();
-        }
+        reblock_on_lost_inputs_locked(task);
         return;
       }
     }
@@ -611,29 +578,27 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
     running = &task;
     const std::int64_t dequeue_ns = now_ns();
     attempt = task.attempts++;
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    task.live_attempts[attempt] = AttemptInfo{cancel, node_index, dequeue_ns, backup};
+    task.live_attempt = attempt;
+    task.cancel = std::make_shared<std::atomic<bool>>(false);
     ++node.executing;
     ++stats_.tasks_executed;
-    if (!backup) {
-      task.state = TaskState::kRunning;
-      task.node = node_index;
-      // Re-stamped on every primary dequeue (like queued_ns on every
-      // enqueue) so queue-wait attribution covers the attempt that ran last.
-      task.start_ns = dequeue_ns;
-      if (task.queued_ns >= 0) {
-        obs::observe_histogram("taskrt.queue_wait_ns", static_cast<double>(dequeue_ns - task.queued_ns));
-      }
-      if (task.ready_ns >= 0 && attempt == 0) {
-        obs::observe_histogram("taskrt.dep_wait_ns", static_cast<double>(task.ready_ns - task.submit_ns));
-      }
+    task.state = TaskState::kRunning;
+    task.node = node_index;
+    // Re-stamped on every dequeue (like queued_ns on every enqueue) so
+    // queue-wait attribution covers the attempt that ran last.
+    task.start_ns = dequeue_ns;
+    if (task.queued_ns >= 0) {
+      obs::observe_histogram("taskrt.queue_wait_ns", static_cast<double>(dequeue_ns - task.queued_ns));
+    }
+    if (task.ready_ns >= 0 && attempt == 0) {
+      obs::observe_histogram("taskrt.dep_wait_ns", static_cast<double>(task.ready_ns - task.submit_ns));
     }
     ctx.params_ = task.original_params;
     ctx.inputs_.resize(task.bindings.size());
     ctx.outputs_.resize(task.bindings.size());
     ctx.access_.resize(task.bindings.size());
     ctx.verifier_ = verifier_.get();
-    ctx.cancel_flag_ = cancel;
+    ctx.cancel_flag_ = task.cancel;
     ctx.node_ = node_index;
     ctx.task_id_ = id;
     ctx.name_ = task.name;
@@ -678,7 +643,7 @@ void Runtime::execute_task(TaskId id, int node_index, bool backup) {
         static_cast<std::int64_t>(options_.container_startup_ms * 1e6)));
   }
   if (slowdown_ms > 0) {
-    // Injected node slowdown: the straggler stimulus for speculation.
+    // Injected node slowdown: the attempt runs late but still commits.
     obs::Span span("fault", "inject:node_slowdown");
     std::this_thread::sleep_for(
         std::chrono::nanoseconds(static_cast<std::int64_t>(slowdown_ms * 1e6)));
@@ -804,50 +769,34 @@ void Runtime::finish_task(TaskId id, int attempt, int node_index, bool success,
     TaskRecord& task = *tasks_[id - 1];
     NodeRuntime& node = *node_runtime_[static_cast<std::size_t>(node_index)];
     --node.executing;
-    // Attribution accumulates over attempts (retries and speculative copies
-    // add up), even when this attempt's result is discarded below.
+    // Attribution accumulates over attempts (retries add up), even when this
+    // attempt's result is discarded below.
     task.transfer_ns += transfer_add_ns;
     task.exec_ns += body_ns;
     if (task.replaying) recovery_.recovery_exec_ns += body_ns;
 
-    auto it = task.live_attempts.find(attempt);
-    if (it == task.live_attempts.end()) {
-      // Superseded: a deadline kill, a faster speculative copy or a workflow
-      // abort already discarded this attempt; only its timing was kept.
-      scheduler_cv_.notify_all();
-      return;
-    }
+    // A cancelled attempt is no longer live: only its timing was kept.
+    const bool live = task.live_attempt == attempt;
+    task.live_attempt = -1;
     if (node.crashed) {
       // Physical consistency: a result computed on a crashed node is lost
       // with the node. Drop the attempt without consuming the retry budget;
-      // the death handler reschedules the task.
-      task.live_attempts.erase(it);
-      --task.attempts;
-      ++task.node_failures;
-      ++recovery_.tasks_rescheduled;
-      monitor_cv_.notify_all();
+      // the death handler reschedules the task, and runs now if this was the
+      // node's last body in flight.
+      if (live) {
+        --task.attempts;
+        ++task.node_failures;
+        ++recovery_.tasks_rescheduled;
+      }
+      handle_node_death_locked(static_cast<std::size_t>(node_index));
       return;
     }
-    const bool was_backup = it->second.backup;
-    task.live_attempts.erase(it);
-    if (task.state != TaskState::kRunning) return;
+    if (!live) return;
 
     if (!success) {
-      for (auto& [index, info] : task.live_attempts) info.cancel->store(true);
-      task.live_attempts.clear();
       fail_task_locked(task, error);
       return;
     }
-
-    // First healthy finisher commits; slower concurrent attempts are
-    // cancelled and their late results discarded via the live_attempts miss.
-    if (was_backup) ++recovery_.speculative_wins;
-    for (auto& [index, info] : task.live_attempts) info.cancel->store(true);
-    task.live_attempts.clear();
-    task.node = node_index;
-    FnStat& fn_stat = fn_stats_[task.name];
-    fn_stat.total_ns += body_ns;
-    ++fn_stat.count;
 
     // Publish outputs.
     for (std::size_t i = 0; i < task.bindings.size(); ++i) {
@@ -879,12 +828,14 @@ void Runtime::finish_task(TaskId id, int attempt, int node_index, bool success,
         const VersionRecord& version = data_[task.bindings[i].data].versions[task.bindings[i].write_version];
         checkpoint_blobs.push_back(task.options.codec.serialize(*version.value));
       }
+      ++saves_in_flight_;  // before complete_locked can wake wait_all
     }
     complete_locked(task);
   }
   if (want_checkpoint) {
-    // checkpoint_key was copied under the lock: indexing tasks_ here would
-    // race with submit() growing the vector.
+    // Saved outside the lock so successors are not delayed. checkpoint_key
+    // was copied under the lock: indexing tasks_ here would race with
+    // submit() growing the vector.
     const std::int64_t save_begin_ns = now_ns();
     const Status st = checkpoints_->save(checkpoint_key, checkpoint_blobs);
     if (!st.ok()) {
@@ -895,6 +846,8 @@ void Runtime::finish_task(TaskId id, int attempt, int node_index, bool success,
     obs::observe_histogram("taskrt.checkpoint_save_ns", static_cast<double>(save_ns));
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_[id - 1]->checkpoint_ns += save_ns;
+    --saves_in_flight_;
+    completion_cv_.notify_all();
   }
 }
 
@@ -992,8 +945,10 @@ void Runtime::cancel_locked(TaskRecord& task, TaskId cause, const std::string& r
       data_[binding.data].versions[binding.write_version].cancelled = true;
     }
   }
-  for (auto& [index, info] : task.live_attempts) info.cancel->store(true);
-  task.live_attempts.clear();
+  if (task.live_attempt >= 0) {
+    task.cancel->store(true);
+    task.live_attempt = -1;
+  }
   if (verifier_) {
     verify::Diagnostic diag;
     diag.kind = verify::DiagKind::kCancelledByFailure;
@@ -1014,145 +969,30 @@ void Runtime::cancel_successors(TaskId id, const std::string& reason) {
 
 // ------------------------------------------------ node failure and recovery
 
-void Runtime::monitor_loop() {
-  const auto interval = std::chrono::nanoseconds(
-      static_cast<std::int64_t>(std::max(0.5, options_.heartbeat_interval_ms) * 1e6));
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    const std::int64_t now = now_ns();
-
-    // Deadline enforcement: a task whose earliest live attempt has run past
-    // deadline_ms is treated as hung and routed through its failure policy.
-    for (auto& task_ptr : tasks_) {
-      TaskRecord& task = *task_ptr;
-      if (task.state != TaskState::kRunning || task.options.deadline_ms <= 0 ||
-          task.live_attempts.empty()) {
-        continue;
-      }
-      std::int64_t earliest_ns = task.live_attempts.begin()->second.start_ns;
-      for (const auto& [index, info] : task.live_attempts) {
-        earliest_ns = std::min(earliest_ns, info.start_ns);
-      }
-      const double elapsed_ms = static_cast<double>(now - earliest_ns) / 1e6;
-      if (elapsed_ms <= task.options.deadline_ms) continue;
-      for (auto& [index, info] : task.live_attempts) info.cancel->store(true);
-      task.live_attempts.clear();
-      ++recovery_.deadline_failures;
-      fail_task_locked(task, "deadline of " + std::to_string(task.options.deadline_ms) +
-                                 " ms exceeded (hung-task detection)");
-    }
-
-    // Speculative straggler re-execution: a task running much longer than
-    // its function's trailing mean gets a backup copy on another node; the
-    // first finisher wins and the loser is cancelled at commit.
-    if (options_.speculation) {
-      for (auto& task_ptr : tasks_) {
-        TaskRecord& task = *task_ptr;
-        if (task.state != TaskState::kRunning || task.live_attempts.size() != 1 ||
-            task.backup_pending || task.speculated) {
-          continue;
-        }
-        const auto stat_it = fn_stats_.find(task.name);
-        if (stat_it == fn_stats_.end() ||
-            stat_it->second.count < options_.speculation_min_samples) {
-          continue;
-        }
-        const double mean_ms = static_cast<double>(stat_it->second.total_ns) /
-                               static_cast<double>(stat_it->second.count) / 1e6;
-        const AttemptInfo& primary = task.live_attempts.begin()->second;
-        const double elapsed_ms = static_cast<double>(now - primary.start_ns) / 1e6;
-        const double threshold_ms =
-            std::max(options_.speculation_factor * mean_ms, options_.speculation_min_ms);
-        if (elapsed_ms <= threshold_ms) continue;
-        int target = -1;
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-          if (static_cast<int>(n) == primary.node) continue;
-          if (node_alive_locked(n) && node_eligible(static_cast<int>(n), task)) {
-            target = static_cast<int>(n);
-            break;
-          }
-        }
-        if (target < 0) continue;  // nowhere to run a backup
-        task.backup_pending = true;
-        task.speculated = true;
-        ++recovery_.speculative_backups;
-        node_queues_[static_cast<std::size_t>(target)].push_back(task.id);
-        OBS_GAUGE_ADD("taskrt.ready_queue_depth", 1);
-        OBS_COUNTER_ADD("taskrt.speculative_backups", 1);
-        scheduler_cv_.notify_all();
-      }
-    }
-
-    // Node death: a crashed node is declared dead once its heartbeat is
-    // stale AND no body is still in flight there (a finisher first drops its
-    // now-lost result in finish_task).
-    const auto timeout_ns =
-        static_cast<std::int64_t>(std::max(1.0, options_.heartbeat_timeout_ms) * 1e6);
-    for (std::size_t n = 0; n < node_runtime_.size(); ++n) {
-      NodeRuntime& node = *node_runtime_[n];
-      if (node.dead || !node.crashed || node.executing > 0) continue;
-      if (now - node.heartbeat_ns < timeout_ns) continue;
-      handle_node_death_locked(n);
-    }
-
-    monitor_cv_.wait_for(lock, interval);
-  }
-}
-
 void Runtime::handle_node_death_locked(std::size_t node_index) {
   NodeRuntime& node = *node_runtime_[node_index];
+  if (!node.crashed || node.dead || node.executing > 0) return;
   node.dead = true;
   ++recovery_.node_failures;
   OBS_COUNTER_ADD("taskrt.node_failures", 1);
   obs::Span span("fault", "node_death:" + nodes_[node_index].name);
   LOG_WARN(kLogTag) << "node " << nodes_[node_index].name
-                    << " declared dead (missed heartbeats); recovering";
+                    << " declared dead (crashed, no body in flight); recovering";
 
   // Re-home the dead node's queued work.
   std::deque<TaskId> orphaned;
   orphaned.swap(node_queues_[node_index]);
   for (TaskId id : orphaned) {
     OBS_GAUGE_ADD("taskrt.ready_queue_depth", -1);
-    TaskRecord& task = *tasks_[id - 1];
-    if (task.state == TaskState::kReady) {
-      enqueue_ready(id);
-    } else if (task.state == TaskState::kRunning && task.backup_pending) {
-      // Queued speculative copy: re-home it onto a surviving node.
-      for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (n == node_index || !node_alive_locked(n) ||
-            !node_eligible(static_cast<int>(n), task)) {
-          continue;
-        }
-        node_queues_[n].push_back(id);
-        OBS_GAUGE_ADD("taskrt.ready_queue_depth", 1);
-        break;
-      }
-    }
+    if (tasks_[id - 1]->state == TaskState::kReady) enqueue_ready(id);
   }
 
-  // Reschedule in-flight attempts lost with the node. Failed-by-node is NOT
-  // a body failure: the retry budget is untouched (attempts is rolled back).
+  // Reschedule the attempts lost with the node: finish_task already dropped
+  // them (rolling back `attempts`, so the retry budget is untouched), which
+  // leaves their tasks running with no live attempt.
   for (auto& task_ptr : tasks_) {
     TaskRecord& task = *task_ptr;
-    if (task.state != TaskState::kRunning) continue;
-    bool lost = false;
-    for (auto it = task.live_attempts.begin(); it != task.live_attempts.end();) {
-      if (it->second.node != static_cast<int>(node_index)) {
-        ++it;
-        continue;
-      }
-      it->second.cancel->store(true);
-      it = task.live_attempts.erase(it);
-      --task.attempts;
-      ++task.node_failures;
-      ++recovery_.tasks_rescheduled;
-      lost = true;
-    }
-    if (task.live_attempts.empty()) {
-      enqueue_ready(task.id);
-    } else if (lost) {
-      task.node = task.live_attempts.begin()->second.node;  // surviving attempt
-    }
+    if (task.state == TaskState::kRunning && task.live_attempt < 0) enqueue_ready(task.id);
   }
 
   // Invalidate data versions homed only on the dead node. Tasks that later
@@ -1279,8 +1119,8 @@ void Runtime::crash_node(std::size_t node_index) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (node_index >= node_runtime_.size()) throw std::out_of_range("crash_node: bad node index");
   node_runtime_[node_index]->crashed = true;
-  scheduler_cv_.notify_all();
-  monitor_cv_.notify_all();
+  handle_node_death_locked(node_index);
+  scheduler_cv_.notify_all();  // the node's idle workers exit
 }
 
 RecoveryReport Runtime::recovery() const {
@@ -1343,7 +1183,8 @@ std::any Runtime::sync(DataHandle handle) {
 
 void Runtime::wait_all() {
   std::unique_lock<std::mutex> lock(mutex_);
-  completion_cv_.wait(lock, [&] { return terminal_tasks_ == tasks_.size(); });
+  completion_cv_.wait(
+      lock, [&] { return terminal_tasks_ == tasks_.size() && saves_in_flight_ == 0; });
   if (verifier_) lint_graph_locked();  // before the throw: findings survive failure
   if (!fatal_error_.empty()) throw WorkflowError(fatal_error_);
 }

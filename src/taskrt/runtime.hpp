@@ -95,12 +95,13 @@ class TaskContext {
 
   /// Burns wall-clock time to model a compute phase of the given duration
   /// (used by benches to give tasks realistic, configurable costs).
-  /// Returns early when the attempt is cancelled (deadline kill, losing
-  /// speculative copy, node death) — see cancelled().
+  /// Returns early when the task is cancelled while it runs — see
+  /// cancelled().
   void simulate_compute(std::chrono::nanoseconds duration) const;
 
-  /// Whether the runtime asked this attempt to stop (its result would be
-  /// discarded anyway). Long-running bodies may poll this to exit early;
+  /// Whether the runtime asked this attempt to stop: the task was cancelled
+  /// while running (a replayed producer failed), so its result would be
+  /// discarded anyway. Long-running bodies may poll this to exit early;
   /// ignoring it is safe — stale results are dropped at commit.
   bool cancelled() const {
     return cancel_flag_ != nullptr && cancel_flag_->load(std::memory_order_relaxed);
@@ -167,25 +168,10 @@ struct RuntimeOptions {
 
   /// Fault injector driving the chaos hooks (task errors, node crashes,
   /// slowdowns). When null, the runtime arms one from the CLIMATE_FAULTS
-  /// environment variable (unset = no injection).
+  /// environment variable (unset = no injection). A crashed node is declared
+  /// dead, and its lost work and node-local data recovered, as soon as it
+  /// has no task body in flight.
   std::shared_ptr<common::fault::Injector> faults;
-
-  /// Worker liveness: each idle worker stamps a heartbeat every
-  /// `heartbeat_interval_ms`; a node whose heartbeat is older than
-  /// `heartbeat_timeout_ms` with no task body in flight is declared dead
-  /// and its in-flight work and node-local data are recovered.
-  double heartbeat_interval_ms = 2.0;
-  double heartbeat_timeout_ms = 25.0;
-
-  /// Speculative straggler re-execution: a task running longer than
-  /// `speculation_factor` x the function's trailing mean (and at least
-  /// `speculation_min_ms`, with `speculation_min_samples` prior completions
-  /// of the function) gets a backup copy on another node; the first
-  /// finisher wins and the loser's attempt is cancelled.
-  bool speculation = false;
-  double speculation_factor = 3.0;
-  double speculation_min_ms = 5.0;
-  int speculation_min_samples = 3;
 };
 
 /// Thrown by sync()/wait_all() when the workflow failed (a task with the
@@ -231,8 +217,9 @@ class Runtime {
     return any_as<T>(sync(handle));
   }
 
-  /// Blocks until every submitted task reached a terminal state. Throws
-  /// WorkflowError if a kFail task failed permanently.
+  /// Blocks until every submitted task reached a terminal state and every
+  /// checkpoint save has reached the store. Throws WorkflowError if a kFail
+  /// task failed permanently.
   void wait_all();
 
   /// Drops the stored values of every version of `handle`, freeing memory.
@@ -248,8 +235,8 @@ class Runtime {
   /// Counters snapshot.
   RuntimeStats stats() const;
 
-  /// Fault/recovery accounting for this run (node failures, replays,
-  /// deadline kills, speculation). faults_injected reflects the attached
+  /// Fault/recovery accounting for this run (node failures, reschedules,
+  /// replays, checkpoint restores). faults_injected reflects the attached
   /// injector's log, all kinds included.
   RecoveryReport recovery() const;
 
@@ -257,8 +244,10 @@ class Runtime {
   const std::shared_ptr<common::fault::Injector>& fault_injector() const { return faults_; }
 
   /// Chaos/test hook: marks a node as crashed, as if the fault injector had
-  /// fired on it — its workers stop draining, the in-flight attempts and
-  /// node-local data are lost, and the heartbeat monitor recovers them.
+  /// fired on it — its workers stop draining and its in-flight attempts and
+  /// node-local data are lost. The node is declared dead and recovered
+  /// before this returns when it has no task body in flight, otherwise when
+  /// its last body returns.
   void crash_node(std::size_t node_index);
 
   /// Trace/graph snapshot (callable at any time; complete after wait_all).
@@ -303,15 +292,6 @@ class Runtime {
     std::size_t write_version = 0;  // valid for OUT/INOUT
   };
 
-  /// One in-flight execution attempt of a task. Several can be live at once
-  /// (speculative backups); the first non-superseded finisher commits.
-  struct AttemptInfo {
-    std::shared_ptr<std::atomic<bool>> cancel;  // stop request seen by the body
-    int node = -1;                              // executing node
-    std::int64_t start_ns = -1;                 // pickup stamp (deadline base)
-    bool backup = false;                        // speculative copy
-  };
-
   /// A task's trace record (lifecycle stamps, placement, state and
   /// dependency edges; trace.hpp) plus the scheduler's working state.
   struct TaskRecord : TaskTrace {
@@ -321,17 +301,19 @@ class Runtime {
     std::vector<Param> original_params;
     std::size_t pending = 0;       // unfinished predecessors
     std::vector<TaskId> successors;
-    std::map<int, AttemptInfo> live_attempts;  // attempt index -> in-flight info
-    bool backup_pending = false;   // queued speculative copy awaiting pickup
+    // The one in-flight attempt (on TaskTrace::node): its index, or -1 when
+    // none is in flight, and its stop request. A finisher whose index is no
+    // longer live (cancelled, lost with a crashed node) is discarded.
+    int live_attempt = -1;
+    std::shared_ptr<std::atomic<bool>> cancel;
     bool replaying = false;        // re-executing for data recovery
   };
 
   /// Per-node liveness and chaos state (all fields guarded by mutex_; the
   /// workers hold the lock whenever they touch them).
   struct NodeRuntime {
-    std::int64_t heartbeat_ns = 0;  // last idle-loop stamp
     bool crashed = false;           // injected crash: workers stop draining
-    bool dead = false;              // death detected and recovery done
+    bool dead = false;              // declared dead and recovered
     int executing = 0;              // task bodies in flight on this node
     std::int64_t pickups = 0;       // pickup ordinal (fault decision key)
   };
@@ -339,8 +321,7 @@ class Runtime {
   // --- scheduling internals (mutex_ held unless stated) ---
   void enqueue_ready(TaskId id);
   void worker_loop(int node_index);
-  void monitor_loop();
-  void execute_task(TaskId id, int node_index, bool backup);
+  void execute_task(TaskId id, int node_index);
   void finish_task(TaskId id, int attempt, int node_index, bool success, const std::string& error,
                    std::vector<TaskContext::Slot> outputs, std::int64_t transfer_add_ns,
                    std::int64_t body_ns);
@@ -357,9 +338,13 @@ class Runtime {
   int pick_node(const TaskRecord& task);
   bool node_eligible(int node_index, const TaskRecord& task) const;
   bool node_alive_locked(std::size_t node_index) const {
-    return !node_runtime_[node_index]->crashed && !node_runtime_[node_index]->dead;
+    return !node_runtime_[node_index]->crashed;
   }
   // --- node-failure recovery (mutex_ held) ---
+  /// Declares a crashed node dead and recovers its queued work, lost
+  /// attempts and node-local data. No-op unless the node is crashed, not yet
+  /// dead and has no task body in flight; called wherever one of those
+  /// changes (crash_node, an injected crash at pickup, a body returning).
   void handle_node_death_locked(std::size_t node_index);
   /// Restarts a completed task whose outputs were lost (checkpoint restore
   /// or lineage re-execution, recursing into lost inputs). No-op unless the
@@ -381,6 +366,7 @@ class Runtime {
   std::condition_variable scheduler_cv_;   // wakes workers
   std::condition_variable completion_cv_;  // wakes sync/wait_all
   bool stopping_ = false;
+  std::size_t saves_in_flight_ = 0;  // checkpoint saves wait_all must outlast
 
   std::map<DataId, DataRecord> data_;
   std::vector<std::unique_ptr<TaskRecord>> tasks_;  // index = id - 1
@@ -393,15 +379,7 @@ class Runtime {
   RuntimeStats stats_;
   RecoveryReport recovery_;
   std::vector<std::unique_ptr<NodeRuntime>> node_runtime_;  // index = node
-  /// Trailing per-function body-time mean (speculation straggler baseline).
-  struct FnStat {
-    std::int64_t total_ns = 0;
-    std::int64_t count = 0;
-  };
-  std::map<std::string, FnStat> fn_stats_;
   std::vector<std::thread> workers_;
-  std::thread monitor_;                    // heartbeat/deadline/straggler watchdog
-  std::condition_variable monitor_cv_;     // wakes the monitor early
 
   // --- verifier state (null/empty when verification is off) ---
   std::unique_ptr<verify::Verifier> verifier_;

@@ -38,9 +38,8 @@ struct TaskTrace {
   std::int64_t checkpoint_ns = 0; ///< Checkpoint save time (after end_ns).
   std::vector<TaskId> deps;  ///< Data predecessors, ascending, no duplicates.
   bool from_checkpoint = false;
-  int attempts = 0;          ///< Execution attempts (retries + speculative backups).
+  int attempts = 0;          ///< Execution attempts (first run + retries).
   int node_failures = 0;     ///< Attempts lost to node crashes (not retries).
-  bool speculated = false;   ///< A straggler backup copy was launched.
   /// Failure/cancellation reason. Cancelled tasks carry the structured
   /// cause, e.g. "cancelled by failure of task 7 ('load_tmax')".
   std::string error;

@@ -127,11 +127,6 @@ struct TaskOptions {
   std::string checkpoint_key;          ///< Stable key enabling checkpoint skip.
   OutputCodec codec;                   ///< Required for checkpointing outputs.
 
-  /// Wall-clock limit of one execution attempt; a task running longer is
-  /// treated as hung and routed through `on_failure` (0 disables). Node
-  /// failures are handled separately and never consume `max_retries`.
-  double deadline_ms = 0.0;
-
   /// Marks the task's outputs as living on reliable storage (filesystem,
   /// datacube service, ...) rather than in worker-node memory: a node crash
   /// does not invalidate them and they are never lineage-replayed. Use for
@@ -177,16 +172,12 @@ struct RecoveryReport {
   std::uint64_t checkpoint_restores = 0;   ///< Replays satisfied from a checkpoint.
   std::uint64_t data_versions_lost = 0;    ///< Ready versions homed only on a dead node.
   std::uint64_t data_versions_rematerialized = 0;  ///< Lost versions recomputed.
-  std::uint64_t deadline_failures = 0;     ///< Attempts killed by TaskOptions::deadline_ms.
-  std::uint64_t speculative_backups = 0;   ///< Straggler backup copies launched.
-  std::uint64_t speculative_wins = 0;      ///< Backups that finished first.
   std::int64_t recovery_exec_ns = 0;       ///< Body time spent re-running replayed tasks
                                            ///< (the added-makespan estimate).
 
   bool any() const {
     return faults_injected || node_failures || tasks_rescheduled || tasks_replayed ||
-           checkpoint_restores || data_versions_lost || deadline_failures ||
-           speculative_backups;
+           checkpoint_restores || data_versions_lost;
   }
 };
 

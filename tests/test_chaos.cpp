@@ -1,11 +1,11 @@
-// Chaos tests of the task runtime's node-failure recovery, deadlines and
-// straggler speculation (labelled "chaos" in CTest; scripts/check.sh --full
-// also runs them under ThreadSanitizer).
+// Chaos tests of the task runtime's node-failure recovery (labelled "chaos"
+// in CTest; scripts/check.sh --full also runs them under ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <numeric>
 #include <thread>
 
@@ -26,19 +26,17 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(static_cast<std::int64_t>(ms * 1e6)));
 }
 
-/// Fast-liveness options: a crashed node is declared dead within a few ms.
-RuntimeOptions fast_liveness(std::size_t workers) {
+/// `workers` single-core nodes with the verifier armed.
+RuntimeOptions verified(std::size_t workers) {
   RuntimeOptions options;
   options.workers = workers;
-  options.heartbeat_interval_ms = 1.0;
-  options.heartbeat_timeout_ms = 5.0;
   options.verify = VerifyMode::kOn;
   return options;
 }
 
-/// Three "a" nodes plus one "b" node, fast liveness.
+/// Three "a" nodes plus one "b" node, verifier armed.
 RuntimeOptions pinned_cluster() {
-  RuntimeOptions options = fast_liveness(4);
+  RuntimeOptions options = verified(4);
   for (int i = 0; i < 4; ++i) {
     NodeSpec spec;
     spec.name = "node" + std::to_string(i);
@@ -53,16 +51,6 @@ TaskOptions pin(const char* tag) {
   TaskOptions options;
   options.constraints.insert(tag);
   return options;
-}
-
-/// Blocks until the runtime has declared `count` nodes dead (the monitor
-/// thread does this asynchronously after a crash).
-void wait_for_node_death(Runtime& rt, std::uint64_t count) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (rt.recovery().node_failures < count) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "node death never detected";
-    sleep_ms(1);
-  }
 }
 
 /// Polls the trace until the named task has completed, returning the node
@@ -111,7 +99,6 @@ TEST(Chaos, NodeCrashRecoversByLineageReplay) {
   ASSERT_GE(producer_node, 0);
   ASSERT_LT(producer_node, 3);
   rt.crash_node(static_cast<std::size_t>(producer_node));
-  wait_for_node_death(rt, 1);
 
   DataHandle doubled_h = rt.create_data();
   rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
@@ -146,51 +133,48 @@ void crash_checkpointed_producer(bool corrupt, CheckpointCrash* out) {
   fs::remove_all(dir);
   RuntimeOptions options = pinned_cluster();
   options.checkpoint_dir = dir;
-  {  // leaving this scope joins the worker that may still be saving a checkpoint
-    Runtime rt(options);
+  Runtime rt(options);
 
-    DataHandle filler_h = rt.create_data();
-    rt.submit("filler", pin("b"), {Out(filler_h)}, [](TaskContext& ctx) {
-      sleep_ms(120);
-      ctx.set_out(0, std::any(0));
-    });
+  DataHandle filler_h = rt.create_data();
+  rt.submit("filler", pin("b"), {Out(filler_h)}, [](TaskContext& ctx) {
+    sleep_ms(120);
+    ctx.set_out(0, std::any(0));
+  });
 
-    std::atomic<int> producer_runs{0};
-    TaskOptions producer_options = pin("a");
-    producer_options.checkpoint_key = "chaos_producer";
-    producer_options.codec = int_codec();
-    DataHandle value_h = rt.create_data();
-    rt.submit("producer", producer_options, {Out(value_h)}, [&producer_runs](TaskContext& ctx) {
-      producer_runs.fetch_add(1);
-      ctx.set_out(0, std::any(21));
-    });
-    const int producer_node = wait_for_completion(rt, "producer");
-    ASSERT_GE(producer_node, 0);
-    if (corrupt) {
-      // The runtime saves the checkpoint after the task completes; overwrite
-      // it only once that save is in place.
-      CheckpointStore store(dir);
-      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (!store.contains("chaos_producer")) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "checkpoint never saved";
-        sleep_ms(1);
-      }
-      ASSERT_TRUE(store.save("chaos_producer", {"not a number"}).ok());
+  std::atomic<int> producer_runs{0};
+  TaskOptions producer_options = pin("a");
+  producer_options.checkpoint_key = "chaos_producer";
+  producer_options.codec = int_codec();
+  DataHandle value_h = rt.create_data();
+  rt.submit("producer", producer_options, {Out(value_h)}, [&producer_runs](TaskContext& ctx) {
+    producer_runs.fetch_add(1);
+    ctx.set_out(0, std::any(21));
+  });
+  const int producer_node = wait_for_completion(rt, "producer");
+  ASSERT_GE(producer_node, 0);
+  if (corrupt) {
+    // The runtime saves the checkpoint after the task completes; overwrite
+    // it only once that save is in place.
+    CheckpointStore store(dir);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!store.contains("chaos_producer")) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "checkpoint never saved";
+      sleep_ms(1);
     }
-    rt.crash_node(static_cast<std::size_t>(producer_node));
-    wait_for_node_death(rt, 1);
-
-    DataHandle doubled_h = rt.create_data();
-    rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
-      ctx.set_out(1, std::any(ctx.in_as<int>(0) * 2));
-    });
-    out->doubled = rt.sync_as<int>(doubled_h);
-    EXPECT_EQ(rt.sync_as<int>(filler_h), 0);
-    rt.wait_all();
-    out->producer_runs = producer_runs.load();
-    out->recovery = rt.recovery();
-    out->violations = rt.verify_report().violation_count();
+    ASSERT_TRUE(store.save("chaos_producer", {"not a number"}).ok());
   }
+  rt.crash_node(static_cast<std::size_t>(producer_node));
+
+  DataHandle doubled_h = rt.create_data();
+  rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
+    ctx.set_out(1, std::any(ctx.in_as<int>(0) * 2));
+  });
+  out->doubled = rt.sync_as<int>(doubled_h);
+  EXPECT_EQ(rt.sync_as<int>(filler_h), 0);
+  rt.wait_all();  // returns once every checkpoint save is on disk
+  out->producer_runs = producer_runs.load();
+  out->recovery = rt.recovery();
+  out->violations = rt.verify_report().violation_count();
   fs::remove_all(dir);
 }
 
@@ -239,7 +223,6 @@ TEST(Chaos, DurableOutputsAreNotInvalidated) {
   const int producer_node = wait_for_completion(rt, "producer");
   ASSERT_GE(producer_node, 0);
   rt.crash_node(static_cast<std::size_t>(producer_node));
-  wait_for_node_death(rt, 1);
 
   DataHandle doubled_h = rt.create_data();
   rt.submit("consumer", pin("b"), {In(value_h), Out(doubled_h)}, [](TaskContext& ctx) {
@@ -265,7 +248,7 @@ TEST(Chaos, InjectedNodeCrashMidGraphCompletes) {
   crash.at = 1;
   plan.rules.push_back(crash);
 
-  RuntimeOptions options = fast_liveness(4);
+  RuntimeOptions options = verified(4);
   options.faults = std::make_shared<Injector>(plan);
   Runtime rt(options);
 
@@ -361,7 +344,7 @@ TEST(Chaos, CrashDuringCheckpointStress) {
     crash.at = 2;
     plan.rules.push_back(crash);
 
-    RuntimeOptions options = fast_liveness(4);
+    RuntimeOptions options = verified(4);
     options.checkpoint_dir = dir;
     options.faults = std::make_shared<Injector>(plan);
     Runtime rt(options);
@@ -390,96 +373,57 @@ TEST(Chaos, CrashDuringCheckpointStress) {
     });
     EXPECT_EQ(rt.sync_as<int>(total_h), 3 * n * (n - 1) / 2);
     rt.wait_all();
-    // Death declaration is asynchronous: the graph can drain before the
-    // monitor notices the missed heartbeats.
     ASSERT_GE(rt.recovery().faults_injected, 1u);
-    wait_for_node_death(rt, 1);
     EXPECT_EQ(rt.recovery().node_failures, 1u);
   }
   fs::remove_all(dir);
 }
 
-// A hung task trips its deadline and goes down the FailurePolicy path; with
-// kRetry the second attempt succeeds.
-TEST(Chaos, DeadlineKillsHungTaskAndRetries) {
-  RuntimeOptions options = fast_liveness(2);
-  Runtime rt(options);
-  std::atomic<int> attempts{0};
-  TaskOptions task_options;
-  task_options.on_failure = FailurePolicy::kRetry;
-  task_options.max_retries = 2;
-  task_options.deadline_ms = 25.0;
-  DataHandle out_h = rt.create_data();
-  rt.submit("hangs_once", task_options, {Out(out_h)}, [&attempts](TaskContext& ctx) {
-    if (attempts.fetch_add(1) == 0) {
-      // Hang well past the deadline, but honour the cancel flag so the
-      // worker slot frees promptly once the monitor kills the attempt.
-      for (int i = 0; i < 500 && !ctx.cancelled(); ++i) sleep_ms(1);
-      if (ctx.cancelled()) return;  // killed: never publishes
-    }
-    ctx.set_out(0, std::any(7));
-  });
-  EXPECT_EQ(rt.sync_as<int>(out_h), 7);
-  rt.wait_all();
-  EXPECT_GE(rt.recovery().deadline_failures, 1u);
-  EXPECT_GE(attempts.load(), 2);
-}
-
-// Deadline exhaustion without retries is a workflow failure.
-TEST(Chaos, DeadlineExhaustionFailsWorkflow) {
-  RuntimeOptions options = fast_liveness(2);
-  Runtime rt(options);
-  TaskOptions task_options;
-  task_options.deadline_ms = 15.0;  // default policy kFail
-  DataHandle out_h = rt.create_data();
-  rt.submit("hangs_forever", task_options, {Out(out_h)}, [](TaskContext& ctx) {
-    for (int i = 0; i < 2000 && !ctx.cancelled(); ++i) sleep_ms(1);
-  });
-  EXPECT_THROW(rt.wait_all(), WorkflowError);
-  EXPECT_GE(rt.recovery().deadline_failures, 1u);
-}
-
-// Straggler speculation: a task running far beyond its function's trailing
-// mean gets a backup copy; the first finisher wins.
-TEST(Chaos, SpeculativeBackupFirstFinisherWins) {
-  RuntimeOptions options = fast_liveness(4);
-  options.speculation = true;
-  options.speculation_factor = 2.0;
-  options.speculation_min_ms = 5.0;
-  options.speculation_min_samples = 3;
-  Runtime rt(options);
-
-  // Build the trailing mean with four quick instances.
-  for (int i = 0; i < 4; ++i) {
-    DataHandle h = rt.create_data();
-    rt.submit("spec_work", {Out(h)}, [](TaskContext& ctx) {
-      sleep_ms(3);
-      ctx.set_out(0, std::any(1));
+// Node death is declared by the event that completes it, not after a
+// timeout: crash_node() on an idle node recovers it before returning, and a
+// node crashed under a running body dies when that body returns.
+TEST(Chaos, NodeDeathIsDeclaredSynchronously) {
+  {
+    Runtime rt(pinned_cluster());
+    DataHandle value_h = rt.create_data();
+    rt.submit("producer", pin("a"), {Out(value_h)}, [](TaskContext& ctx) {
+      ctx.set_out(0, std::any(21));
     });
-    EXPECT_EQ(rt.sync_as<int>(h), 1);
+    const int producer_node = wait_for_completion(rt, "producer");
+    ASSERT_GE(producer_node, 0);
+    rt.crash_node(static_cast<std::size_t>(producer_node));
+    const RecoveryReport recovery = rt.recovery();  // no waiting
+    EXPECT_EQ(recovery.node_failures, 1u);
+    EXPECT_EQ(recovery.data_versions_lost, 1u);  // its only replica died with the node
+    EXPECT_EQ(rt.sync_as<int>(value_h), 21);     // replayed on a surviving node
   }
 
-  // The straggler: its first invocation stalls, the backup copy is quick.
-  std::atomic<int> invocations{0};
-  DataHandle slow_h = rt.create_data();
-  rt.submit("spec_work", {Out(slow_h)}, [&invocations](TaskContext& ctx) {
-    if (invocations.fetch_add(1) == 0) {
-      for (int i = 0; i < 400 && !ctx.cancelled(); ++i) sleep_ms(1);
-      if (ctx.cancelled()) return;  // superseded by the backup
+  std::promise<int> started;
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> runs{0};
+  Runtime rt(verified(2));
+  DataHandle node_h = rt.create_data();
+  rt.submit("in_flight", {Out(node_h)}, [&](TaskContext& ctx) {
+    if (runs.fetch_add(1) == 0) {
+      started.set_value(ctx.node());
+      gate.wait();
     }
-    ctx.set_out(0, std::any(99));
+    ctx.set_out(0, std::any(ctx.node()));
   });
-  EXPECT_EQ(rt.sync_as<int>(slow_h), 99);
+  const int victim = started.get_future().get();
+  rt.crash_node(static_cast<std::size_t>(victim));
+  EXPECT_EQ(rt.recovery().node_failures, 0u);  // its body is still in flight
+  release.set_value();
+  // The attempt is lost with the node and re-run on the survivor, which
+  // needs the death declared first.
+  EXPECT_NE(rt.sync_as<int>(node_h), victim);
   rt.wait_all();
-
   const RecoveryReport recovery = rt.recovery();
-  EXPECT_GE(recovery.speculative_backups, 1u);
-  EXPECT_GE(recovery.speculative_wins, 1u);
-  bool straggler_flagged = false;
-  for (const TaskTrace& task : std::vector<TaskTrace>(rt.trace().tasks())) {
-    if (task.speculated) straggler_flagged = true;
-  }
-  EXPECT_TRUE(straggler_flagged);
+  EXPECT_EQ(recovery.node_failures, 1u);
+  EXPECT_EQ(recovery.tasks_rescheduled, 1u);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(rt.stats().retries, 0u);
 }
 
 // Node-failure rescheduling never consumes FailurePolicy retries: a task

@@ -148,7 +148,6 @@ TEST(Prof, TaskCostsCarryTheirTraceRecords) {
   failed.deps = {2, 3};
   failed.attempts = 3;
   failed.node_failures = 1;
-  failed.speculated = true;
   failed.error = "boom";
   tasks.push_back(failed);
   TaskTrace cancelled;

@@ -403,6 +403,28 @@ TEST_F(CheckpointTest, CorruptCheckpointReExecutesTask) {
   EXPECT_EQ(executions.load(), 3);
 }
 
+// wait_all() returns only once every checkpoint save is on disk, not as soon
+// as the tasks completed, so a process that exits right after it keeps its
+// last checkpoints. The large blob keeps the save in flight well past the
+// task's completion.
+TEST_F(CheckpointTest, WaitAllOutlastsCheckpointSaves) {
+  OutputCodec bytes;
+  bytes.serialize = [](const std::any& value) { return any_as<std::string>(value); };
+  bytes.deserialize = [](const std::string& blob) -> std::any { return blob; };
+  RuntimeOptions options;
+  options.checkpoint_dir = dir_;
+  Runtime rt(options);
+  TaskOptions topts;
+  topts.checkpoint_key = "large";
+  topts.codec = bytes;
+  DataHandle out = rt.create_data();
+  rt.submit("large", topts, {Out(out)}, [](TaskContext& ctx) {
+    ctx.set_out(0, std::any(std::string(std::size_t{32} << 20, 'x')));
+  });
+  rt.wait_all();
+  EXPECT_TRUE(CheckpointStore(dir_).contains("large"));
+}
+
 // Runtime::trace() on a fixed DAG that exercises every lifecycle path: a
 // task restored from a checkpoint, a retried task, a failed task, the
 // successor it cancels and a join whose dependencies were discovered out of
