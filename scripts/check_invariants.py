@@ -28,11 +28,15 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      the operator strings.
 
   5. No value-changing float optimisation: no CMakeLists.txt may pass
-     -ffast-math, -Ofast or -funsafe-math-optimizations. The datacube
-     kernels promise outputs bit-identical to a plain per-element loop (the
-     same IEEE operation per element, in the same order), and the ESM and
-     index golden digests pin them; these flags let the compiler reassociate
-     sums, drop NaN/signed-zero cases and contract multiply-adds.
+     -ffast-math, -Ofast, -funsafe-math-optimizations, -march=, -mavx* or
+     -mfma. The datacube kernels promise outputs bit-identical to a plain
+     per-element loop (the same IEEE operation per element, in the same
+     order), and the ESM, CNN and index golden digests pin them; the first
+     three let the compiler reassociate sums, drop NaN/signed-zero cases and
+     contract multiply-adds. The others enable FMA (directly, or through a
+     target that has it), and GCC's default -ffp-contract=fast then fuses
+     a * b + c into one rounding. The build targets the x86-64 baseline,
+     whose SSE2 the datacube's lane kernels use.
 
   6. One open per daily file per consumer: `ncio::FileReader` may not appear
      under src/core/. The workflow reads daily files only through
@@ -104,7 +108,8 @@ LIFECYCLE_DECL_RE = re.compile(
     r"\b(?!return\b|else\b|case\b)[\w:>]+\s*[&*]?\s+(submit_ns|ready_ns|queued_ns)\s*[=;{]")
 LIFECYCLE_LAYERS = {"taskrt", "obs/prof"}
 LIFECYCLE_HOME = pathlib.Path("src/taskrt/trace.hpp")
-UNSAFE_MATH_RE = re.compile(r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b")
+UNSAFE_MATH_RE = re.compile(
+    r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b|-march=[\w.+-]*|-mavx\w*|-mfma\b")
 TIMED_WAIT_RE = re.compile(r"\bwait_(?:for|until)\s*\(")
 NO_POLLING_FILE = pathlib.Path("src/taskrt/runtime.cpp")
 
@@ -208,7 +213,7 @@ def check_cmake(path: pathlib.Path, violations: list):
         if match:
             violations.append(
                 f"{rel}:{lineno}: {match.group(0)} changes float results (the datacube "
-                f"kernels and golden digests rely on IEEE semantics)")
+                f"kernels and golden digests rely on IEEE semantics without FMA)")
 
 
 def main() -> int:

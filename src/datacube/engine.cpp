@@ -187,7 +187,7 @@ class RowReader {
     }
     for (const Expression& step : chain.steps) {
       float* out = next_out();
-      step.eval_row(x, alen_, out, step_scratch);
+      step.eval_rows(x, 1, alen_, out, step_scratch);
       x = out;
     }
   }
@@ -225,19 +225,21 @@ CubeData derived(const CubeData& src, std::size_t out_len, std::string descripti
   return out;
 }
 
-constexpr std::size_t kReduceBlock = 8;
+// Rows a fragment task reads and computes at a time (a deferred cube's are
+// evaluated into one block buffer first).
+constexpr std::size_t kBlockRows = 8;
 
-// Reduces one fragment's rows kReduceBlock at a time, the remainder one by
-// one; a deferred cube's rows are evaluated into `block` first.
+// Reduces one fragment's rows kBlockRows at a time, the remainder one by
+// one.
 template <class Acc>
 void reduce_fragment(RowReader& reader, const Fragment& frag, std::size_t alen,
                      std::size_t group_size, std::size_t out_len, float* block, float* dst) {
-  for (std::size_t r = 0; r < frag.row_count; r += kReduceBlock) {
-    const std::size_t count = std::min(kReduceBlock, frag.row_count - r);
+  for (std::size_t r = 0; r < frag.row_count; r += kBlockRows) {
+    const std::size_t count = std::min(kBlockRows, frag.row_count - r);
     const float* rows = reader.rows(frag.row_start + r, count, block);
     float* out = dst + r * out_len;
-    if (count == kReduceBlock) {
-      reduce_block<Acc, kReduceBlock>(rows, alen, group_size, out_len, out);
+    if (count == kBlockRows) {
+      reduce_block<Acc, kBlockRows>(rows, alen, group_size, out_len, out);
       continue;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -261,7 +263,7 @@ Result<CubeData> reduce(const CubeData& src, ReduceOp op, std::size_t group_size
     Fragment& out_frag = out.fragments[f];
     out_frag.values.resize(in_frag.row_count * out_len);
     RowReader reader(src);
-    std::vector<float> block(src.deferred() ? kReduceBlock * alen : 0);
+    std::vector<float> block(src.deferred() ? kBlockRows * alen : 0);
     auto reduce_with = [&](auto acc) {
       reduce_fragment<decltype(acc)>(reader, in_frag, alen, group_size, out_len, block.data(),
                                      out_frag.values.data());
@@ -301,16 +303,18 @@ Result<CubeData> apply(const std::shared_ptr<const CubeData>& src, const std::st
     return out;
   }
 
+  OBS_SCOPED_LATENCY("datacube.op_ns.scan");
   read_fragments(*src, run, [&](std::size_t f) {
     const Fragment& in_frag = src->fragments[f];
     Fragment& out_frag = out.fragments[f];
     out_frag.values.resize(in_frag.row_count * out_len);
     RowReader reader(*src);
-    std::vector<float> row(src->deferred() ? alen : 0);
-    std::vector<float> scratch(expr->scratch_size(alen));
-    for (std::size_t r = 0; r < in_frag.row_count; ++r) {
-      expr->eval_row(reader.rows(in_frag.row_start + r, 1, row.data()), alen,
-                     out_frag.values.data() + r * out_len, scratch.data());
+    std::vector<float> block(src->deferred() ? kBlockRows * alen : 0);
+    std::vector<float> scratch(kBlockRows * expr->scratch_size(alen));
+    for (std::size_t r = 0; r < in_frag.row_count; r += kBlockRows) {
+      const std::size_t count = std::min(kBlockRows, in_frag.row_count - r);
+      expr->eval_rows(reader.rows(in_frag.row_start + r, count, block.data()), count, alen,
+                      out_frag.values.data() + r * out_len, scratch.data());
     }
   });
   return out;

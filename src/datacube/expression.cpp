@@ -9,6 +9,10 @@
 #include <cstdlib>
 #include <map>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace climate::datacube {
 namespace detail {
 
@@ -38,10 +42,11 @@ Arg constant(float value) { return {Arg::Kind::kConst, value, 0}; }
 
 struct Instr;
 
-/// The loop of one instruction over one row, specialised on the operator and
-/// on which operands are rows (a constant operand's pointer is unused).
+/// The loop of one instruction over count consecutive rows of length n,
+/// specialised on the operator and on which operands are rows (a constant
+/// operand's pointer is unused).
 using Kernel = void (*)(const Instr& in, const float* a, const float* b, const float* c,
-                        float* out, std::size_t n);
+                        float* out, std::size_t count, std::size_t n);
 
 struct Instr {
   explicit Instr(Op op = Op::kAdd, Arg a = {}, Arg b = {}) : op(op), a(a), b(b) {}
@@ -49,7 +54,7 @@ struct Instr {
   Arg a, b, c;             ///< Binary: a op b. Predicate: input, then, else.
   Op cmp = Op::kGt;        ///< Predicate condition ...
   float threshold = 0.0f;  ///< ... against this constant.
-  int k = 0;               ///< wave_duration min_len, shift offset.
+  int k = 0;               ///< wave_duration min_len (at least 1 once linked), shift offset.
   std::uint32_t dst = 0;   ///< Scratch row written; the last instruction writes the output.
   Kernel kernel = nullptr;
 };
@@ -96,24 +101,26 @@ float element(float a, float b) {
 }
 
 // The output never aliases an operand (see link()); operands may alias
-// each other, which restrict allows because they are only read.
+// each other, which restrict allows because they are only read. Elementwise
+// loops run once over the block's count * n contiguous elements.
 template <Op op, bool kConstA, bool kConstB>
 void elementwise_loop(const Instr& in, const float* __restrict a, const float* __restrict b,
-                      const float*, float* __restrict out, std::size_t n) {
+                      const float*, float* __restrict out, std::size_t count, std::size_t n) {
   const float ca = in.a.value;
   const float cb = in.b.value;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < count * n; ++i) {
     out[i] = element<op>(kConstA ? ca : a[i], kConstB ? cb : b[i]);
   }
 }
 
 template <Op cmp, bool kConstThen, bool kConstElse>
 void predicate_loop(const Instr& in, const float* __restrict a, const float* __restrict t,
-                    const float* __restrict e, float* __restrict out, std::size_t n) {
+                    const float* __restrict e, float* __restrict out, std::size_t count,
+                    std::size_t n) {
   const float threshold = in.threshold;
   const float ct = in.b.value;
   const float ce = in.c.value;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < count * n; ++i) {
     // Both branches are loaded so the select vectorises.
     const float then_value = kConstThen ? ct : t[i];
     const float else_value = kConstElse ? ce : e[i];
@@ -136,31 +143,98 @@ void wave_duration_row(const float* in, float* out, std::size_t n, int min_len) 
   out[n - 1] = static_cast<float>(run & -static_cast<int>(run >= min_len));
 }
 
+#ifdef __SSE2__
+// wave_duration_row over 4 rows at once, one row per SSE2 lane, walking the
+// columns 4 at a time through transposed 4x4 tiles. Each lane runs the row
+// kernel's integer logic: the run of column i is (run + 1) & ones_i, and it
+// is written where the run qualifies and column i + 1 is not a one. That
+// needs the next column, so a tile is stored once the next tile's first
+// column is known. A short last tile is padded with zeros, which end any run
+// as the row's end does. Requires min_len >= 1, so the compare against
+// min_len - 1 cannot overflow.
+void wave_duration_rows4(const float* in, float* out, std::size_t n, int min_len) {
+  if (n == 0) return;
+  constexpr std::size_t kLanes = 4;
+  const __m128 half = _mm_set1_ps(0.5f);
+  const __m128i one = _mm_set1_epi32(1);
+  const __m128i below = _mm_set1_epi32(min_len - 1);
+  __m128i run = _mm_setzero_si128();
+  __m128i pending[kLanes] = {};  // the last tile's outputs, lane k: row k
+  // Stores the pending outputs as 4 rows of 4 columns, stride apart.
+  auto store = [&](float* dst, std::size_t stride) {
+    __m128 row[kLanes];
+    for (std::size_t t = 0; t < kLanes; ++t) row[t] = _mm_cvtepi32_ps(pending[t]);
+    _MM_TRANSPOSE4_PS(row[0], row[1], row[2], row[3]);
+    for (std::size_t k = 0; k < kLanes; ++k) _mm_storeu_ps(dst + k * stride, row[k]);
+  };
+  // Scans the tile of 4 columns whose rows start at `tile` (stride apart),
+  // first storing the previous tile's outputs to `prev_out`, if any.
+  auto scan = [&](const float* tile, std::size_t stride, float* prev_out) {
+    __m128 col[kLanes];
+    for (std::size_t k = 0; k < kLanes; ++k) col[k] = _mm_loadu_ps(tile + k * stride);
+    _MM_TRANSPOSE4_PS(col[0], col[1], col[2], col[3]);
+    __m128i ones[kLanes];
+    for (std::size_t t = 0; t < kLanes; ++t) ones[t] = _mm_castps_si128(_mm_cmpgt_ps(col[t], half));
+    if (prev_out) {
+      pending[kLanes - 1] = _mm_andnot_si128(ones[0], pending[kLanes - 1]);
+      store(prev_out, n);
+    }
+    for (std::size_t t = 0; t < kLanes; ++t) {
+      run = _mm_and_si128(_mm_add_epi32(run, one), ones[t]);
+      pending[t] = _mm_and_si128(run, _mm_cmpgt_epi32(run, below));
+      if (t > 0) pending[t - 1] = _mm_andnot_si128(ones[t], pending[t - 1]);
+    }
+  };
+  std::size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) scan(in + j, n, j > 0 ? out + j - kLanes : nullptr);
+  if (j == n) {
+    store(out + j - kLanes, n);
+    return;
+  }
+  // The short last tile, padded with zeros.
+  float tile[kLanes][kLanes] = {};
+  for (std::size_t k = 0; k < kLanes; ++k) std::copy(in + k * n + j, in + k * n + n, tile[k]);
+  scan(tile[0], kLanes, j > 0 ? out + j - kLanes : nullptr);
+  store(tile[0], kLanes);
+  for (std::size_t k = 0; k < kLanes; ++k) std::copy(tile[k], tile[k] + n - j, out + k * n + j);
+}
+#endif
+
+// Rows 4 at a time through the lanes where SSE2 exists (the x86-64
+// baseline), the rest through the row kernel.
 void wave_duration_loop(const Instr& in, const float* a, const float*, const float*, float* out,
-                        std::size_t n) {
-  wave_duration_row(a, out, n, in.k);
+                        std::size_t count, std::size_t n) {
+  std::size_t r = 0;
+#ifdef __SSE2__
+  for (; r + 4 <= count; r += 4) wave_duration_rows4(a + r * n, out + r * n, n, in.k);
+#endif
+  for (; r < count; ++r) wave_duration_row(a + r * n, out + r * n, n, in.k);
 }
 
 template <Op op>
 void scan_loop(const Instr&, const float* __restrict a, const float*, const float*,
-               float* __restrict out, std::size_t n) {
+               float* __restrict out, std::size_t count, std::size_t n) {
   if (n == 0) return;
-  float acc = a[0];
-  out[0] = acc;
-  for (std::size_t i = 1; i < n; ++i) {
-    acc = op == Op::kRunningSum ? acc + a[i] : std::max(acc, a[i]);
-    out[i] = acc;
+  for (std::size_t r = 0; r < count; ++r, a += n, out += n) {
+    float acc = a[0];
+    out[0] = acc;
+    for (std::size_t i = 1; i < n; ++i) {
+      acc = op == Op::kRunningSum ? acc + a[i] : std::max(acc, a[i]);
+      out[i] = acc;
+    }
   }
 }
 
 void shift_loop(const Instr& in, const float* a, const float*, const float*, float* out,
-                std::size_t n) {
-  std::fill(out, out + n, 0.0f);
+                std::size_t count, std::size_t n) {
+  std::fill(out, out + count * n, 0.0f);
   const long k = in.k;
   const long kept = static_cast<long>(n) - std::abs(k);
   if (kept <= 0) return;
-  const float* from = a + std::max(-k, 0L);
-  std::copy(from, from + kept, out + std::max(k, 0L));
+  for (std::size_t r = 0; r < count; ++r) {
+    const float* from = a + r * n + std::max(-k, 0L);
+    std::copy(from, from + kept, out + r * n + std::max(k, 0L));
+  }
 }
 
 // Calls pick.operator()<op>() for the runtime op, one of [First, Last].
@@ -196,6 +270,8 @@ Kernel select_kernel(const Instr& in) {
 // arguments), gives every other value a scratch row and selects each
 // kernel. Each value has one reader, so its row is free once that reader has
 // run; the reader's own output is placed first, so it never aliases an input.
+// A wave_duration min_len below 1 becomes 1: only a run of at least one
+// writes a non-zero length, so the outputs are the same.
 Program link(const std::vector<Instr>& code, Arg result) {
   Program program;
   program.result = result;
@@ -226,6 +302,7 @@ Program link(const std::vector<Instr>& code, Arg result) {
       arg->row = row_of[arg->row];
       free_rows.push_back(arg->row);
     }
+    if (in.op == Op::kWaveDuration) in.k = std::max(in.k, 1);
     in.kernel = select_kernel(in);
     program.code.push_back(in);
   }
@@ -335,7 +412,7 @@ class ExprParser {
       Instr rows = in;
       rows.a.kind = rows.b.kind = rows.c.kind = Arg::Kind::kRow;
       float out = 0.0f;
-      select_kernel(rows)(rows, &in.a.value, &in.b.value, &in.c.value, &out, 1);
+      select_kernel(rows)(rows, &in.a.value, &in.b.value, &in.c.value, &out, 1, 1);
       return constant(out);
     }
     code_.push_back(in);
@@ -540,21 +617,24 @@ std::size_t Expression::scratch_size(std::size_t n) const {
   return program_ ? program_->rows * n : 0;
 }
 
-void Expression::eval_row(const float* measure, std::size_t n, float* out, float* scratch) const {
+void Expression::eval_rows(const float* measure, std::size_t count, std::size_t n, float* out,
+                           float* scratch) const {
   using detail::Arg;
   const detail::Program& program = *program_;
   switch (program.result.kind) {
-    case Arg::Kind::kConst: out[0] = program.result.value; return;
-    case Arg::Kind::kMeasure: std::copy(measure, measure + n, out); return;
+    case Arg::Kind::kConst: std::fill(out, out + count, program.result.value); return;
+    case Arg::Kind::kMeasure: std::copy(measure, measure + count * n, out); return;
     case Arg::Kind::kRow: break;
   }
-  auto row = [&](const Arg& arg) -> const float* {
+  // Scratch row j holds the block's rows of value j, at stride n.
+  const std::size_t block = count * n;
+  auto rows = [&](const Arg& arg) -> const float* {
     if (arg.kind == Arg::Kind::kMeasure) return measure;
-    return arg.kind == Arg::Kind::kRow ? scratch + arg.row * n : nullptr;
+    return arg.kind == Arg::Kind::kRow ? scratch + arg.row * block : nullptr;
   };
   for (const detail::Instr& in : program.code) {
-    float* dst = &in == &program.code.back() ? out : scratch + in.dst * n;
-    in.kernel(in, row(in.a), row(in.b), row(in.c), dst, n);
+    float* dst = &in == &program.code.back() ? out : scratch + in.dst * block;
+    in.kernel(in, rows(in.a), rows(in.b), rows(in.c), dst, count, n);
   }
 }
 
@@ -562,7 +642,7 @@ std::vector<float> Expression::eval(const std::vector<float>& measure) const {
   if (!program_) return {};
   std::vector<float> out(output_length(measure.size()));
   std::vector<float> scratch(scratch_size(measure.size()));
-  eval_row(measure.data(), measure.size(), out.data(), scratch.data());
+  eval_rows(measure.data(), 1, measure.size(), out.data(), scratch.data());
   return out;
 }
 

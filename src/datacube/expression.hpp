@@ -29,8 +29,10 @@
 // Parsing compiles the text to a flat postfix program. Subexpressions that
 // do not read the measure are folded to constants, so every instruction has
 // at least one row operand and its loop is specialised on the operator and
-// on which operands are rows. A parsed Expression is immutable and
-// thread-safe to evaluate.
+// on which operands are rows. Evaluation takes a block of rows per call:
+// elementwise instructions run once over the whole block, and
+// wave_duration runs 4 rows at a time, one per SIMD lane. A parsed
+// Expression is immutable and thread-safe to evaluate.
 #pragma once
 
 #include <memory>
@@ -60,13 +62,15 @@ class Expression {
   /// constant.
   std::size_t output_length(std::size_t n) const;
 
-  /// Floats of scratch that eval_row needs for rows of length n.
+  /// Floats of scratch that eval_rows needs per row of length n.
   std::size_t scratch_size(std::size_t n) const;
 
-  /// Evaluates one row of length n into out (output_length(n) floats);
-  /// scratch holds scratch_size(n) floats owned by the caller. Requires
-  /// valid().
-  void eval_row(const float* measure, std::size_t n, float* out, float* scratch) const;
+  /// Evaluates count consecutive rows of length n (measure at stride n) into
+  /// out at stride output_length(n); scratch holds count * scratch_size(n)
+  /// floats owned by the caller. Each row's output is the same as when it is
+  /// evaluated alone. Requires valid().
+  void eval_rows(const float* measure, std::size_t count, std::size_t n, float* out,
+                 float* scratch) const;
 
   /// Evaluates over one row array (allocating its output and scratch).
   std::vector<float> eval(const std::vector<float>& measure) const;

@@ -18,6 +18,7 @@
 #include "datacube/expression.hpp"
 #include "datacube/server.hpp"
 #include "ncio/ncfile.hpp"
+#include "obs/metrics.hpp"
 
 namespace climate::datacube {
 namespace {
@@ -151,6 +152,21 @@ TEST(Server, ApplyExpression) {
   ASSERT_TRUE(out.ok());
   auto dense = server.fetch_dense(*out);
   EXPECT_EQ(*dense, (std::vector<float>{1, 3, 5, 3, 5, 7}));
+}
+
+TEST(Server, OnlyAMaterialisingApplyRecordsScanLatency) {
+  // datacube.op_ns.scan times the evaluation of an apply that writes values;
+  // a deferred (elementwise) apply records nothing there.
+  Server server(2);
+  const std::string pid = make_test_cube(server, 9, 7, [](std::size_t r, std::size_t k) {
+    return static_cast<float>((r + k) % 3);
+  });
+  const obs::Histogram* scan = obs::MetricsRegistry::global().histogram("datacube.op_ns.scan");
+  const std::uint64_t before = scan->snapshot().count;
+  ASSERT_TRUE(server.apply(pid, "predicate(x, '>0', 1, 0)").ok());
+  EXPECT_EQ(scan->snapshot().count, before);
+  ASSERT_TRUE(server.apply(pid, "wave_duration(x, 2)").ok());
+  EXPECT_EQ(scan->snapshot().count, before + 1);
 }
 
 TEST(Server, ApplyBadExpressionFails) {
@@ -1028,12 +1044,16 @@ TEST(Fusion, ChainsMatchDenseReferenceBitwise) {
                           InterOp::kMask};
   const ReduceOp kReduceOps[] = {ReduceOp::kMax, ReduceOp::kMin, ReduceOp::kSum,
                                  ReduceOp::kAvg, ReduceOp::kStd, ReduceOp::kCount};
+  // Row lengths of at least 5 that are not a multiple of 4 end the scan's
+  // lanes in a short tile.
+  const std::size_t kOddLengths[] = {5, 7, 13, 30, 37};
   common::Rng rng(2718);
   auto pick = [&rng](const auto& texts) { return texts[rng.uniform_index(std::size(texts))]; };
+  bool wave_block = false;  // some wave_duration scan read a fragment of 8+ rows
   for (int trial = 0; trial < 60; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const std::size_t rows = 1 + rng.uniform_index(30);
-    const std::size_t alen = 1 + rng.uniform_index(40);
+    const std::size_t rows = 1 + rng.uniform_index(60);
+    const std::size_t alen = trial % 3 == 0 ? pick(kOddLengths) : 1 + rng.uniform_index(40);
     const std::vector<float> da = special_values(rng, rows * alen);
     std::vector<float> want_b = special_values(rng, rows * alen);
     const auto a = randomly_fragmented(rng, da, rows, alen);
@@ -1068,6 +1088,9 @@ TEST(Fusion, ChainsMatchDenseReferenceBitwise) {
     const auto scanned = shared(engine::apply(cube, scan, "", run_serial));
     ASSERT_FALSE(scanned->deferred());
     expect_same_values(scanned->to_dense(), reference_apply(scan, want, rows, alen), scan);
+    for (const Fragment& frag : scanned->fragments) {
+      wave_block |= std::string(scan).starts_with("wave_duration") && frag.row_count >= 8;
+    }
 
     for (ReduceOp reduce_op : kReduceOps) {
       for (std::size_t group : {std::size_t{0}, 1 + rng.uniform_index(alen)}) {
@@ -1079,6 +1102,7 @@ TEST(Fusion, ChainsMatchDenseReferenceBitwise) {
       }
     }
   }
+  EXPECT_TRUE(wave_block) << "no trial ran the scan's 8-row block path";
 }
 
 TEST(Fusion, DeferredCubeOutlivesItsRootsAndFeedsSeveralReads) {

@@ -3,6 +3,8 @@
 // wave_duration primitive.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -363,6 +365,98 @@ TEST(Expression, GoldenDigestsMatchTreeEvaluator) {
     for (const Expression& expr : exprs) digest.add(expr.eval(random_row(rng, n)));
     EXPECT_EQ(digest.value, want) << std::hex << "0x" << digest.value << std::dec
                                   << " for row length " << n;
+  }
+}
+
+// A row of wave_duration input in runs: the row's stickiness sets how long
+// its runs get, so min_len up to 400 is met. Ones are 1, +inf or in
+// (0.5, 1); the rest are 0, 0.5, NaN, -inf or negative.
+std::vector<float> runs_row(common::Rng& rng, std::size_t n) {
+  const double stay = std::array{0.5, 0.9, 0.99, 0.999}[rng.uniform_index(4)];
+  std::vector<float> row(n);
+  bool one = rng.bernoulli(0.5);
+  for (float& v : row) {
+    if (!rng.bernoulli(stay)) one = !one;
+    switch (rng.uniform_index(5)) {
+      case 0: v = one ? std::numeric_limits<float>::infinity() : 0.5f; break;
+      case 1:
+        v = one ? static_cast<float>(rng.uniform(0.5000001, 1))
+                : std::numeric_limits<float>::quiet_NaN();
+        break;
+      case 2: v = one ? 1.0f : -std::numeric_limits<float>::infinity(); break;
+      case 3: v = one ? 1.0f : static_cast<float>(rng.uniform(-400, 0)); break;
+      default: v = one ? 1.0f : 0.0f; break;
+    }
+  }
+  return row;
+}
+
+// The lane kernel against the row kernel it replaces, on blocks of rows of
+// every length up to 40 and random ones up to 1000, and min_len from the
+// int range's bottom (clamped when the program is linked) past the row.
+TEST(Expression, BlockWaveDurationMatchesRowKernel) {
+  common::Rng rng(19);
+  for (int trial = 0; trial < 1500; ++trial) {
+    const std::size_t n = trial < 400 ? 1 + trial % 40 : 1 + rng.uniform_index(1000);
+    const std::size_t count = 1 + rng.uniform_index(17);
+    const long long len = static_cast<long long>(n);
+    const long long min_lens[] = {
+        INT_MIN, -1, 0, 1 + static_cast<long long>(rng.uniform_index(400)), len, len + 1};
+    const long long min_len = min_lens[trial % std::size(min_lens)];
+    const std::string text = "wave_duration(x, " + std::to_string(min_len) + ")";
+    SCOPED_TRACE(text + " on " + std::to_string(count) + " rows of " + std::to_string(n));
+    auto expr = Expression::parse(text);
+    ASSERT_TRUE(expr.ok()) << expr.status().to_string();
+
+    std::vector<float> block;
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::vector<float> row = runs_row(rng, n);
+      block.insert(block.end(), row.begin(), row.end());
+    }
+    std::vector<float> out(count * n);
+    std::vector<float> scratch(count * expr->scratch_size(n));
+    expr->eval_rows(block.data(), count, n, out.data(), scratch.data());
+    for (std::size_t r = 0; r < count; ++r) {
+      const auto row = block.begin() + static_cast<long>(r * n);
+      const std::vector<float> want =
+          wave_duration(std::vector<float>(row, row + static_cast<long>(n)),
+                        static_cast<int>(min_len));
+      ASSERT_EQ(std::memcmp(out.data() + r * n, want.data(), n * sizeof(float)), 0) << "row " << r;
+    }
+  }
+}
+
+// Every golden expression, plus constant and measure results, evaluated on
+// blocks of 1 to 9 rows: each row's bits equal its evaluation alone.
+TEST(Expression, BlockEvaluationMatchesPerRowEvaluation) {
+  ExprGen gen(20261017);
+  std::vector<std::string> texts = {"5", "wave_duration(1, 2) + 3", "x", "shift(measure, 0)"};
+  for (int e = 0; e < 400; ++e) texts.push_back(gen.draw(1 + e % 5, true));
+  common::Rng rng(1919);
+  for (std::size_t e = 0; e < texts.size(); ++e) {
+    auto expr = Expression::parse(texts[e]);
+    ASSERT_TRUE(expr.ok()) << texts[e];
+    for (std::size_t n : {1, 2, 7, 8, 9, 31, 365}) {
+      const std::size_t count = 1 + (e + n) % 9;
+      SCOPED_TRACE(texts[e] + " on " + std::to_string(count) + " rows of " + std::to_string(n));
+      std::vector<float> block;
+      for (std::size_t r = 0; r < count; ++r) {
+        const std::vector<float> row = random_row(rng, n);
+        block.insert(block.end(), row.begin(), row.end());
+      }
+      const std::size_t out_len = expr->output_length(n);
+      std::vector<float> out(count * out_len);
+      std::vector<float> scratch(count * expr->scratch_size(n));
+      expr->eval_rows(block.data(), count, n, out.data(), scratch.data());
+      for (std::size_t r = 0; r < count; ++r) {
+        const auto row = block.begin() + static_cast<long>(r * n);
+        RowDigest want, got;
+        want.add(expr->eval(std::vector<float>(row, row + static_cast<long>(n))));
+        got.add(std::vector<float>(out.begin() + static_cast<long>(r * out_len),
+                                   out.begin() + static_cast<long>((r + 1) * out_len)));
+        ASSERT_EQ(got.value, want.value) << "row " << r;
+      }
+    }
   }
 }
 
