@@ -10,15 +10,12 @@
 //  - staged baseline: simulate everything, then analyse.
 // Rows report makespan, speedup and the measured overlap fraction between
 // simulation and analysis task execution.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <filesystem>
 
 #include "core/workflow.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof/profile.hpp"
-#include "taskrt/stream.hpp"
 
 namespace {
 
@@ -131,26 +128,10 @@ void emit_merged_trace() {
               results->profile().text_report().c_str());
 }
 
-void BM_StreamingDetectionLoop(benchmark::State& state) {
-  // Cost of the year-completion bookkeeping itself: publish/consume events.
-  for (auto _ : state) {
-    climate::taskrt::DataStream stream;
-    for (int i = 0; i < 1000; ++i) stream.publish(std::any(i));
-    stream.close();
-    int consumed = 0;
-    while (stream.next().has_value()) ++consumed;
-    benchmark::DoNotOptimize(consumed);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_StreamingDetectionLoop);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_comparison();
   emit_merged_trace();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

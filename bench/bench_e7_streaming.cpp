@@ -2,21 +2,19 @@
 // available in PyCOMPSs has been leveraged to monitor the file production
 // progress and detect when a (full) new year of data is available", so
 // analysis starts as soon as each year completes instead of after the whole
-// simulation.
+// simulation. Here the simulation is itself a task, so each year's
+// year_ready task reads the file list its esm_simulation task wrote: the
+// year is detected by a dependency edge of the task graph.
 //
 // Rows report, per simulated year, the lag between the simulation task that
 // produced the year and the start of that year's first analysis task — for
 // the streaming workflow and for the staged baseline (where every year
 // waits for the full simulation).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "core/workflow.hpp"
-#include "taskrt/stream.hpp"
 
 namespace {
 
@@ -77,38 +75,16 @@ void print_lags() {
   std::printf("\nmakespan: streaming %.0f ms vs staged %.0f ms\n", streaming->makespan_ms,
               staged->makespan_ms);
   std::printf("\npaper shape: with streaming, every year's analysis starts within the\n"
-              "watcher's polling latency of the year completing (milliseconds), while\n"
-              "staged execution delays early years by the remaining simulation time —\n"
-              "the lag shrinks towards the last year and the streaming advantage is\n"
-              "largest for the first year.\n\n");
+              "scheduler's dispatch latency of the year completing (the year_ready\n"
+              "task depends on the year's esm_simulation task), while staged\n"
+              "execution delays early years by the remaining simulation time — the lag\n"
+              "shrinks towards the last year and the streaming advantage is largest for\n"
+              "the first year.\n\n");
 }
-
-void BM_WatcherPollRound(benchmark::State& state) {
-  // Cost of one polling round over a directory with N files.
-  const std::string dir = "/tmp/bench_e7_poll";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  for (int i = 0; i < state.range(0); ++i) {
-    std::ofstream(dir + "/f" + std::to_string(i) + ".nc") << "x";
-  }
-  for (auto _ : state) {
-    std::size_t seen = 0;
-    {
-      climate::taskrt::DirectoryWatcher watcher(
-          dir, ".nc", [&](const std::string&) { ++seen; }, std::chrono::hours(1));
-      watcher.stop();
-    }
-    benchmark::DoNotOptimize(seen);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WatcherPollRound)->Arg(100)->Arg(365);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_lags();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -50,12 +50,15 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      record and the profiler's TaskCost derive from TaskTrace and copy it as
      one slice, so a second copy of the lifecycle cannot creep back.
 
-  8. No polling in the task runtime: src/taskrt/runtime.cpp may not call
-     `wait_for(` or `wait_until(`. Workers, sync and wait_all wait untimed on
-     condition variables that every state change notifies, and a crashed
-     node is declared dead by the event that completes it (crash_node, the
-     injected crash, its last body returning), so a timed wait could only
-     hide a missed notify or bring back a timeout-driven watchdog.
+  8. No polling in the task runtime or the workflow: nothing under
+     src/taskrt/ or src/core/ may call `wait_for(` or `wait_until(`.
+     Workers, sync and wait_all wait untimed on condition variables that
+     every state change notifies, a crashed node is declared dead by the
+     event that completes it (crash_node, the injected crash, its last body
+     returning), and the workflow learns that a simulated year is done from
+     the task graph (year_ready reads the file list its esm_simulation task
+     wrote). A timed wait could only hide a missed notify or bring back a
+     timeout-driven watchdog or a directory poller beside the graph.
 
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
@@ -111,7 +114,7 @@ LIFECYCLE_HOME = pathlib.Path("src/taskrt/trace.hpp")
 UNSAFE_MATH_RE = re.compile(
     r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b|-march=[\w.+-]*|-mavx\w*|-mfma\b")
 TIMED_WAIT_RE = re.compile(r"\bwait_(?:for|until)\s*\(")
-NO_POLLING_FILE = pathlib.Path("src/taskrt/runtime.cpp")
+NO_POLLING_LAYERS = {"taskrt", "core"}
 
 
 def iter_sources():
@@ -144,6 +147,7 @@ def check_file(path: pathlib.Path, violations: list):
     in_taskrt = layer == "taskrt"
     builds_listing1 = rel.parts[0] == "src" and layer not in LISTING1_OWNERS
     in_core = layer == "core"
+    no_polling = rel.parts[0] == "src" and layer in NO_POLLING_LAYERS
     owns_lifecycle = layer not in LIFECYCLE_LAYERS or rel == LIFECYCLE_HOME
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
     if layer is not None and allowed is None:
@@ -184,10 +188,10 @@ def check_file(path: pathlib.Path, violations: list):
                 f"{rel}:{lineno}: ncio::FileReader under src/core/ (read daily files through "
                 f"esm::DailyFileReader, one open per file)")
 
-        if rel == NO_POLLING_FILE and TIMED_WAIT_RE.search(line):
+        if no_polling and TIMED_WAIT_RE.search(line):
             violations.append(
-                f"{rel}:{lineno}: timed wait in the task runtime (wait untimed on a "
-                f"condition variable that the state change notifies)")
+                f"{rel}:{lineno}: timed wait under src/{layer}/ (wait untimed on a "
+                f"condition variable that the state change notifies, or on a task's output)")
 
         if not owns_lifecycle:
             match = LIFECYCLE_DECL_RE.search(line)

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -17,7 +16,6 @@
 #include "esm/writer.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "taskrt/stream.hpp"
 
 namespace climate::core {
 
@@ -312,10 +310,11 @@ Result<float> pretrain_tc_localizer(const esm::EsmConfig& base_config,
 
 ExtremeEventsWorkflow::ExtremeEventsWorkflow(WorkflowConfig config) : config_(std::move(config)) {}
 
-Result<WorkflowResults> ExtremeEventsWorkflow::run() {
-  OBS_SPAN("core", "extreme_events_workflow");
-  OBS_SCOPED_LATENCY("core.workflow_ns");
-  const WorkflowConfig& cfg = config_;
+namespace {
+
+/// One execution of the workflow. A failed task escapes as
+/// taskrt::WorkflowError, which run() turns into a Status.
+Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
   if (cfg.output_dir.empty()) return Status::InvalidArgument("output_dir is required");
   const std::string daily_dir = cfg.output_dir + "/daily";
   const std::string indices_dir = cfg.output_dir + "/indices";
@@ -478,7 +477,12 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
   }
 
   // ---- step 3: the ESM simulation, one chained task per year --------------
+  // Each year's task also writes the list of daily files it produced; that
+  // datum is what the year's analysis reads, so the year is detected by a
+  // data edge of the task graph (section 5.2) and never from the directory,
+  // which may still hold an earlier run's files.
   DataHandle model_h = rt.create_data(std::any(std::shared_ptr<esm::EsmModel>()));
+  std::vector<DataHandle> year_files_h;
   const std::string diagnostics_dir = cfg.output_dir + "/diagnostics";
   if (cfg.online_diagnostics) fs::create_directories(diagnostics_dir, ec);
   for (int year = 0; year < cfg.years; ++year) {
@@ -486,9 +490,10 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
     const std::string dir = daily_dir;
     const bool diagnostics = cfg.online_diagnostics;
     const std::string diag_dir = diagnostics_dir;
+    year_files_h.push_back(rt.create_data());
     rt.submit("esm_simulation", constrain(durable(TaskOptions{}), "hpc"),
-              {In(forcing_h), InOut(model_h)},
-              [esm_cfg, dir, year, diagnostics, diag_dir, &bytes_written](TaskContext& ctx) {
+              {In(forcing_h), InOut(model_h), Out(year_files_h.back())},
+              [esm_cfg, dir, diagnostics, diag_dir, &bytes_written](TaskContext& ctx) {
                 const auto& forcing = ctx.in_as<esm::ForcingTable>(0);
                 auto model = ctx.in_as<std::shared_ptr<esm::EsmModel>>(1);
                 if (!model) model = std::make_shared<esm::EsmModel>(esm_cfg, forcing);
@@ -496,11 +501,13 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                 std::optional<esm::DiagnosticsRecorder> recorder;
                 if (diagnostics) recorder.emplace();
                 int calendar_year = 0;
+                std::vector<std::string> files;
                 // Day d is written while day d + 1 is simulated.
                 esm::DailyFileSink sink(dir, g);
                 for (int day = 0; day < esm_cfg.days_per_year; ++day) {
                   esm::DailyFields daily = model->run_day();
                   calendar_year = daily.year;
+                  files.push_back(esm::daily_filename(dir, daily.year, daily.day_of_year));
                   // Online diagnostics are computed while the fields are
                   // still in memory, before the write (section 3).
                   if (recorder) recorder->record(daily, g);
@@ -518,7 +525,10 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                   if (!st.ok()) throw std::runtime_error(st.to_string());
                 }
                 ctx.set_out(1, std::any(model), 1 << 20);
-                (void)year;
+                // A hint under the scheduler's 1 KB per-queued-task penalty:
+                // year_ready goes to an idle node instead of queueing behind
+                // the next ESM year on the node that holds this list.
+                ctx.set_out(2, std::any(std::move(files)), 512);
               });
   }
 
@@ -536,17 +546,15 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
 
   auto submit_year_analysis = [&](int year_index) {
     const int calendar_year = cfg.esm.start_year + year_index;
-    std::vector<std::string> files;
-    for (int d = 0; d < days; ++d) files.push_back(esm::daily_filename(daily_dir, calendar_year, d));
-
     YearHandles handles;
     handles.year_index = year_index;
     const std::string ytag = std::to_string(calendar_year);
 
-    // #4: the streaming year-detection task.
-    DataHandle files_raw = rt.create_data(std::any(files), files.size() * 64);
+    // #4: year detection — ready once the year's esm_simulation wrote its
+    // file list.
     DataHandle files_h = rt.create_data();
-    rt.submit("year_ready", resilient(TaskOptions{}), {In(files_raw), Out(files_h)},
+    rt.submit("year_ready", resilient(TaskOptions{}),
+              {In(year_files_h[static_cast<std::size_t>(year_index)]), Out(files_h)},
               [](TaskContext& ctx) { ctx.set_out(1, ctx.in(0)); });
 
     // #5/#6: load the year's tasmax/tasmin into cubes.
@@ -850,42 +858,11 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
   };
 
   // ---- drive the run -------------------------------------------------------
-  if (cfg.streaming) {
-    // Streaming interface (section 5.2): watch the output directory and fire
-    // each year's analysis the moment its last daily file lands.
-    taskrt::DataStream year_stream;
-    std::mutex count_mutex;
-    std::map<int, int> files_per_year;
-    const int days_per_year = days;
-    const int start_year = cfg.esm.start_year;
-    taskrt::DirectoryWatcher watcher(
-        daily_dir, ".nc",
-        [&](const std::string& path) {
-          int year = 0, doy = 0;
-          if (!esm::parse_daily_filename(path, &year, &doy)) return;
-          std::lock_guard<std::mutex> lock(count_mutex);
-          if (++files_per_year[year] == days_per_year) {
-            year_stream.publish(std::any(year - start_year));
-          }
-        },
-        std::chrono::milliseconds(5));
-
-    for (int received = 0; received < cfg.years; ++received) {
-      std::optional<std::any> event = year_stream.next();
-      if (!event) break;
-      const int year_index = taskrt::any_as<int>(*event);
-      LOG_INFO(kLogTag) << "year " << (cfg.esm.start_year + year_index)
-                        << " complete; launching analysis";
-      submit_year_analysis(year_index);
-    }
-    rt.wait_all();
-    watcher.stop();
-  } else {
-    // Staged baseline: simulate everything, then analyse.
-    (void)rt.sync(model_h);
-    for (int year = 0; year < cfg.years; ++year) submit_year_analysis(year);
-    rt.wait_all();
-  }
+  // Streaming: each year's analysis starts when its esm_simulation task ends,
+  // overlapping the later years. Staged baseline: simulate everything first.
+  if (!cfg.streaming) (void)rt.sync(model_h);
+  for (int year = 0; year < cfg.years; ++year) submit_year_analysis(year);
+  rt.wait_all();
 
   // ---- step 6 (final): multi-year mean map --------------------------------
   WorkflowResults results;
@@ -999,6 +976,20 @@ Result<WorkflowResults> ExtremeEventsWorkflow::run() {
                       << " holds " << 100.0 * top.critical_share << "% of it";
   }
   return results;
+}
+
+}  // namespace
+
+Result<WorkflowResults> ExtremeEventsWorkflow::run() {
+  OBS_SPAN("core", "extreme_events_workflow");
+  OBS_SCOPED_LATENCY("core.workflow_ns");
+  try {
+    return run_workflow(config_);
+  } catch (const taskrt::WorkflowError& e) {
+    // A task failed for good (or was cancelled by one that did); submit,
+    // sync and wait_all report it by throwing.
+    return Status::Internal(e.what());
+  }
 }
 
 }  // namespace climate::core

@@ -3,10 +3,11 @@
 //
 // One run wires together, in a single task graph:
 //   - the CMCC-CM3-lite simulation producing one NetCDF-like file per day
-//     ("esm_simulation", one task per simulated year, chained);
-//   - a streaming stage that watches the output directory and fires a
-//     "year_ready" task the moment a full year of files exists (the
-//     PyCOMPSs streaming interface of section 5.2);
+//     ("esm_simulation", one task per simulated year, chained), each task
+//     also outputting the list of its year's files;
+//   - a "year_ready" task per year that reads that list, so the year's
+//     analysis starts the moment its simulation task ends (the PyCOMPSs
+//     streaming interface of section 5.2, here a data edge of the graph);
 //   - the heat/cold-wave datacube pipelines of section 5.3 / Listing 1
 //     ("load_tmax"/"load_tmin" -> "heat_duration"/"cold_duration" ->
 //     three index tasks per wave kind), executed through the Ophidia-like
@@ -19,7 +20,8 @@
 //
 // In streaming mode analysis tasks overlap the continuing simulation —
 // the integration benefit the paper argues for; staged mode (simulate
-// everything, then analyse) is kept as the baseline for experiment E2.
+// everything, then analyse) is kept as the baseline for experiment E2 and
+// differs only by one barrier on the simulation before the analyses.
 #pragma once
 
 #include <map>
@@ -146,7 +148,8 @@ class ExtremeEventsWorkflow {
  public:
   explicit ExtremeEventsWorkflow(WorkflowConfig config);
 
-  /// Executes the whole end-to-end workflow and gathers every result.
+  /// Executes the whole end-to-end workflow and gathers every result. A task
+  /// that fails for good ends the run with a non-OK status naming it.
   Result<WorkflowResults> run();
 
   const WorkflowConfig& config() const { return config_; }

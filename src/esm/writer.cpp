@@ -1,6 +1,5 @@
 #include "esm/writer.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -40,16 +39,6 @@ Result<std::uint64_t> publish_daily_file(const std::string& dir, const DailyFiel
 
 std::string daily_filename(const std::string& dir, int year, int day_of_year) {
   return common::format("%s/cm3_y%04d_d%03d.nc", dir.c_str(), year, day_of_year);
-}
-
-bool parse_daily_filename(const std::string& path, int* year, int* day_of_year) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
-  int y = 0, d = 0;
-  if (std::sscanf(name.c_str(), "cm3_y%d_d%d.nc", &y, &d) != 2) return false;
-  if (year) *year = y;
-  if (day_of_year) *day_of_year = d;
-  return true;
 }
 
 std::vector<std::string> daily_variable_names() {

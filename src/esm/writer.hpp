@@ -23,10 +23,6 @@ using common::Status;
 /// Canonical name of a daily file: <dir>/cm3_y<year>_d<ddd>.nc.
 std::string daily_filename(const std::string& dir, int year, int day_of_year);
 
-/// Parses year/day back out of a daily filename; returns false if the name
-/// does not match the canonical pattern.
-bool parse_daily_filename(const std::string& path, int* year, int* day_of_year);
-
 /// Writes one day of model output. Returns the number of bytes written.
 Result<std::uint64_t> write_daily_file(const std::string& path, const DailyFields& day,
                                        const LatLonGrid& grid);
@@ -65,8 +61,8 @@ Result<std::vector<common::Field>> read_daily_steps(const std::string& path,
 
 /// One-slot overlapped daily-file sink: the model simulates day d + 1 while a
 /// helper thread, alive for the sink's lifetime, writes day d. Each file is
-/// written as <name>.part and renamed into place, so a directory watcher
-/// only ever sees complete files.
+/// written as <name>.part and renamed into place, so a file under its final
+/// name is always complete, even after a run that stopped mid-write.
 class DailyFileSink {
  public:
   DailyFileSink(std::string dir, LatLonGrid grid);

@@ -4,9 +4,11 @@
 // checkpoint recovery, and HPCWaaS-driven execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
+#include "common/fault.hpp"
 #include "core/workflow.hpp"
 #include "esm/diagnostics.hpp"
 #include "esm/model.hpp"
@@ -141,24 +143,114 @@ TEST_F(WorkflowTest, IndicesMatchDirectComputation) {
   }
 }
 
+/// A run's esm_simulation and year_ready tasks, each list in year order.
+struct YearTasks {
+  std::vector<const taskrt::TaskTrace*> sims;
+  std::vector<const taskrt::TaskTrace*> readies;
+};
+
+YearTasks year_tasks(const taskrt::Trace& trace) {
+  YearTasks tasks;
+  for (const taskrt::TaskTrace& task : trace.tasks()) {
+    if (task.name == "esm_simulation") tasks.sims.push_back(&task);
+    if (task.name == "year_ready") tasks.readies.push_back(&task);
+  }
+  return tasks;
+}
+
 TEST_F(WorkflowTest, StreamingAndStagedAgree) {
+  // In both modes each year's analysis hangs off that year's esm_simulation
+  // task; staged mode only adds a barrier after the whole simulation.
   WorkflowConfig config = small_config(dir_ + "/streaming");
+  config.years = 2;
   config.streaming = true;
   auto streaming = ExtremeEventsWorkflow(config).run();
-  ASSERT_TRUE(streaming.ok());
+  ASSERT_TRUE(streaming.ok()) << streaming.status().to_string();
 
   WorkflowConfig staged_config = small_config(dir_ + "/staged");
+  staged_config.years = 2;
   staged_config.streaming = false;
   auto staged = ExtremeEventsWorkflow(staged_config).run();
-  ASSERT_TRUE(staged.ok());
+  ASSERT_TRUE(staged.ok()) << staged.status().to_string();
 
-  const auto& a = streaming->years[0].heat;
-  const auto& b = staged->years[0].heat;
-  for (std::size_t c = 0; c < a.count.size(); ++c) {
-    ASSERT_FLOAT_EQ(a.count[c], b.count[c]);
-    ASSERT_FLOAT_EQ(a.duration_max[c], b.duration_max[c]);
+  for (std::size_t y = 0; y < 2; ++y) {
+    SCOPED_TRACE("year " + std::to_string(y));
+    const auto& a = streaming->years[y].heat;
+    const auto& b = staged->years[y].heat;
+    EXPECT_EQ(a.count.data(), b.count.data());
+    EXPECT_EQ(a.duration_max.data(), b.duration_max.data());
+    EXPECT_EQ(streaming->years[y].tracks.size(), staged->years[y].tracks.size());
   }
-  EXPECT_EQ(streaming->years[0].tracks.size(), staged->years[0].tracks.size());
+
+  const YearTasks streamed = year_tasks(streaming->trace);
+  const YearTasks barriered = year_tasks(staged->trace);
+  for (const YearTasks* tasks : {&streamed, &barriered}) {
+    ASSERT_EQ(tasks->sims.size(), 2u);
+    ASSERT_EQ(tasks->readies.size(), 2u);
+    for (std::size_t y = 0; y < 2; ++y) {
+      const std::vector<taskrt::TaskId>& deps = tasks->readies[y]->deps;
+      EXPECT_NE(std::find(deps.begin(), deps.end(), tasks->sims[y]->id), deps.end())
+          << "year_ready of year " << y << " does not depend on its esm_simulation";
+    }
+  }
+  // Streaming keeps the overlap: year 0 is analysed while year 1 simulates.
+  EXPECT_LT(streamed.readies[0]->start_ns, streamed.sims[1]->end_ns);
+  EXPECT_GT(barriered.readies[0]->start_ns, barriered.sims[1]->end_ns);
+}
+
+TEST_F(WorkflowTest, FailedSimulationEndsTheRun) {
+  // An esm_simulation that fails on every attempt ends the run with a
+  // status naming the task, in both modes.
+  common::fault::Rule rule;
+  rule.kind = common::fault::Kind::kTaskError;
+  rule.target = "esm_simulation";
+  rule.rate = 1.0;
+  common::fault::Plan plan;
+  plan.rules.push_back(rule);
+  for (const bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "staged");
+    WorkflowConfig config = small_config(dir_ + (streaming ? "/streaming" : "/staged"));
+    config.streaming = streaming;
+    config.faults = std::make_shared<common::fault::Injector>(plan);
+    auto results = ExtremeEventsWorkflow(config).run();
+    ASSERT_FALSE(results.ok());
+    EXPECT_NE(results.status().message().find("esm_simulation"), std::string::npos)
+        << results.status().to_string();
+  }
+}
+
+TEST_F(WorkflowTest, ReusedOutputDirAnalysesThisRun) {
+  // The daily files an earlier run left in output_dir are never analysed:
+  // each year's analysis waits for this run's simulation of that year.
+  WorkflowConfig earlier = small_config(dir_ + "/shared");
+  earlier.years = 2;
+  earlier.esm.days_per_year = 16;
+  earlier.esm.seed = 11;
+  ASSERT_TRUE(ExtremeEventsWorkflow(earlier).run().ok());
+
+  WorkflowConfig config = earlier;
+  config.esm.seed = 12;
+  auto reused = ExtremeEventsWorkflow(config).run();
+  ASSERT_TRUE(reused.ok()) << reused.status().to_string();
+  config.output_dir = dir_ + "/fresh";
+  auto fresh = ExtremeEventsWorkflow(config).run();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+
+  for (std::size_t y = 0; y < 2; ++y) {
+    SCOPED_TRACE("year " + std::to_string(y));
+    const YearResults& a = reused->years[y];
+    const YearResults& b = fresh->years[y];
+    EXPECT_EQ(a.heat.count.data(), b.heat.count.data());
+    EXPECT_EQ(a.heat.duration_max.data(), b.heat.duration_max.data());
+    EXPECT_EQ(a.cold.count.data(), b.cold.count.data());
+    EXPECT_EQ(a.cold.duration_max.data(), b.cold.duration_max.data());
+  }
+  const YearTasks tasks = year_tasks(reused->trace);
+  ASSERT_EQ(tasks.sims.size(), 2u);
+  ASSERT_EQ(tasks.readies.size(), 2u);
+  for (std::size_t y = 0; y < 2; ++y) {
+    EXPECT_GE(tasks.readies[y]->start_ns, tasks.sims[y]->end_ns) << "year " << y;
+  }
 }
 
 TEST_F(WorkflowTest, MultiYearRun) {
