@@ -1,5 +1,5 @@
 // E6 — fault tolerance and task-level checkpointing (paper section 4.2.1):
-// per-task failure policies and "a checkpointing mechanism at task level
+// per-task retries and "a checkpointing mechanism at task level
 // ... which enables to recover a failed execution from the last
 // checkpointed task".
 //
@@ -77,7 +77,6 @@ void print_recovery() {
     climate::common::Rng rng(77);
     std::atomic<int> injected{0};
     climate::taskrt::TaskOptions topts;
-    topts.on_failure = climate::taskrt::FailurePolicy::kRetry;
     topts.max_retries = 8;
     std::vector<climate::taskrt::DataHandle> outs;
     std::mutex rng_mutex;

@@ -84,9 +84,11 @@ if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
 fi
 
 if [[ "${SANITIZER}" == "address" && -z "${FILTER}" ]]; then
-  echo "== verifier gate: re-running the verify suite with CLIMATE_VERIFY=1"
+  # The failure and cancellation paths emit verifier diagnostics too, so the
+  # suites that drive them (task failures, chaos, the workflow) run armed.
+  echo "== verifier gate: re-running the taskrt suites with CLIMATE_VERIFY=1"
   CLIMATE_VERIFY=1 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_taskrt|test_taskrt_verify)$'
+    -R '^(test_taskrt|test_taskrt_verify|test_taskrt_failures|test_chaos|test_workflow)$'
 fi
 
 echo "== OK (${SANITIZER})"

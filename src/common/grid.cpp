@@ -24,19 +24,6 @@ LatLonGrid::LatLonGrid(std::size_t nlat, std::size_t nlon) : nlat_(nlat), nlon_(
   for (auto& w : weights_) w /= norm;
 }
 
-std::size_t LatLonGrid::nearest_lat(double lat_deg) const {
-  const double row = (lat_deg + 90.0) / dlat() - 0.5;
-  const long i = std::lround(row);
-  return static_cast<std::size_t>(std::clamp<long>(i, 0, static_cast<long>(nlat_) - 1));
-}
-
-std::size_t LatLonGrid::nearest_lon(double lon_deg) const {
-  double lon = std::fmod(lon_deg, 360.0);
-  if (lon < 0) lon += 360.0;
-  const long j = std::lround(lon / dlon());
-  return wrap_lon(j);
-}
-
 double great_circle_km(double lat1, double lon1, double lat2, double lon2) {
   const double p1 = deg_to_rad(lat1);
   const double p2 = deg_to_rad(lat2);

@@ -51,11 +51,6 @@ class LatLonGrid {
     return static_cast<std::size_t>(w);
   }
 
-  /// Nearest grid row for a latitude (clamped to the valid range).
-  std::size_t nearest_lat(double lat_deg) const;
-  /// Nearest grid column for a longitude (wrapped into [0,360)).
-  std::size_t nearest_lon(double lon_deg) const;
-
   /// cos(latitude) area weight of row i (normalized so weights sum to 1 over
   /// the whole grid).
   double area_weight(std::size_t i) const { return weights_[i]; }

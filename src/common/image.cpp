@@ -29,32 +29,6 @@ Status write_pgm(const std::string& path, const Field& field, float lo, float hi
   return Status::Ok();
 }
 
-Status write_ppm_diverging(const std::string& path, const Field& field, float lo, float hi) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Unavailable("cannot open " + path);
-  out << "P6\n" << field.nlon() << " " << field.nlat() << "\n255\n";
-  for (std::size_t i = field.nlat(); i-- > 0;) {
-    for (std::size_t j = 0; j < field.nlon(); ++j) {
-      const float t = normalized(field.at(i, j), lo, hi);  // 0 blue .. 1 red
-      unsigned char r, g, b;
-      if (t < 0.5f) {
-        const float u = t * 2.0f;  // blue -> white
-        r = static_cast<unsigned char>(255.0f * u);
-        g = static_cast<unsigned char>(255.0f * u);
-        b = 255;
-      } else {
-        const float u = (t - 0.5f) * 2.0f;  // white -> red
-        r = 255;
-        g = static_cast<unsigned char>(255.0f * (1.0f - u));
-        b = static_cast<unsigned char>(255.0f * (1.0f - u));
-      }
-      out.put(static_cast<char>(r)).put(static_cast<char>(g)).put(static_cast<char>(b));
-    }
-  }
-  if (!out) return Status::DataLoss("short write to " + path);
-  return Status::Ok();
-}
-
 std::string ascii_map(const Field& field, std::size_t cols, float lo, float hi) {
   static const char kRamp[] = " .:-=+*#%@";
   if (lo == 0.0f && hi == 0.0f) {

@@ -1,4 +1,4 @@
-// Map rendering: PGM/PPM image export and ASCII previews of gridded fields.
+// Map rendering: PGM image export and ASCII previews of gridded fields.
 // Used to regenerate Figure-4-style indicator maps from the benches.
 #pragma once
 
@@ -12,10 +12,6 @@ namespace climate::common {
 /// Writes a field as an 8-bit binary PGM, scaling [lo, hi] to [0, 255].
 /// Row 0 of the image is the northernmost latitude row.
 Status write_pgm(const std::string& path, const Field& field, float lo, float hi);
-
-/// Writes a field as a binary PPM using a blue->white->red diverging colormap
-/// centered at (lo+hi)/2.
-Status write_ppm_diverging(const std::string& path, const Field& field, float lo, float hi);
 
 /// Renders a coarse ASCII view of a field (about `cols` characters wide),
 /// darker characters meaning larger values. North at the top.

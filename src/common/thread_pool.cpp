@@ -4,15 +4,12 @@
 #include <exception>
 
 namespace climate::common {
-namespace {
-thread_local int t_worker_index = -1;
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t size) {
   if (size == 0) size = 1;
   workers_.reserve(size);
   for (std::size_t i = 0; i < size; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -25,8 +22,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  t_worker_index = static_cast<int>(index);
+void ThreadPool::worker_loop() {
   while (true) {
     std::function<void()> job;
     {
@@ -35,23 +31,10 @@ void ThreadPool::worker_loop(std::size_t index) {
       if (queue_.empty()) return;  // stopping_ && drained
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     job();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-int ThreadPool::current_worker() { return t_worker_index; }
 
 void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;

@@ -1,8 +1,5 @@
 // Fixed-size thread pool with futures: the worker pool of the datacube I/O
 // servers.
-//
-// Each worker has a stable index (0..size-1) retrievable from inside a task
-// via ThreadPool::current_worker().
 #pragma once
 
 #include <condition_variable>
@@ -43,26 +40,17 @@ class ThreadPool {
     return future;
   }
 
-  /// Blocks until the queue is empty and all in-flight jobs finished.
-  void wait_idle();
-
-  /// Index of the pool worker running the calling thread, or -1 if the caller
-  /// is not a pool worker.
-  static int current_worker();
-
   /// Runs fn(i) for i in [0, count) across the pool and waits for completion.
   /// Exceptions from any iteration propagate to the caller (first one wins).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
 };
 

@@ -388,17 +388,14 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Chaos-run failure policy: with task_retries set, injected (or genuine)
+  // Chaos-run retries: with task_retries set, injected (or genuine)
   // task-body faults retry instead of aborting the workflow. An injector
   // armed without an explicit budget (the CLIMATE_FAULTS quick-start) gets a
   // default budget — a chaos demo that aborts on the first fault shows
   // nothing.
   const int task_retries = cfg.task_retries > 0 ? cfg.task_retries : (faults ? 3 : 0);
   auto resilient = [&](TaskOptions options) {
-    if (task_retries > 0) {
-      options.on_failure = taskrt::FailurePolicy::kRetry;
-      options.max_retries = task_retries;
-    }
+    options.max_retries = task_retries;
     return options;
   };
   // Marks a task family whose outputs land on reliable storage (daily files

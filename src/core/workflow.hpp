@@ -94,8 +94,8 @@ struct WorkflowConfig {
   /// (see common::fault::Injector::from_env).
   std::shared_ptr<common::fault::Injector> faults;
 
-  /// Failure policy applied to the analysis task families for chaos runs:
-  /// with retries > 0, task-body faults are retried (FailurePolicy::kRetry)
+  /// Retries granted to the analysis task families for chaos runs: with
+  /// retries > 0, task-body faults are retried (TaskOptions::max_retries)
   /// up to this many times instead of aborting the workflow. When a fault
   /// injector is armed (here or via CLIMATE_FAULTS) and this is 0, a default
   /// budget of 3 is used.

@@ -4,15 +4,6 @@
 
 namespace climate::datacube {
 
-std::vector<std::size_t> CubeData::row_multi_index(std::size_t row) const {
-  std::vector<std::size_t> idx(explicit_dims.size(), 0);
-  for (std::size_t d = explicit_dims.size(); d-- > 0;) {
-    idx[d] = row % explicit_dims[d].size;
-    row /= explicit_dims[d].size;
-  }
-  return idx;
-}
-
 Status CubeData::validate() const {
   const std::size_t rows = row_count();
   const std::size_t alen = array_length();

@@ -81,9 +81,6 @@ struct CubeData {
   /// Bytes of values the cube holds itself: byte_size(), or 0 when deferred.
   std::size_t held_bytes() const { return deferred() ? 0 : byte_size(); }
 
-  /// Multi-index of a flat row over the explicit dims (outermost first).
-  std::vector<std::size_t> row_multi_index(std::size_t row) const;
-
   /// Validates internal consistency (fragments cover all rows exactly once,
   /// value buffers have the right size, or are empty when deferred).
   Status validate() const;

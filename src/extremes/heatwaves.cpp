@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "esm/climatology.hpp"
 
@@ -35,81 +34,6 @@ Baseline Baseline::analytic(const LatLonGrid& grid, int days_per_year, int steps
         b.tasmax_[offset + j] = tmax;
         b.tasmin_[offset + j] = tmin;
       }
-    }
-  }
-  return b;
-}
-
-Baseline Baseline::from_daily_data(const LatLonGrid& grid, int days_per_year,
-                                   const std::vector<Field>& tasmax_days,
-                                   const std::vector<Field>& tasmin_days) {
-  Baseline b;
-  b.days_per_year_ = days_per_year;
-  b.nlat_ = grid.nlat();
-  b.nlon_ = grid.nlon();
-  const std::size_t cells = b.nlat_ * b.nlon_;
-  b.tasmax_.assign(static_cast<std::size_t>(days_per_year) * cells, 0.0f);
-  b.tasmin_.assign(b.tasmax_.size(), 0.0f);
-  std::vector<int> counts(static_cast<std::size_t>(days_per_year), 0);
-  for (std::size_t d = 0; d < tasmax_days.size(); ++d) {
-    const int doy = static_cast<int>(d) % days_per_year;
-    ++counts[static_cast<std::size_t>(doy)];
-    const std::size_t offset = static_cast<std::size_t>(doy) * cells;
-    for (std::size_t c = 0; c < cells; ++c) {
-      b.tasmax_[offset + c] += tasmax_days[d][c];
-      if (d < tasmin_days.size()) b.tasmin_[offset + c] += tasmin_days[d][c];
-    }
-  }
-  for (int doy = 0; doy < days_per_year; ++doy) {
-    const int n = std::max(1, counts[static_cast<std::size_t>(doy)]);
-    const std::size_t offset = static_cast<std::size_t>(doy) * cells;
-    for (std::size_t c = 0; c < cells; ++c) {
-      b.tasmax_[offset + c] /= static_cast<float>(n);
-      b.tasmin_[offset + c] /= static_cast<float>(n);
-    }
-  }
-  return b;
-}
-
-Baseline Baseline::from_daily_quantile(const LatLonGrid& grid, int days_per_year,
-                                       const std::vector<Field>& tasmax_days,
-                                       const std::vector<Field>& tasmin_days, double q,
-                                       int window) {
-  Baseline b;
-  b.days_per_year_ = days_per_year;
-  b.nlat_ = grid.nlat();
-  b.nlon_ = grid.nlon();
-  const std::size_t cells = b.nlat_ * b.nlon_;
-  b.tasmax_.assign(static_cast<std::size_t>(days_per_year) * cells, 0.0f);
-  b.tasmin_.assign(b.tasmax_.size(), 0.0f);
-
-  // Indices of the day-of-run samples contributing to each calendar day
-  // (the day itself +- window, across all years in the stack).
-  std::vector<std::vector<std::size_t>> samples(static_cast<std::size_t>(days_per_year));
-  const int total_days = static_cast<int>(tasmax_days.size());
-  for (int d = 0; d < total_days; ++d) {
-    for (int w = -window; w <= window; ++w) {
-      const int doy = ((d + w) % days_per_year + days_per_year) % days_per_year;
-      samples[static_cast<std::size_t>(doy)].push_back(static_cast<std::size_t>(d));
-    }
-  }
-
-  std::vector<double> max_values;
-  std::vector<double> min_values;
-  for (int doy = 0; doy < days_per_year; ++doy) {
-    const auto& sample_days = samples[static_cast<std::size_t>(doy)];
-    const std::size_t offset = static_cast<std::size_t>(doy) * cells;
-    for (std::size_t c = 0; c < cells; ++c) {
-      max_values.clear();
-      min_values.clear();
-      for (std::size_t d : sample_days) {
-        max_values.push_back(tasmax_days[d][c]);
-        if (d < tasmin_days.size()) min_values.push_back(tasmin_days[d][c]);
-      }
-      b.tasmax_[offset + c] =
-          max_values.empty() ? 0.0f : static_cast<float>(common::quantile(max_values, q));
-      b.tasmin_[offset + c] =
-          min_values.empty() ? 0.0f : static_cast<float>(common::quantile(min_values, 1.0 - q));
     }
   }
   return b;

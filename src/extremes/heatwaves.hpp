@@ -50,22 +50,6 @@ class Baseline {
   static Baseline analytic(const LatLonGrid& grid, int days_per_year, int steps_per_day,
                            double warming_offset_c = 0.0);
 
-  /// Empirical baseline: per-calendar-day mean over a multi-year stack of
-  /// daily fields (outer index = day-of-run; years concatenated).
-  static Baseline from_daily_data(const LatLonGrid& grid, int days_per_year,
-                                  const std::vector<Field>& tasmax_days,
-                                  const std::vector<Field>& tasmin_days);
-
-  /// Percentile baseline (the ETCCDI-style variant the paper's reference
-  /// [31] compares against): per calendar day and cell, the q-quantile of
-  /// tasmax across years and the (1-q)-quantile of tasmin, so both wave
-  /// kinds use the matching tail. A +-`window` day window around each
-  /// calendar day widens the sample like the ETCCDI definitions do.
-  static Baseline from_daily_quantile(const LatLonGrid& grid, int days_per_year,
-                                      const std::vector<Field>& tasmax_days,
-                                      const std::vector<Field>& tasmin_days, double q = 0.9,
-                                      int window = 2);
-
   int days_per_year() const { return days_per_year_; }
   std::size_t nlat() const { return nlat_; }
   std::size_t nlon() const { return nlon_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 namespace climate::ncio {
@@ -356,7 +357,11 @@ Result<FileReader> FileReader::open(const std::string& path) {
       CLIMATE_RETURN_IF_ERROR(parser.read_u32(id));
       if (id >= reader.dims_.size()) return Status::DataLoss("bad dim id");
       var.dim_ids.push_back(id);
-      var.element_count *= reader.dims_[id].length;
+      const std::uint64_t length = reader.dims_[id].length;
+      if (length != 0 && var.element_count > std::numeric_limits<std::uint64_t>::max() / length) {
+        return Status::DataLoss("variable '" + var.name + "' element count overflows");
+      }
+      var.element_count *= length;
     }
     std::uint32_t var_nattrs = 0;
     CLIMATE_RETURN_IF_ERROR(parser.read_u32(var_nattrs));
@@ -367,7 +372,10 @@ Result<FileReader> FileReader::open(const std::string& path) {
       var.attrs[std::move(name)] = std::move(value);
     }
     CLIMATE_RETURN_IF_ERROR(parser.read_u64(var.data_offset));
-    if (var.data_offset + var.byte_size() > file_size) {
+    // Checked without forming offset + bytes: that sum can wrap past 2^64,
+    // pass with a tiny size and make the read ask for a huge buffer.
+    if (var.data_offset > file_size ||
+        var.element_count > (file_size - var.data_offset) / dtype_size(var.dtype)) {
       return Status::DataLoss("variable '" + var.name + "' extends past end of file");
     }
     reader.vars_.push_back(std::move(var));
@@ -425,53 +433,6 @@ Result<std::vector<float>> FileReader::read_floats(const std::string& name) {
 
 Result<std::vector<double>> FileReader::read_doubles(const std::string& name) {
   return read_converted<double>(name);
-}
-
-Result<std::vector<float>> FileReader::read_slab(const std::string& name,
-                                                 const std::vector<std::uint64_t>& start,
-                                                 const std::vector<std::uint64_t>& count) {
-  Result<VarInfo> info_result = var_info(name);
-  if (!info_result.ok()) return info_result.status();
-  const VarInfo& var = *info_result;
-  if (var.dtype != DType::kFloat32) return Status::InvalidArgument("read_slab supports float32 only");
-  const std::size_t rank = var.dim_ids.size();
-  if (start.size() != rank || count.size() != rank) {
-    return Status::InvalidArgument("read_slab rank mismatch for '" + name + "'");
-  }
-  std::vector<std::uint64_t> shape(rank);
-  std::uint64_t total = 1;
-  for (std::size_t d = 0; d < rank; ++d) {
-    shape[d] = dims_[var.dim_ids[d]].length;
-    if (count[d] == 0 || start[d] + count[d] > shape[d]) {
-      return Status::OutOfRange("read_slab out of range on dim " + std::to_string(d));
-    }
-    total *= count[d];
-  }
-  std::vector<std::uint64_t> stride(rank, 1);
-  for (std::size_t d = rank; d-- > 1;) stride[d - 1] = stride[d] * shape[d];
-
-  std::vector<float> out(total);
-  const std::uint64_t inner = rank == 0 ? 1 : count[rank - 1];
-  std::vector<std::uint64_t> idx(rank, 0);
-  auto advance = [&]() -> bool {  // odometer over dims [0, rank-1)
-    for (std::size_t d = rank - 1; d-- > 0;) {
-      if (++idx[d] < count[d]) return true;
-      idx[d] = 0;
-    }
-    return false;
-  };
-  std::uint64_t dst_pos = 0;
-  while (true) {
-    std::uint64_t offset_elems = 0;
-    for (std::size_t d = 0; d < rank; ++d) offset_elems += (start[d] + idx[d]) * stride[d];
-    in_->seekg(static_cast<std::streamoff>(var.data_offset + offset_elems * sizeof(float)));
-    in_->read(reinterpret_cast<char*>(out.data() + dst_pos),
-              static_cast<std::streamsize>(inner * sizeof(float)));
-    if (!*in_) return Status::DataLoss("slab read failed for '" + name + "'");
-    dst_pos += inner;
-    if (rank <= 1 || !advance()) break;
-  }
-  return out;
 }
 
 Result<AttrValue> FileReader::attr(const std::string& var_name, const std::string& attr_name) const {

@@ -7,14 +7,14 @@
 //   - multidimensional variables (float32/float64/int32/int64) over those
 //     dimensions, stored row-major,
 //   - global and per-variable attributes (int64/double/string),
-//   - whole-variable writes; whole-variable and hyperslab (start/count) reads.
+//   - whole-variable writes and whole-variable reads.
 //
 // On-disk layout (little-endian, as on every supported platform):
 //   magic "CDFL" | u32 version | header (dims, global attrs, vars) | data
-// Each variable records its absolute data offset, so readers can seek
-// directly and hyperslab reads touch only the requested byte ranges. The
-// header's length is not stored: a reader parses a small prefix and reads
-// more only while the parser runs out of bytes.
+// Each variable records its absolute data offset, so a reader seeks straight
+// to the one variable it reads. The header's length is not stored: a reader
+// parses a small prefix and reads more only while the parser runs out of
+// bytes.
 #pragma once
 
 #include <cstdint>
@@ -140,11 +140,6 @@ class FileReader {
 
   /// Reads a whole variable converted to double.
   Result<std::vector<double>> read_doubles(const std::string& name);
-
-  /// Reads a hyperslab of a float32 variable.
-  Result<std::vector<float>> read_slab(const std::string& name,
-                                       const std::vector<std::uint64_t>& start,
-                                       const std::vector<std::uint64_t>& count);
 
   /// Variable attribute lookup (empty var_name -> global attribute).
   Result<AttrValue> attr(const std::string& var_name, const std::string& attr_name) const;

@@ -48,16 +48,6 @@ const char* direction_name(Direction direction) {
   return "?";
 }
 
-const char* failure_policy_name(FailurePolicy policy) {
-  switch (policy) {
-    case FailurePolicy::kFail: return "fail";
-    case FailurePolicy::kRetry: return "retry";
-    case FailurePolicy::kIgnore: return "ignore";
-    case FailurePolicy::kCancelSuccessors: return "cancel_successors";
-  }
-  return "?";
-}
-
 const char* task_state_name(TaskState state) {
   switch (state) {
     case TaskState::kPending: return "pending";
@@ -193,7 +183,7 @@ Runtime::~Runtime() {
   if (verifier_) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Final lint: refresh findings with the complete sync/release picture
+      // Final lint: refresh findings with the complete sync picture
       // (wait_all lints too, but syncs may have happened since).
       lint_graph_locked(/*force=*/true);
     }
@@ -262,11 +252,6 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
       const VersionRecord& version = record.versions[latest];
       if (!version.ready && version.writer == kNoTask) {
         throw std::logic_error("submit('" + name + "'): IN parameter reads data never written");
-      }
-      if (!version.ready && version.cancelled &&
-          version.writer != kNoTask &&
-          tasks_[version.writer - 1]->state == TaskState::kCompleted) {
-        throw std::logic_error("submit('" + name + "'): IN parameter reads released data");
       }
       binding.read_version = latest;
       // Record the provenance edge even when the writer already completed
@@ -342,37 +327,16 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
                       << "': " << values.status().to_string() << "; re-executing";
   }
 
-  // A dependency that already failed or was cancelled poisons this task.
-  TaskId poisoned_by = kNoTask;
-  for (TaskId dep : task->deps) {
-    const TaskState dep_state = tasks_[dep - 1]->state;
-    if (dep_state == TaskState::kFailed || dep_state == TaskState::kCancelled) {
-      poisoned_by = dep;
-      break;
-    }
-  }
   tasks_.push_back(std::move(task));
   TaskRecord& record = *tasks_.back();
-  if (poisoned_by != kNoTask) {
-    // Name the ROOT failed task in the reason, not an intermediate
-    // cancellation: "poisoned by a cancelled task" is itself transitive.
-    TaskId root = poisoned_by;
-    if (tasks_[root - 1]->cancelled_by != kNoTask) root = tasks_[root - 1]->cancelled_by;
-    cancel_locked(record, poisoned_by,
-                  "cancelled by failure of task " + std::to_string(root) + " ('" +
-                      tasks_[root - 1]->name + "')");
-    completion_cv_.notify_all();
-    return id;
-  }
 
-  // Only predecessors not yet terminal gate the task.
+  // Only predecessors not yet completed gate the task. None has failed or
+  // been cancelled: either would have aborted the workflow, and submit
+  // throws once it is aborted.
   record.pending = 0;
   for (TaskId dep : record.deps) {
     TaskRecord& dep_task = *tasks_[dep - 1];
-    if (dep_task.state == TaskState::kCompleted || dep_task.state == TaskState::kFailed ||
-        dep_task.state == TaskState::kCancelled) {
-      continue;
-    }
+    if (dep_task.state == TaskState::kCompleted) continue;
     dep_task.successors.push_back(id);
     ++record.pending;
   }
@@ -392,18 +356,9 @@ void Runtime::enqueue_ready(TaskId id) {
   task.queued_ns = now;
   const int node = pick_node(task);
   if (node < 0) {
-    // No live node satisfies the constraints: unschedulable, treat as failed.
-    task.state = TaskState::kFailed;
-    task.end_ns = now_ns();
-    task.error = "no node satisfies constraints";
-    ++stats_.tasks_failed;
-    ++terminal_tasks_;
-    cancel_successors(id, "cancelled by failure of task " + std::to_string(id) + " ('" +
-                              task.name + "': unschedulable)");
-    if (task.options.on_failure == FailurePolicy::kFail) {
-      fatal_error_ = "task '" + task.name + "' unschedulable";
-    }
-    completion_cv_.notify_all();
+    // No live node satisfies the constraints: the task can never run, and a
+    // retry would find the same nodes.
+    abort_workflow_locked(task, "unschedulable: no live node satisfies its constraints");
     return;
   }
   node_queues_[static_cast<std::size_t>(node)].push_back(id);
@@ -852,34 +807,18 @@ void Runtime::finish_task(TaskId id, int attempt, int node_index, bool success,
 }
 
 void Runtime::fail_task_locked(TaskRecord& task, const std::string& error) {
-  const FailurePolicy policy = task.options.on_failure;
   LOG_DEBUG(kLogTag) << "task " << task.id << " ('" << task.name << "') failed (attempt "
-                     << task.attempts << ", policy " << failure_policy_name(policy)
-                     << "): " << error;
-  if (policy == FailurePolicy::kRetry && task.attempts <= task.options.max_retries) {
+                     << task.attempts << " of " << task.options.max_retries + 1 << "): " << error;
+  // Once the workflow is aborted, a retry's result would be discarded.
+  if (fatal_error_.empty() && task.attempts <= task.options.max_retries) {
     ++stats_.retries;
     enqueue_ready(task.id);  // re-stamps queued_ns: the retry's queue wait
     return;
   }
-  if (policy == FailurePolicy::kIgnore) {
-    // Continue the workflow: outputs fall back to the superseded version's
-    // value (or stay empty), successors run.
-    ++stats_.tasks_failed;
-    task.error = error;
-    for (std::size_t i = 0; i < task.bindings.size(); ++i) {
-      const ParamBinding& binding = task.bindings[i];
-      if (binding.direction == Direction::kIn) continue;
-      auto& versions = data_[binding.data].versions;
-      VersionRecord& version = versions[binding.write_version];
-      version.value = versions[binding.write_version - 1].value;
-      version.size_bytes = versions[binding.write_version - 1].size_bytes;
-      version.ready = true;
-      version.replicas = versions[binding.write_version - 1].replicas;
-    }
-    complete_locked(task);
-    return;
-  }
-  // kFail or kRetry exhausted or kCancelSuccessors.
+  abort_workflow_locked(task, error);
+}
+
+void Runtime::abort_workflow_locked(TaskRecord& task, const std::string& error) {
   task.state = TaskState::kFailed;
   task.error = error;
   task.end_ns = now_ns();
@@ -890,18 +829,17 @@ void Runtime::fail_task_locked(TaskRecord& task, const std::string& error) {
       data_[binding.data].versions[binding.write_version].cancelled = true;
     }
   }
-  cancel_successors(task.id, "cancelled by failure of task " + std::to_string(task.id) + " ('" +
-                                 task.name + "')");
-  if (policy == FailurePolicy::kFail || policy == FailurePolicy::kRetry) {
-    // Retry exhaustion is fatal too: the task's result is required.
-    fatal_error_ = "task '" + task.name + "' failed: " + error;
-    // Cancel everything not yet running so the workflow drains.
-    for (auto& other : tasks_) {
-      if (other->state == TaskState::kPending || other->state == TaskState::kReady) {
-        cancel_locked(*other, task.id,
-                      "cancelled: workflow aborted by failure of task " +
-                          std::to_string(task.id) + " ('" + task.name + "')");
-      }
+  // The first failure is the cause; a task still running at the abort may
+  // fail after it.
+  if (fatal_error_.empty()) fatal_error_ = "task '" + task.name + "' failed: " + error;
+  const std::string cause = "task " + std::to_string(task.id) + " ('" + task.name + "')";
+  for (TaskId succ : task.successors) {
+    cancel_locked(*tasks_[succ - 1], task.id, "cancelled by failure of " + cause);
+  }
+  // Cancel everything else not yet running so the workflow drains.
+  for (auto& other : tasks_) {
+    if (other->state == TaskState::kPending || other->state == TaskState::kReady) {
+      cancel_locked(*other, task.id, "cancelled: workflow aborted by failure of " + cause);
     }
   }
   completion_cv_.notify_all();
@@ -959,12 +897,6 @@ void Runtime::cancel_locked(TaskRecord& task, TaskId cause, const std::string& r
     verifier_->add(std::move(diag));
   }
   for (TaskId succ : task.successors) cancel_locked(*tasks_[succ - 1], task.id, reason);
-}
-
-void Runtime::cancel_successors(TaskId id, const std::string& reason) {
-  for (TaskId succ : tasks_[id - 1]->successors) {
-    cancel_locked(*tasks_[succ - 1], id, reason);
-  }
 }
 
 // ------------------------------------------------ node failure and recovery
@@ -1095,7 +1027,8 @@ void Runtime::reblock_on_lost_inputs_locked(TaskRecord& task) {
     VersionRecord& version = data_.at(binding.data).versions[binding.read_version];
     if (version.ready) continue;
     if (version.writer == kNoTask || version.cancelled) {
-      // Initial data lost with a node, or a released datum: unrecoverable.
+      // Initial data lost with a node, or the output of a task that failed
+      // or was cancelled (the workflow is already aborting): unrecoverable.
       if (fatal_error_.empty()) {
         fatal_error_ = "recovery failed: input of task '" + task.name + "' is unrecoverable";
       }
@@ -1189,42 +1122,6 @@ void Runtime::wait_all() {
   if (!fatal_error_.empty()) throw WorkflowError(fatal_error_);
 }
 
-std::size_t Runtime::release_data(DataHandle handle) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = data_.find(handle.id);
-  if (it == data_.end()) throw std::logic_error("release_data: unknown data handle");
-  // Every task touching this datum must be terminal: a version still being
-  // produced or read would lose its value mid-flight.
-  for (const VersionRecord& version : it->second.versions) {
-    if (version.writer != kNoTask) {
-      const TaskState state = tasks_[version.writer - 1]->state;
-      if (state != TaskState::kCompleted && state != TaskState::kFailed &&
-          state != TaskState::kCancelled) {
-        throw std::logic_error("release_data: a producing task is still active");
-      }
-    }
-  }
-  for (TaskId reader : it->second.readers_since_write) {
-    const TaskState state = tasks_[reader - 1]->state;
-    if (state != TaskState::kCompleted && state != TaskState::kFailed &&
-        state != TaskState::kCancelled) {
-      throw std::logic_error("release_data: a reading task is still active");
-    }
-  }
-  std::size_t released = 0;
-  for (VersionRecord& version : it->second.versions) {
-    if (version.value && version.value->has_value()) {
-      released += version.size_bytes;
-      version.value = std::make_shared<std::any>();
-      version.ready = false;  // later reads fail loudly instead of seeing empty
-      version.cancelled = true;
-      version.replicas.clear();
-    }
-  }
-  released_data_.insert(handle.id);
-  return released;
-}
-
 RuntimeStats Runtime::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
@@ -1258,7 +1155,6 @@ verify::GraphView Runtime::build_graph_view_locked() const {
     view.nodes.push_back(std::move(node));
   }
   view.synced = synced_data_;
-  view.released = released_data_;
   view.checkpointing_enabled = checkpoints_.has_value();
   return view;
 }

@@ -30,8 +30,9 @@
 // inputs must move — the runtime's "transfers data on-demand between the
 // computing nodes" behaviour.
 //
-// Fault tolerance mirrors the COMPSs mechanisms: per-task failure policies
-// (fail / retry / ignore / cancel successors) and task-level checkpointing
+// Fault tolerance mirrors the COMPSs mechanisms: a task whose body throws
+// is retried up to its max_retries; a task that still fails, or that no
+// live node can run, aborts the workflow. Task-level checkpointing goes
 // through CheckpointStore.
 #pragma once
 
@@ -174,8 +175,8 @@ struct RuntimeOptions {
   std::shared_ptr<common::fault::Injector> faults;
 };
 
-/// Thrown by sync()/wait_all() when the workflow failed (a task with the
-/// kFail policy threw, or a synced datum's producer was cancelled).
+/// Thrown by sync()/wait_all() when the workflow was aborted: a task failed
+/// for good, every node died, or lost data could not be recovered.
 class WorkflowError : public std::runtime_error {
  public:
   explicit WorkflowError(const std::string& what) : std::runtime_error(what) {}
@@ -218,15 +219,9 @@ class Runtime {
   }
 
   /// Blocks until every submitted task reached a terminal state and every
-  /// checkpoint save has reached the store. Throws WorkflowError if a kFail
-  /// task failed permanently.
+  /// checkpoint save has reached the store. Throws WorkflowError if the
+  /// workflow was aborted.
   void wait_all();
-
-  /// Drops the stored values of every version of `handle`, freeing memory.
-  /// Only legal once all submitted readers and writers of the datum are
-  /// terminal; later reads of the released datum throw. Returns the number
-  /// of bytes (size hints) released.
-  std::size_t release_data(DataHandle handle);
 
   /// Number of worker nodes.
   std::size_t node_count() const { return nodes_.size(); }
@@ -325,10 +320,15 @@ class Runtime {
   void finish_task(TaskId id, int attempt, int node_index, bool success, const std::string& error,
                    std::vector<TaskContext::Slot> outputs, std::int64_t transfer_add_ns,
                    std::int64_t body_ns);
+  /// A body threw: re-enqueues the task while retries remain and the
+  /// workflow is not aborted, otherwise aborts it.
   void fail_task_locked(TaskRecord& task, const std::string& error);
+  /// Marks `task` failed, cancels its successors (naming it as the cause)
+  /// and every other task not yet running, and records the fatal error
+  /// that sync/wait_all/submit throw from then on (the first one wins).
+  void abort_workflow_locked(TaskRecord& task, const std::string& error);
   void complete_locked(TaskRecord& task);
   void cancel_locked(TaskRecord& task, TaskId cause, const std::string& reason);
-  void cancel_successors(TaskId id, const std::string& reason);
   /// Loads and decodes `task`'s checkpointed outputs, one value per written
   /// binding. A record the store cannot read, with the wrong output count,
   /// or with a blob the codec rejects (by throwing) is DATA_LOSS: the caller
@@ -384,7 +384,6 @@ class Runtime {
   // --- verifier state (null/empty when verification is off) ---
   std::unique_ptr<verify::Verifier> verifier_;
   std::set<DataId> synced_data_;    // data the master pulled via sync()
-  std::set<DataId> released_data_;  // data explicitly released
   std::size_t linted_tasks_ = 0;    // graph size at the last lint run
 };
 

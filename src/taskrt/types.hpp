@@ -1,7 +1,7 @@
 // Core vocabulary of the task runtime (the PyCOMPSs / COMPSs-runtime
 // equivalent, paper section 4.2.1): data handles with directionality,
-// task options (failure policies, constraints, checkpoint keys) and
-// node descriptions for the simulated cluster.
+// task options (retries, constraints, checkpoint keys) and node
+// descriptions for the simulated cluster.
 #pragma once
 
 #include <any>
@@ -102,13 +102,6 @@ inline Param In(DataHandle h) { return {h, Direction::kIn}; }
 inline Param Out(DataHandle h) { return {h, Direction::kOut}; }
 inline Param InOut(DataHandle h) { return {h, Direction::kInOut}; }
 
-/// Behaviour applied when a task body throws, mirroring the COMPSs
-/// task-failure management options (retry / ignore / cancel successors /
-/// fail the whole workflow).
-enum class FailurePolicy { kFail, kRetry, kIgnore, kCancelSuccessors };
-
-const char* failure_policy_name(FailurePolicy policy);
-
 /// Serializer pair used by task-level checkpointing: turns each output value
 /// into bytes and back. `deserialize` throws on bytes it cannot decode (a
 /// checkpoint read back from disk may be corrupt); the runtime then
@@ -121,8 +114,9 @@ struct OutputCodec {
 
 /// Per-task options (the decorator arguments of the Python original).
 struct TaskOptions {
-  FailurePolicy on_failure = FailurePolicy::kFail;
-  int max_retries = 2;                 ///< Used when on_failure == kRetry.
+  /// Re-runs granted after the body throws. A task that still fails
+  /// aborts the workflow, as in COMPSs' task-failure management.
+  int max_retries = 0;
   std::set<std::string> constraints;   ///< Node tags required (e.g. "gpu").
   std::string checkpoint_key;          ///< Stable key enabling checkpoint skip.
   OutputCodec codec;                   ///< Required for checkpointing outputs.

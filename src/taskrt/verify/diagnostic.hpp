@@ -43,7 +43,7 @@ enum class DiagKind {
   // --- graph lint (whole-DAG checks at sync/shutdown) ---
   kGraphCycle,           ///< Dependency cycle: the tasks can never run.
   kUnreachableTask,      ///< Task can never become ready (bad/cyclic deps).
-  kOrphanOutput,         ///< Produced datum never read, synced or released.
+  kOrphanOutput,         ///< Produced datum never read or synced.
   kWriteWriteRace,       ///< Two writers of a datum with no ordering path.
   kCheckpointGap,        ///< Checkpoint coverage holes (dup keys, no codec).
 };

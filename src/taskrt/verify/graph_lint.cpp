@@ -129,7 +129,7 @@ void lint_cycles(const GraphView& graph, const std::map<TaskId, std::size_t>& in
 }
 
 /// Orphan outputs: data some task produces that no task reads and the master
-/// never syncs or releases — dead stores in the dataflow graph.
+/// never syncs — dead stores in the dataflow graph.
 void lint_orphans(const GraphView& graph, std::vector<Diagnostic>* out) {
   std::map<DataId, const GraphNode*> last_writer;
   std::set<DataId> read;
@@ -140,7 +140,7 @@ void lint_orphans(const GraphView& graph, std::vector<Diagnostic>* out) {
     }
   }
   for (const auto& [data, writer] : last_writer) {
-    if (read.count(data) || graph.synced.count(data) || graph.released.count(data)) continue;
+    if (read.count(data) || graph.synced.count(data)) continue;
     Diagnostic diagnostic;
     diagnostic.kind = DiagKind::kOrphanOutput;
     diagnostic.severity = Severity::kWarning;

@@ -51,8 +51,7 @@ struct GraphNode {
 /// Runtime-independent snapshot of a workflow graph.
 struct GraphView {
   std::vector<GraphNode> nodes;
-  std::set<DataId> synced;    ///< Data pulled to the master.
-  std::set<DataId> released;  ///< Data explicitly released.
+  std::set<DataId> synced;  ///< Data pulled to the master.
   bool checkpointing_enabled = false;
 };
 

@@ -308,7 +308,6 @@ TEST(Chaos, SameSeedAndPlanReplayIdentically) {
     for (int i = 0; i < 24; ++i) {
       outs[i] = rt.create_data();
       TaskOptions task_options;
-      task_options.on_failure = FailurePolicy::kRetry;
       task_options.max_retries = 8;
       rt.submit("work" + std::to_string(i), task_options, {Out(outs[i])}, [i](TaskContext& ctx) {
         ctx.set_out(0, std::any(i));
@@ -426,15 +425,14 @@ TEST(Chaos, NodeDeathIsDeclaredSynchronously) {
   EXPECT_EQ(rt.stats().retries, 0u);
 }
 
-// Node-failure rescheduling never consumes FailurePolicy retries: a task
-// whose node dies mid-body is re-run without touching max_retries.
+// Node-failure rescheduling never consumes task retries: a task whose node
+// dies mid-body is re-run without touching max_retries.
 TEST(Chaos, NodeFailureDoesNotConsumeRetries) {
   RuntimeOptions options = pinned_cluster();
   Runtime rt(options);
   std::atomic<int> runs{0};
   std::atomic<bool> crashed{false};
   TaskOptions task_options = pin("a");
-  task_options.on_failure = FailurePolicy::kRetry;
   task_options.max_retries = 0;  // any genuine failure would be fatal
   DataHandle out_h = rt.create_data();
   rt.submit("slow_victim", task_options, {Out(out_h)}, [&](TaskContext& ctx) {

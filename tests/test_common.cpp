@@ -1,16 +1,15 @@
-// Unit tests for the common utilities: grid geometry, statistics, strings,
-// RNG determinism, thread pool, images.
+// Unit tests for the common utilities: grid geometry, strings, RNG
+// determinism, thread pool, images.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <thread>
 
 #include "common/grid.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/striped.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -35,18 +34,6 @@ TEST(LatLonGrid, AreaWeightsSumToOne) {
     total += grid.area_weight(i) * static_cast<double>(grid.nlon());
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(LatLonGrid, NearestLookupRoundTrips) {
-  LatLonGrid grid(90, 180);
-  for (std::size_t i = 0; i < grid.nlat(); i += 7) {
-    EXPECT_EQ(grid.nearest_lat(grid.lat(i)), i);
-  }
-  for (std::size_t j = 0; j < grid.nlon(); j += 11) {
-    EXPECT_EQ(grid.nearest_lon(grid.lon(j)), j);
-  }
-  // Longitude wrap.
-  EXPECT_EQ(grid.nearest_lon(-2.0), grid.nearest_lon(358.0));
 }
 
 TEST(LatLonGrid, WrapLon) {
@@ -102,46 +89,6 @@ TEST(Regrid, UpsamplePreservesMean) {
   EXPECT_NEAR(up.mean(), field.mean(), 0.35);
 }
 
-TEST(RunningStats, MatchesDirectComputation) {
-  RunningStats stats;
-  const std::vector<double> values = {1, 2, 3, 4, 5, 6, 7, 8};
-  for (double v : values) stats.add(v);
-  EXPECT_EQ(stats.count(), values.size());
-  EXPECT_NEAR(stats.mean(), 4.5, 1e-12);
-  EXPECT_NEAR(stats.variance(), 6.0, 1e-12);
-  EXPECT_EQ(stats.min(), 1.0);
-  EXPECT_EQ(stats.max(), 8.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  Rng rng(11);
-  for (int i = 0; i < 100; ++i) {
-    const double v = rng.normal(5, 3);
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Quantile, Median) {
-  EXPECT_NEAR(quantile({3, 1, 2}, 0.5), 2.0, 1e-12);
-  EXPECT_NEAR(quantile({1, 2, 3, 4}, 0.5), 2.5, 1e-12);
-  EXPECT_NEAR(quantile({1, 2, 3, 4}, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(quantile({1, 2, 3, 4}, 1.0), 4.0, 1e-12);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  std::vector<double> a = {1, 2, 3, 4};
-  std::vector<double> b = {2, 4, 6, 8};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  std::vector<double> c = {8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
 TEST(Strings, SplitTrimJoin) {
   EXPECT_EQ(split("a,b,,c", ',').size(), 4u);
   EXPECT_EQ(split("a,b,,c", ',')[2], "");
@@ -180,10 +127,16 @@ TEST(Rng, UniformInRange) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(7);
-  RunningStats stats;
-  for (int i = 0; i < 20000; ++i) stats.add(rng.normal());
-  EXPECT_NEAR(stats.mean(), 0.0, 0.03);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.03);
+  constexpr int kSamples = 20000;
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double x = rng.normal();
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / kSamples;
+  EXPECT_NEAR(mean, 0.0, 0.03);
+  EXPECT_NEAR(std::sqrt(sum_sq / kSamples - mean * mean), 1.0, 0.03);
 }
 
 TEST(ThreadPool, RunsAllJobs) {
@@ -213,29 +166,12 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, WorkerIndexIsStable) {
-  ThreadPool pool(2);
-  std::set<int> seen;
-  std::mutex m;
-  pool.parallel_for(32, [&](std::size_t) {
-    std::lock_guard<std::mutex> lock(m);
-    seen.insert(ThreadPool::current_worker());
-  });
-  for (int w : seen) {
-    EXPECT_GE(w, 0);
-    EXPECT_LT(w, 2);
-  }
-  EXPECT_EQ(ThreadPool::current_worker(), -1);  // caller is not a worker
-}
-
-TEST(Image, WritesPgmAndPpm) {
+TEST(Image, WritesPgm) {
   const std::string dir = std::filesystem::temp_directory_path().string();
   Field field(8, 16);
   for (std::size_t i = 0; i < field.size(); ++i) field[i] = static_cast<float>(i);
   ASSERT_TRUE(write_pgm(dir + "/t.pgm", field, 0.0f, 127.0f).ok());
-  ASSERT_TRUE(write_ppm_diverging(dir + "/t.ppm", field, 0.0f, 127.0f).ok());
   EXPECT_GT(std::filesystem::file_size(dir + "/t.pgm"), 8u * 16u);
-  EXPECT_GT(std::filesystem::file_size(dir + "/t.ppm"), 3u * 8u * 16u);
 }
 
 TEST(Image, AsciiMapHasExpectedShape) {

@@ -61,15 +61,6 @@ TEST(CubeData, FragmentsPartitionRows) {
   EXPECT_EQ(covered, 10u);
 }
 
-TEST(CubeData, RowMultiIndex) {
-  CubeData cube;
-  cube.explicit_dims = {{"a", 3, {}}, {"b", 4, {}}};
-  cube.implicit_dim = {"t", 1, {}};
-  EXPECT_EQ(cube.row_multi_index(0), (std::vector<std::size_t>{0, 0}));
-  EXPECT_EQ(cube.row_multi_index(5), (std::vector<std::size_t>{1, 1}));
-  EXPECT_EQ(cube.row_multi_index(11), (std::vector<std::size_t>{2, 3}));
-}
-
 TEST(Server, ReduceOperators) {
   Server server(2);
   const std::string pid =

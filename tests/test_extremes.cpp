@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/fault.hpp"
-#include "common/rng.hpp"
 #include "datacube/client.hpp"
 #include "esm/climatology.hpp"
 #include "esm/forcing.hpp"
@@ -52,22 +51,6 @@ TEST(Baseline, AnalyticShapesMatchClimatology) {
   // Warming offset shifts both.
   Baseline warm = Baseline::analytic(grid, 30, 4, 2.0);
   EXPECT_NEAR(warm.tasmax(4, 0, 3) - baseline.tasmax(4, 0, 3), 2.0, 1e-4);
-}
-
-TEST(Baseline, FromDailyDataAveragesYears) {
-  LatLonGrid grid(4, 4);
-  // Two years of data: year one all 10, year two all 20 -> mean 15.
-  std::vector<Field> tasmax;
-  std::vector<Field> tasmin;
-  for (int y = 0; y < 2; ++y) {
-    for (int d = 0; d < 5; ++d) {
-      tasmax.emplace_back(grid, y == 0 ? 10.0f : 20.0f);
-      tasmin.emplace_back(grid, y == 0 ? 0.0f : 10.0f);
-    }
-  }
-  Baseline baseline = Baseline::from_daily_data(grid, 5, tasmax, tasmin);
-  EXPECT_FLOAT_EQ(baseline.tasmax(0, 0, 0), 15.0f);
-  EXPECT_FLOAT_EQ(baseline.tasmin(2, 3, 4), 5.0f);
 }
 
 TEST(Baseline, RowsByDayTransposeConsistent) {
@@ -479,75 +462,6 @@ TEST(Skill, TwoDetectionsNearOneTrackFixMatchOnce) {
   EXPECT_EQ(scores.misses, 1u);  // the step-5 fix has no ML fix
   EXPECT_DOUBLE_EQ(scores.mean_center_error_km,
                    common::great_circle_km(15.0, 140.0, 15.5, 140.5));
-}
-
-}  // namespace
-}  // namespace climate::extremes
-
-namespace climate::extremes {
-namespace {
-
-TEST(Baseline, QuantileBaselineBracketsMean) {
-  LatLonGrid grid(4, 4);
-  common::Rng rng(55);
-  // 6 "years" of 10-day data with noise.
-  std::vector<Field> tasmax, tasmin;
-  for (int d = 0; d < 60; ++d) {
-    Field mx(grid), mn(grid);
-    for (std::size_t c = 0; c < grid.size(); ++c) {
-      mx[c] = 20.0f + static_cast<float>(rng.normal(0, 3));
-      mn[c] = 10.0f + static_cast<float>(rng.normal(0, 3));
-    }
-    tasmax.push_back(std::move(mx));
-    tasmin.push_back(std::move(mn));
-  }
-  Baseline mean_baseline = Baseline::from_daily_data(grid, 10, tasmax, tasmin);
-  Baseline q90 = Baseline::from_daily_quantile(grid, 10, tasmax, tasmin, 0.9, 2);
-  for (int doy = 0; doy < 10; ++doy) {
-    for (std::size_t c = 0; c < grid.size(); ++c) {
-      const std::size_t i = c / grid.nlon(), j = c % grid.nlon();
-      // The 90th percentile of tasmax sits above the mean; the 10th
-      // percentile of tasmin sits below it.
-      EXPECT_GT(q90.tasmax(i, j, doy), mean_baseline.tasmax(i, j, doy) - 0.5f);
-      EXPECT_LT(q90.tasmin(i, j, doy), mean_baseline.tasmin(i, j, doy) + 0.5f);
-    }
-  }
-  // Global check: on average the quantile baselines are strictly on the
-  // correct side of the means.
-  double dmax = 0, dmin = 0;
-  for (int doy = 0; doy < 10; ++doy) {
-    dmax += q90.tasmax(0, 0, doy) - mean_baseline.tasmax(0, 0, doy);
-    dmin += q90.tasmin(0, 0, doy) - mean_baseline.tasmin(0, 0, doy);
-  }
-  EXPECT_GT(dmax, 0.0);
-  EXPECT_LT(dmin, 0.0);
-}
-
-TEST(Baseline, QuantileBaselineReducesWaveCounts) {
-  // Against a 90th-percentile threshold, fewer heat waves qualify than
-  // against the mean baseline (monotonicity of the definition).
-  LatLonGrid grid(6, 6);
-  common::Rng rng(77);
-  std::vector<Field> days;
-  std::vector<Field> tasmin_days;
-  for (int d = 0; d < 40; ++d) {
-    Field f(grid);
-    for (std::size_t c = 0; c < grid.size(); ++c) {
-      f[c] = 25.0f + static_cast<float>(rng.normal(0, 4));
-    }
-    days.push_back(f);
-    tasmin_days.push_back(f);
-  }
-  Baseline mean_baseline = Baseline::from_daily_data(grid, 20, days, tasmin_days);
-  Baseline q_baseline = Baseline::from_daily_quantile(grid, 20, days, tasmin_days, 0.9, 2);
-  const WaveIndices vs_mean = compute_wave_indices(days, mean_baseline, true, 3, 2.0);
-  const WaveIndices vs_q = compute_wave_indices(days, q_baseline, true, 3, 2.0);
-  double mean_total = 0, q_total = 0;
-  for (std::size_t c = 0; c < grid.size(); ++c) {
-    mean_total += vs_mean.count[c];
-    q_total += vs_q.count[c];
-  }
-  EXPECT_LE(q_total, mean_total);
 }
 
 }  // namespace

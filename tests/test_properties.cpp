@@ -1,10 +1,13 @@
 // Cross-module property tests: randomized CDF-lite schemas round-trip,
-// random task DAGs execute in dependency order, and random datacube
-// operator pipelines agree with a dense reference implementation.
+// corrupted CDF-lite headers are reported without throwing, random task
+// DAGs execute in dependency order, and random datacube operator pipelines
+// agree with a dense reference implementation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 
@@ -20,7 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
-// ncio: random schemas and hyperslabs round-trip.
+// ncio: random schemas round-trip.
 // ---------------------------------------------------------------------------
 
 class NcioFuzz : public ::testing::TestWithParam<int> {};
@@ -78,38 +81,79 @@ TEST_P(NcioFuzz, RandomSchemaRoundTrip) {
     ASSERT_TRUE(values.ok());
     EXPECT_EQ(*values, payloads[static_cast<std::size_t>(v)]);
   }
-  // Random hyperslab of var0 equals the manual slice.
-  auto shape = reader->var_shape(var_names[0]);
-  ASSERT_TRUE(shape.ok());
-  std::vector<std::uint64_t> start(shape->size()), count(shape->size());
-  for (std::size_t d = 0; d < shape->size(); ++d) {
-    start[d] = static_cast<std::uint64_t>(rng.uniform_index((*shape)[d]));
-    count[d] = 1 + static_cast<std::uint64_t>(rng.uniform_index((*shape)[d] - start[d]));
-  }
-  auto slab = reader->read_slab(var_names[0], start, count);
-  ASSERT_TRUE(slab.ok());
-  // Verify against the full payload.
-  std::vector<std::uint64_t> strides(shape->size(), 1);
-  for (std::size_t d = shape->size(); d-- > 1;) strides[d - 1] = strides[d] * (*shape)[d];
-  std::vector<std::uint64_t> idx(shape->size(), 0);
-  std::size_t pos = 0;
-  while (true) {
-    std::uint64_t flat = 0;
-    for (std::size_t d = 0; d < shape->size(); ++d) flat += (start[d] + idx[d]) * strides[d];
-    ASSERT_FLOAT_EQ((*slab)[pos++], payloads[0][flat]);
-    std::size_t d = shape->size();
-    while (d-- > 0) {
-      if (++idx[d] < count[d]) break;
-      idx[d] = 0;
-      if (d == 0) goto done;
-    }
-    if (shape->empty()) break;
-  }
-done:
   fs::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NcioFuzz, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// ncio: a corrupted header is reported through a Status, never thrown.
+// ---------------------------------------------------------------------------
+
+TEST(NcioCorruptHeader, OpenAndReadsNeverThrow) {
+  const std::string path =
+      (fs::temp_directory_path() / ("corrupt_" + std::to_string(::getpid()) + ".nc")).string();
+  {
+    // Variables of every dtype over one to three dimensions, so a corrupted
+    // length can overflow a product of lengths as well as a single one.
+    auto writer = ncio::FileWriter::create(path);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->def_dim("time", 4).ok());
+    ASSERT_TRUE(writer->def_dim("lat", 3).ok());
+    ASSERT_TRUE(writer->def_dim("lon", 5).ok());
+    ASSERT_TRUE(writer->def_var("f", ncio::DType::kFloat32, {"time", "lat", "lon"}).ok());
+    ASSERT_TRUE(writer->def_var("d", ncio::DType::kFloat64, {"lat", "lon"}).ok());
+    ASSERT_TRUE(writer->def_var("i", ncio::DType::kInt32, {"lon"}).ok());
+    ASSERT_TRUE(writer->def_var("l", ncio::DType::kInt64, {"time", "lon"}).ok());
+    ASSERT_TRUE(writer->put_attr("", "title", std::string("corrupt")).ok());
+    ASSERT_TRUE(writer->put_attr("f", "scale", 2.5).ok());
+    ASSERT_TRUE(writer->end_def().ok());
+    ASSERT_TRUE(writer->put_var("f", std::vector<float>(60).data(), 60).ok());
+    ASSERT_TRUE(writer->put_var("d", std::vector<double>(15).data(), 15).ok());
+    ASSERT_TRUE(writer->put_var("i", std::vector<std::int32_t>(5).data(), 5).ok());
+    ASSERT_TRUE(writer->put_var("l", std::vector<std::int64_t>(20).data(), 20).ok());
+    ASSERT_TRUE(writer->close().ok());
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  auto valid = ncio::FileReader::open(path);
+  ASSERT_TRUE(valid.ok());
+  const std::uint64_t header_bytes = valid->vars().front().data_offset;
+
+  // Boundary bytes turn a length into 0, 2^56, 2^62, 2^63 or ~2^64 far more
+  // often than uniform bytes do.
+  constexpr unsigned char kEdgeBytes[] = {0x00, 0x01, 0x40, 0x7f, 0x80, 0xff};
+  for (int seed = 0; seed < 4000; ++seed) {
+    common::Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 7);
+    std::string mutated = bytes;
+    const int writes = static_cast<int>(rng.uniform_int(1, 4));
+    for (int w = 0; w < writes; ++w) {
+      const std::uint64_t pos = rng.uniform_index(header_bytes);
+      mutated[pos] = static_cast<char>(rng.bernoulli(0.5)
+                                           ? kEdgeBytes[rng.uniform_index(sizeof(kEdgeBytes))]
+                                           : rng.uniform_index(256));
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    }
+    EXPECT_NO_THROW({
+      auto reader = ncio::FileReader::open(path);
+      if (reader.ok()) {
+        for (const ncio::VarInfo& var : reader->vars()) {
+          (void)reader->var_shape(var.name);
+          (void)reader->read_floats(var.name);
+          (void)reader->read_doubles(var.name);
+          for (const auto& entry : var.attrs) (void)reader->attr(var.name, entry.first);
+        }
+      }
+    }) << "seed " << seed;
+  }
+  fs::remove(path);
+}
 
 // ---------------------------------------------------------------------------
 // taskrt: random DAGs always execute respecting dependencies.

@@ -254,36 +254,6 @@ TEST(Runtime, ManyTasksDiamondGraph) {
   EXPECT_EQ(rt.sync_as<int>(total_h), kN * (kN - 1) / 2);
 }
 
-TEST(Runtime, ReleaseDataFreesAndGuards) {
-  Runtime rt;
-  DataHandle big = rt.create_data(std::any(std::vector<int>(1000, 7)), 4000);
-  DataHandle out = rt.create_data();
-  rt.submit("consume", {In(big), Out(out)}, [](TaskContext& ctx) {
-    ctx.set_out(1, std::any(static_cast<int>(ctx.in_as<std::vector<int>>(0)[0])));
-  });
-  EXPECT_EQ(rt.sync_as<int>(out), 7);
-  rt.wait_all();
-  EXPECT_EQ(rt.release_data(big), 4000u);
-  // Released data cannot be read again.
-  EXPECT_THROW(rt.submit("late", {In(big)}, [](TaskContext&) {}), std::logic_error);
-  EXPECT_THROW(rt.release_data(DataHandle{9999}), std::logic_error);
-}
-
-TEST(Runtime, ReleaseDataRefusesWhileActive) {
-  Runtime rt;
-  DataHandle data = rt.create_data(std::any(1));
-  DataHandle out = rt.create_data();
-  std::atomic<bool> release{false};
-  rt.submit("slow", {In(data), Out(out)}, [&](TaskContext& ctx) {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ctx.set_out(1, std::any(2));
-  });
-  EXPECT_THROW(rt.release_data(data), std::logic_error);
-  release.store(true);
-  rt.wait_all();
-  EXPECT_GT(rt.release_data(data), 0u);
-}
-
 TEST(Runtime, RoundRobinPlacementSpreadsTasks) {
   RuntimeOptions options;
   options.workers = 3;

@@ -1,6 +1,6 @@
-// Fault-tolerance tests of the task runtime: the four failure policies
-// (fail / retry / ignore / cancel-successors) and task-level checkpointing
-// (paper section 4.2.1).
+// Fault-tolerance tests of the task runtime: retries, the abort of the
+// workflow when a task fails for good, and task-level checkpointing (paper
+// section 4.2.1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,7 +82,6 @@ TEST(Failures, RetrySucceedsAfterTransientErrors) {
   DataHandle out = rt.create_data();
   std::atomic<int> attempts{0};
   TaskOptions options;
-  options.on_failure = FailurePolicy::kRetry;
   options.max_retries = 3;
   rt.submit("flaky", options, {Out(out)}, [&](TaskContext& ctx) {
     if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
@@ -97,7 +96,6 @@ TEST(Failures, RetryExhaustionIsFatal) {
   Runtime rt;
   DataHandle out = rt.create_data();
   TaskOptions options;
-  options.on_failure = FailurePolicy::kRetry;
   options.max_retries = 2;
   std::atomic<int> attempts{0};
   rt.submit("hopeless", options, {Out(out)}, [&](TaskContext&) {
@@ -108,43 +106,6 @@ TEST(Failures, RetryExhaustionIsFatal) {
   EXPECT_EQ(attempts.load(), 3);  // initial + 2 retries
 }
 
-TEST(Failures, IgnorePolicyContinuesWithPreviousValue) {
-  Runtime rt;
-  DataHandle data = rt.create_data(std::any(5));
-  DataHandle result = rt.create_data();
-  TaskOptions options;
-  options.on_failure = FailurePolicy::kIgnore;
-  rt.submit("ignored_failure", options, {InOut(data)},
-            [](TaskContext&) { throw std::runtime_error("ignored"); });
-  rt.submit("consumer", {In(data), Out(result)},
-            [](TaskContext& ctx) { ctx.set_out(1, std::any(ctx.in_as<int>(0) * 2)); });
-  // Workflow continues; the failed writer's output falls back to version n-1.
-  EXPECT_EQ(rt.sync_as<int>(result), 10);
-  rt.wait_all();  // no throw
-  EXPECT_EQ(rt.stats().tasks_failed, 1u);
-  EXPECT_EQ(rt.stats().tasks_completed, 2u);
-}
-
-TEST(Failures, CancelSuccessorsLeavesSiblingsRunning) {
-  Runtime rt;
-  DataHandle bad = rt.create_data();
-  DataHandle good = rt.create_data();
-  DataHandle downstream_bad = rt.create_data();
-  TaskOptions options;
-  options.on_failure = FailurePolicy::kCancelSuccessors;
-  const TaskId bad_id = rt.submit("bad_branch", options, {Out(bad)},
-                                  [](TaskContext&) { throw std::runtime_error("branch dead"); });
-  const TaskId dep_id = rt.submit("bad_child", {In(bad), Out(downstream_bad)},
-                                  [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
-  rt.submit("good_branch", {Out(good)},
-            [](TaskContext& ctx) { ctx.set_out(0, std::any(123)); });
-  EXPECT_EQ(rt.sync_as<int>(good), 123);
-  rt.wait_all();  // not fatal
-  EXPECT_EQ(rt.task_state(bad_id), TaskState::kFailed);
-  EXPECT_EQ(rt.task_state(dep_id), TaskState::kCancelled);
-  EXPECT_THROW(rt.sync(downstream_bad), WorkflowError);
-}
-
 // Trace contract under retries (taskrt/trace.hpp): exec_ns accumulates the
 // body time of every attempt, and queued_ns is re-stamped on each re-enqueue
 // so queue-wait attribution reflects the final attempt.
@@ -152,7 +113,6 @@ TEST(Failures, RetryTraceSumsExecAndRestampsQueued) {
   Runtime rt;
   DataHandle out = rt.create_data();
   TaskOptions options;
-  options.on_failure = FailurePolicy::kRetry;
   options.max_retries = 3;
   std::atomic<int> attempts{0};
   const TaskId id = rt.submit("flaky_timed", options, {Out(out)}, [&](TaskContext& ctx) {
@@ -178,9 +138,67 @@ TEST(Failures, RetryTraceSumsExecAndRestampsQueued) {
   EXPECT_GE(flaky->start_ns, flaky->queued_ns);
 }
 
-// kCancelSuccessors propagates a structured reason: every transitively
-// cancelled task names the root failed task in its trace record and the
-// verifier report.
+// A task still running when the workflow aborts is not retried, and the
+// workflow reports the failure that aborted it, not the later one.
+TEST(Failures, AbortStopsRetriesAndKeepsFirstCause) {
+  Runtime rt;
+  DataHandle a = rt.create_data();
+  DataHandle b = rt.create_data();
+  std::atomic<int> flaky_runs{0};
+  // "bad" fails once "flaky" is running, and "flaky" once "bad" has failed.
+  const TaskId bad = rt.submit("bad", {Out(a)}, [&flaky_runs](TaskContext&) {
+    while (flaky_runs.load() == 0) std::this_thread::yield();
+    throw std::runtime_error("dead");
+  });
+  TaskOptions retry;
+  retry.max_retries = 3;
+  const TaskId flaky = rt.submit("flaky", retry, {Out(b)}, [&](TaskContext&) {
+    flaky_runs.fetch_add(1);
+    while (rt.task_state(bad) != TaskState::kFailed) std::this_thread::yield();
+    throw std::runtime_error("transient");
+  });
+  try {
+    rt.wait_all();
+    FAIL() << "expected WorkflowError";
+  } catch (const WorkflowError& e) {
+    EXPECT_NE(std::string(e.what()).find("'bad'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(flaky_runs.load(), 1);
+  EXPECT_EQ(rt.task_state(flaky), TaskState::kFailed);
+  EXPECT_EQ(rt.stats().retries, 0u);
+}
+
+// A task that no node can run fails the workflow even with retries left: a
+// retry would find the same nodes.
+TEST(Failures, UnschedulableTaskWithRetriesFailsWorkflow) {
+  Runtime rt;
+  DataHandle gate = rt.create_data();
+  DataHandle out = rt.create_data();
+  DataHandle result = rt.create_data();
+  // The gate keeps the fpga task pending until its consumer is submitted:
+  // submit throws once the workflow is aborted.
+  std::atomic<bool> all_submitted{false};
+  rt.submit("gate", {Out(gate)}, [&all_submitted](TaskContext& ctx) {
+    while (!all_submitted.load()) std::this_thread::yield();
+    ctx.set_out(0, std::any(0));
+  });
+  TaskOptions needs_fpga;
+  needs_fpga.constraints = {"fpga"};
+  needs_fpga.max_retries = 3;
+  const TaskId fpga = rt.submit("fpga_task", needs_fpga, {In(gate), Out(out)},
+                                [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
+  const TaskId consumer = rt.submit("consumer", {In(out), Out(result)},
+                                    [](TaskContext& ctx) { ctx.set_out(1, std::any(2)); });
+  all_submitted.store(true);
+  EXPECT_THROW(rt.wait_all(), WorkflowError);
+  EXPECT_EQ(rt.task_state(fpga), TaskState::kFailed);
+  EXPECT_EQ(rt.task_state(consumer), TaskState::kCancelled);
+  EXPECT_EQ(rt.stats().retries, 0u);
+}
+
+// A task that fails for good cancels its successors with a structured
+// reason: every transitively cancelled task names the root failed task in
+// its trace record and the verifier report.
 TEST(Failures, CancelSuccessorsCarriesStructuredReason) {
   RuntimeOptions rt_options;
   rt_options.verify = VerifyMode::kOn;
@@ -188,15 +206,19 @@ TEST(Failures, CancelSuccessorsCarriesStructuredReason) {
   DataHandle bad = rt.create_data();
   DataHandle mid = rt.create_data();
   DataHandle leaf = rt.create_data();
-  TaskOptions options;
-  options.on_failure = FailurePolicy::kCancelSuccessors;
-  const TaskId bad_id = rt.submit("bad_root", options, {Out(bad)},
-                                  [](TaskContext&) { throw std::runtime_error("root dead"); });
+  // Hold the failure until the successors are submitted: submit throws once
+  // the workflow is aborted.
+  std::atomic<bool> all_submitted{false};
+  const TaskId bad_id = rt.submit("bad_root", {Out(bad)}, [&all_submitted](TaskContext&) {
+    while (!all_submitted.load()) std::this_thread::yield();
+    throw std::runtime_error("root dead");
+  });
   const TaskId mid_id = rt.submit("mid_child", {In(bad), Out(mid)},
                                   [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
   const TaskId leaf_id = rt.submit("leaf_child", {In(mid), Out(leaf)},
                                    [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
-  rt.wait_all();  // not fatal
+  all_submitted.store(true);
+  EXPECT_THROW(rt.wait_all(), WorkflowError);
   EXPECT_EQ(rt.task_state(bad_id), TaskState::kFailed);
 
   const Trace trace = rt.trace();
@@ -224,23 +246,6 @@ TEST(Failures, CancelSuccessorsCarriesStructuredReason) {
     }
   }
   EXPECT_EQ(cancel_notes, 2);
-}
-
-TEST(Failures, SubmitOnCancelledDataCancelsNewTask) {
-  Runtime rt;
-  DataHandle bad = rt.create_data();
-  TaskOptions options;
-  options.on_failure = FailurePolicy::kCancelSuccessors;
-  rt.submit("bad", options, {Out(bad)}, [](TaskContext&) {
-    throw std::runtime_error("dead");
-  });
-  rt.wait_all();
-  DataHandle out = rt.create_data();
-  const TaskId late = rt.submit("late_child", {In(bad), Out(out)}, [](TaskContext& ctx) {
-    ctx.set_out(1, std::any(1));
-  });
-  rt.wait_all();
-  EXPECT_EQ(rt.task_state(late), TaskState::kCancelled);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,31 +453,35 @@ TEST_F(CheckpointTest, TraceRecordsEveryLifecyclePath) {
   DataHandle d = rt.create_data();
   rt.submit("restore", restore, {Out(a)}, [](TaskContext& ctx) { ctx.set_out(0, std::any(5)); });
   TaskOptions retry;
-  retry.on_failure = FailurePolicy::kRetry;
   retry.max_retries = 3;
   std::atomic<int> flaky_runs{0};
   rt.submit("flaky", retry, {In(a), Out(b)}, [&](TaskContext& ctx) {
     if (flaky_runs.fetch_add(1) < 2) throw std::runtime_error("transient");
     ctx.set_out(1, std::any(ctx.in_as<int>(0) + 1));
   });
-  TaskOptions cancel;
-  cancel.on_failure = FailurePolicy::kCancelSuccessors;
-  rt.submit("bad", cancel, {In(b), Out(c)},
-            [](TaskContext&) { throw std::runtime_error("dead"); });
-  rt.submit("orphan", {In(c), Out(d)}, [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
   // In(b) finds task 2; Out(a) then finds reader 2 again and writer 1.
   rt.submit("join", {In(b), Out(a)}, [](TaskContext& ctx) { ctx.set_out(1, std::any(0)); });
-  rt.wait_all();
+  (void)rt.sync(a);  // the join completes before the failure aborts the workflow
+  // "bad" fails only once its successor is submitted: submit throws once
+  // the workflow is aborted.
+  std::atomic<bool> orphan_submitted{false};
+  rt.submit("bad", {In(b), Out(c)}, [&orphan_submitted](TaskContext&) {
+    while (!orphan_submitted.load()) std::this_thread::yield();
+    throw std::runtime_error("dead");
+  });
+  rt.submit("orphan", {In(c), Out(d)}, [](TaskContext& ctx) { ctx.set_out(1, std::any(1)); });
+  orphan_submitted.store(true);
+  EXPECT_THROW(rt.wait_all(), WorkflowError);
 
   const Trace trace = rt.trace();
   const std::vector<TaskTrace>& tasks = trace.tasks();
   ASSERT_EQ(tasks.size(), 5u);
-  const std::vector<std::string> names = {"restore", "flaky", "bad", "orphan", "join"};
+  const std::vector<std::string> names = {"restore", "flaky", "join", "bad", "orphan"};
   const std::vector<TaskState> states = {TaskState::kCompleted, TaskState::kCompleted,
-                                         TaskState::kFailed, TaskState::kCancelled,
-                                         TaskState::kCompleted};
-  const std::vector<int> attempts = {0, 3, 1, 0, 1};
-  const std::vector<std::vector<TaskId>> deps = {{}, {1}, {2}, {3}, {1, 2}};
+                                         TaskState::kCompleted, TaskState::kFailed,
+                                         TaskState::kCancelled};
+  const std::vector<int> attempts = {0, 3, 1, 1, 0};
+  const std::vector<std::vector<TaskId>> deps = {{}, {1}, {1, 2}, {2}, {4}};
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const TaskTrace& t = tasks[i];
     EXPECT_EQ(t.id, i + 1);
@@ -480,7 +489,7 @@ TEST_F(CheckpointTest, TraceRecordsEveryLifecyclePath) {
     EXPECT_EQ(t.state, states[i]) << t.name;
     EXPECT_EQ(t.attempts, attempts[i]) << t.name;
     EXPECT_EQ(t.from_checkpoint, i == 0) << t.name;
-    EXPECT_EQ(t.cancelled_by, i == 3 ? 3 : kNoTask) << t.name;
+    EXPECT_EQ(t.cancelled_by, i == 4 ? 4 : kNoTask) << t.name;
     EXPECT_EQ(t.deps, deps[i]) << t.name;
     EXPECT_TRUE(std::is_sorted(t.deps.begin(), t.deps.end())) << t.name;
     EXPECT_EQ(std::adjacent_find(t.deps.begin(), t.deps.end()), t.deps.end()) << t.name;
@@ -490,7 +499,7 @@ TEST_F(CheckpointTest, TraceRecordsEveryLifecyclePath) {
     EXPECT_LE(t.queued_ns, t.start_ns) << t.name;
     EXPECT_LE(t.start_ns, t.end_ns) << t.name;
   }
-  EXPECT_EQ(tasks[3].start_ns, -1);  // the cancelled successor never ran
+  EXPECT_EQ(tasks[4].start_ns, -1);  // the cancelled successor never ran
 }
 
 }  // namespace
