@@ -54,6 +54,7 @@ void print_skill() {
     std::printf("cannot load weights; skipping\n");
     return;
   }
+  const auto tiling = climate::ml::TcTiling::native(grid, localizer.patch());
 
   const int days = 60;
   std::vector<std::vector<climate::extremes::TcCandidate>> per_step;
@@ -74,20 +75,16 @@ void print_skill() {
       per_step.push_back(climate::extremes::detect_candidates(
           fields.psl[su], fields.wspd[su], fields.vort850[su], grid, step));
       const auto t0 = std::chrono::steady_clock::now();
-      auto patches = climate::ml::make_patches(fields.psl[su], fields.wspd[su],
-                                               fields.vort850[su], fields.tas, 16);
+      const auto patches =
+          tiling.tile(fields.psl[su], fields.wspd[su], fields.vort850[su], fields.tas);
       const auto outputs = localizer.infer(patches);
       infer_ms += std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                       .count();
       patches_inferred += patches.size();
-      for (std::size_t i = 0; i < patches.size(); ++i) {
-        const double row = patches[i].row0 + outputs[i].row_frac * 16.0;
-        const double col = patches[i].col0 + outputs[i].col_frac * 16.0;
-        const climate::extremes::DetectionFix fix = {
-            step, -90.0 + (row + 0.5) * 180.0 / grid.nlat(),
-            (col + 0.5) * 360.0 / grid.nlon()};
-        if (outputs[i].presence >= 0.5f) ml_fixes.push_back(fix);
-        if (outputs[i].presence >= 0.2f) scored_fixes.push_back({fix, outputs[i].presence});
+      for (const climate::ml::TcDetection& d : tiling.georeference(patches, outputs, 0.2f)) {
+        const climate::extremes::DetectionFix fix = {step, d.lat, d.lon};
+        if (d.confidence >= 0.5) ml_fixes.push_back(fix);
+        scored_fixes.push_back({fix, static_cast<float>(d.confidence)});
       }
     }
   }
@@ -137,7 +134,7 @@ void BM_CnnInference(benchmark::State& state) {
   climate::common::LatLonGrid grid(64, 96);
   climate::common::Field psl(grid, 1010.0f), wspd(grid, 8.0f), vort(grid, 0.5f),
       tas(grid, 22.0f);
-  auto patches = climate::ml::make_patches(psl, wspd, vort, tas, 16);
+  const auto patches = climate::ml::TcTiling::native(grid, 16).tile(psl, wspd, vort, tas);
   for (auto _ : state) {
     auto outputs = localizer.infer(patches);
     benchmark::DoNotOptimize(outputs);

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
       climate::esm::ForcingTable::from_scenario(config.scenario, config.start_year, 2);
   climate::esm::EsmModel model(config, forcing);
   const climate::common::LatLonGrid& grid = model.grid();
+  const auto tiling = climate::ml::TcTiling::native(grid, localizer.patch());
 
   std::vector<std::vector<climate::extremes::TcCandidate>> per_step;
   std::vector<climate::extremes::DetectionFix> ml_fixes;
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
           fields.psl[su], fields.wspd[su], fields.vort850[su], grid, step));
       // CNN pipeline (regrid -> tile -> infer -> geo-reference).
       for (const auto& det : localizer.detect(fields.psl[su], fields.wspd[su], fields.vort850[su],
-                                              fields.tas, grid, 0.5)) {
+                                              fields.tas, tiling, 0.5)) {
         ml_fixes.push_back({step, det.lat, det.lon});
       }
     }

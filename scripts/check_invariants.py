@@ -60,6 +60,14 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      wrote). A timed wait could only hide a missed notify or bring back a
      timeout-driven watchdog or a directory poller beside the graph.
 
+  9. One owner for the CNN tiling: under src/, `regrid_bilinear(` may
+     appear only in src/common/grid.* (which implements it) and src/ml/, and
+     `make_patches(` only in src/ml/. ml::TcTiling owns the grid the CNN
+     tiles, regridding onto it, tiling a step, and the lat/lon <-> row/col
+     mapping of truth labels and detections; the workflow, pretraining
+     included, goes through it, so training and inference cannot drift onto
+     different grids unnoticed.
+
 Exit code 0 when clean, 1 with one "file:line: message" per violation.
 """
 
@@ -114,6 +122,9 @@ LIFECYCLE_HOME = pathlib.Path("src/taskrt/trace.hpp")
 UNSAFE_MATH_RE = re.compile(
     r"-ffast-math\b|-Ofast\b|-funsafe-math-optimizations\b|-march=[\w.+-]*|-mavx\w*|-mfma\b")
 TIMED_WAIT_RE = re.compile(r"\bwait_(?:for|until)\s*\(")
+REGRID_RE = re.compile(r"\bregrid_bilinear\s*\(")
+MAKE_PATCHES_RE = re.compile(r"\bmake_patches\s*\(")
+REGRID_HOMES = {pathlib.Path("src/common/grid.hpp"), pathlib.Path("src/common/grid.cpp")}
 NO_POLLING_LAYERS = {"taskrt", "core"}
 
 
@@ -149,6 +160,9 @@ def check_file(path: pathlib.Path, violations: list):
     in_core = layer == "core"
     no_polling = rel.parts[0] == "src" and layer in NO_POLLING_LAYERS
     owns_lifecycle = layer not in LIFECYCLE_LAYERS or rel == LIFECYCLE_HOME
+    in_src = rel.parts[0] == "src"
+    may_regrid = not in_src or layer == "ml" or rel in REGRID_HOMES
+    may_tile = not in_src or layer == "ml"
     allowed = LAYER_DEPS.get(layer) if layer is not None else None
     if layer is not None and allowed is None:
         violations.append(
@@ -192,6 +206,15 @@ def check_file(path: pathlib.Path, violations: list):
             violations.append(
                 f"{rel}:{lineno}: timed wait under src/{layer}/ (wait untimed on a "
                 f"condition variable that the state change notifies, or on a task's output)")
+
+        if not may_regrid and REGRID_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: regrid_bilinear outside src/common/grid.* and src/ml/ "
+                f"(regrid onto the CNN grid through ml::TcTiling)")
+
+        if not may_tile and MAKE_PATCHES_RE.search(line):
+            violations.append(
+                f"{rel}:{lineno}: make_patches outside src/ml/ (tile through ml::TcTiling)")
 
         if not owns_lifecycle:
             match = LIFECYCLE_DECL_RE.search(line)

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <stdexcept>
 
 namespace climate::common {
 
@@ -39,26 +40,32 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
   const std::size_t shards = std::min(count, size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    futures.push_back(submit([&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= count) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+  // Guarded by mutex_. The last shard notifies `done` while still holding
+  // the lock, so this frame outlives every shard's last touch of it.
+  std::size_t remaining = shards;
+  std::exception_ptr first_error;
+  std::condition_variable done;
+  auto shard = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!first_error) first_error = std::current_exception();
       }
-    }));
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--remaining == 0) done.notify_one();
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) throw std::runtime_error("ThreadPool::parallel_for after shutdown");
+    for (std::size_t s = 0; s < shards; ++s) queue_.emplace_back(shard);
   }
-  for (auto& f : futures) f.get();
+  for (std::size_t s = 0; s < shards; ++s) cv_.notify_one();
+  std::unique_lock<std::mutex> lock(mutex_);
+  done.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,11 +1,9 @@
-// Fixed-size thread pool with futures: the worker pool of the datacube I/O
-// servers.
+// Fixed-size thread pool: the worker pool of the datacube I/O servers.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,21 +22,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a callable; the returned future observes its result/exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool::submit after shutdown");
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
 
   /// Runs fn(i) for i in [0, count) across the pool and waits for completion.
   /// Exceptions from any iteration propagate to the caller (first one wins).

@@ -34,8 +34,6 @@ constexpr const char* kLogTag = "workflow";
 /// Patches of one six-hourly step, ready for inference.
 struct StepPatches {
   int step = 0;
-  std::size_t grid_nlat = 0;  ///< Inference-grid size (after regridding).
-  std::size_t grid_nlon = 0;
   std::vector<ml::TcPatch> patches;
 };
 
@@ -261,25 +259,21 @@ Result<float> pretrain_tc_localizer(const esm::EsmConfig& base_config,
   esm::ForcingTable forcing =
       esm::ForcingTable::from_scenario(config.scenario, config.start_year, 2);
   esm::EsmModel model(config, forcing);
-  const common::LatLonGrid& grid = model.grid();
+  const ml::TcTiling tiling = ml::TcTiling::native(model.grid(), patch);
 
   std::vector<ml::TcPatch> training_set;
   for (int day = 0; day < train_days; ++day) {
     esm::DailyFields fields = model.run_day();
     for (int s = 0; s < config.steps_per_day; ++s) {
       const int step = day * config.steps_per_day + s;
-      std::vector<ml::TcPatch> patches = ml::make_patches(
-          fields.psl[static_cast<std::size_t>(s)], fields.wspd[static_cast<std::size_t>(s)],
-          fields.vort850[static_cast<std::size_t>(s)], fields.tas, patch);
+      const auto su = static_cast<std::size_t>(s);
+      std::vector<ml::TcPatch> patches =
+          tiling.tile(fields.psl[su], fields.wspd[su], fields.vort850[su], fields.tas);
       // Ground-truth centres at this step, in grid coordinates.
       std::vector<std::pair<double, double>> centers;
       for (const esm::CycloneTruth& truth : model.events().cyclones) {
         for (const esm::CycloneSample& sample : truth.track) {
-          if (sample.step == step) {
-            const double row = (sample.lat + 90.0) / 180.0 * static_cast<double>(grid.nlat()) - 0.5;
-            const double col = sample.lon / 360.0 * static_cast<double>(grid.nlon()) - 0.5;
-            centers.emplace_back(row, col);
-          }
+          if (sample.step == step) centers.push_back(tiling.row_col(sample.lat, sample.lon));
         }
       }
       ml::label_patches(patches, patch, centers);
@@ -355,10 +349,8 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
     }
   }
 
-  // Inference grid: the paper regrids before tiling; half resolution keeps
-  // patches meaningful while bounding memory.
-  const std::size_t infer_nlat = (grid.nlat() / (2 * cfg.tc_patch)) * cfg.tc_patch;
-  const std::size_t infer_nlon = (grid.nlon() / (2 * cfg.tc_patch)) * cfg.tc_patch;
+  // The paper regrids before tiling (section 5.4 step i).
+  const ml::TcTiling tiling = ml::TcTiling::half_resolution(grid, cfg.tc_patch);
 
   taskrt::RuntimeOptions rt_options;
   rt_options.workers = cfg.workers;
@@ -657,13 +649,11 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
     if (ml_enabled) {
       const int chunk_days = std::max(1, std::min(cfg.tc_chunk_days, days));
       const int steps_per_day = cfg.esm.steps_per_day;
-      const std::size_t patch = cfg.tc_patch;
       for (int begin = 0; begin < days; begin += chunk_days) {
         const int end = std::min(days, begin + chunk_days);
         DataHandle patches_h = rt.create_data();
         rt.submit("tc_preprocess", constrain(TaskOptions{}, "data"), {In(files_h), Out(patches_h)},
-                  [begin, end, steps_per_day, patch, infer_nlat, infer_nlon, &files_read,
-                   burn](TaskContext& ctx) {
+                  [begin, end, steps_per_day, tiling, &files_read, burn](TaskContext& ctx) {
                     burn(ctx);
                     const auto& file_list = ctx.in_as<std::vector<std::string>>(0);
                     auto chunk = std::make_shared<std::vector<StepPatches>>();
@@ -682,53 +672,37 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
                       }
                       files_read.fetch_add(1);
                       const int day_of_run = file->day_of_run();
-                      // Regrid to the inference grid (paper step i).
-                      const common::Field tas_rg =
-                          common::regrid_bilinear(*tas, infer_nlat, infer_nlon);
+                      // The daily tas is regridded once for all its steps.
+                      const common::Field tas_rg = tiling.regrid(*tas);
                       for (int s = 0; s < steps_per_day; ++s) {
                         StepPatches sp;
                         sp.step = day_of_run * steps_per_day + s;
-                        sp.grid_nlat = infer_nlat;
-                        sp.grid_nlon = infer_nlon;
                         const auto su = static_cast<std::size_t>(s);
-                        sp.patches = ml::make_patches(
-                            common::regrid_bilinear((*psl)[su], infer_nlat, infer_nlon),
-                            common::regrid_bilinear((*wspd)[su], infer_nlat, infer_nlon),
-                            common::regrid_bilinear((*vort)[su], infer_nlat, infer_nlon), tas_rg,
-                            patch);
+                        sp.patches = tiling.tile((*psl)[su], (*wspd)[su], (*vort)[su], tas_rg);
                         chunk->push_back(std::move(sp));
                       }
                     }
                     const std::size_t bytes =
                         chunk->empty() ? 64
                                        : chunk->size() * chunk->front().patches.size() *
-                                             patch * patch * ml::kTcChannels * sizeof(float);
+                                             tiling.patch() * tiling.patch() * ml::kTcChannels *
+                                             sizeof(float);
                     ctx.set_out(1, std::any(chunk), bytes);
                   });
 
         DataHandle fixes_h = rt.create_data();
         const double threshold = cfg.tc_threshold;
         rt.submit("tc_inference", constrain(TaskOptions{}, "gpu"), {In(patches_h), Out(fixes_h)},
-                  [localizer, threshold, patch, burn](TaskContext& ctx) {
+                  [localizer, threshold, tiling, burn](TaskContext& ctx) {
                     burn(ctx);
                     const auto& chunk =
                         ctx.in_as<std::shared_ptr<std::vector<StepPatches>>>(0);
                     std::vector<extremes::DetectionFix> fixes;
                     for (const StepPatches& sp : *chunk) {
-                      const auto outputs = localizer->infer(sp.patches);
-                      for (std::size_t i = 0; i < sp.patches.size(); ++i) {
-                        if (outputs[i].presence < threshold) continue;
-                        // Geo-referencing (paper step iii).
-                        const double row =
-                            static_cast<double>(sp.patches[i].row0) +
-                            static_cast<double>(outputs[i].row_frac) * static_cast<double>(patch);
-                        const double col =
-                            static_cast<double>(sp.patches[i].col0) +
-                            static_cast<double>(outputs[i].col_frac) * static_cast<double>(patch);
-                        const double lat =
-                            -90.0 + (row + 0.5) * 180.0 / static_cast<double>(sp.grid_nlat);
-                        const double lon = (col + 0.5) * 360.0 / static_cast<double>(sp.grid_nlon);
-                        fixes.push_back({sp.step, lat, lon});
+                      // Geo-referencing (paper step iii).
+                      for (const ml::TcDetection& d : tiling.georeference(
+                               sp.patches, localizer->infer(sp.patches), threshold)) {
+                        fixes.push_back({sp.step, d.lat, d.lon});
                       }
                     }
                     ctx.set_out(1, std::any(fixes), fixes.size() * sizeof(extremes::DetectionFix));

@@ -18,7 +18,7 @@ std::size_t CubeCatalog::shard_index(const std::string& pid) {
 std::unique_lock<std::mutex> CubeCatalog::lock_shard(const Shard& shard) const {
   std::unique_lock<std::mutex> lock(shard.mutex, std::try_to_lock);
   if (!lock.owns_lock()) {
-    contention_.increment();
+    contention_.add(1);
     OBS_COUNTER_ADD("datacube.catalog.shard_contention", 1);
     lock.lock();
   }

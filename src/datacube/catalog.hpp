@@ -18,8 +18,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/striped.hpp"
 #include "datacube/cube.hpp"
+#include "obs/metrics.hpp"
 
 namespace climate::datacube {
 
@@ -51,7 +51,7 @@ class CubeCatalog {
 
   /// Times a shard lock was found held by another thread (across all
   /// shards).
-  std::uint64_t lock_contention() const { return contention_.total(); }
+  std::uint64_t lock_contention() const { return contention_.value(); }
 
  private:
   struct Entry {
@@ -60,7 +60,7 @@ class CubeCatalog {
     std::map<std::string, std::string> metadata;
   };
 
-  struct alignas(common::kCacheLineSize) Shard {
+  struct alignas(64) Shard {  // one cache line per shard lock
     mutable std::mutex mutex;
     std::unordered_map<std::string, Entry> entries;
   };
@@ -73,7 +73,7 @@ class CubeCatalog {
 
   std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> next_id_{1};
-  mutable common::StripedCounter contention_;
+  mutable obs::Counter contention_;
 };
 
 }  // namespace climate::datacube

@@ -96,7 +96,7 @@ Result<AdmissionController::Ticket> Server::admit_op(const char* op) {
 
 std::string Server::register_cube(CubeData cube) {
   std::string pid = catalog_.insert(std::move(cube));
-  stats_.cubes_created.increment();
+  stats_.cubes_created.add(1);
   return pid;
 }
 
@@ -164,7 +164,7 @@ Result<std::string> Server::importnc(const std::string& path, const std::string&
 
   std::size_t nfragments = options.nfragments;
   const std::size_t nservers = io_servers();
-  stats_.disk_reads.increment();
+  stats_.disk_reads.add(1);
   stats_.disk_bytes_read.add(values->size() * sizeof(float));
   OBS_COUNTER_ADD("datacube.disk_bytes_read", values->size() * sizeof(float));
   if (nfragments == 0) nfragments = nservers;
@@ -251,7 +251,7 @@ Status Server::exportnc(const std::string& pid, const std::string& path) {
   const std::vector<float> dense = cube.to_dense();
   CLIMATE_RETURN_IF_ERROR(writer->put_var(cube.measure, dense.data(), dense.size()));
   CLIMATE_RETURN_IF_ERROR(writer->close());
-  stats_.disk_writes.increment();
+  stats_.disk_writes.add(1);
   stats_.disk_bytes_written.add(dense.size() * sizeof(float));
   OBS_COUNTER_ADD("datacube.disk_bytes_written", dense.size() * sizeof(float));
   return Status::Ok();
@@ -269,7 +269,7 @@ Result<std::string> Server::reduce(const std::string& pid, ReduceOp op, std::siz
   const CubeData& src = **cube_result;
   auto out = engine::reduce(src, op, group_size, description, fragment_runner());
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
+  stats_.operators_executed.add(1);
   stats_.elements_processed.add(engine::source_elements(src));
   return register_cube(std::move(*out));
 }
@@ -285,7 +285,7 @@ Result<std::string> Server::apply(const std::string& pid, const std::string& exp
   if (!cube_result.ok()) return cube_result.status();
   auto out = engine::apply(*cube_result, expression, description, fragment_runner());
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
+  stats_.operators_executed.add(1);
   if (!out->deferred()) stats_.elements_processed.add(engine::source_elements(**cube_result));
   return register_cube(std::move(*out));
 }
@@ -303,7 +303,7 @@ Result<std::string> Server::intercube(const std::string& pid_a, const std::strin
   if (!b_result.ok()) return b_result.status();
   auto out = engine::intercube(*a_result, *b_result, op, description);
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();  // deferred: reads no values yet
+  stats_.operators_executed.add(1);  // deferred: reads no values yet
   return register_cube(std::move(*out));
 }
 
@@ -320,7 +320,7 @@ Result<std::string> Server::subset(const std::string& pid, const std::string& di
   const auto src = engine::materialize(*cube_result, fragment_runner());
   auto out = engine::subset(*src, dim_name, start, end, description, io_servers());
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
+  stats_.operators_executed.add(1);
   stats_.elements_processed.add(engine::source_elements(**cube_result));
   return register_cube(std::move(*out));
 }
@@ -340,7 +340,7 @@ Result<std::string> Server::merge(const std::string& pid_a, const std::string& p
   const auto b = engine::materialize(*b_result, fragment_runner());
   auto out = engine::merge(*a, *b, description, io_servers());
   if (!out.ok()) return out.status();
-  stats_.operators_executed.increment();
+  stats_.operators_executed.add(1);
   stats_.elements_processed.add(engine::source_elements(**a_result) +
                                 engine::source_elements(**b_result));
   return register_cube(std::move(*out));
@@ -348,7 +348,7 @@ Result<std::string> Server::merge(const std::string& pid_a, const std::string& p
 
 Status Server::delete_cube(const std::string& pid) {
   CLIMATE_RETURN_IF_ERROR(catalog_.erase(pid));
-  stats_.cubes_deleted.increment();
+  stats_.cubes_deleted.add(1);
   return Status::Ok();
 }
 
@@ -401,14 +401,14 @@ Result<std::map<std::string, std::string>> Server::metadata(const std::string& p
 
 ServerStats Server::stats() const {
   ServerStats snap;
-  snap.operators_executed = stats_.operators_executed.total();
-  snap.disk_reads = stats_.disk_reads.total();
-  snap.disk_bytes_read = stats_.disk_bytes_read.total();
-  snap.disk_writes = stats_.disk_writes.total();
-  snap.disk_bytes_written = stats_.disk_bytes_written.total();
-  snap.elements_processed = stats_.elements_processed.total();
-  snap.cubes_created = stats_.cubes_created.total();
-  snap.cubes_deleted = stats_.cubes_deleted.total();
+  snap.operators_executed = stats_.operators_executed.value();
+  snap.disk_reads = stats_.disk_reads.value();
+  snap.disk_bytes_read = stats_.disk_bytes_read.value();
+  snap.disk_writes = stats_.disk_writes.value();
+  snap.disk_bytes_written = stats_.disk_bytes_written.value();
+  snap.elements_processed = stats_.elements_processed.value();
+  snap.cubes_created = stats_.cubes_created.value();
+  snap.cubes_deleted = stats_.cubes_deleted.value();
   return snap;
 }
 

@@ -43,12 +43,12 @@
 #include <vector>
 
 #include "common/fault.hpp"
-#include "common/striped.hpp"
 #include "common/thread_pool.hpp"
 #include "datacube/admission.hpp"
 #include "datacube/catalog.hpp"
 #include "datacube/cube.hpp"
 #include "datacube/engine.hpp"
+#include "obs/metrics.hpp"
 
 namespace climate::datacube {
 
@@ -217,16 +217,17 @@ class Server {
   std::uint64_t catalog_contention() const { return catalog_.lock_contention(); }
 
  private:
-  /// Lock-free striped counterpart of ServerStats.
+  /// Lock-free striped counterpart of ServerStats. Not registry metrics, so
+  /// obs::set_enabled(false) does not stop them.
   struct StripedStats {
-    common::StripedCounter operators_executed;
-    common::StripedCounter disk_reads;
-    common::StripedCounter disk_bytes_read;
-    common::StripedCounter disk_writes;
-    common::StripedCounter disk_bytes_written;
-    common::StripedCounter elements_processed;
-    common::StripedCounter cubes_created;
-    common::StripedCounter cubes_deleted;
+    obs::Counter operators_executed;
+    obs::Counter disk_reads;
+    obs::Counter disk_bytes_read;
+    obs::Counter disk_writes;
+    obs::Counter disk_bytes_written;
+    obs::Counter elements_processed;
+    obs::Counter cubes_created;
+    obs::Counter cubes_deleted;
   };
 
   std::string register_cube(CubeData cube);

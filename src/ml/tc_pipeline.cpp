@@ -169,44 +169,60 @@ std::vector<TcLocalizer::Output> TcLocalizer::infer(const std::vector<TcPatch>& 
 
 std::vector<TcDetection> TcLocalizer::detect(const Field& psl, const Field& wspd,
                                              const Field& vort, const Field& tas,
-                                             const LatLonGrid& grid, double threshold,
-                                             std::size_t infer_nlat, std::size_t infer_nlon) {
+                                             const TcTiling& tiling, double threshold) {
   OBS_SPAN("ml", "tc_detect");
   OBS_SCOPED_LATENCY("ml.detect_ns");
-  const Field* use_psl = &psl;
-  const Field* use_wspd = &wspd;
-  const Field* use_vort = &vort;
-  const Field* use_tas = &tas;
-  Field rg_psl, rg_wspd, rg_vort, rg_tas;
-  std::size_t nlat = grid.nlat();
-  std::size_t nlon = grid.nlon();
-  if (infer_nlat != 0 && infer_nlon != 0 && (infer_nlat != nlat || infer_nlon != nlon)) {
-    rg_psl = common::regrid_bilinear(psl, infer_nlat, infer_nlon);
-    rg_wspd = common::regrid_bilinear(wspd, infer_nlat, infer_nlon);
-    rg_vort = common::regrid_bilinear(vort, infer_nlat, infer_nlon);
-    rg_tas = common::regrid_bilinear(tas, infer_nlat, infer_nlon);
-    use_psl = &rg_psl;
-    use_wspd = &rg_wspd;
-    use_vort = &rg_vort;
-    use_tas = &rg_tas;
-    nlat = infer_nlat;
-    nlon = infer_nlon;
+  const std::vector<TcPatch> patches = tiling.tile(psl, wspd, vort, tas);
+  return tiling.georeference(patches, infer(patches), threshold);
+}
+
+TcTiling TcTiling::native(const LatLonGrid& model, std::size_t patch) {
+  return TcTiling(patch, model.nlat(), model.nlon());
+}
+
+TcTiling TcTiling::half_resolution(const LatLonGrid& model, std::size_t patch) {
+  return TcTiling(patch, (model.nlat() / (2 * patch)) * patch,
+                  (model.nlon() / (2 * patch)) * patch);
+}
+
+Field TcTiling::regrid(const Field& field) const {
+  return common::regrid_bilinear(field, nlat_, nlon_);
+}
+
+std::vector<TcPatch> TcTiling::tile(const Field& psl, const Field& wspd, const Field& vort,
+                                    const Field& tas) const {
+  const Field* fields[kTcChannels] = {&psl, &wspd, &vort, &tas};
+  Field regridded[kTcChannels];
+  for (std::size_t c = 0; c < kTcChannels; ++c) {
+    if (fields[c]->nlat() != nlat_ || fields[c]->nlon() != nlon_) {
+      regridded[c] = regrid(*fields[c]);
+      fields[c] = &regridded[c];
+    }
   }
+  return make_patches(*fields[0], *fields[1], *fields[2], *fields[3], patch_);
+}
 
-  std::vector<TcPatch> patches = make_patches(*use_psl, *use_wspd, *use_vort, *use_tas, patch_);
-  const std::vector<Output> outputs = infer(patches);
+std::pair<double, double> TcTiling::row_col(double lat, double lon) const {
+  return {(lat + 90.0) / 180.0 * static_cast<double>(nlat_) - 0.5,
+          lon / 360.0 * static_cast<double>(nlon_) - 0.5};
+}
 
+std::pair<double, double> TcTiling::lat_lon(double row, double col) const {
+  return {-90.0 + (row + 0.5) * 180.0 / static_cast<double>(nlat_),
+          (col + 0.5) * 360.0 / static_cast<double>(nlon_)};
+}
+
+std::vector<TcDetection> TcTiling::georeference(const std::vector<TcPatch>& patches,
+                                                const std::vector<TcLocalizer::Output>& outputs,
+                                                double threshold) const {
   std::vector<TcDetection> detections;
   for (std::size_t i = 0; i < patches.size(); ++i) {
     if (outputs[i].presence < threshold) continue;
-    // Geo-referencing: fractional position within the (possibly regridded)
-    // patch back to global latitude/longitude.
     const double row = static_cast<double>(patches[i].row0) +
                        static_cast<double>(outputs[i].row_frac) * static_cast<double>(patch_);
     const double col = static_cast<double>(patches[i].col0) +
                        static_cast<double>(outputs[i].col_frac) * static_cast<double>(patch_);
-    const double lat = -90.0 + (row + 0.5) * 180.0 / static_cast<double>(nlat);
-    const double lon = (col + 0.5) * 360.0 / static_cast<double>(nlon);
+    const auto [lat, lon] = lat_lon(row, col);
     detections.push_back({lat, lon, outputs[i].presence});
   }
   return detections;

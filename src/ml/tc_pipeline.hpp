@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/grid.hpp"
@@ -55,6 +56,8 @@ float scale_feature(std::size_t channel, float raw);
 std::vector<TcPatch> make_patches(const Field& psl, const Field& wspd, const Field& vort,
                                   const Field& tas, std::size_t patch);
 
+class TcTiling;
+
 /// The CNN-based localizer.
 class TcLocalizer {
  public:
@@ -73,13 +76,11 @@ class TcLocalizer {
   };
   std::vector<Output> infer(const std::vector<TcPatch>& patches);
 
-  /// Full pipeline on one time step's fields: optional regrid to
-  /// (infer_nlat, infer_nlon) (0 keeps the native grid), tile, scale, infer,
-  /// geo-reference detections above `threshold`.
+  /// Full pipeline on one step's model fields: tile through `tiling` (whose
+  /// patch must equal patch()), infer, geo-reference above `threshold`.
   std::vector<TcDetection> detect(const Field& psl, const Field& wspd, const Field& vort,
-                                  const Field& tas, const LatLonGrid& grid,
-                                  double threshold = 0.5, std::size_t infer_nlat = 0,
-                                  std::size_t infer_nlon = 0);
+                                  const Field& tas, const TcTiling& tiling,
+                                  double threshold = 0.5);
 
   Status save(const std::string& path) { return net_.save_weights(path); }
   Status load(const std::string& path) { return net_.load_weights(path); }
@@ -98,5 +99,48 @@ class TcLocalizer {
 /// a patch is positive if a centre falls inside it.
 void label_patches(std::vector<TcPatch>& patches, std::size_t patch,
                    const std::vector<std::pair<double, double>>& centers_rowcol);
+
+/// The CNN's view of a model grid (pipeline steps i and iii): the grid that
+/// is tiled into PxP patches and the lat/lon <-> (row, col) mapping on it.
+/// Truth labels and detections both go through it, so training and
+/// inference agree whenever they use the same tiling.
+class TcTiling {
+ public:
+  /// The model grid itself, not regridded: the tiling pretraining uses.
+  static TcTiling native(const LatLonGrid& model, std::size_t patch);
+  /// The model grid halved and rounded down to whole patches: the tiling the
+  /// workflow infers on (bounded memory, patches still meaningful).
+  static TcTiling half_resolution(const LatLonGrid& model, std::size_t patch);
+
+  std::size_t patch() const { return patch_; }
+  std::size_t nlat() const { return nlat_; }
+  std::size_t nlon() const { return nlon_; }
+
+  /// `field` bilinearly regridded onto the tiled grid.
+  Field regrid(const Field& field) const;
+  /// One step's fields tiled into patches; a field not yet on the tiled grid
+  /// is regridded first (so a daily field can be regridded once per day).
+  std::vector<TcPatch> tile(const Field& psl, const Field& wspd, const Field& vort,
+                            const Field& tas) const;
+
+  /// Fractional (row, col) of a lat/lon; cell centres at whole numbers.
+  std::pair<double, double> row_col(double lat, double lon) const;
+  /// Lat/lon of a fractional (row, col): the inverse of row_col.
+  std::pair<double, double> lat_lon(double row, double col) const;
+
+  /// Geo-references the outputs (one per patch) whose presence reaches
+  /// `threshold`: each predicted centre back onto the map.
+  std::vector<TcDetection> georeference(const std::vector<TcPatch>& patches,
+                                        const std::vector<TcLocalizer::Output>& outputs,
+                                        double threshold) const;
+
+ private:
+  TcTiling(std::size_t patch, std::size_t nlat, std::size_t nlon)
+      : patch_(patch), nlat_(nlat), nlon_(nlon) {}
+
+  std::size_t patch_;
+  std::size_t nlat_;
+  std::size_t nlon_;
+};
 
 }  // namespace climate::ml

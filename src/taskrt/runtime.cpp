@@ -312,19 +312,18 @@ TaskId Runtime::submit(const std::string& name, const TaskOptions& options,
 
   // Checkpoint skip: a previously recorded task is completed immediately
   // from its stored outputs, regardless of dependencies (recovery semantics).
-  if (checkpoints_ && !options.checkpoint_key.empty() && options.codec.usable() &&
-      checkpoints_->contains(options.checkpoint_key)) {
-    auto values = restore_outputs(*task);
-    if (values.ok()) {
-      task->from_checkpoint = true;
-      tasks_.push_back(std::move(task));
-      commit_outputs_from_checkpoint(*tasks_.back(), std::move(*values));
-      completion_cv_.notify_all();
-      scheduler_cv_.notify_all();
-      return id;
-    }
-    LOG_WARN(kLogTag) << "checkpoint load failed for key '" << options.checkpoint_key
-                      << "': " << values.status().to_string() << "; re-executing";
+  if (restore_checkpoint_locked(*task)) {
+    task->from_checkpoint = true;
+    task->state = TaskState::kCompleted;
+    task->start_ns = task->end_ns = now_ns();
+    task->ready_ns = task->queued_ns = task->start_ns;  // zero-wait lifecycle
+    ++stats_.tasks_from_checkpoint;
+    ++stats_.tasks_completed;
+    ++terminal_tasks_;
+    tasks_.push_back(std::move(task));
+    completion_cv_.notify_all();
+    scheduler_cv_.notify_all();
+    return id;
   }
 
   tasks_.push_back(std::move(task));
@@ -696,21 +695,30 @@ Result<std::vector<std::any>> Runtime::restore_outputs(const TaskRecord& task) c
   return values;
 }
 
-void Runtime::commit_outputs_from_checkpoint(TaskRecord& task, std::vector<std::any> values) {
+std::optional<std::size_t> Runtime::restore_checkpoint_locked(TaskRecord& task) {
+  const std::string& key = task.options.checkpoint_key;
+  if (!checkpoints_ || key.empty() || !task.options.codec.usable() ||
+      !checkpoints_->contains(key)) {
+    return std::nullopt;
+  }
+  auto values = restore_outputs(task);
+  if (!values.ok()) {
+    LOG_WARN(kLogTag) << "checkpoint load failed for key '" << key
+                      << "': " << values.status().to_string() << "; re-executing";
+    return std::nullopt;
+  }
+  std::size_t was_lost = 0;
   std::size_t value_index = 0;
   for (const ParamBinding& binding : task.bindings) {
     if (binding.direction == Direction::kIn) continue;
     VersionRecord& version = data_[binding.data].versions[binding.write_version];
-    version.value = std::make_shared<std::any>(std::move(values[value_index++]));
+    if (!version.ready) ++was_lost;
+    version.value = std::make_shared<std::any>(std::move((*values)[value_index++]));
     version.ready = true;
+    version.cancelled = false;
     version.replicas.insert(-1);
   }
-  task.state = TaskState::kCompleted;
-  task.start_ns = task.end_ns = now_ns();
-  task.ready_ns = task.queued_ns = task.start_ns;  // zero-wait lifecycle
-  ++stats_.tasks_from_checkpoint;
-  ++stats_.tasks_completed;
-  ++terminal_tasks_;
+  return was_lost;
 }
 
 void Runtime::finish_task(TaskId id, int attempt, int node_index, bool success,
@@ -970,31 +978,16 @@ void Runtime::replay_task_locked(TaskId id) {
   if (task.options.durable_outputs) return;  // outputs survive on reliable storage
 
   // Checkpoint fast path: restore the stored outputs instead of re-running.
-  if (checkpoints_ && !task.options.checkpoint_key.empty() && task.options.codec.usable() &&
-      checkpoints_->contains(task.options.checkpoint_key)) {
-    auto values = restore_outputs(task);
-    if (values.ok()) {
-      std::size_t value_index = 0;
-      for (const ParamBinding& binding : task.bindings) {
-        if (binding.direction == Direction::kIn) continue;
-        VersionRecord& version = data_[binding.data].versions[binding.write_version];
-        if (!version.ready) ++recovery_.data_versions_rematerialized;
-        version.value = std::make_shared<std::any>(std::move((*values)[value_index++]));
-        version.ready = true;
-        version.cancelled = false;
-        version.replicas.insert(-1);
-      }
-      ++recovery_.tasks_replayed;
-      ++recovery_.checkpoint_restores;
-      OBS_COUNTER_ADD("taskrt.tasks_replayed", 1);
-      LOG_INFO(kLogTag) << "task " << id << " ('" << task.name
-                        << "') restored from checkpoint after data loss";
-      completion_cv_.notify_all();
-      scheduler_cv_.notify_all();
-      return;
-    }
-    LOG_WARN(kLogTag) << "checkpoint load failed for key '" << task.options.checkpoint_key
-                      << "': " << values.status().to_string() << "; re-executing";
+  if (const auto was_lost = restore_checkpoint_locked(task)) {
+    recovery_.data_versions_rematerialized += *was_lost;
+    ++recovery_.tasks_replayed;
+    ++recovery_.checkpoint_restores;
+    OBS_COUNTER_ADD("taskrt.tasks_replayed", 1);
+    LOG_INFO(kLogTag) << "task " << id << " ('" << task.name
+                      << "') restored from checkpoint after data loss";
+    completion_cv_.notify_all();
+    scheduler_cv_.notify_all();
+    return;
   }
 
   // Lineage re-execution: back to pending, outputs reset, lost producers

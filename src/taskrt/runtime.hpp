@@ -334,7 +334,11 @@ class Runtime {
   /// or with a blob the codec rejects (by throwing) is DATA_LOSS: the caller
   /// re-executes the task instead.
   Result<std::vector<std::any>> restore_outputs(const TaskRecord& task) const;
-  void commit_outputs_from_checkpoint(TaskRecord& task, std::vector<std::any> values);
+  /// When `task` has a checkpoint that restore_outputs decodes, writes the
+  /// values into its write versions (ready, held by the master) and returns
+  /// how many of them were not ready before; otherwise returns nullopt
+  /// (logging a failed load), and the caller runs the task.
+  std::optional<std::size_t> restore_checkpoint_locked(TaskRecord& task);
   int pick_node(const TaskRecord& task);
   bool node_eligible(int node_index, const TaskRecord& task) const;
   bool node_alive_locked(std::size_t node_index) const {

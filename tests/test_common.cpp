@@ -2,15 +2,14 @@
 // determinism, thread pool, images.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 
 #include "common/grid.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
-#include "common/striped.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
@@ -139,17 +138,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(std::sqrt(sum_sq / kSamples - mean * mean), 1.0, 0.03);
 }
 
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);
@@ -180,21 +168,6 @@ TEST(Image, AsciiMapHasExpectedShape) {
   const std::vector<std::string> rows = split(art, '\n');
   EXPECT_GE(rows.size(), 2u);
   EXPECT_EQ(rows[0].size(), 32u);
-}
-
-TEST(StripedCounter, ExactAtQuiescence) {
-  StripedCounter counter;
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIncrements; ++i) counter.increment();
-      counter.add(5);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter.total(), static_cast<std::uint64_t>(kThreads) * (kIncrements + 5));
 }
 
 }  // namespace

@@ -270,6 +270,21 @@ TEST(Server, CatalogLifecycle) {
   EXPECT_EQ(stats.cubes_deleted, 1u);
 }
 
+// Server stats are plain counters, not registry metrics: switching
+// observability off must not stop them.
+TEST(Server, StatsCountWithObservabilityDisabled) {
+  Server server(1);
+  obs::set_enabled(false);
+  const std::string pid = make_test_cube(server, 2, 2, [](std::size_t, std::size_t) {
+    return 1.0f;
+  });
+  const auto deleted = server.delete_cube(pid);
+  obs::set_enabled(true);
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_EQ(server.stats().cubes_created, 1u);
+  EXPECT_EQ(server.stats().cubes_deleted, 1u);
+}
+
 TEST(Server, ImportExportRoundTrip) {
   const std::string dir = fs::temp_directory_path().string();
   const std::string path = dir + "/dc_roundtrip.nc";

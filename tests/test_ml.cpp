@@ -2,6 +2,7 @@
 // gradient checks), losses, optimizers, persistence, and the TC pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -502,7 +503,8 @@ TEST(TcPipeline, DetectEndToEndOnSyntheticField) {
   }
   for (int epoch = 0; epoch < 12; ++epoch) localizer.train_epoch(train);
 
-  const auto detections = localizer.detect(psl, wspd, vort, tas, grid, 0.5);
+  const auto detections =
+      localizer.detect(psl, wspd, vort, tas, TcTiling::native(grid, patch), 0.5);
   ASSERT_GE(detections.size(), 1u);
   // Nearest detection to the imprinted centre.
   const double true_lat = grid.lat(cy);
@@ -581,6 +583,122 @@ TEST(TcLocalizer, ConcurrentInferenceMatchesSerial) {
   }
   for (std::thread& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+Field random_field(const LatLonGrid& grid, double mean, double sd, common::Rng& rng) {
+  Field field(grid);
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    field[i] = static_cast<float>(rng.normal(mean, sd));
+  }
+  return field;
+}
+
+std::vector<TcTiling> both_tilings(const LatLonGrid& grid) {
+  return {TcTiling::native(grid, 16), TcTiling::half_resolution(grid, 16)};
+}
+
+TEST(TcTiling, GridsOfTheTwoTilings) {
+  const LatLonGrid grid(72, 104);
+  const TcTiling native = TcTiling::native(grid, 16);
+  EXPECT_EQ(native.nlat(), 72u);
+  EXPECT_EQ(native.nlon(), 104u);
+  const TcTiling half = TcTiling::half_resolution(grid, 16);
+  EXPECT_EQ(half.nlat(), 32u);  // 36 rounded down to whole patches
+  EXPECT_EQ(half.nlon(), 48u);  // 52 likewise
+  EXPECT_EQ(half.patch(), 16u);
+}
+
+TEST(TcTiling, LatLonAndRowColRoundTrip) {
+  const LatLonGrid grid(64, 96);
+  common::Rng rng(90);
+  for (const TcTiling& tiling : both_tilings(grid)) {
+    const auto nlat = static_cast<double>(tiling.nlat());
+    const auto nlon = static_cast<double>(tiling.nlon());
+    for (int i = 0; i < 500; ++i) {
+      const double lat = rng.uniform(-90.0, 90.0);
+      const double lon = rng.uniform(0.0, 360.0);
+      const auto [row, col] = tiling.row_col(lat, lon);
+      const auto [lat2, lon2] = tiling.lat_lon(row, col);
+      EXPECT_NEAR(lat2, lat, 1e-9);
+      EXPECT_NEAR(lon2, lon, 1e-9);
+
+      const double r = rng.uniform(-0.5, nlat - 0.5);
+      const double c = rng.uniform(-0.5, nlon - 0.5);
+      const auto [lat3, lon3] = tiling.lat_lon(r, c);
+      const auto [r2, c2] = tiling.row_col(lat3, lon3);
+      EXPECT_NEAR(r2, r, 1e-9);
+      EXPECT_NEAR(c2, c, 1e-9);
+    }
+  }
+  // On the native tiling, whole rows are the model grid's latitude centres.
+  // (Columns are not: LatLonGrid centres column j at j * dlon, the tiling at
+  // (j + 0.5) * dlon; ROADMAP item 1 tracks the half-cell offset.)
+  const TcTiling native = TcTiling::native(grid, 16);
+  for (std::size_t r = 0; r < grid.nlat(); ++r) {
+    EXPECT_NEAR(native.row_col(grid.lat(r), 0.0).first, static_cast<double>(r), 1e-9);
+  }
+}
+
+// detect() must equal the pipeline spelled out with the grid primitives:
+// bilinear regrid onto the tiled grid (when it differs from the model grid),
+// make_patches, infer, and each predicted centre mapped back to lat/lon.
+TEST(TcTiling, DetectIsRegridTileInferGeoreference) {
+  const LatLonGrid grid(64, 96);
+  common::Rng rng(91);
+  const Field psl = random_field(grid, 1010.0, 8.0, rng);
+  const Field wspd = random_field(grid, 8.0, 4.0, rng);
+  const Field vort = random_field(grid, 0.0, 2.0, rng);
+  const Field tas = random_field(grid, 20.0, 6.0, rng);
+  TcLocalizer localizer(16, 5);
+  localizer.train_epoch(random_patches(32, 6));
+
+  for (const TcTiling& tiling : both_tilings(grid)) {
+    const bool regrid = tiling.nlat() != grid.nlat() || tiling.nlon() != grid.nlon();
+    auto on_grid = [&](const Field& f) {
+      return regrid ? common::regrid_bilinear(f, tiling.nlat(), tiling.nlon()) : f;
+    };
+    const std::vector<TcPatch> patches =
+        make_patches(on_grid(psl), on_grid(wspd), on_grid(vort), on_grid(tas), 16);
+    ASSERT_EQ(patches.size(), (tiling.nlat() / 16) * (tiling.nlon() / 16));
+    const std::vector<TcPatch> tiled = tiling.tile(psl, wspd, vort, tas);
+    ASSERT_EQ(tiled.size(), patches.size());
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      EXPECT_EQ(tiled[i].row0, patches[i].row0);
+      EXPECT_EQ(tiled[i].col0, patches[i].col0);
+      ASSERT_EQ(0, std::memcmp(tiled[i].features.data(), patches[i].features.data(),
+                               patches[i].features.size() * sizeof(float)));
+    }
+
+    const std::vector<TcLocalizer::Output> outputs = localizer.infer(patches);
+    // A threshold at the median presence keeps some patches and drops others.
+    std::vector<float> presence;
+    for (const TcLocalizer::Output& o : outputs) presence.push_back(o.presence);
+    std::nth_element(presence.begin(), presence.begin() + presence.size() / 2, presence.end());
+    const double threshold = presence[presence.size() / 2];
+
+    std::vector<TcDetection> expected;
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      if (outputs[i].presence < threshold) continue;
+      const double row = static_cast<double>(patches[i].row0) +
+                         static_cast<double>(outputs[i].row_frac) * 16.0;
+      const double col = static_cast<double>(patches[i].col0) +
+                         static_cast<double>(outputs[i].col_frac) * 16.0;
+      expected.push_back({-90.0 + (row + 0.5) * 180.0 / static_cast<double>(tiling.nlat()),
+                          (col + 0.5) * 360.0 / static_cast<double>(tiling.nlon()),
+                          outputs[i].presence});
+    }
+    ASSERT_GT(expected.size(), 0u);
+    ASSERT_LT(expected.size(), patches.size());
+
+    const std::vector<TcDetection> detections =
+        localizer.detect(psl, wspd, vort, tas, tiling, threshold);
+    ASSERT_EQ(detections.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(detections[i].lat, expected[i].lat);
+      EXPECT_EQ(detections[i].lon, expected[i].lon);
+      EXPECT_EQ(detections[i].confidence, expected[i].confidence);
+    }
+  }
 }
 
 }  // namespace

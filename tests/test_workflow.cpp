@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/fault.hpp"
+#include "common/strings.hpp"
 #include "core/workflow.hpp"
 #include "esm/diagnostics.hpp"
 #include "esm/model.hpp"
@@ -313,14 +315,36 @@ TEST_F(WorkflowTest, CnnFixesUseRunAbsoluteSteps) {
   ASSERT_TRUE(results.ok()) << results.status().to_string();
   ASSERT_EQ(results->years.size(), 2u);
   const int steps_per_year = config.esm.days_per_year * config.esm.steps_per_day;
+  std::string fix_bits;
   for (int y = 0; y < 2; ++y) {
     const auto& fixes = results->years[static_cast<std::size_t>(y)].ml_fixes;
     ASSERT_FALSE(fixes.empty()) << "year " << y;
     for (const extremes::DetectionFix& fix : fixes) {
       EXPECT_GE(fix.step, y * steps_per_year) << "year " << y;
       EXPECT_LT(fix.step, (y + 1) * steps_per_year) << "year " << y;
+      fix_bits.append(reinterpret_cast<const char*>(&fix.step), sizeof(fix.step));
+      fix_bits.append(reinterpret_cast<const char*>(&fix.lat), sizeof(fix.lat));
+      fix_bits.append(reinterpret_cast<const char*>(&fix.lon), sizeof(fix.lon));
     }
   }
+  // Every patch is a fix, so the digest pins the regrid, tiling and
+  // geo-referencing arithmetic bit for bit.
+  const std::uint64_t digest = common::fnv1a64(fix_bits);
+  EXPECT_EQ(digest, 0xbb7f0a778bd6065bull) << std::hex << "fixes 0x" << digest;
+}
+
+TEST_F(WorkflowTest, PretrainingLossBitsArePinned) {
+  // The returned loss depends on every training label, so its bits pin the
+  // truth-centre to grid row/col mapping and the native tiling.
+  WorkflowConfig config = small_config(dir_);
+  config.esm.tc_spawn_per_day = 1.2;
+  fs::create_directories(dir_);
+  auto loss = pretrain_tc_localizer(config.esm, dir_ + "/tc_weights.bin", 16, /*epochs=*/2,
+                                    /*train_days=*/8);
+  ASSERT_TRUE(loss.ok()) << loss.status().to_string();
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &*loss, sizeof(bits));
+  EXPECT_EQ(bits, 0x3f0c2012u) << std::hex << "loss 0x" << bits << " (" << *loss << ")";
 }
 
 TEST_F(WorkflowTest, CheckpointRecoverySkipsAnalysis) {
