@@ -29,14 +29,16 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
 
   5. No value-changing float optimisation: no CMakeLists.txt may pass
      -ffast-math, -Ofast, -funsafe-math-optimizations, -march=, -mavx* or
-     -mfma. The datacube kernels promise outputs bit-identical to a plain
+     -mfma. The lane kernels promise outputs bit-identical to a plain
      per-element loop (the same IEEE operation per element, in the same
-     order), and the ESM, CNN and index golden digests pin them; the first
-     three let the compiler reassociate sums, drop NaN/signed-zero cases and
-     contract multiply-adds. The others enable FMA (directly, or through a
-     target that has it), and GCC's default -ffp-contract=fast then fuses
-     a * b + c into one rounding. The build targets the x86-64 baseline,
-     whose SSE2 the datacube's lane kernels use.
+     order): the datacube's (src/datacube/expression.cpp) and the ESM
+     step's (src/esm/model.cpp, whose separate _mm_mul_pd and _mm_add_pd
+     must not fuse), and the ESM, CNN and index golden digests pin them; the
+     first three let the compiler reassociate sums, drop NaN/signed-zero
+     cases and contract multiply-adds. The others enable FMA (directly, or
+     through a target that has it), and GCC's default -ffp-contract=fast
+     then fuses a * b + c into one rounding. The build targets the x86-64
+     baseline, whose SSE2 the lane kernels use.
 
   6. One open per daily file per consumer: `ncio::FileReader` may not appear
      under src/core/. The workflow reads daily files only through
@@ -239,7 +241,7 @@ def check_cmake(path: pathlib.Path, violations: list):
         match = UNSAFE_MATH_RE.search(code)
         if match:
             violations.append(
-                f"{rel}:{lineno}: {match.group(0)} changes float results (the datacube "
+                f"{rel}:{lineno}: {match.group(0)} changes float results (the lane "
                 f"kernels and golden digests rely on IEEE semantics without FMA)")
 
 

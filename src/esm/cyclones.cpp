@@ -1,5 +1,7 @@
 #include "esm/cyclones.hpp"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cmath>
 
@@ -24,6 +26,26 @@ double RowDistance::operator()(double lon) const {
   if (dlon > 180.0) dlon = 360.0 - dlon;
   const double dx = dlon * lon_scale_;
   return std::sqrt(dx * dx + dy_ * dy_);
+}
+
+void RowDistance::fill(const double* lons, std::size_t count, double* out) const {
+  // operator() lane by lane: fabs clears the sign bit, and the wrap selects
+  // 360 - dlon where dlon > 180.
+  const __m128d sign = _mm_set1_pd(-0.0);
+  const __m128d half_turn = _mm_set1_pd(180.0);
+  const __m128d turn = _mm_set1_pd(360.0);
+  const __m128d point_lon = _mm_set1_pd(point_lon_);
+  const __m128d lon_scale = _mm_set1_pd(lon_scale_);
+  const __m128d dy2 = _mm_set1_pd(dy_ * dy_);
+  std::size_t j = 0;
+  for (; j + 2 <= count; j += 2) {
+    __m128d dlon = _mm_andnot_pd(sign, _mm_sub_pd(_mm_loadu_pd(lons + j), point_lon));
+    const __m128d wrap = _mm_cmpgt_pd(dlon, half_turn);
+    dlon = _mm_or_pd(_mm_and_pd(wrap, _mm_sub_pd(turn, dlon)), _mm_andnot_pd(wrap, dlon));
+    const __m128d dx = _mm_mul_pd(dlon, lon_scale);
+    _mm_storeu_pd(out + j, _mm_sqrt_pd(_mm_add_pd(_mm_mul_pd(dx, dx), dy2)));
+  }
+  if (j < count) out[j] = (*this)(lons[j]);
 }
 
 CycloneModel::CycloneModel(const EsmConfig& config) : config_(config) {}

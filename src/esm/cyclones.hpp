@@ -89,6 +89,8 @@ class RowDistance {
 
   /// Distance from the cell at `lon` to the point.
   double operator()(double lon) const;
+  /// out[j] = (*this)(lons[j]) for j < count, two cells per SSE2 lane.
+  void fill(const double* lons, std::size_t count, double* out) const;
   /// Scale that turns a longitude difference into degrees of distance.
   double lon_scale() const { return lon_scale_; }
   /// True when no cell of the row lies within `cutoff` degrees: every cell

@@ -1,8 +1,11 @@
 #include "esm/model.hpp"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cmath>
 #include <ctime>
+#include <utility>
 
 #include "esm/climatology.hpp"
 #include "obs/obs.hpp"
@@ -22,13 +25,188 @@ std::int64_t thread_cpu_ns() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
+// Loads and stores of N = 1 or 2 adjacent cells. N = 1 uses the low lane
+// only and never touches the cell after it, so a row's last cell is safe.
+template <int N>
+__m128d load(const double* p) {
+  if constexpr (N == 2) return _mm_loadu_pd(p);
+  return _mm_load_sd(p);
+}
+template <int N>
+__m128 load_ps(const float* p) {
+  if constexpr (N == 2) {
+    return _mm_castsi128_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
+  return _mm_load_ss(p);
+}
+/// Each float widened to double, as the scalar formula promotes it.
+template <int N>
+__m128d load(const float* p) {
+  return _mm_cvtps_pd(load_ps<N>(p));
+}
+template <int N>
+__m128d load(const CycloneImprint* p, double CycloneImprint::*member) {
+  if constexpr (N == 2) return _mm_setr_pd(p[0].*member, p[1].*member);
+  return _mm_load_sd(&(p[0].*member));
+}
+template <int N>
+void store(double* p, __m128d x) {
+  if constexpr (N == 2) {
+    _mm_storeu_pd(p, x);
+  } else {
+    _mm_store_sd(p, x);
+  }
+}
+template <int N>
+void store_ps(float* p, __m128 x) {
+  if constexpr (N == 2) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_castps_si128(x));
+  } else {
+    _mm_store_ss(p, x);
+  }
+}
+/// static_cast<float> of each lane.
+template <int N>
+void store(float* p, __m128d x) {
+  store_ps<N>(p, _mm_cvtpd_ps(x));
+}
+
+/// Cells j..j+N-1 of a step row, given their east and west wind neighbours.
+/// The scalar formula, lane by lane. std::max(a, b) is _mm_max_pd(b, a),
+/// std::min(a, b) is _mm_min_pd(b, a), std::clamp(v, lo, hi) is
+/// _mm_max_pd(lo, _mm_min_pd(hi, v)) and `if (x < lo) x = lo` is
+/// _mm_max_pd(lo, x): the operand orders that keep their NaN and signed-zero
+/// results.
+template <int N>
+void step_cells(const StepRow& r, std::size_t j, __m128d ve, __m128d vw) {
+  const auto k = [](double x) { return _mm_set1_pd(x); };
+  const __m128d zero = _mm_setzero_pd();
+  const CycloneImprint* tc = r.imprints + j;
+
+  // --- atmosphere instantaneous state ---
+  const __m128d anom = load<N>(r.anom + j);
+  const __m128d blob = load<N>(r.thermal + j);
+  const __m128d temp = _mm_add_pd(_mm_add_pd(_mm_add_pd(k(r.t_offset), anom), blob),
+                                  load<N>(tc, &CycloneImprint::warm_core_c));
+  const __m128d w_upper = k(r.noise_weight);
+  const __m128d w_lower = k(1 - r.noise_weight);
+  const __m128d psl_noise = _mm_add_pd(_mm_mul_pd(load<N>(r.psl_noise_lower + j), w_lower),
+                                       _mm_mul_pd(load<N>(r.psl_noise_upper + j), w_upper));
+  const __m128d psl = _mm_add_pd(
+      _mm_sub_pd(_mm_add_pd(k(r.psl_base), load<N>(tc, &CycloneImprint::psl_hpa)),
+                 _mm_mul_pd(k(0.45), anom)),
+      _mm_mul_pd(k(2.2), psl_noise));
+  const __m128d u = load<N>(r.u + j);
+  const __m128d v = load<N>(r.v + j);
+  const __m128d speed = _mm_sqrt_pd(_mm_add_pd(_mm_mul_pd(u, u), _mm_mul_pd(v, v)));
+  const __m128d convective =
+      _mm_mul_pd(_mm_max_pd(_mm_sub_pd(_mm_add_pd(anom, blob), k(2.0)), zero), k(1.3));
+  const __m128d pr_noise = _mm_add_pd(_mm_mul_pd(load<N>(r.pr_noise_lower + j), w_lower),
+                                      _mm_mul_pd(load<N>(r.pr_noise_upper + j), w_upper));
+  const __m128d pr_scaled =
+      _mm_mul_pd(k(r.pr_base), _mm_add_pd(k(1.0), _mm_mul_pd(k(0.35), pr_noise)));
+  const __m128d pr_rate = _mm_max_pd(
+      _mm_add_pd(_mm_add_pd(pr_scaled, convective), load<N>(tc, &CycloneImprint::precip_mmday)),
+      zero);
+
+  // Vorticity from the wind plane's centred differences.
+  const __m128d un = load<N>(r.u_north + j);
+  const __m128d us = load<N>(r.u_south + j);
+  const __m128d vort = _mm_mul_pd(
+      _mm_div_pd(_mm_sub_pd(_mm_sub_pd(ve, vw), _mm_sub_pd(un, us)), k(r.vort_denom)), k(1e5));
+
+  // --- coupler: atmosphere -> ocean fluxes ---
+  const __m128d sst_old = load<N>(r.sst_state + j);
+  const __m128d heat_flux = _mm_mul_pd(k(12.0), _mm_sub_pd(temp, sst_old));
+  store<N>(r.heat_flux + j, heat_flux);
+  store<N>(r.momentum_flux + j, _mm_mul_pd(k(0.02), speed));
+  store<N>(r.freshwater_flux + j, pr_rate);
+
+  // --- ocean step (receives exactly the flux that was sent) ---
+  __m128d sst = _mm_add_pd(
+      sst_old, _mm_mul_pd(k(r.inv_steps),
+                          _mm_sub_pd(_mm_div_pd(heat_flux, k(400.0)),
+                                     _mm_mul_pd(k(0.08), _mm_sub_pd(sst_old, k(r.sst_clim))))));
+  sst = _mm_max_pd(k(-1.8), sst);  // if (sst < -1.8) sst = -1.8
+  store<N>(r.sst_state + j, sst);
+  const __m128d ice =
+      _mm_max_pd(zero, _mm_min_pd(k(1.0), _mm_div_pd(_mm_sub_pd(k(-0.5), sst), k(1.3))));
+
+  // --- daily aggregation ---
+  store<N>(r.psl + j, psl);
+  store<N>(r.ua850 + j, u);
+  store<N>(r.va850 + j, v);
+  store<N>(r.wspd + j, speed);
+  store<N>(r.vort850 + j, vort);
+  store<N>(r.pr6h + j, pr_rate);
+
+  const __m128 temp_f = _mm_cvtpd_ps(temp);
+  store_ps<N>(r.tas + j, _mm_add_ps(load_ps<N>(r.tas + j),
+                                    _mm_cvtpd_ps(_mm_mul_pd(temp, k(r.inv_steps)))));
+  store_ps<N>(r.tasmin + j, _mm_min_ps(temp_f, load_ps<N>(r.tasmin + j)));
+  store_ps<N>(r.tasmax + j, _mm_max_ps(temp_f, load_ps<N>(r.tasmax + j)));
+  store_ps<N>(r.pr + j, _mm_add_ps(load_ps<N>(r.pr + j),
+                                   _mm_cvtpd_ps(_mm_mul_pd(pr_rate, k(r.inv_steps)))));
+  store<N>(r.sst + j, sst);
+  store<N>(r.sic + j, ice);
+  store<N>(r.ts + j, _mm_add_pd(_mm_mul_pd(k(0.3), temp), _mm_mul_pd(k(0.7), sst)));
+  store<N>(r.hfls + j, _mm_max_pd(_mm_mul_pd(k(0.6), heat_flux), zero));
+  store<N>(r.hfss + j, _mm_mul_pd(k(0.4), heat_flux));
+  store<N>(r.clt + j,
+           _mm_max_pd(k(0.02), _mm_min_pd(k(0.98), _mm_div_pd(pr_rate, k(12.0)))));
+  store<N>(r.rh + j,
+           _mm_max_pd(k(0.05),
+                      _mm_min_pd(k(1.0), _mm_add_pd(k(0.45), _mm_div_pd(pr_rate, k(25.0))))));
+  store<N>(r.zg500 + j,
+           _mm_add_pd(_mm_add_pd(k(5500.0), _mm_mul_pd(k(8.0), _mm_sub_pd(psl, k(1013.0)))),
+                      _mm_mul_pd(k(1.8), temp)));
+  store<N>(r.uas + j, _mm_mul_pd(k(0.8), u));
+  store<N>(r.vas + j, _mm_mul_pd(k(0.8), v));
+}
+
 }  // namespace
+
+std::vector<NoiseCoord> noise_coords(std::size_t cells) {
+  std::vector<NoiseCoord> coords(cells);
+  for (std::size_t k = 0; k < cells; ++k) {
+    const double f = static_cast<double>(k) / kNoiseCoarse;
+    coords[k].node = static_cast<std::size_t>(f);
+    coords[k].weight = f - static_cast<double>(coords[k].node);
+  }
+  return coords;
+}
+
+void blend_noise_rows(const double* nodes, std::size_t node_rows, std::size_t node_cols,
+                      const std::vector<NoiseCoord>& lon, double* rows) {
+  for (std::size_t r = 0; r < node_rows; ++r) {
+    const double* row = nodes + r * node_cols;
+    double* out = rows + r * lon.size();
+    for (std::size_t j = 0; j < lon.size(); ++j) {
+      const double* lower = row + lon[j].node;
+      out[j] = noise_between(lower[0], lower[1], lon[j].weight);
+    }
+  }
+}
+
+void step_row(const StepRow& row) {
+  // Columns 0 and nlon-1 wrap east/west; the interior reads its neighbours
+  // directly, two cells at a time.
+  const std::size_t n = row.nlon;
+  const double* v = row.v;
+  step_cells<1>(row, 0, _mm_load_sd(v + (n > 1 ? 1 : 0)), _mm_load_sd(v + n - 1));
+  if (n == 1) return;
+  std::size_t j = 1;
+  for (; j + 2 < n; j += 2) step_cells<2>(row, j, _mm_loadu_pd(v + j + 1), _mm_loadu_pd(v + j - 1));
+  if (j + 1 < n) step_cells<1>(row, j, _mm_load_sd(v + j + 1), _mm_load_sd(v + j - 1));
+  step_cells<1>(row, n - 1, _mm_load_sd(v), _mm_load_sd(v + n - 2));
+}
 
 EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing)
     : config_(config),
       forcing_(forcing),
       grid_(config.nlat, config.nlon),
       t_anom_(grid_),
+      t_anom_next_(grid_),
       sst_(grid_),
       cyclones_(config) {
   // Initialize the slab ocean at its day-0 climatology.
@@ -38,52 +216,40 @@ EsmModel::EsmModel(const EsmConfig& config, const ForcingTable& forcing)
   }
 
   // Size the scratch planes once; every step refills them in place.
-  auto noise_coords = [](std::size_t cells) {
-    std::vector<NoiseCoord> coords(cells);
-    for (std::size_t k = 0; k < cells; ++k) {
-      const double f = static_cast<double>(k) / kNoiseCoarse;
-      coords[k].node = static_cast<std::size_t>(f);
-      coords[k].weight = f - static_cast<double>(coords[k].node);
-    }
-    return coords;
-  };
   noise_lat_ = noise_coords(grid_.nlat());
   noise_lon_ = noise_coords(grid_.nlon());
-  // Cell k interpolates nodes k/6 and k/6 + 1, so a plane needs
+  // Cell k interpolates nodes k/6 and k/6 + 1, so the lattice needs
   // ceil(n/6) + 1 nodes along each axis.
-  const std::size_t coarse_lat = (grid_.nlat() + kNoiseCoarse - 1) / kNoiseCoarse;
+  noise_rows_ = (grid_.nlat() + kNoiseCoarse - 1) / kNoiseCoarse + 1;
   noise_cols_ = (grid_.nlon() + kNoiseCoarse - 1) / kNoiseCoarse + 1;
-  for (std::vector<double>* plane : {&noise_anom_, &noise_u_, &noise_v_, &noise_psl_, &noise_pr_}) {
-    plane->resize((coarse_lat + 1) * noise_cols_);
+  noise_nodes_.resize(noise_rows_ * noise_cols_);
+  for (std::vector<double>* rows : {&noise_anom_, &noise_u_, &noise_v_, &noise_psl_, &noise_pr_}) {
+    rows->resize(noise_rows_ * grid_.nlon());
   }
   const std::size_t cells = grid_.size();
   thermal_.resize(cells);
+  distance_row_.resize(grid_.nlon());
   wind_u_.resize(cells);
   wind_v_.resize(cells);
   imprints_.resize(cells);
+  heat_row_.resize(grid_.nlon());
+  momentum_row_.resize(grid_.nlon());
+  freshwater_row_.resize(grid_.nlon());
 }
 
-void EsmModel::fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const {
+void EsmModel::fill_noise(std::uint64_t tag, int t, std::vector<double>* rows) {
   // Hash noise on the coarse lattice, one node per (ci, cj). Cell (i, j)
   // interpolates between nodes i/6..i/6+1 and j/6..j/6+1, so the lattice is
   // bounded at the poles and NOT periodic in longitude: the last node column
   // is hashed independently of column 0, which leaves a seam at the date
   // line. Closing it would change every output.
-  for (std::size_t k = 0; k < plane->size(); ++k) {
-    const std::size_t ci = k / noise_cols_;
-    const std::size_t cj = k % noise_cols_;
-    (*plane)[k] = hash_normal(config_.seed, tag, static_cast<std::uint64_t>(t),
-                              ci * 100003ull + cj);
+  for (std::size_t ci = 0; ci < noise_rows_; ++ci) {
+    for (std::size_t cj = 0; cj < noise_cols_; ++cj) {
+      noise_nodes_[ci * noise_cols_ + cj] = hash_normal(
+          config_.seed, tag, static_cast<std::uint64_t>(t), ci * 100003ull + cj);
+    }
   }
-}
-
-double EsmModel::noise_at(const std::vector<double>& plane, std::size_t i, std::size_t j) const {
-  const double wi = noise_lat_[i].weight;
-  const double wj = noise_lon_[j].weight;
-  const double* lower = plane.data() + noise_lat_[i].node * noise_cols_ + noise_lon_[j].node;
-  const double* upper = lower + noise_cols_;
-  return (lower[0] * (1 - wj) + lower[1] * wj) * (1 - wi) +
-         (upper[0] * (1 - wj) + upper[1] * wj) * wi;
+  blend_noise_rows(noise_nodes_.data(), noise_rows_, noise_cols_, noise_lon_, rows->data());
 }
 
 void EsmModel::spawn_thermal_events(int day) {
@@ -135,9 +301,10 @@ void EsmModel::fill_thermal(int day) {
     for (std::size_t i = 0; i < grid_.nlat(); ++i) {
       const RowDistance distance(grid_.lat(i), event.lat, event.lon);
       if (distance.beyond(cutoff)) continue;
+      distance.fill(lons, nlon, distance_row_.data());
       double* row = thermal_.data() + i * nlon;
       for (std::size_t j = 0; j < nlon; ++j) {
-        const double r = distance(lons[j]);
+        const double r = distance_row_[j];
         if (r > cutoff) continue;
         const double scale = r / event.radius_deg;
         // Plateau profile: blocking events are broad, not sharp Gaussians.
@@ -155,10 +322,15 @@ void EsmModel::fill_wind_and_imprints() {
     const double v_base = background_v_ms(lat);
     const std::size_t row = i * nlon;
     cyclones_.imprint_row(lat, grid_.lons().data(), nlon, &imprints_[row]);
+    const NoiseCoord at = noise_lat_[i];
+    const double* u_lower = noise_u_.data() + at.node * nlon;
+    const double* v_lower = noise_v_.data() + at.node * nlon;
     for (std::size_t j = 0; j < nlon; ++j) {
       const std::size_t c = row + j;
-      wind_u_[c] = u_base + imprints_[c].du + 1.5 * noise_at(noise_u_, i, j);
-      wind_v_[c] = v_base + imprints_[c].dv + 1.5 * noise_at(noise_v_, i, j);
+      wind_u_[c] = u_base + imprints_[c].du +
+                   1.5 * noise_between(u_lower[j], u_lower[nlon + j], at.weight);
+      wind_v_[c] = v_base + imprints_[c].dv +
+                   1.5 * noise_between(v_lower[j], v_lower[nlon + j], at.weight);
     }
   }
 }
@@ -168,27 +340,32 @@ void EsmModel::update_anomaly(int day) {
   // stencil's north/south neighbours are clamped at the poles.
   const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
-  Field next = t_anom_;
   fill_noise(0xA40A, day, &noise_anom_);
   const double rho = config_.anomaly_persistence;
   const double sigma = config_.anomaly_noise_c;
   const double c = config_.advection_cells_per_step;
   const double k = config_.diffusion;
   for (std::size_t i = 0; i < nlat; ++i) {
-    const std::size_t north = i + 1 < nlat ? i + 1 : i;
-    const std::size_t south = i > 0 ? i - 1 : i;
-    for (std::size_t j = 0; j < nlon; ++j) {
-      const std::size_t west = grid_.wrap_lon(static_cast<long>(j) - 1);
-      const std::size_t east = grid_.wrap_lon(static_cast<long>(j) + 1);
-      const double here = t_anom_.at(i, j);
-      const double advected = (1.0 - c) * here + c * t_anom_.at(i, west);
-      const double laplacian = t_anom_.at(north, j) + t_anom_.at(south, j) +
-                               t_anom_.at(i, west) + t_anom_.at(i, east) - 4.0 * here;
-      const double noise = sigma * noise_at(noise_anom_, i, j);
-      next.at(i, j) = static_cast<float>(rho * advected + k * 0.25 * laplacian + noise);
-    }
+    const float* here_row = t_anom_.data().data() + i * nlon;
+    const float* north_row = t_anom_.data().data() + (i + 1 < nlat ? i + 1 : i) * nlon;
+    const float* south_row = t_anom_.data().data() + (i > 0 ? i - 1 : i) * nlon;
+    const NoiseCoord at = noise_lat_[i];
+    const double* noise_lower = noise_anom_.data() + at.node * nlon;
+    float* next = t_anom_next_.data().data() + i * nlon;
+    auto cell = [&](std::size_t j, std::size_t west, std::size_t east) {
+      const double here = here_row[j];
+      const double advected = (1.0 - c) * here + c * here_row[west];
+      const double laplacian = north_row[j] + south_row[j] + here_row[west] + here_row[east] -
+                               4.0 * here;
+      const double noise = sigma * noise_between(noise_lower[j], noise_lower[nlon + j], at.weight);
+      next[j] = static_cast<float>(rho * advected + k * 0.25 * laplacian + noise);
+    };
+    // Columns 0 and nlon-1 wrap; the interior reads its neighbours directly.
+    cell(0, nlon - 1, nlon > 1 ? 1 : 0);
+    for (std::size_t j = 1; j + 1 < nlon; ++j) cell(j, j - 1, j + 1);
+    if (nlon > 1) cell(nlon - 1, nlon - 2, 0);
   }
-  t_anom_ = std::move(next);
+  std::swap(t_anom_, t_anom_next_);
 }
 
 void EsmModel::begin_day(int day) {
@@ -245,7 +422,6 @@ void EsmModel::step() {
 
   const double warming = forcing_.warming_c(year, config_.climate_sensitivity_c);
   const double diurnal = diurnal_cycle_c(step_of_day, steps);
-  const double inv_steps = 1.0 / static_cast<double>(steps);
   // Vorticity scale: units 1e-5/s with the grid spacing absorbed.
   const double cell_km = 111.0 * grid_.dlat();
 
@@ -257,83 +433,65 @@ void EsmModel::step() {
   const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
   const auto s = static_cast<std::size_t>(step_of_day);
-  Field& psl_out = today_.psl[s];
-  Field& ua_out = today_.ua850[s];
-  Field& va_out = today_.va850[s];
-  Field& wspd_out = today_.wspd[s];
-  Field& vort_out = today_.vort850[s];
-  Field& pr_out = today_.pr6h[s];
+  auto row_of = [](Field& field, std::size_t here) { return field.data().data() + here; };
+  StepRow row;
+  row.nlon = nlon;
+  row.inv_steps = 1.0 / static_cast<double>(steps);
+  row.vort_denom = 2.0 * cell_km * 1000.0;
+  row.heat_flux = heat_row_.data();
+  row.momentum_flux = momentum_row_.data();
+  row.freshwater_flux = freshwater_row_.data();
   for (std::size_t i = 0; i < nlat; ++i) {
     const double lat = grid_.lat(i);
     const double weight = grid_.area_weight(i);
-    const double t_base = baseline_temperature_c(lat, doy, config_.days_per_year);
-    const double psl_base = baseline_psl_hpa(lat);
-    const double pr_base = baseline_precip_mmday(lat, doy, config_.days_per_year);
-    const double sst_clim = baseline_sst_c(lat, doy, config_.days_per_year);
+    row.t_offset = baseline_temperature_c(lat, doy, config_.days_per_year) + diurnal + warming;
+    row.psl_base = baseline_psl_hpa(lat);
+    row.pr_base = baseline_precip_mmday(lat, doy, config_.days_per_year);
+    row.sst_clim = baseline_sst_c(lat, doy, config_.days_per_year);
     // Plane offsets of this row and of its clamped stencil neighbours.
     const std::size_t here = i * nlon;
     const std::size_t north = (i + 1 < nlat ? i + 1 : i) * nlon;
     const std::size_t south = (i > 0 ? i - 1 : i) * nlon;
-    const double* thermal = thermal_.data() + here;
+    const NoiseCoord at = noise_lat_[i];
+    row.noise_weight = at.weight;
+    row.anom = t_anom_.data().data() + here;
+    row.thermal = thermal_.data() + here;
+    row.imprints = imprints_.data() + here;
+    row.u = wind_u_.data() + here;
+    row.v = wind_v_.data() + here;
+    row.u_north = wind_u_.data() + north;
+    row.u_south = wind_u_.data() + south;
+    row.psl_noise_lower = noise_psl_.data() + at.node * nlon;
+    row.psl_noise_upper = row.psl_noise_lower + nlon;
+    row.pr_noise_lower = noise_pr_.data() + at.node * nlon;
+    row.pr_noise_upper = row.pr_noise_lower + nlon;
+    row.sst_state = row_of(sst_, here);
+    row.psl = row_of(today_.psl[s], here);
+    row.ua850 = row_of(today_.ua850[s], here);
+    row.va850 = row_of(today_.va850[s], here);
+    row.wspd = row_of(today_.wspd[s], here);
+    row.vort850 = row_of(today_.vort850[s], here);
+    row.pr6h = row_of(today_.pr6h[s], here);
+    row.tas = row_of(today_.tas, here);
+    row.tasmin = row_of(today_.tasmin, here);
+    row.tasmax = row_of(today_.tasmax, here);
+    row.pr = row_of(today_.pr, here);
+    row.sst = row_of(today_.sst, here);
+    row.sic = row_of(today_.sic, here);
+    row.ts = row_of(today_.ts, here);
+    row.hfls = row_of(today_.hfls, here);
+    row.hfss = row_of(today_.hfss, here);
+    row.clt = row_of(today_.clt, here);
+    row.rh = row_of(today_.rh, here);
+    row.zg500 = row_of(today_.zg500, here);
+    row.uas = row_of(today_.uas, here);
+    row.vas = row_of(today_.vas, here);
+    step_row(row);
+    // The integrals add the row's fluxes cell by cell, in grid order.
     for (std::size_t j = 0; j < nlon; ++j) {
-      // --- atmosphere instantaneous state ---
-      const CycloneImprint& tc = imprints_[here + j];
-      const double blob = thermal[j];
-      const double temp = t_base + diurnal + warming + t_anom_.at(i, j) + blob + tc.warm_core_c;
-      const double psl = psl_base + tc.psl_hpa - 0.45 * t_anom_.at(i, j) +
-                         2.2 * noise_at(noise_psl_, i, j);
-      const double u = wind_u_[here + j];
-      const double v = wind_v_[here + j];
-      const double speed = std::sqrt(u * u + v * v);
-      const double convective = std::max(0.0, t_anom_.at(i, j) + blob - 2.0) * 1.3;
-      const double pr_rate =
-          std::max(0.0, pr_base * (1.0 + 0.35 * noise_at(noise_pr_, i, j)) + convective +
-                            tc.precip_mmday);
-
-      // Vorticity from the wind plane's centred differences.
-      const double un = wind_u_[north + j];
-      const double us = wind_u_[south + j];
-      const double ve = wind_v_[here + grid_.wrap_lon(static_cast<long>(j) + 1)];
-      const double vw = wind_v_[here + grid_.wrap_lon(static_cast<long>(j) - 1)];
-      const double vort = ((ve - vw) - (un - us)) / (2.0 * cell_km * 1000.0) * 1e5;
-
-      // --- coupler: atmosphere -> ocean fluxes ---
-      const double heat_flux = 12.0 * (temp - sst_.at(i, j));  // W/m2
-      const double momentum_flux = 0.02 * speed;
-      heat_integral += weight * heat_flux;
-      momentum_integral += weight * momentum_flux;
-      freshwater_integral += weight * pr_rate;
-
-      // --- ocean step (receives exactly the flux that was sent) ---
-      const double dt_frac = inv_steps;
-      double sst = sst_.at(i, j);
-      sst += dt_frac * (heat_flux / 400.0 - 0.08 * (sst - sst_clim));
-      if (sst < -1.8) sst = -1.8;
-      sst_.at(i, j) = static_cast<float>(sst);
-      const double ice = std::clamp((-0.5 - sst) / 1.3, 0.0, 1.0);
-
-      // --- daily aggregation ---
-      psl_out.at(i, j) = static_cast<float>(psl);
-      ua_out.at(i, j) = static_cast<float>(u);
-      va_out.at(i, j) = static_cast<float>(v);
-      wspd_out.at(i, j) = static_cast<float>(speed);
-      vort_out.at(i, j) = static_cast<float>(vort);
-      pr_out.at(i, j) = static_cast<float>(pr_rate);
-
-      today_.tas.at(i, j) += static_cast<float>(temp * inv_steps);
-      today_.tasmin.at(i, j) = std::min(today_.tasmin.at(i, j), static_cast<float>(temp));
-      today_.tasmax.at(i, j) = std::max(today_.tasmax.at(i, j), static_cast<float>(temp));
-      today_.pr.at(i, j) += static_cast<float>(pr_rate * inv_steps);
-      today_.sst.at(i, j) = static_cast<float>(sst);
-      today_.sic.at(i, j) = static_cast<float>(ice);
-      today_.ts.at(i, j) = static_cast<float>(0.3 * temp + 0.7 * sst);
-      today_.hfls.at(i, j) = static_cast<float>(std::max(0.0, 0.6 * heat_flux));
-      today_.hfss.at(i, j) = static_cast<float>(0.4 * heat_flux);
-      today_.clt.at(i, j) = static_cast<float>(std::clamp(pr_rate / 12.0, 0.02, 0.98));
-      today_.rh.at(i, j) = static_cast<float>(std::clamp(0.45 + pr_rate / 25.0, 0.05, 1.0));
-      today_.zg500.at(i, j) = static_cast<float>(5500.0 + 8.0 * (psl - 1013.0) + 1.8 * temp);
-      today_.uas.at(i, j) = static_cast<float>(0.8 * u);
-      today_.vas.at(i, j) = static_cast<float>(0.8 * v);
+      heat_integral += weight * heat_row_[j];
+      momentum_integral += weight * momentum_row_[j];
+      freshwater_integral += weight * freshwater_row_[j];
     }
   }
 

@@ -77,6 +77,91 @@ struct CouplerDiagnostics {
   double freshwater_received_ocean = 0.0;
 };
 
+/// Position of a grid index on the coarse noise lattice (one node every 6
+/// cells): the lower node and the bilinear weight of the upper one.
+struct NoiseCoord {
+  std::size_t node = 0;
+  double weight = 0.0;
+};
+
+/// Lattice positions of the grid indices 0..cells-1.
+std::vector<NoiseCoord> noise_coords(std::size_t cells);
+
+/// One linear step of the noise interpolation.
+inline double noise_between(double lower, double upper, double weight) {
+  return lower * (1 - weight) + upper * weight;
+}
+
+/// Blends each row of a node plane (node_rows x node_cols) along longitude:
+/// rows[r * lon.size() + j] = noise_between(node (r, lon[j].node),
+/// node (r, lon[j].node + 1), lon[j].weight). Cell (i, j) of the grid is then
+/// noise_between(rows[lat[i].node][j], rows[lat[i].node + 1][j],
+/// lat[i].weight): the bilinear value, with the per-cell formula's
+/// operations in the same order.
+void blend_noise_rows(const double* nodes, std::size_t node_rows, std::size_t node_cols,
+                      const std::vector<NoiseCoord>& lon, double* rows);
+
+/// One latitude row of EsmModel::step over plain row pointers. Every array
+/// holds `nlon` cells; the wind rows are the whole stencil (the row, and the
+/// rows north and south of it, clamped at the poles).
+struct StepRow {
+  std::size_t nlon = 0;
+  double t_offset = 0.0;     ///< Baseline + diurnal + warming [degC], in that order.
+  double psl_base = 0.0;     ///< Baseline sea-level pressure [hPa].
+  double pr_base = 0.0;      ///< Baseline precipitation [mm/day].
+  double sst_clim = 0.0;     ///< Slab-ocean climatology [degC].
+  double inv_steps = 0.0;    ///< 1 / steps per day.
+  double vort_denom = 0.0;   ///< Twice the cell size [m].
+  double noise_weight = 0.0; ///< Weight of the upper noise rows.
+
+  const float* anom = nullptr;  ///< Temperature anomaly.
+  const double* thermal = nullptr;
+  const CycloneImprint* imprints = nullptr;
+  const double* u = nullptr;
+  const double* v = nullptr;
+  const double* u_north = nullptr;
+  const double* u_south = nullptr;
+  const double* psl_noise_lower = nullptr;  ///< Blended noise rows around the row.
+  const double* psl_noise_upper = nullptr;
+  const double* pr_noise_lower = nullptr;
+  const double* pr_noise_upper = nullptr;
+
+  float* sst_state = nullptr;  ///< Slab-ocean temperature, advanced in place.
+
+  // The step's six-hourly fields.
+  float* psl = nullptr;
+  float* ua850 = nullptr;
+  float* va850 = nullptr;
+  float* wspd = nullptr;
+  float* vort850 = nullptr;
+  float* pr6h = nullptr;
+  // The daily fields; tas and pr accumulate, tasmin and tasmax fold.
+  float* tas = nullptr;
+  float* tasmin = nullptr;
+  float* tasmax = nullptr;
+  float* pr = nullptr;
+  float* sst = nullptr;
+  float* sic = nullptr;
+  float* ts = nullptr;
+  float* hfls = nullptr;
+  float* hfss = nullptr;
+  float* clt = nullptr;
+  float* rh = nullptr;
+  float* zg500 = nullptr;
+  float* uas = nullptr;
+  float* vas = nullptr;
+
+  // Per-cell coupler fluxes, for the in-order integral pass.
+  double* heat_flux = nullptr;       ///< [W/m2]
+  double* momentum_flux = nullptr;
+  double* freshwater_flux = nullptr; ///< The precipitation rate [mm/day].
+};
+
+/// Computes every cell of one row of the step, two cells per SSE2 lane. The
+/// outputs are bit for bit those of the per-cell scalar formula: each value
+/// keeps its IEEE operations and their order.
+void step_row(const StepRow& row);
+
 /// The coupled model over the full grid.
 class EsmModel {
  public:
@@ -99,20 +184,12 @@ class EsmModel {
   const CouplerDiagnostics& coupler() const { return coupler_; }
 
  private:
-  /// Position of a grid index on the coarse noise lattice: the lower node
-  /// and the bilinear weight of the upper one.
-  struct NoiseCoord {
-    std::size_t node = 0;
-    double weight = 0.0;
-  };
-
   void spawn_thermal_events(int day);
   /// Sum of the active blocking events at every cell, into thermal_.
   void fill_thermal(int day);
-  /// Hashes the coarse nodes of noise `tag` at time `t` into `plane`.
-  void fill_noise(std::uint64_t tag, int t, std::vector<double>* plane) const;
-  /// Spatially coherent noise at a cell, interpolated from a filled plane.
-  double noise_at(const std::vector<double>& plane, std::size_t i, std::size_t j) const;
+  /// Hashes the coarse nodes of noise `tag` at time `t` and blends them
+  /// into `rows`, one blended row per lattice row (blend_noise_rows).
+  void fill_noise(std::uint64_t tag, int t, std::vector<double>* rows);
   /// Fills the cyclone imprints and the wind at every cell.
   void fill_wind_and_imprints();
   void update_anomaly(int day);
@@ -122,8 +199,9 @@ class EsmModel {
   ForcingTable forcing_;
   LatLonGrid grid_;
 
-  Field t_anom_;  ///< Prognostic temperature anomaly [degC].
-  Field sst_;     ///< Prognostic slab-ocean temperature [degC].
+  Field t_anom_;       ///< Prognostic temperature anomaly [degC].
+  Field t_anom_next_;  ///< The anomaly's next day, swapped in by update_anomaly.
+  Field sst_;          ///< Prognostic slab-ocean temperature [degC].
 
   CycloneModel cyclones_;
   std::vector<ThermalEvent> thermal_events_;
@@ -135,18 +213,26 @@ class EsmModel {
 
   // Scratch planes of the step, sized once and refilled in place. The
   // per-cell planes are row-major over the whole grid.
+  // The noise planes hold one longitude-blended row per lattice row.
   std::vector<NoiseCoord> noise_lat_;  ///< Per grid row.
   std::vector<NoiseCoord> noise_lon_;  ///< Per grid column.
-  std::size_t noise_cols_ = 0;         ///< Node columns of a noise plane.
-  std::vector<double> noise_anom_;     ///< Anomaly noise nodes (daily).
-  std::vector<double> noise_u_;        ///< Zonal wind noise nodes.
-  std::vector<double> noise_v_;        ///< Meridional wind noise nodes.
-  std::vector<double> noise_psl_;      ///< Pressure noise nodes.
-  std::vector<double> noise_pr_;       ///< Precipitation noise nodes.
+  std::size_t noise_rows_ = 0;         ///< Node rows of the lattice.
+  std::size_t noise_cols_ = 0;         ///< Node columns of the lattice.
+  std::vector<double> noise_nodes_;    ///< Hashed nodes of the tag being filled.
+  std::vector<double> noise_anom_;     ///< Anomaly noise (daily).
+  std::vector<double> noise_u_;        ///< Zonal wind noise.
+  std::vector<double> noise_v_;        ///< Meridional wind noise.
+  std::vector<double> noise_psl_;      ///< Pressure noise.
+  std::vector<double> noise_pr_;       ///< Precipitation noise.
   std::vector<double> thermal_;        ///< Blocking-event anomaly (daily).
+  std::vector<double> distance_row_;   ///< One row's distances to an event.
   std::vector<double> wind_u_;
   std::vector<double> wind_v_;
   std::vector<CycloneImprint> imprints_;
+  // One row's coupler fluxes, summed into the integrals after the row.
+  std::vector<double> heat_row_;
+  std::vector<double> momentum_row_;
+  std::vector<double> freshwater_row_;
 };
 
 }  // namespace climate::esm

@@ -4,9 +4,12 @@
 // reject malformed files.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 
 #include "esm/climatology.hpp"
 #include "esm/cyclones.hpp"
@@ -203,6 +206,27 @@ TEST(Cyclones, ImprintShapesAreLocal) {
   CycloneImprint near;
   model.imprint_row(tc.lat + 1.5, &tc.lon, 1, &near);
   EXPECT_GT(std::sqrt(near.du * near.du + near.dv * near.dv), 3.0);
+}
+
+// RowDistance::fill's lanes against operator(), bit for bit, on random rows
+// of every length up to 40, with longitudes on both sides of the half-turn
+// wrap and at exactly 180 degrees from the point.
+TEST(Cyclones, RowDistanceFillMatchesPerCell) {
+  std::mt19937_64 rng(1807);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::size_t count = 0; count <= 40; ++count) {
+    const double point_lon = 360.0 * unit(rng);
+    const RowDistance distance(-90.0 + 180.0 * unit(rng), -60.0 + 120.0 * unit(rng), point_lon);
+    std::vector<double> lons(count);
+    for (double& lon : lons) lon = unit(rng) < 0.1 ? point_lon + 180.0 : 360.0 * unit(rng);
+    std::vector<double> got(count);
+    distance.fill(lons.data(), count, got.data());
+    for (std::size_t j = 0; j < count; ++j) {
+      const double want = distance(lons[j]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]), std::bit_cast<std::uint64_t>(want))
+          << "cell " << j << " of " << count;
+    }
+  }
 }
 
 TEST(Model, DailyFieldsPhysicallyPlausible) {
@@ -528,21 +552,32 @@ struct GoldenRun {
   std::size_t nlat, nlon;
   std::uint64_t seed;
   std::uint64_t digest;
+  // Bits of the coupler's heat, momentum and freshwater integrals.
+  std::uint64_t heat, momentum, freshwater;
 };
 
 // Digests of 3 years x 12 days, recorded from the per-cell reference
 // implementation of EsmModel::step that the per-step planes replaced. The
 // first two are the workflow benchmark's 64x96 grid; the next five shapes
 // were drawn at random once (none a multiple of the 6-cell noise lattice).
+// The coupler integrals were recorded from the scalar cell loop that summed
+// them cell by cell, before the lane pass moved the sums into a second pass.
 TEST(Model, GoldenDigestsMatchReference) {
   const GoldenRun runs[] = {
-      {64, 96, 1, 0x775eef0d89e84f78ull},
-      {64, 96, 7, 0xbd2a2215c79b3a2cull},
-      {8, 15, 468812, 0xbf36bda83c2626b7ull},
-      {44, 20, 330324, 0x9683676d4eb0fcb9ull},
-      {25, 52, 40665, 0x640c11ae0cec7731ull},
-      {49, 77, 91172, 0xcef1f387770171e0ull},
-      {69, 45, 422647, 0xde433d58d6b42849ull},
+      {64, 96, 1, 0x775eef0d89e84f78ull, 0xc0bd4edeae2013a0ull, 0x402e25e21f665ef4ull,
+       0x407be88dc9c253c6ull},
+      {64, 96, 7, 0xbd2a2215c79b3a2cull, 0xc0baf6040a4f170bull, 0x402e199bed3a80ecull,
+       0x407df39972847606ull},
+      {8, 15, 468812, 0xbf36bda83c2626b7ull, 0xc0bab6f5a4ca070eull, 0x402e5b0280d4dc84ull,
+       0x407a6b38b512aa8aull},
+      {44, 20, 330324, 0x9683676d4eb0fcb9ull, 0xc0bdb06f8c0dcf0cull, 0x402e499f29da2077ull,
+       0x407cae3f52b400dfull},
+      {25, 52, 40665, 0x640c11ae0cec7731ull, 0xc0ba46b44a0c3c40ull, 0x402e15b839a0df82ull,
+       0x407ee567a82dda2full},
+      {49, 77, 91172, 0xcef1f387770171e0ull, 0xc0bde67da2eedd1eull, 0x402e1ab92fe55e13ull,
+       0x407c4e93ac3e3b38ull},
+      {69, 45, 422647, 0xde433d58d6b42849ull, 0xc0bc233f54e20560ull, 0x402e2ee7fc682237ull,
+       0x407b9d61eb138003ull},
   };
   for (const GoldenRun& run : runs) {
     EsmConfig config;
@@ -560,7 +595,293 @@ TEST(Model, GoldenDigestsMatchReference) {
     EXPECT_EQ(digest.value, run.digest)
         << std::hex << "0x" << digest.value << std::dec << " for " << run.nlat << "x" << run.nlon
         << " seed " << run.seed;
+    const CouplerDiagnostics& coupler = model.coupler();
+    const std::uint64_t got[] = {std::bit_cast<std::uint64_t>(coupler.heat_sent_atm),
+                                 std::bit_cast<std::uint64_t>(coupler.momentum_sent_atm),
+                                 std::bit_cast<std::uint64_t>(coupler.freshwater_sent_atm)};
+    const std::uint64_t want[] = {run.heat, run.momentum, run.freshwater};
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_EQ(got[k], want[k]) << std::hex << "0x" << got[k] << std::dec << " for integral " << k
+                                 << " of " << run.nlat << "x" << run.nlon << " seed " << run.seed;
+    }
   }
+}
+
+// The coherent noise of the former per-cell interpolation (EsmModel's
+// noise_at), against its longitude-blended rows.
+TEST(Model, BlendedNoiseRowsMatchBilinearFormula) {
+  std::mt19937_64 rng(20261019);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {1, 2}, {6, 6}, {7, 13}, {8, 15}, {64, 96}, {69, 45}};
+  for (int k = 0; k < 25; ++k) shapes.emplace_back(1 + rng() % 90, 1 + rng() % 150);
+  for (const auto& [nlat, nlon] : shapes) {
+    const std::vector<NoiseCoord> lat = noise_coords(nlat);
+    const std::vector<NoiseCoord> lon = noise_coords(nlon);
+    const std::size_t node_rows = (nlat + 5) / 6 + 1;
+    const std::size_t node_cols = (nlon + 5) / 6 + 1;
+    std::vector<double> nodes(node_rows * node_cols);
+    for (double& node : nodes) node = normal(rng);
+    std::vector<double> rows(node_rows * nlon);
+    blend_noise_rows(nodes.data(), node_rows, node_cols, lon, rows.data());
+    for (std::size_t i = 0; i < nlat; ++i) {
+      for (std::size_t j = 0; j < nlon; ++j) {
+        const double wi = lat[i].weight;
+        const double wj = lon[j].weight;
+        const double* lower = nodes.data() + lat[i].node * node_cols + lon[j].node;
+        const double* upper = lower + node_cols;
+        const double want = (lower[0] * (1 - wj) + lower[1] * wj) * (1 - wi) +
+                            (upper[0] * (1 - wj) + upper[1] * wj) * wi;
+        const double* blended = rows.data() + lat[i].node * nlon + j;
+        const double got = noise_between(blended[0], blended[nlon], wi);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+            << "cell " << i << "," << j << " of " << nlat << "x" << nlon;
+      }
+    }
+  }
+}
+
+/// Constants of one row of the former scalar cell loop of EsmModel::step.
+struct ReferenceRow {
+  double t_base, diurnal, warming, psl_base, pr_base, sst_clim, inv_steps, cell_km;
+};
+
+/// The cell loop of EsmModel::step before the lane pass, as the reference of
+/// step_row: the former loop body, with the member planes read and written
+/// through the row's pointers and the coupler fluxes stored per cell.
+void reference_step_row(const ReferenceRow& c, const StepRow& r) {
+  const common::LatLonGrid grid_(1, r.nlon);
+  const double t_base = c.t_base;
+  const double diurnal = c.diurnal;
+  const double warming = c.warming;
+  const double psl_base = c.psl_base;
+  const double pr_base = c.pr_base;
+  const double sst_clim = c.sst_clim;
+  const double inv_steps = c.inv_steps;
+  const double cell_km = c.cell_km;
+  auto noise_at = [&r](const double* lower, const double* upper, std::size_t j) {
+    return noise_between(lower[j], upper[j], r.noise_weight);
+  };
+  for (std::size_t j = 0; j < r.nlon; ++j) {
+    // --- atmosphere instantaneous state ---
+    const CycloneImprint& tc = r.imprints[j];
+    const double blob = r.thermal[j];
+    const double temp = t_base + diurnal + warming + r.anom[j] + blob + tc.warm_core_c;
+    const double psl = psl_base + tc.psl_hpa - 0.45 * r.anom[j] +
+                       2.2 * noise_at(r.psl_noise_lower, r.psl_noise_upper, j);
+    const double u = r.u[j];
+    const double v = r.v[j];
+    const double speed = std::sqrt(u * u + v * v);
+    const double convective = std::max(0.0, r.anom[j] + blob - 2.0) * 1.3;
+    const double pr_rate =
+        std::max(0.0, pr_base * (1.0 + 0.35 * noise_at(r.pr_noise_lower, r.pr_noise_upper, j)) +
+                          convective + tc.precip_mmday);
+
+    // Vorticity from the wind plane's centred differences.
+    const double un = r.u_north[j];
+    const double us = r.u_south[j];
+    const double ve = r.v[grid_.wrap_lon(static_cast<long>(j) + 1)];
+    const double vw = r.v[grid_.wrap_lon(static_cast<long>(j) - 1)];
+    const double vort = ((ve - vw) - (un - us)) / (2.0 * cell_km * 1000.0) * 1e5;
+
+    // --- coupler: atmosphere -> ocean fluxes ---
+    const double heat_flux = 12.0 * (temp - r.sst_state[j]);  // W/m2
+    const double momentum_flux = 0.02 * speed;
+    r.heat_flux[j] = heat_flux;
+    r.momentum_flux[j] = momentum_flux;
+    r.freshwater_flux[j] = pr_rate;
+
+    // --- ocean step (receives exactly the flux that was sent) ---
+    const double dt_frac = inv_steps;
+    double sst = r.sst_state[j];
+    sst += dt_frac * (heat_flux / 400.0 - 0.08 * (sst - sst_clim));
+    if (sst < -1.8) sst = -1.8;
+    r.sst_state[j] = static_cast<float>(sst);
+    const double ice = std::clamp((-0.5 - sst) / 1.3, 0.0, 1.0);
+
+    // --- daily aggregation ---
+    r.psl[j] = static_cast<float>(psl);
+    r.ua850[j] = static_cast<float>(u);
+    r.va850[j] = static_cast<float>(v);
+    r.wspd[j] = static_cast<float>(speed);
+    r.vort850[j] = static_cast<float>(vort);
+    r.pr6h[j] = static_cast<float>(pr_rate);
+
+    r.tas[j] += static_cast<float>(temp * inv_steps);
+    r.tasmin[j] = std::min(r.tasmin[j], static_cast<float>(temp));
+    r.tasmax[j] = std::max(r.tasmax[j], static_cast<float>(temp));
+    r.pr[j] += static_cast<float>(pr_rate * inv_steps);
+    r.sst[j] = static_cast<float>(sst);
+    r.sic[j] = static_cast<float>(ice);
+    r.ts[j] = static_cast<float>(0.3 * temp + 0.7 * sst);
+    r.hfls[j] = static_cast<float>(std::max(0.0, 0.6 * heat_flux));
+    r.hfss[j] = static_cast<float>(0.4 * heat_flux);
+    r.clt[j] = static_cast<float>(std::clamp(pr_rate / 12.0, 0.02, 0.98));
+    r.rh[j] = static_cast<float>(std::clamp(0.45 + pr_rate / 25.0, 0.05, 1.0));
+    r.zg500[j] = static_cast<float>(5500.0 + 8.0 * (psl - 1013.0) + 1.8 * temp);
+    r.uas[j] = static_cast<float>(0.8 * u);
+    r.vas[j] = static_cast<float>(0.8 * v);
+  }
+}
+
+/// Output arrays of one row, wired into a StepRow. The in/out arrays (slab
+/// SST and the daily accumulators) start from `init`.
+struct RowOutputs {
+  static constexpr int kFloatRows = 21;  // the slab SST and the 20 outputs
+  std::vector<float> floats[kFloatRows];
+  std::vector<double> fluxes[3];
+
+  RowOutputs(std::size_t nlon, const std::vector<float> (&init)[4]) {
+    for (auto& row : floats) row.assign(nlon, 0.0f);
+    for (auto& row : fluxes) row.assign(nlon, 0.0);
+    floats[0] = init[0];  // sst_state
+    floats[7] = init[1];  // tas
+    floats[8] = init[2];  // tasmin
+    floats[9] = init[3];  // tasmax
+  }
+  void wire(StepRow* r) {
+    float** out[kFloatRows] = {&r->sst_state, &r->psl, &r->ua850, &r->va850, &r->wspd,
+                               &r->vort850,   &r->pr6h, &r->tas, &r->tasmin, &r->tasmax,
+                               &r->pr,        &r->sst, &r->sic, &r->ts, &r->hfls,
+                               &r->hfss,      &r->clt, &r->rh, &r->zg500, &r->uas,
+                               &r->vas};
+    for (int k = 0; k < kFloatRows; ++k) *out[k] = floats[k].data();
+    r->heat_flux = fluxes[0].data();
+    r->momentum_flux = fluxes[1].data();
+    r->freshwater_flux = fluxes[2].data();
+  }
+};
+
+// step_row against the former scalar loop, bit for bit, on random widths
+// (1-3 included, where east, west and the cell coincide, and odd widths for
+// the tail), with pole rows whose north or south neighbour is the row itself.
+// The inputs reach both sides of every clamp: the -1.8 SST floor, ice at 0
+// and 1, clt at 0.02 and 0.98, rh at 1 (its 0.05 floor is out of reach,
+// since the precipitation rate is never negative), a negative precipitation
+// rate before its floor at 0 and a negative latent-heat flux. One row in four
+// is built of signed zeros, and a few cells hold NaN, to pin the operand
+// order of the lanes' min and max.
+TEST(Model, StepRowLanesMatchScalarLoop) {
+  std::mt19937_64 rng(31337);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  auto uniform = [&](double lo, double hi) { return lo + (hi - lo) * unit(rng); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::size_t> widths = {1, 2, 3, 4, 5, 96};
+  for (int k = 0; k < 40; ++k) widths.push_back(1 + rng() % 200);
+  std::size_t floor_hits = 0, ice_ones = 0, ice_zeros = 0, clt_lows = 0, clt_highs = 0,
+              rh_highs = 0, pr_floors = 0, negative_heat = 0;
+  for (const std::size_t nlon : widths) {
+    for (int variant = 0; variant < 4; ++variant) {
+      const bool zeros = variant == 3;
+      auto value = [&](double lo, double hi) {
+        if (zeros) return unit(rng) < 0.5 ? -0.0 : 0.0;
+        const double x = unit(rng);
+        if (x < 0.02) return nan;
+        return uniform(lo, hi);
+      };
+      ReferenceRow c{};
+      c.t_base = zeros ? -0.0 : uniform(-30.0, 30.0);
+      c.diurnal = zeros ? -0.0 : uniform(-3.0, 3.0);
+      c.warming = zeros ? -0.0 : uniform(0.0, 4.0);
+      c.psl_base = uniform(990.0, 1030.0);
+      c.pr_base = zeros ? -0.0 : uniform(0.0, 8.0);
+      c.sst_clim = uniform(-2.0, 29.0);
+      c.inv_steps = 0.25;
+      c.cell_km = uniform(50.0, 400.0);
+
+      std::vector<float> anom(nlon);
+      std::vector<double> thermal(nlon), u_plane(3 * nlon), v(nlon);
+      std::vector<double> noise(4 * nlon);
+      std::vector<CycloneImprint> imprints(nlon);
+      std::vector<float> init[4];
+      for (auto& row : init) row.resize(nlon);
+      for (std::size_t j = 0; j < nlon; ++j) {
+        anom[j] = static_cast<float>(value(-8.0, 8.0));
+        thermal[j] = unit(rng) < 0.5 ? 0.0 : value(-11.0, 11.0);
+        imprints[j].psl_hpa = value(-60.0, 0.0);
+        imprints[j].warm_core_c = value(0.0, 6.0);
+        imprints[j].precip_mmday = zeros ? -0.0 : uniform(0.0, 40.0);
+        v[j] = value(-30.0, 30.0);
+        for (std::size_t k = 0; k < 3; ++k) u_plane[k * nlon + j] = value(-30.0, 30.0);
+        for (std::size_t k = 0; k < 4; ++k) noise[k * nlon + j] = value(-5.0, 5.0);
+        // Slab SST around the floor and the sea-ice range, then warm water.
+        const double pick = unit(rng);
+        init[0][j] = zeros            ? 0.0f
+                     : pick < 0.1     ? -1.8f
+                     : pick < 0.5     ? static_cast<float>(uniform(-3.0, 1.0))
+                                      : static_cast<float>(uniform(1.0, 31.0));
+        init[1][j] = static_cast<float>(value(-20.0, 20.0));
+        // Daily extremes: mostly the first step's fill values.
+        const float low = zeros ? 0.0f : static_cast<float>(uniform(-40, 40));
+        const float high = zeros ? -0.0f : static_cast<float>(uniform(-40, 40));
+        init[2][j] = unit(rng) < 0.8 ? 1e30f : low;
+        init[3][j] = unit(rng) < 0.8 ? -1e30f : high;
+      }
+      StepRow row;
+      row.nlon = nlon;
+      row.t_offset = c.t_base + c.diurnal + c.warming;
+      row.psl_base = c.psl_base;
+      row.pr_base = c.pr_base;
+      row.sst_clim = c.sst_clim;
+      row.inv_steps = c.inv_steps;
+      row.vort_denom = 2.0 * c.cell_km * 1000.0;
+      row.noise_weight = (rng() % 6) / 6.0;
+      row.anom = anom.data();
+      row.thermal = thermal.data();
+      row.imprints = imprints.data();
+      row.u = u_plane.data() + nlon;
+      row.v = v.data();
+      // Variants 1 and 2 are the pole rows: north or south is the row itself.
+      row.u_north = variant == 1 ? row.u : u_plane.data() + 2 * nlon;
+      row.u_south = variant == 2 ? row.u : u_plane.data();
+      row.psl_noise_lower = noise.data();
+      row.psl_noise_upper = noise.data() + nlon;
+      row.pr_noise_lower = noise.data() + 2 * nlon;
+      row.pr_noise_upper = noise.data() + 3 * nlon;
+
+      RowOutputs want(nlon, init);
+      RowOutputs got(nlon, init);
+      StepRow reference = row;
+      want.wire(&reference);
+      reference_step_row(c, reference);
+      got.wire(&row);
+      step_row(row);
+
+      for (int k = 0; k < RowOutputs::kFloatRows; ++k) {
+        for (std::size_t j = 0; j < nlon; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.floats[k][j]),
+                    std::bit_cast<std::uint32_t>(want.floats[k][j]))
+              << "float row " << k << ", cell " << j << " of " << nlon << ", variant " << variant;
+        }
+      }
+      for (int k = 0; k < 3; ++k) {
+        for (std::size_t j = 0; j < nlon; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.fluxes[k][j]),
+                    std::bit_cast<std::uint64_t>(want.fluxes[k][j]))
+              << "flux row " << k << ", cell " << j << " of " << nlon << ", variant " << variant;
+        }
+      }
+      // Which sides of the clamps the reference reached.
+      for (std::size_t j = 0; j < nlon; ++j) {
+        floor_hits += want.floats[0][j] == -1.8f;
+        ice_ones += want.floats[12][j] == 1.0f;
+        ice_zeros += want.floats[12][j] == 0.0f;
+        clt_lows += want.floats[16][j] == 0.02f;
+        clt_highs += want.floats[16][j] == 0.98f;
+        rh_highs += want.floats[17][j] == 1.0f;
+        pr_floors += !zeros && want.fluxes[2][j] == 0.0;
+        negative_heat += want.floats[15][j] < 0.0f;
+      }
+    }
+  }
+  EXPECT_GT(floor_hits, 0u);
+  EXPECT_GT(ice_ones, 0u);
+  EXPECT_GT(ice_zeros, 0u);
+  EXPECT_GT(clt_lows, 0u);
+  EXPECT_GT(clt_highs, 0u);
+  EXPECT_GT(rh_highs, 0u);
+  EXPECT_GT(pr_floors, 0u);
+  EXPECT_GT(negative_heat, 0u);
 }
 
 TEST(Model, DeterministicAcrossRuns) {
