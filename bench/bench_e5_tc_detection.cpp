@@ -127,21 +127,27 @@ void print_skill() {
               "its presence threshold.\n\n");
 }
 
-void BM_CnnInference(benchmark::State& state) {
+// One infer call on one step's patches. The native tiling gives 24 patches
+// per 64x96 step; the half-resolution tiling the workflow uses gives 6, where
+// the per-call overhead shows.
+void BM_CnnInference(benchmark::State& state, bool half_resolution) {
   ensure_weights();
   climate::ml::TcLocalizer localizer(16, 1);
   (void)localizer.load(kWeights);
   climate::common::LatLonGrid grid(64, 96);
   climate::common::Field psl(grid, 1010.0f), wspd(grid, 8.0f), vort(grid, 0.5f),
       tas(grid, 22.0f);
-  const auto patches = climate::ml::TcTiling::native(grid, 16).tile(psl, wspd, vort, tas);
+  const auto tiling = half_resolution ? climate::ml::TcTiling::half_resolution(grid, 16)
+                                      : climate::ml::TcTiling::native(grid, 16);
+  const auto patches = tiling.tile(psl, wspd, vort, tas);
   for (auto _ : state) {
     auto outputs = localizer.infer(patches);
     benchmark::DoNotOptimize(outputs);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(patches.size()));
 }
-BENCHMARK(BM_CnnInference);
+BENCHMARK_CAPTURE(BM_CnnInference, native_24, false);
+BENCHMARK_CAPTURE(BM_CnnInference, half_resolution_6, true);
 
 void BM_DeterministicDetection(benchmark::State& state) {
   climate::common::LatLonGrid grid(64, 96);

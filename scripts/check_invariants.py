@@ -31,11 +31,12 @@ gate runs even where clang tooling is unavailable. Enforced invariants:
      -ffast-math, -Ofast, -funsafe-math-optimizations, -march=, -mavx* or
      -mfma. The lane kernels promise outputs bit-identical to a plain
      per-element loop (the same IEEE operation per element, in the same
-     order): the datacube's (src/datacube/expression.cpp) and the ESM
-     step's (src/esm/model.cpp, whose separate _mm_mul_pd and _mm_add_pd
-     must not fuse), and the ESM, CNN and index golden digests pin them; the
-     first three let the compiler reassociate sums, drop NaN/signed-zero
-     cases and contract multiply-adds. The others enable FMA (directly, or
+     order): the datacube's (src/datacube/expression.cpp), the ESM step's
+     (src/esm/model.cpp, whose separate _mm_mul_pd and _mm_add_pd must not
+     fuse) and the CNN layers' (src/ml/layers.cpp, whose separate
+     _mm_mul_ps and _mm_add_ps must not fuse), and the ESM, CNN and index
+     golden digests pin them; the first three let the compiler reassociate
+     sums, drop NaN/signed-zero cases and contract multiply-adds. The others enable FMA (directly, or
      through a target that has it), and GCC's default -ffp-contract=fast
      then fuses a * b + c into one rounding. The build targets the x86-64
      baseline, whose SSE2 the lane kernels use.

@@ -2,6 +2,10 @@
 
 #include <cctype>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/strings.hpp"
 
 namespace climate::hpcwaas {
@@ -112,6 +116,13 @@ Result<std::string> HpcWaasService::invoke(const std::string& workflow_id, Json 
       record->error = error;
       record->state = ok ? ExecutionState::kSucceeded : ExecutionState::kFailed;
     }
+#ifdef __GLIBC__
+    // The execution's worker threads have exited, and glibc keeps what they
+    // freed in its per-thread arenas; give it back to the OS. This runs
+    // after the record is published, so the caller does not wait for it
+    // (DESIGN.md "Memory between executions").
+    malloc_trim(0);
+#endif
     if (!ok) throw std::runtime_error(error);  // surface to the batch system too
   });
   if (!job.ok()) {

@@ -1,10 +1,11 @@
 // Neural-network layers with forward and backward passes, implemented
-// directly (no BLAS); the TC localizer runs on 16x16 patches. Conv2D, the hot
-// layer, loops row-wise over raw pointers so its inner loops are contiguous
-// and vectorise, while every output and gradient element is summed in the
-// order a per-element loop would use (bit-identical results; DESIGN.md "CNN
-// hot path"). Inference writes no layer state, so one network can serve
-// concurrent forward(training=false) calls.
+// directly (no BLAS); the TC localizer runs on 16x16 patches. The forward
+// passes of Conv2D and Dense, the hot layers, run in SSE register tiles, and
+// the backward passes loop row-wise over raw pointers, while every output and
+// gradient element is summed in the order a per-element loop would use
+// (bit-identical results; DESIGN.md "CNN hot path"). Inference writes no
+// layer state (scratch is per call), so one network can serve concurrent
+// forward(training=false) calls.
 #pragma once
 
 #include <memory>

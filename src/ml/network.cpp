@@ -9,7 +9,11 @@
 namespace climate::ml {
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
-  Tensor x = input;
+  if (layers_.empty()) return input;
+  // Each layer reads the previous one's output; the first reads `input`
+  // itself, so the batch is not copied.
+  Tensor x;
+  const Tensor* in = &input;
   if (obs::enabled()) {
     const std::size_t nlayers = layers_.size();
     if (hists_ready_.load(std::memory_order_acquire) != nlayers) {
@@ -25,12 +29,16 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
     }
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       const std::int64_t t0 = obs::now_ns();
-      x = layers_[i]->forward(x, training);
+      x = layers_[i]->forward(*in, training);
+      in = &x;
       layer_hists_[i]->observe(static_cast<double>(obs::now_ns() - t0));
     }
     return x;
   }
-  for (auto& layer : layers_) x = layer->forward(x, training);
+  for (auto& layer : layers_) {
+    x = layer->forward(*in, training);
+    in = &x;
+  }
   return x;
 }
 

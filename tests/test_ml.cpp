@@ -256,6 +256,365 @@ TEST(Layers, MaxPoolHalvesAndSelectsMax) {
   EXPECT_FLOAT_EQ(out[0], 7.0f);
 }
 
+// Random tensor: normal values, a tenth of them ±0 (half -0). With
+// `specials`, another tenth are +Inf, -Inf or NaN.
+Tensor random_tensor(std::vector<std::size_t> shape, common::Rng& rng, bool specials) {
+  Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double u = rng.uniform();
+    if (u < 0.05) {
+      t[i] = 0.0f;
+    } else if (u < 0.1) {
+      t[i] = -0.0f;
+    } else if (specials && u < 0.2) {
+      const float kSpecials[] = {INFINITY, -INFINITY, NAN};
+      t[i] = kSpecials[rng.uniform_index(3)];
+    } else {
+      t[i] = static_cast<float>(rng.normal(0, 1));
+    }
+  }
+  return t;
+}
+
+// Random output gradient: a third of the elements ±0 (half of them -0).
+Tensor random_grad(std::vector<std::size_t> shape, common::Rng& rng) {
+  Tensor g(std::move(shape));
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const double u = rng.uniform();
+    g[i] = u < 1.0 / 6 ? 0.0f : u < 1.0 / 3 ? -0.0f : static_cast<float>(rng.normal(0, 1));
+  }
+  return g;
+}
+
+// Gives every 2x2 pooling window of a [B, C, H, W] tensor a value above
+// -1e30f, so that each window has a maximum to route its gradient to.
+void give_every_window_a_max(Tensor& t, common::Rng& rng) {
+  const std::size_t H = t.dim(2), W = t.dim(3);
+  for (std::size_t plane = 0; plane < t.dim(0) * t.dim(1); ++plane) {
+    for (std::size_t y = 0; y + 1 < H; y += 2) {
+      for (std::size_t x = 0; x + 1 < W; x += 2) {
+        float* r0 = t.data() + (plane * H + y) * W + x;
+        float* window[4] = {r0, r0 + 1, r0 + W, r0 + W + 1};
+        if (std::none_of(window, window + 4, [](const float* v) { return *v > -1e30f; })) {
+          *window[rng.uniform_index(4)] = static_cast<float>(rng.normal(0, 1));
+        }
+      }
+    }
+  }
+}
+
+// Digests recorded from the per-element loops of MaxPool2, ReLU, Dense and
+// Sigmoid before their forward passes went row-wise and register-tiled: each
+// layer's forward (training and inference) and two backward passes on random
+// shapes. MaxPool2 and ReLU see ±0, ±Inf and NaN inputs (every pooling window
+// keeps a value above -1e30f); Dense sees finite inputs with ±0 and a bias
+// with ±0 entries, and its gradients accumulate over both passes.
+TEST(Layers, ForwardGoldenDigests) {
+  struct Expect {
+    std::uint64_t forward, backward;
+  };
+  const auto check = [](const char* what, const Digest& fwd, const Digest& bwd,
+                        const Expect& expect) {
+    EXPECT_EQ(fwd.value, expect.forward) << std::hex << what << " forward 0x" << fwd.value;
+    EXPECT_EQ(bwd.value, expect.backward) << std::hex << what << " backward 0x" << bwd.value;
+  };
+  common::Rng rng(2024);
+
+  // MaxPool2 over even and odd planes, including planes that pool to nothing.
+  {
+    Digest fwd, bwd;
+    const std::vector<std::vector<std::size_t>> shapes = {
+        {1, 1, 2, 2}, {2, 3, 5, 7}, {3, 4, 16, 16}, {6, 8, 8, 8}, {1, 2, 1, 3}, {2, 1, 9, 4}};
+    for (const auto& shape : shapes) {
+      MaxPool2 pool;
+      Tensor input = random_tensor(shape, rng, /*specials=*/true);
+      give_every_window_a_max(input, rng);
+      fwd.add(pool.forward(input, false));
+      const Tensor out = pool.forward(input, true);
+      fwd.add(out);
+      bwd.add(pool.backward(random_grad(out.shape(), rng)));
+      bwd.add(pool.backward(random_grad(out.shape(), rng)));
+    }
+    check("maxpool2", fwd, bwd, {0x9d7ba20560fe4a1bull, 0x1f3cf307cc77e78aull});
+  }
+
+  // ReLU on rank-2 and rank-4 tensors.
+  {
+    Digest fwd, bwd;
+    const std::vector<std::vector<std::size_t>> shapes = {
+        {1, 1}, {3, 17}, {2, 3, 5, 7}, {6, 8, 16, 16}};
+    for (const auto& shape : shapes) {
+      ReLU relu;
+      const Tensor input = random_tensor(shape, rng, /*specials=*/true);
+      fwd.add(relu.forward(input, false));
+      fwd.add(relu.forward(input, true));
+      bwd.add(relu.backward(random_grad(shape, rng)));
+      bwd.add(relu.backward(random_grad(shape, rng)));
+    }
+    check("relu", fwd, bwd, {0x6d1766419790acb7ull, 0x339d1ac9c129e507ull});
+  }
+
+  // Dense, including the TC localizer's two shapes at the workflow's batch.
+  {
+    Digest fwd, bwd;
+    const std::size_t shapes[][3] = {{1, 1, 1}, {3, 7, 5}, {2, 13, 9}, {6, 256, 64}, {6, 64, 3}};
+    for (const auto& [B, N, M] : shapes) {
+      Dense dense(N, M, rng);
+      Parameter* weight = dense.parameters()[0];
+      Parameter* bias = dense.parameters()[1];
+      bias->value = random_tensor({M}, rng, /*specials=*/false);
+      const Tensor input = random_tensor({B, N}, rng, /*specials=*/false);
+      fwd.add(dense.forward(input, false));
+      fwd.add(dense.forward(input, true));
+      bwd.add(dense.backward(random_grad({B, M}, rng)));
+      bwd.add(dense.backward(random_grad({B, M}, rng)));
+      bwd.add(weight->grad);
+      bwd.add(bias->grad);
+    }
+    check("dense", fwd, bwd, {0x2cf94abe85da22bfull, 0xae82a985930f44d4ull});
+  }
+
+  // Sigmoid, with inputs large enough to saturate at 0 and 1.
+  {
+    Digest fwd, bwd;
+    const std::vector<std::vector<std::size_t>> shapes = {{1, 1}, {6, 3}, {4, 33}};
+    for (const auto& shape : shapes) {
+      Sigmoid sigmoid;
+      Tensor input = random_tensor(shape, rng, /*specials=*/false);
+      for (std::size_t i = 0; i < input.size(); i += 5) input[i] *= 60.0f;
+      fwd.add(sigmoid.forward(input, false));
+      fwd.add(sigmoid.forward(input, true));
+      bwd.add(sigmoid.backward(random_grad(shape, rng)));
+      bwd.add(sigmoid.backward(random_grad(shape, rng)));
+    }
+    check("sigmoid", fwd, bwd, {0x7d4e582287f13063ull, 0x5614e41e562ba5f2ull});
+  }
+}
+
+// A window whose values are all NaN or no greater than -1e30f pools to
+// -1e30f, and in training its gradient goes to the window's own first
+// element, not to another window's.
+TEST(Layers, MaxPoolBackwardStaysInItsWindow) {
+  const std::size_t B = 2, C = 2, H = 4, W = 6;
+  Tensor input({B, C, H, W});
+  for (std::size_t i = 0; i < input.size(); ++i) input[i] = static_cast<float>(i % 7) - 3.0f;
+  // Windows (y, x) of image 1, channel 1 with no value above -1e30f.
+  const float kLow[][4] = {{NAN, NAN, NAN, NAN},
+                           {-INFINITY, -INFINITY, -INFINITY, -INFINITY},
+                           {-2e30f, NAN, -1e30f, -INFINITY}};
+  const std::size_t kWindows[][2] = {{0, 0}, {0, 2}, {1, 1}};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::size_t y = 2 * kWindows[k][0], x = 2 * kWindows[k][1];
+    for (std::size_t i = 0; i < 4; ++i) input.at4(1, 1, y + i / 2, x + i % 2) = kLow[k][i];
+  }
+
+  MaxPool2 pool;
+  const Tensor inferred = pool.forward(input, false);
+  const Tensor out = pool.forward(input, true);
+  EXPECT_EQ(std::memcmp(inferred.data(), out.data(), out.size() * sizeof(float)), 0);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(out.at4(1, 1, kWindows[k][0], kWindows[k][1]), -1e30f) << "window " << k;
+  }
+
+  // Output element i carries gradient i + 1, so each routed value names its
+  // window.
+  Tensor grad(out.shape());
+  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = static_cast<float>(i + 1);
+  const Tensor grad_input = pool.backward(grad);
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t y = 0; y < H; ++y) {
+        for (std::size_t x = 0; x < W; ++x) {
+          const float g = grad_input.at4(b, c, y, x);
+          if (g == 0.0f) continue;
+          const std::size_t window = ((b * C + c) * (H / 2) + y / 2) * (W / 2) + x / 2;
+          EXPECT_EQ(g, grad[window]) << "b" << b << " c" << c << " y" << y << " x" << x;
+        }
+      }
+    }
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::size_t y = 2 * kWindows[k][0], x = 2 * kWindows[k][1];
+    const std::size_t window = ((1 * C + 1) * (H / 2) + y / 2) * (W / 2) + x / 2;
+    EXPECT_EQ(grad_input.at4(1, 1, y, x), grad[window]) << "window " << k;
+  }
+}
+
+// The per-element Conv2D forward that the row-wise and register-tiled ones
+// replaced: each output sums its bias, then every in-plane tap (c, ky, kx) in
+// ascending order.
+Tensor conv_forward_per_element(const Tensor& input, const Tensor& weight, const Tensor& bias) {
+  const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
+  const std::size_t F = weight.dim(0);
+  Tensor out({B, F, H, W});
+  const long k = static_cast<long>(weight.dim(2));
+  const long p = k / 2;
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t f = 0; f < F; ++f) {
+      for (std::size_t y = 0; y < H; ++y) {
+        for (std::size_t x = 0; x < W; ++x) {
+          float acc = bias[f];
+          for (std::size_t c = 0; c < C; ++c) {
+            for (long ky = 0; ky < k; ++ky) {
+              const long iy = static_cast<long>(y) + ky - p;
+              if (iy < 0 || iy >= static_cast<long>(H)) continue;
+              for (long kx = 0; kx < k; ++kx) {
+                const long ix = static_cast<long>(x) + kx - p;
+                if (ix < 0 || ix >= static_cast<long>(W)) continue;
+                acc += input.at4(b, c, static_cast<std::size_t>(iy), static_cast<std::size_t>(ix)) *
+                       weight.at4(f, c, static_cast<std::size_t>(ky), static_cast<std::size_t>(kx));
+              }
+            }
+          }
+          out.at4(b, f, y, x) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Index of the first element whose bits differ, or a.size() when equal. Two
+// NaNs count as equal: when both operands of an add are NaN, x86 returns the
+// first one's payload, and which operand comes first is the compiler's choice
+// for a commutative +, in the per-element loop as much as in the kernel
+// (IEEE 754 leaves the payload unspecified too).
+std::size_t first_bit_difference(const Tensor& a, const Tensor& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) return i;
+  }
+  return a.size();
+}
+
+// Conv2D's forward against the per-element loop, bit for bit, on random
+// shapes: B 1-7, C 1-9 and F 1-11 (mostly not multiples of 4), K 1/3/5,
+// planes 1-19 wide and high (planes smaller than the kernel too), ±0, ±Inf
+// and NaN inputs, ±0 biases and both training values.
+TEST(Layers, Conv2DForwardMatchesPerElementLoop) {
+  common::Rng rng(4711);
+  const std::size_t kernels[] = {1, 3, 5};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t B = 1 + rng.uniform_index(7), C = 1 + rng.uniform_index(9),
+                      F = 1 + rng.uniform_index(11), K = kernels[rng.uniform_index(3)],
+                      H = 1 + rng.uniform_index(19), W = 1 + rng.uniform_index(19);
+    const bool training = trial % 2 == 1;
+    Conv2D conv(C, F, K, rng);
+    Parameter* weight = conv.parameters()[0];
+    Parameter* bias = conv.parameters()[1];
+    bias->value = random_tensor({F}, rng, /*specials=*/false);
+    // A tap with a special input turns most outputs it reaches into ±Inf or
+    // NaN, so only every third trial has them.
+    const Tensor input = random_tensor({B, C, H, W}, rng, /*specials=*/trial % 3 == 0);
+    const Tensor expected = conv_forward_per_element(input, weight->value, bias->value);
+    const Tensor got = conv.forward(input, training);
+    ASSERT_EQ(got.shape(), expected.shape());
+    const std::size_t i = first_bit_difference(got, expected);
+    ASSERT_EQ(i, got.size()) << "B" << B << " C" << C << " F" << F << " K" << K << " " << H
+                             << "x" << W << " training " << training << ": element " << i
+                             << " is " << got[i] << ", per-element loop gives " << expected[i];
+  }
+
+  // A -0 bias over -0 input planes with positive weights sums to -0 only if
+  // every out-of-plane tap is skipped: adding its zero product (+0) would
+  // turn the output into +0.
+  for (const std::size_t K : {3, 5}) {
+    for (const std::size_t W : {1, 2, 3, 5, 8, 9, 16, 17}) {
+      const std::size_t B = 2, C = 3, F = 5, H = 4;
+      Conv2D conv(C, F, K, rng);
+      Parameter* weight = conv.parameters()[0];
+      Parameter* bias = conv.parameters()[1];
+      for (std::size_t i = 0; i < weight->value.size(); ++i) {
+        weight->value[i] = std::fabs(weight->value[i]) + 1e-3f;
+      }
+      bias->value.fill(-0.0f);
+      const Tensor input({B, C, H, W}, -0.0f);
+      const Tensor got = conv.forward(input, W % 2 == 0);
+      const Tensor expected = conv_forward_per_element(input, weight->value, bias->value);
+      EXPECT_EQ(first_bit_difference(got, expected), got.size()) << "K" << K << " W" << W;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i] == 0.0f && std::signbit(got[i]))
+            << "K" << K << " W" << W << " element " << i;
+      }
+    }
+  }
+}
+
+// The per-element Dense loops that the register-tiled forward and the
+// row-wise backward replaced. Forward: bias, then x * w over n ascending,
+// skipping x == 0. Backward: per (b, m) with g != 0, the bias, weight and
+// input grads accumulate g, g * x and g * w.
+struct DensePerElement {
+  Tensor weight, bias, weight_grad, bias_grad;
+
+  Tensor forward(const Tensor& input) const {
+    const std::size_t B = input.dim(0), N = weight.dim(0), M = weight.dim(1);
+    Tensor out({B, M});
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t m = 0; m < M; ++m) out.at2(b, m) = bias[m];
+      for (std::size_t n = 0; n < N; ++n) {
+        const float x = input.at2(b, n);
+        if (x == 0.0f) continue;
+        for (std::size_t m = 0; m < M; ++m) out.at2(b, m) += x * weight.at2(n, m);
+      }
+    }
+    return out;
+  }
+
+  Tensor backward(const Tensor& input, const Tensor& grad_output) {
+    const std::size_t B = input.dim(0), N = weight.dim(0), M = weight.dim(1);
+    Tensor grad_input({B, N});
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t m = 0; m < M; ++m) {
+        const float g = grad_output.at2(b, m);
+        if (g == 0.0f) continue;
+        bias_grad[m] += g;
+        for (std::size_t n = 0; n < N; ++n) {
+          weight_grad.at2(n, m) += g * input.at2(b, n);
+          grad_input.at2(b, n) += g * weight.at2(n, m);
+        }
+      }
+    }
+    return grad_input;
+  }
+};
+
+// Dense against the per-element loops on random shapes: M on and off the
+// forward's register tiles, ±0 inputs and biases, ±Inf and NaN inputs in
+// every fourth forward trial, and two accumulating backward passes with a
+// third of the gradients ±0 (on finite inputs, as the network's are).
+TEST(Layers, DenseMatchesPerElementLoop) {
+  common::Rng rng(4713);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t B = 1 + rng.uniform_index(7), N = 1 + rng.uniform_index(40),
+                      M = 1 + rng.uniform_index(70);
+    const bool specials = trial % 4 == 0;
+    Dense dense(N, M, rng);
+    Parameter* weight = dense.parameters()[0];
+    Parameter* bias = dense.parameters()[1];
+    bias->value = random_tensor({M}, rng, /*specials=*/false);
+    DensePerElement ref{weight->value, bias->value, Tensor({N, M}), Tensor({M})};
+    const Tensor input = random_tensor({B, N}, rng, specials);
+    const std::string shape = "B" + std::to_string(B) + " N" + std::to_string(N) + " M" +
+                              std::to_string(M) + (specials ? " specials" : "");
+    const Tensor inferred = dense.forward(input, false);
+    ASSERT_EQ(first_bit_difference(inferred, ref.forward(input)), inferred.size()) << shape;
+    const Tensor out = dense.forward(input, true);
+    ASSERT_EQ(first_bit_difference(out, inferred), out.size()) << shape;
+    if (specials) continue;
+    for (int pass = 0; pass < 2; ++pass) {
+      const Tensor grad = random_grad({B, M}, rng);
+      const Tensor grad_input = dense.backward(grad);
+      ASSERT_EQ(first_bit_difference(grad_input, ref.backward(input, grad)), grad_input.size())
+          << shape << " grad_input, pass " << pass;
+      ASSERT_EQ(first_bit_difference(weight->grad, ref.weight_grad), weight->grad.size())
+          << shape << " weight grad, pass " << pass;
+      ASSERT_EQ(first_bit_difference(bias->grad, ref.bias_grad), bias->grad.size())
+          << shape << " bias grad, pass " << pass;
+    }
+  }
+}
+
 TEST(Losses, BceAtPerfectPredictionNearZero) {
   Tensor pred({1, 1});
   pred[0] = 0.9999f;
