@@ -12,9 +12,11 @@
 # scratch local (TcLocalizer.ConcurrentInferenceMatchesSerial). So is
 # test_taskrt_failures: a worker saves a completed task's checkpoint outside
 # the runtime lock while the master's wait_all waits for that save to finish
-# (CheckpointTest.WaitAllOutlastsCheckpointSaves). The address run also
-# enables UBSan (the two compose; TSan does not). Both runs also execute the
-# examples (ctest label "examples").
+# (CheckpointTest.WaitAllOutlastsCheckpointSaves). So is test_hpcwaas: invoke
+# publishes an execution record, and a batch job thread its result, while
+# other threads poll and wait on it (ServiceTest.PollingDuringInvokeIsRaceFree).
+# The address run also enables UBSan (the two compose; TSan does not). Both
+# runs also execute the examples (ctest label "examples").
 #
 # Usage:
 #   scripts/check.sh [thread|address|undefined|none|--full] [ctest-regex]
@@ -78,7 +80,7 @@ ctest "${CTEST_ARGS[@]}"
 if [[ "${SANITIZER}" == "thread" && -z "${FILTER}" ]]; then
   echo "== TSan gate: re-running the concurrency suites explicitly"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R '^(test_obs|test_taskrt|test_taskrt_failures|test_datacube|test_common|test_esm|test_expression|test_properties|test_ml)$'
+    -R '^(test_obs|test_taskrt|test_taskrt_failures|test_datacube|test_common|test_esm|test_expression|test_properties|test_ml|test_hpcwaas)$'
   echo "== TSan chaos gate: fault injection + node-failure recovery under TSan"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L chaos
 fi

@@ -28,23 +28,6 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(begin, end - begin));
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += separator;
-    out += items[i];
-  }
-  return out;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

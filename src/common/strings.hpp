@@ -14,15 +14,6 @@ std::vector<std::string> split(std::string_view text, char delimiter);
 /// Removes leading/trailing ASCII whitespace.
 std::string trim(std::string_view text);
 
-/// True if `text` begins with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
-
-/// True if `text` ends with `suffix`.
-bool ends_with(std::string_view text, std::string_view suffix);
-
-/// Joins items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view separator);
-
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -69,24 +69,6 @@ std::vector<std::string> CubeCatalog::list() const {
   return pids;
 }
 
-Status CubeCatalog::set_metadata(const std::string& pid, const std::string& key,
-                                 const std::string& value) {
-  Shard& shard = shards_[shard_index(pid)];
-  auto lock = lock_shard(shard);
-  auto it = shard.entries.find(pid);
-  if (it == shard.entries.end()) return Status::NotFound("no datacube '" + pid + "'");
-  it->second.metadata[key] = value;
-  return Status::Ok();
-}
-
-Result<std::map<std::string, std::string>> CubeCatalog::metadata(const std::string& pid) const {
-  const Shard& shard = shards_[shard_index(pid)];
-  auto lock = lock_shard(shard);
-  auto it = shard.entries.find(pid);
-  if (it == shard.entries.end()) return Status::NotFound("no datacube '" + pid + "'");
-  return it->second.metadata;
-}
-
 std::size_t CubeCatalog::resident_bytes() const {
   std::size_t bytes = 0;
   for (const Shard& shard : shards_) {

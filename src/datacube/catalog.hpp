@@ -4,14 +4,10 @@
 // shard. PID -> shard routing is a lock-free FNV-1a hash over the PID
 // string; PIDs themselves come from one atomic sequence, which doubles as
 // the creation-order key (list() merges the shards and sorts by it).
-//
-// Per-cube metadata lives next to the cube entry under the same shard lock,
-// so a metadata read never crosses shards.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,14 +33,11 @@ class CubeCatalog {
   /// Shared, immutable cube contents (survive catalog deletion).
   Result<std::shared_ptr<const CubeData>> find(const std::string& pid) const;
 
-  /// Removes a cube (and its metadata) from the catalog.
+  /// Removes a cube from the catalog.
   Status erase(const std::string& pid);
 
   /// All catalogued PIDs in creation order.
   std::vector<std::string> list() const;
-
-  Status set_metadata(const std::string& pid, const std::string& key, const std::string& value);
-  Result<std::map<std::string, std::string>> metadata(const std::string& pid) const;
 
   /// Bytes of values the catalogued cubes hold (a deferred cube holds none).
   std::size_t resident_bytes() const;
@@ -57,7 +50,6 @@ class CubeCatalog {
   struct Entry {
     std::shared_ptr<const CubeData> cube;
     std::uint64_t seq = 0;  ///< Creation-order key (the PID's sequence number).
-    std::map<std::string, std::string> metadata;
   };
 
   struct alignas(64) Shard {  // one cache line per shard lock

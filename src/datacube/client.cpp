@@ -76,23 +76,6 @@ Result<Cube> Cube::intercube(const Cube& other, const std::string& op,
               }));
 }
 
-Result<Cube> Cube::subset(const std::string& dim, std::size_t start, std::size_t end,
-                          const std::string& description) const {
-  if (!valid()) return Status::FailedPrecondition("subset on invalid cube");
-  Server::SessionScope scope(session_);
-  return wrap(server_, session_, retry_, with_retry(retry_, [&] {
-                return server_->subset(pid(), dim, start, end, description);
-              }));
-}
-
-Result<Cube> Cube::merge(const Cube& other, const std::string& description) const {
-  if (!valid() || !other.valid()) return Status::FailedPrecondition("merge on invalid cube");
-  Server::SessionScope scope(session_);
-  return wrap(server_, session_, retry_, with_retry(retry_, [&] {
-                return server_->merge(pid(), other.pid(), description);
-              }));
-}
-
 Status Cube::exportnc2(const std::string& output_path, const std::string& output_name) const {
   if (!valid()) return Status::FailedPrecondition("exportnc2 on invalid cube");
   std::string path = output_path;

@@ -106,13 +106,6 @@ class Cube {
   Result<Cube> intercube(const Cube& other, const std::string& op,
                          const std::string& description = "") const;
 
-  /// Inclusive index-range subset of a dimension.
-  Result<Cube> subset(const std::string& dim, std::size_t start, std::size_t end,
-                      const std::string& description = "") const;
-
-  /// Concatenate along the first explicit dimension.
-  Result<Cube> merge(const Cube& other, const std::string& description = "") const;
-
   /// Export to a CDF-lite file, PyOphidia exportnc2-style.
   Status exportnc2(const std::string& output_path, const std::string& output_name) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -353,113 +352,6 @@ std::size_t source_elements(const CubeData& cube) {
   if (!cube.deferred()) return cube.element_count();
   const Chain& chain = *cube.chain;
   return source_elements(*chain.a) + (chain.b ? source_elements(*chain.b) : 0);
-}
-
-Result<CubeData> subset(const CubeData& src, const std::string& dim_name, std::size_t start,
-                        std::size_t end, const std::string& description, std::size_t nservers) {
-  if (end < start) return Status::InvalidArgument("subset: end < start");
-
-  const std::vector<float> dense = src.to_dense();
-  const std::size_t alen = src.array_length();
-
-  auto slice_coords = [&](const DimInfo& dim) {
-    DimInfo out{dim.name, end - start + 1, {}};
-    if (!dim.coords.empty()) {
-      out.coords.assign(dim.coords.begin() + static_cast<long>(start),
-                        dim.coords.begin() + static_cast<long>(end) + 1);
-    }
-    return out;
-  };
-
-  if (src.implicit_dim.name == dim_name) {
-    if (end >= alen) return Status::OutOfRange("subset: index past implicit dimension");
-    const std::size_t new_len = end - start + 1;
-    std::vector<float> out_dense(src.row_count() * new_len);
-    for (std::size_t r = 0; r < src.row_count(); ++r) {
-      std::memcpy(out_dense.data() + r * new_len, dense.data() + r * alen + start,
-                  new_len * sizeof(float));
-    }
-    CubeData out = cube_from_dense(src.measure, src.explicit_dims, slice_coords(src.implicit_dim),
-                                   out_dense, nservers, nservers);
-    out.description = description.empty() ? "subset(" + dim_name + ")" : description;
-    return out;
-  }
-
-  // Explicit dimension subset: select rows whose index on dim_name lies in
-  // [start, end].
-  std::size_t dim_index = src.explicit_dims.size();
-  for (std::size_t d = 0; d < src.explicit_dims.size(); ++d) {
-    if (src.explicit_dims[d].name == dim_name) dim_index = d;
-  }
-  if (dim_index == src.explicit_dims.size()) {
-    return Status::NotFound("subset: no dimension '" + dim_name + "'");
-  }
-  if (end >= src.explicit_dims[dim_index].size) {
-    return Status::OutOfRange("subset: index past dimension '" + dim_name + "'");
-  }
-
-  std::vector<DimInfo> out_dims = src.explicit_dims;
-  out_dims[dim_index] = slice_coords(src.explicit_dims[dim_index]);
-
-  std::size_t out_rows = 1;
-  for (const DimInfo& d : out_dims) out_rows *= d.size;
-  std::vector<float> out_dense(out_rows * alen);
-
-  // Row-major walk over the output index space, mapping back to source rows.
-  std::vector<std::size_t> src_strides(src.explicit_dims.size(), 1);
-  for (std::size_t d = src.explicit_dims.size(); d-- > 1;) {
-    src_strides[d - 1] = src_strides[d] * src.explicit_dims[d].size;
-  }
-  std::vector<std::size_t> idx(out_dims.size(), 0);
-  for (std::size_t out_row = 0; out_row < out_rows; ++out_row) {
-    std::size_t src_row = 0;
-    for (std::size_t d = 0; d < out_dims.size(); ++d) {
-      const std::size_t src_idx = d == dim_index ? idx[d] + start : idx[d];
-      src_row += src_idx * src_strides[d];
-    }
-    std::memcpy(out_dense.data() + out_row * alen, dense.data() + src_row * alen,
-                alen * sizeof(float));
-    for (std::size_t d = out_dims.size(); d-- > 0;) {
-      if (++idx[d] < out_dims[d].size) break;
-      idx[d] = 0;
-    }
-  }
-  CubeData out = cube_from_dense(src.measure, std::move(out_dims), src.implicit_dim, out_dense,
-                                 nservers, nservers);
-  out.description = description.empty() ? "subset(" + dim_name + ")" : description;
-  return out;
-}
-
-Result<CubeData> merge(const CubeData& a, const CubeData& b, const std::string& description,
-                       std::size_t nservers) {
-  if (a.explicit_dims.empty() || b.explicit_dims.empty()) {
-    return Status::InvalidArgument("merge: cubes need an explicit dimension");
-  }
-  if (a.explicit_dims.size() != b.explicit_dims.size() || a.array_length() != b.array_length()) {
-    return Status::InvalidArgument("merge: schema mismatch");
-  }
-  for (std::size_t d = 1; d < a.explicit_dims.size(); ++d) {
-    if (a.explicit_dims[d].size != b.explicit_dims[d].size) {
-      return Status::InvalidArgument("merge: inner dimension size mismatch");
-    }
-  }
-
-  std::vector<DimInfo> out_dims = a.explicit_dims;
-  out_dims[0].size += b.explicit_dims[0].size;
-  out_dims[0].coords.clear();
-  if (!a.explicit_dims[0].coords.empty() && !b.explicit_dims[0].coords.empty()) {
-    out_dims[0].coords = a.explicit_dims[0].coords;
-    out_dims[0].coords.insert(out_dims[0].coords.end(), b.explicit_dims[0].coords.begin(),
-                              b.explicit_dims[0].coords.end());
-  }
-  std::vector<float> dense = a.to_dense();
-  const std::vector<float> b_dense = b.to_dense();
-  dense.insert(dense.end(), b_dense.begin(), b_dense.end());
-
-  CubeData out =
-      cube_from_dense(a.measure, std::move(out_dims), a.implicit_dim, dense, nservers, nservers);
-  out.description = description.empty() ? "merge" : description;
-  return out;
 }
 
 }  // namespace engine

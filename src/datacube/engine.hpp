@@ -80,15 +80,5 @@ std::shared_ptr<const CubeData> materialize(const std::shared_ptr<const CubeData
 /// materialised, its chain inputs' when deferred.
 std::size_t source_elements(const CubeData& cube);
 
-// The operators below read materialised cubes only (see materialize).
-
-/// Subsets a dimension by inclusive index range [start, end].
-Result<CubeData> subset(const CubeData& src, const std::string& dim_name, std::size_t start,
-                        std::size_t end, const std::string& description, std::size_t nservers);
-
-/// Concatenates two cubes along the first explicit dimension.
-Result<CubeData> merge(const CubeData& a, const CubeData& b, const std::string& description,
-                       std::size_t nservers);
-
 }  // namespace engine
 }  // namespace climate::datacube

@@ -307,45 +307,6 @@ Result<std::string> Server::intercube(const std::string& pid_a, const std::strin
   return register_cube(std::move(*out));
 }
 
-Result<std::string> Server::subset(const std::string& pid, const std::string& dim_name,
-                                   std::size_t start, std::size_t end,
-                                   const std::string& description) {
-  OBS_SPAN("datacube", "subset");
-  OBS_SCOPED_LATENCY("datacube.op_ns.subset");
-  OBS_COUNTER_ADD("datacube.operators", 1);
-  auto ticket = admit_op("subset");
-  if (!ticket.ok()) return ticket.status();
-  auto cube_result = lookup(pid);
-  if (!cube_result.ok()) return cube_result.status();
-  const auto src = engine::materialize(*cube_result, fragment_runner());
-  auto out = engine::subset(*src, dim_name, start, end, description, io_servers());
-  if (!out.ok()) return out.status();
-  stats_.operators_executed.add(1);
-  stats_.elements_processed.add(engine::source_elements(**cube_result));
-  return register_cube(std::move(*out));
-}
-
-Result<std::string> Server::merge(const std::string& pid_a, const std::string& pid_b,
-                                  const std::string& description) {
-  OBS_SPAN("datacube", "mergecubes");
-  OBS_SCOPED_LATENCY("datacube.op_ns.mergecubes");
-  OBS_COUNTER_ADD("datacube.operators", 1);
-  auto ticket = admit_op("mergecubes");
-  if (!ticket.ok()) return ticket.status();
-  auto a_result = lookup(pid_a);
-  if (!a_result.ok()) return a_result.status();
-  auto b_result = lookup(pid_b);
-  if (!b_result.ok()) return b_result.status();
-  const auto a = engine::materialize(*a_result, fragment_runner());
-  const auto b = engine::materialize(*b_result, fragment_runner());
-  auto out = engine::merge(*a, *b, description, io_servers());
-  if (!out.ok()) return out.status();
-  stats_.operators_executed.add(1);
-  stats_.elements_processed.add(engine::source_elements(**a_result) +
-                                engine::source_elements(**b_result));
-  return register_cube(std::move(*out));
-}
-
 Status Server::delete_cube(const std::string& pid) {
   CLIMATE_RETURN_IF_ERROR(catalog_.erase(pid));
   stats_.cubes_deleted.add(1);
@@ -389,15 +350,6 @@ Result<std::vector<float>> Server::fetch_dense(const std::string& pid) {
 }
 
 std::vector<std::string> Server::list_cubes() const { return catalog_.list(); }
-
-Status Server::set_metadata(const std::string& pid, const std::string& key,
-                            const std::string& value) {
-  return catalog_.set_metadata(pid, key, value);
-}
-
-Result<std::map<std::string, std::string>> Server::metadata(const std::string& pid) const {
-  return catalog_.metadata(pid);
-}
 
 ServerStats Server::stats() const {
   ServerStats snap;

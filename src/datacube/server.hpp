@@ -36,7 +36,6 @@
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,7 +67,7 @@ struct ServerStats {
   std::uint64_t cubes_deleted = 0;
 };
 
-/// Cube metadata snapshot returned by cubeschema().
+/// Cube schema snapshot returned by cubeschema().
 struct CubeSchema {
   std::string pid;
   std::string measure;
@@ -175,22 +174,12 @@ class Server {
   Result<std::string> intercube(const std::string& pid_a, const std::string& pid_b, InterOp op,
                                 const std::string& description = "");
 
-  /// Subsets a dimension by inclusive index range [start, end].
-  Result<std::string> subset(const std::string& pid, const std::string& dim_name,
-                             std::size_t start, std::size_t end,
-                             const std::string& description = "");
-
-  /// Concatenates two cubes along the first explicit dimension (schemas must
-  /// otherwise match).
-  Result<std::string> merge(const std::string& pid_a, const std::string& pid_b,
-                            const std::string& description = "");
-
   // ----- catalog ----------------------------------------------------------
 
   /// Removes a cube from the catalog, freeing its memory.
   Status delete_cube(const std::string& pid);
 
-  /// Schema/metadata snapshot of a cube.
+  /// Schema snapshot of a cube.
   Result<CubeSchema> cubeschema(const std::string& pid) const;
 
   /// Immutable, materialised cube contents (shared; survives catalog
@@ -203,10 +192,6 @@ class Server {
 
   /// All catalogued PIDs, in creation order.
   std::vector<std::string> list_cubes() const;
-
-  /// Key/value metadata attached to cubes.
-  Status set_metadata(const std::string& pid, const std::string& key, const std::string& value);
-  Result<std::map<std::string, std::string>> metadata(const std::string& pid) const;
 
   ServerStats stats() const;
 

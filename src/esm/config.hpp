@@ -16,8 +16,6 @@ namespace climate::esm {
 /// "future plausible projections" of section 4.2.3).
 enum class Scenario { kHistorical, kSsp245, kSsp585 };
 
-const char* scenario_name(Scenario scenario);
-
 /// Model configuration. Paper-scale values are nlat=768, nlon=1152; the
 /// scaled default keeps the 2:3 aspect ratio at 1/8 resolution.
 struct EsmConfig {

@@ -8,15 +8,6 @@
 
 namespace climate::esm {
 
-const char* scenario_name(Scenario scenario) {
-  switch (scenario) {
-    case Scenario::kHistorical: return "historical";
-    case Scenario::kSsp245: return "ssp245";
-    case Scenario::kSsp585: return "ssp585";
-  }
-  return "?";
-}
-
 ForcingTable ForcingTable::from_scenario(Scenario scenario, int start_year, int years) {
   ForcingTable table;
   table.start_year_ = start_year;

@@ -65,14 +65,4 @@ Result<ImageManifest> ContainerImageService::get(const std::string& image_id) co
   return it->second;
 }
 
-std::size_t ContainerImageService::cached_layers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return layer_cache_.size();
-}
-
-void ContainerImageService::clear_cache() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  layer_cache_.clear();
-}
-
 }  // namespace climate::hpcwaas

@@ -74,12 +74,6 @@ class ContainerImageService {
   /// Looks up a finished image by id.
   Result<ImageManifest> get(const std::string& image_id) const;
 
-  /// Cached layer count.
-  std::size_t cached_layers() const;
-
-  /// Drops the layer cache (forces cold builds).
-  void clear_cache();
-
   /// Simulated per-package build cost [ms] — deterministic in the package
   /// name and platform; exposed for the bench's reporting.
   static double package_build_ms(const std::string& package, const PlatformSpec& platform);

@@ -107,10 +107,4 @@ PipelineReport DataLogisticsService::execute(const DataPipeline& pipeline) {
   return report;
 }
 
-std::vector<std::string> DataLogisticsService::pipelines() const {
-  std::vector<std::string> names;
-  for (const auto& [name, pipeline] : registry_) names.push_back(name);
-  return names;
-}
-
 }  // namespace climate::hpcwaas

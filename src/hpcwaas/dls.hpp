@@ -73,8 +73,6 @@ class DataLogisticsService {
   /// Runs an ad-hoc pipeline.
   PipelineReport execute(const DataPipeline& pipeline);
 
-  std::vector<std::string> pipelines() const;
-
   /// Arms chaos injection on the transfer path: kDlsError rules fail the
   /// matching step with UNAVAILABLE before it touches any file (a transient
   /// transfer failure — the orchestrator's step retry absorbs it). Targets

@@ -68,31 +68,28 @@ Status HpcWaasService::undeploy_workflow(const std::string& workflow_id) {
 }
 
 Result<std::string> HpcWaasService::invoke(const std::string& workflow_id, Json params) {
-  WorkflowFn fn;
-  std::shared_ptr<ExecutionRecord> record;
-  std::string execution_id;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto wf = workflows_.find(workflow_id);
-    if (wf == workflows_.end()) return Status::NotFound("no workflow '" + workflow_id + "'");
-    // Input validation against the topology's declarations.
-    if (!params.is_object()) params = Json::object();
-    for (const TopologyInput& input : wf->second.inputs) {
-      if (!params.contains(input.name)) {
-        if (input.required) {
-          return Status::InvalidArgument("missing required input '" + input.name + "'");
-        }
-        if (!input.default_value.empty()) params[input.name] = Json(input.default_value);
+  // One critical section: the record is published with its job id, so
+  // execution() and wait() never see it without one. The job body takes the
+  // same lock first, so it starts running once this returns.
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto wf = workflows_.find(workflow_id);
+  if (wf == workflows_.end()) return Status::NotFound("no workflow '" + workflow_id + "'");
+  // Input validation against the topology's declarations.
+  if (!params.is_object()) params = Json::object();
+  for (const TopologyInput& input : wf->second.inputs) {
+    if (!params.contains(input.name)) {
+      if (input.required) {
+        return Status::InvalidArgument("missing required input '" + input.name + "'");
       }
+      if (!input.default_value.empty()) params[input.name] = Json(input.default_value);
     }
-    fn = functions_[workflow_id];
-    execution_id = "exec-" + std::to_string(next_execution_++);
-    record = std::make_shared<ExecutionRecord>();
-    record->id = execution_id;
-    record->workflow_id = workflow_id;
-    record->params = params;
-    executions_[execution_id] = record;
   }
+  const WorkflowFn fn = functions_[workflow_id];
+  const std::string execution_id = "exec-" + std::to_string(next_execution_++);
+  auto record = std::make_shared<ExecutionRecord>();
+  record->id = execution_id;
+  record->workflow_id = workflow_id;
+  record->params = params;
 
   JobSpec job_spec;
   job_spec.name = workflow_id + "/" + execution_id;
@@ -125,12 +122,9 @@ Result<std::string> HpcWaasService::invoke(const std::string& workflow_id, Json 
 #endif
     if (!ok) throw std::runtime_error(error);  // surface to the batch system too
   });
-  if (!job.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    executions_.erase(execution_id);
-    return job.status();
-  }
+  if (!job.ok()) return job.status();
   record->job = *job;
+  executions_[execution_id] = std::move(record);
   return execution_id;
 }
 
@@ -143,13 +137,15 @@ Result<ExecutionRecord> HpcWaasService::execution(const std::string& execution_i
 
 Status HpcWaasService::wait(const std::string& execution_id) {
   std::shared_ptr<ExecutionRecord> record;
+  JobId job = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = executions_.find(execution_id);
     if (it == executions_.end()) return Status::NotFound("no execution '" + execution_id + "'");
     record = it->second;
+    job = record->job;
   }
-  const Status job_status = batch_->wait(record->job);
+  const Status job_status = batch_->wait(job);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (record->state == ExecutionState::kFailed) {

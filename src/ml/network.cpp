@@ -150,19 +150,4 @@ void AdamOptimizer::step() {
   }
 }
 
-SgdOptimizer::SgdOptimizer(std::vector<Parameter*> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  for (const Parameter* p : params_) velocity_.emplace_back(p->value.size(), 0.0f);
-}
-
-void SgdOptimizer::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Parameter* p = params_[k];
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
-      velocity_[k][i] = momentum_ * velocity_[k][i] - lr_ * p->grad[i];
-      p->value[i] += velocity_[k][i];
-    }
-  }
-}
-
 }  // namespace climate::ml

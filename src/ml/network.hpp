@@ -1,5 +1,5 @@
-// Sequential network container, losses, optimizers, and weight persistence —
-// the training/inference core of the TC localizer.
+// Sequential network container, losses, the Adam optimizer, and weight
+// persistence — the training/inference core of the TC localizer.
 #pragma once
 
 #include <atomic>
@@ -82,18 +82,6 @@ class AdamOptimizer {
   std::vector<std::vector<float>> m_, v_;
   float lr_, beta1_, beta2_, eps_;
   std::size_t t_ = 0;
-};
-
-/// Plain SGD with momentum (kept as the ablation baseline).
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(std::vector<Parameter*> params, float lr = 1e-2f, float momentum = 0.9f);
-  void step();
-
- private:
-  std::vector<Parameter*> params_;
-  std::vector<std::vector<float>> velocity_;
-  float lr_, momentum_;
 };
 
 }  // namespace climate::ml

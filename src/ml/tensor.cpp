@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace climate::ml {
 
@@ -27,15 +28,6 @@ void Tensor::reshape(std::vector<std::size_t> shape) {
                                 " vs " + std::to_string(data_.size()) + ")");
   }
   shape_ = std::move(shape);
-}
-
-std::string Tensor::shape_string() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i) out += "x";
-    out += std::to_string(shape_[i]);
-  }
-  return out + "]";
 }
 
 }  // namespace climate::ml

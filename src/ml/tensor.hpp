@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,9 +50,6 @@ class Tensor {
 
   /// Reshapes in place; total size must be preserved.
   void reshape(std::vector<std::size_t> shape);
-
-  /// "[2x3x4]" rendering for diagnostics.
-  std::string shape_string() const;
 
  private:
   std::vector<std::size_t> shape_;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
 
@@ -195,33 +196,6 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
     out += metric + "_count " + std::to_string(hist.count) + "\n";
   }
   return out;
-}
-
-common::Json metrics_json(const MetricsSnapshot& snapshot) {
-  common::Json::Object counters;
-  for (const auto& [name, value] : snapshot.counters) {
-    counters[name] = static_cast<std::int64_t>(value);
-  }
-  common::Json::Object gauges;
-  for (const auto& [name, value] : snapshot.gauges) gauges[name] = value;
-  common::Json::Object histograms;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    common::Json::Array bounds;
-    for (double b : hist.bounds) bounds.push_back(b);
-    common::Json::Array counts;
-    for (std::uint64_t c : hist.counts) counts.push_back(static_cast<std::int64_t>(c));
-    common::Json::Object h;
-    h["bounds"] = common::Json(std::move(bounds));
-    h["counts"] = common::Json(std::move(counts));
-    h["count"] = static_cast<std::int64_t>(hist.count);
-    h["sum"] = hist.sum;
-    histograms[name] = common::Json(std::move(h));
-  }
-  common::Json::Object doc;
-  doc["counters"] = common::Json(std::move(counters));
-  doc["gauges"] = common::Json(std::move(gauges));
-  doc["histograms"] = common::Json(std::move(histograms));
-  return common::Json(std::move(doc));
 }
 
 bool write_text_file(const std::string& path, const std::string& content) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -64,10 +63,6 @@ std::string prom_escape_label(std::string_view value);
 /// registered help text, or a generic fallback naming the source metric) and
 /// a # TYPE line; histograms emit cumulative _bucket{le=...}, _sum, _count.
 std::string prometheus_text(const MetricsSnapshot& snapshot);
-
-/// Structured JSON dump of a metrics snapshot (benches attach this next to
-/// their timing tables).
-common::Json metrics_json(const MetricsSnapshot& snapshot);
 
 /// Writes `content` to `path`; returns false (and logs) on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);

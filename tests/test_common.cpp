@@ -88,14 +88,10 @@ TEST(Regrid, UpsamplePreservesMean) {
   EXPECT_NEAR(up.mean(), field.mean(), 0.35);
 }
 
-TEST(Strings, SplitTrimJoin) {
+TEST(Strings, SplitAndTrim) {
   EXPECT_EQ(split("a,b,,c", ',').size(), 4u);
   EXPECT_EQ(split("a,b,,c", ',')[2], "");
   EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(join({"a", "b", "c"}, "/"), "a/b/c");
-  EXPECT_TRUE(starts_with("prefix_x", "prefix"));
-  EXPECT_TRUE(ends_with("file.nc", ".nc"));
-  EXPECT_FALSE(ends_with("file.txt", ".nc"));
 }
 
 TEST(Strings, FormatAndBytes) {

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "core/workflow.hpp"
 #include "hpcwaas/service.hpp"
@@ -179,7 +180,7 @@ TEST(Containers, PlatformChangesDigests) {
   EXPECT_EQ(mn->cache_hits, 0u);  // different platform -> cold
 }
 
-TEST(Containers, LookupAndCacheManagement) {
+TEST(Containers, LookupAndEmptyName) {
   ContainerImageService service;
   ImageSpec spec;
   spec.name = "x";
@@ -188,9 +189,6 @@ TEST(Containers, LookupAndCacheManagement) {
   ASSERT_TRUE(image.ok());
   EXPECT_TRUE(service.get(image->id).ok());
   EXPECT_FALSE(service.get("sha:nope").ok());
-  EXPECT_EQ(service.cached_layers(), 2u);
-  service.clear_cache();
-  EXPECT_EQ(service.cached_layers(), 0u);
   EXPECT_FALSE(service.build(ImageSpec{}).ok());  // empty name
 }
 
@@ -586,6 +584,41 @@ TEST_F(ServiceTest, UndeployRemovesWorkflow) {
   ASSERT_TRUE(service_->undeploy_workflow(*id).ok());
   EXPECT_TRUE(service_->workflows().empty());
   EXPECT_FALSE(service_->invoke(*id, Json()).ok());
+}
+
+TEST_F(ServiceTest, PollingDuringInvokeIsRaceFree) {
+  // One thread invokes and waits while another polls for the execution
+  // that the next invoke creates and waits on it as soon as it is visible:
+  // the record must carry its batch job id from then on (run under TSan via
+  // scripts/check.sh).
+  auto id = service_->deploy_workflow(core::case_study_topology_yaml(),
+                                      [](const Json&) { return Json::object(); });
+  ASSERT_TRUE(id.ok());
+  constexpr int kExecutions = 200;
+  std::atomic<int> invoked{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_waits{0};
+  std::thread poller([&] {
+    while (!done.load()) {
+      const std::string exec_id = "exec-" + std::to_string(invoked.load() + 1);
+      if (service_->execution(exec_id).ok() && !service_->wait(exec_id).ok()) {
+        failed_waits.fetch_add(1);
+      }
+    }
+  });
+  for (int i = 0; i < kExecutions; ++i) {
+    auto exec = service_->invoke(*id, Json::object());
+    ASSERT_TRUE(exec.ok());
+    invoked.fetch_add(1);
+    ASSERT_TRUE(service_->wait(*exec).ok());
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(failed_waits.load(), 0);
+  auto last = service_->execution("exec-" + std::to_string(kExecutions));
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->state, ExecutionState::kSucceeded);
+  EXPECT_NE(last->job, 0u);
 }
 
 

@@ -49,7 +49,6 @@ TEST(Tensor, ShapeAndAccessors) {
   Tensor t4({2, 3, 4, 5});
   t4.at4(1, 2, 3, 4) = 9.0f;
   EXPECT_FLOAT_EQ(t4[((1 * 3 + 2) * 4 + 3) * 5 + 4], 9.0f);
-  EXPECT_EQ(t4.shape_string(), "[2x3x4x5]");
 }
 
 TEST(Tensor, ReshapeChecksSize) {
@@ -673,31 +672,6 @@ TEST(Optimizers, AdamReducesLossOnToyProblem) {
   }
   EXPECT_LT(last_loss, first_loss * 0.3f);
   EXPECT_LT(last_loss, 0.3f);
-}
-
-TEST(Optimizers, SgdStepsDownhill) {
-  common::Rng rng(23);
-  Sequential net;
-  net.add(std::make_unique<Dense>(1, 1, rng));
-  SgdOptimizer sgd(net.parameters(), 0.05f, 0.0f);
-  Tensor input({1, 1});
-  input[0] = 1.0f;
-  Tensor target({1, 1});
-  target[0] = 3.0f;
-  Tensor mask({1, 1});
-  mask[0] = 1.0f;
-  float first = 0, last = 0;
-  for (int i = 0; i < 100; ++i) {
-    net.zero_grad();
-    Tensor pred = net.forward(input, true);
-    Tensor grad;
-    const float loss = mse_loss(pred, target, mask, &grad);
-    if (i == 0) first = loss;
-    last = loss;
-    net.backward(grad);
-    sgd.step();
-  }
-  EXPECT_LT(last, first * 0.01f);
 }
 
 TEST(Network, SaveLoadRoundTrip) {

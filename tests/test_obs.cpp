@@ -305,16 +305,6 @@ TEST_F(ObsTest, LogSpanProviderReportsCurrentSpan) {
   EXPECT_EQ(common::log_span_provider()(), 0u);
 }
 
-TEST_F(ObsTest, MetricsJsonRoundtrips) {
-  MetricsRegistry::global().counter("json.counter")->add(9);
-  MetricsRegistry::global().histogram("json.hist", {1.0})->observe(0.5);
-  const common::Json doc = metrics_json(MetricsRegistry::global().snapshot());
-  auto parsed = common::Json::parse(doc.dump());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ((*parsed)["counters"].get_int("json.counter"), 9);
-  EXPECT_TRUE((*parsed)["histograms"].contains("json.hist"));
-}
-
 TEST_F(ObsTest, ScopedLatencyRecordsIntoHistogram) {
   {
     OBS_SCOPED_LATENCY("test.scope_ns");
