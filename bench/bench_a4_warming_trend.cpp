@@ -54,7 +54,7 @@ YearIndices run_year(climate::esm::Scenario scenario, int start_year) {
   out.heat_mean_count = heat.count.mean();
   out.heat_mean_freq = heat.frequency.mean();
   out.cold_mean_count = cold.count.mean();
-  out.warming_c = forcing.warming_c(start_year, config.climate_sensitivity_c);
+  out.warming_c = forcing.warming_c(start_year, climate::esm::kClimateSensitivityC);
   return out;
 }
 

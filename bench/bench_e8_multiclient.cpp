@@ -3,8 +3,8 @@
 //
 // The paper's workflow service is multi-tenant: several workflow executions
 // (and interactive PyOphidia sessions) hit the same Ophidia instance at
-// once. This bench drives the redesigned serving path — sharded catalog,
-// striped stats, bounded round-robin admission — with a mixed
+// once. This bench drives the serving path — one-lock catalog, striped
+// stats, bounded round-robin admission — with a mixed
 // importnc/reduce/intercube workload per session.
 //
 // Regime: latency-bound fragment access (the same simulated storage
@@ -133,7 +133,7 @@ int main() {
   const std::vector<std::size_t> session_counts = {1, 2, 4, 8, 16};
   std::vector<RunResult> results;
   std::printf("%10s %12s %12s %9s %10s %10s %12s\n", "sessions", "wall [ms]", "ops/s", "speedup",
-              "admitted", "rejected", "shard cont.");
+              "admitted", "rejected", "cat. cont.");
   double base_ops = 0;
   for (std::size_t sessions : session_counts) {
     RunResult result = run_sessions(input, sessions);

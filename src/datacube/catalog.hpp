@@ -1,12 +1,9 @@
-// Sharded cube catalog: the PID -> cube map of the datacube front-end, split
-// into independently locked shards so concurrent sessions registering,
-// looking up and deleting cubes contend only when they hash to the same
-// shard. PID -> shard routing is a lock-free FNV-1a hash over the PID
-// string; PIDs themselves come from one atomic sequence, which doubles as
-// the creation-order key (list() merges the shards and sorts by it).
+// Cube catalog: the PID -> cube map of the datacube front-end, behind one
+// mutex. PIDs come from one atomic sequence, which doubles as the
+// creation-order key (list() sorts by it). Holding one lock makes list() and
+// resident_bytes() point-in-time snapshots of the catalog.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -21,8 +18,6 @@ namespace climate::datacube {
 
 class CubeCatalog {
  public:
-  static constexpr std::size_t kShards = 16;  // power of two: shard pick is a mask
-
   CubeCatalog() = default;
   CubeCatalog(const CubeCatalog&) = delete;
   CubeCatalog& operator=(const CubeCatalog&) = delete;
@@ -42,8 +37,7 @@ class CubeCatalog {
   /// Bytes of values the catalogued cubes hold (a deferred cube holds none).
   std::size_t resident_bytes() const;
 
-  /// Times a shard lock was found held by another thread (across all
-  /// shards).
+  /// Times the catalog lock was found held by another thread.
   std::uint64_t lock_contention() const { return contention_.value(); }
 
  private:
@@ -52,18 +46,11 @@ class CubeCatalog {
     std::uint64_t seq = 0;  ///< Creation-order key (the PID's sequence number).
   };
 
-  struct alignas(64) Shard {  // one cache line per shard lock
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> entries;
-  };
+  /// Locks the catalog, counting acquisitions that had to wait.
+  std::unique_lock<std::mutex> lock() const;
 
-  /// Lock-free PID -> shard routing (FNV-1a over the PID bytes).
-  static std::size_t shard_index(const std::string& pid);
-
-  /// Locks a shard, counting acquisitions that had to wait.
-  std::unique_lock<std::mutex> lock_shard(const Shard& shard) const;
-
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, Entry> entries_;
   std::atomic<std::uint64_t> next_id_{1};
   mutable obs::Counter contention_;
 };

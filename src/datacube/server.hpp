@@ -19,8 +19,8 @@
 // deferred cube evaluate it under an admission ticket of their own.
 //
 // The serving path is built for concurrent multi-session traffic:
-//  - the catalog is sharded with per-shard locks (datacube/catalog.hpp), so
-//    sessions contend only on PID-hash collisions;
+//  - the catalog is one map behind one mutex (datacube/catalog.hpp), so its
+//    listing and resident bytes are point-in-time snapshots;
 //  - an admission layer (datacube/admission.hpp) bounds in-flight operators
 //    and serves queued sessions round-robin, rejecting with UNAVAILABLE
 //    instead of blocking unboundedly when a session's queue is full;
@@ -198,7 +198,7 @@ class Server {
   /// Bytes of values the catalogued cubes hold (a deferred cube holds none).
   std::size_t resident_bytes() const;
 
-  /// Contended catalog shard-lock acquisitions (see CubeCatalog).
+  /// Contended catalog lock acquisitions (see CubeCatalog).
   std::uint64_t catalog_contention() const { return catalog_.lock_contention(); }
 
  private:

@@ -16,6 +16,16 @@ namespace {
 /// Coarse-grid cell size for coherent noise (in grid cells).
 constexpr std::size_t kNoiseCoarse = 6;
 
+// Physics tuning.
+constexpr double kAnomalyPersistence = 0.90;    ///< AR(1) coefficient of T anomaly.
+constexpr double kAnomalyNoiseC = 0.9;          ///< Daily noise stddev [degC].
+constexpr double kDiffusion = 0.12;             ///< Lateral mixing of anomalies.
+constexpr double kAdvectionCellsPerStep = 0.4;  ///< Zonal anomaly transport.
+
+// Event seeding: expected new blocking events per day.
+constexpr double kHeatwaveSpawnPerDay = 0.9;
+constexpr double kColdwaveSpawnPerDay = 0.5;
+
 Field make_field(const LatLonGrid& grid, float fill = 0.0f) { return Field(grid, fill); }
 
 /// CPU time consumed by the calling thread [ns].
@@ -255,8 +265,7 @@ void EsmModel::fill_noise(std::uint64_t tag, int t, std::vector<double>* rows) {
 void EsmModel::spawn_thermal_events(int day) {
   const int doy = day % config_.days_per_year;
   for (int warm = 0; warm < 2; ++warm) {
-    const double mean =
-        warm ? config_.heatwave_spawn_per_day : config_.coldwave_spawn_per_day;
+    const double mean = warm ? kHeatwaveSpawnPerDay : kColdwaveSpawnPerDay;
     const int count = hash_poisson(mean, config_.seed, 0xB70B + static_cast<std::uint64_t>(warm),
                                    static_cast<std::uint64_t>(day), 0);
     for (int k = 0; k < count; ++k) {
@@ -341,10 +350,10 @@ void EsmModel::update_anomaly(int day) {
   const std::size_t nlat = grid_.nlat();
   const std::size_t nlon = grid_.nlon();
   fill_noise(0xA40A, day, &noise_anom_);
-  const double rho = config_.anomaly_persistence;
-  const double sigma = config_.anomaly_noise_c;
-  const double c = config_.advection_cells_per_step;
-  const double k = config_.diffusion;
+  const double rho = kAnomalyPersistence;
+  const double sigma = kAnomalyNoiseC;
+  const double c = kAdvectionCellsPerStep;
+  const double k = kDiffusion;
   for (std::size_t i = 0; i < nlat; ++i) {
     const float* here_row = t_anom_.data().data() + i * nlon;
     const float* north_row = t_anom_.data().data() + (i + 1 < nlat ? i + 1 : i) * nlon;
@@ -420,7 +429,7 @@ void EsmModel::step() {
   fill_noise(0x9812, step, &noise_pr_);
   fill_wind_and_imprints();
 
-  const double warming = forcing_.warming_c(year, config_.climate_sensitivity_c);
+  const double warming = forcing_.warming_c(year, kClimateSensitivityC);
   const double diurnal = diurnal_cycle_c(step_of_day, steps);
   // Vorticity scale: units 1e-5/s with the grid spacing absorbed.
   const double cell_km = 111.0 * grid_.dlat();
@@ -495,16 +504,14 @@ void EsmModel::step() {
     }
   }
 
-  // Coupler bookkeeping (exchange happens every coupling_interval_steps).
-  if (step % std::max(1, config_.coupling_interval_steps) == 0) {
-    ++coupler_.exchanges;
-    coupler_.heat_sent_atm += heat_integral;
-    coupler_.heat_received_ocean += heat_integral;  // conservative by construction
-    coupler_.momentum_sent_atm += momentum_integral;
-    coupler_.momentum_received_ocean += momentum_integral;
-    coupler_.freshwater_sent_atm += freshwater_integral;
-    coupler_.freshwater_received_ocean += freshwater_integral;
-  }
+  // Coupler bookkeeping: atmosphere and ocean exchange every step.
+  ++coupler_.exchanges;
+  coupler_.heat_sent_atm += heat_integral;
+  coupler_.heat_received_ocean += heat_integral;  // conservative by construction
+  coupler_.momentum_sent_atm += momentum_integral;
+  coupler_.momentum_received_ocean += momentum_integral;
+  coupler_.freshwater_sent_atm += freshwater_integral;
+  coupler_.freshwater_received_ocean += freshwater_integral;
 
   ++step_count_;
 }

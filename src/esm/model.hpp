@@ -8,7 +8,7 @@
 //    cyclone imprints (pressure, wind, warm core, precipitation).
 //  - Ocean: slab ocean receiving the atmosphere's heat flux through the
 //    coupler, relaxing to its own climatology; diagnostic sea-ice cover.
-//  - Coupler: mediates the exchanges each coupling interval ("every few
+//  - Coupler: mediates the exchanges every step ("every few
 //    minutes the heat, momentum and mass fluxes are sent from the atmosphere
 //    to the ocean and the SST, sea ice cover and surface velocities are sent
 //    back") and records conservation diagnostics.
@@ -167,9 +167,6 @@ class EsmModel {
  public:
   EsmModel(const EsmConfig& config, const ForcingTable& forcing);
 
-  /// Advances one six-hourly step (all components + coupling).
-  void step();
-
   /// Runs a full day (steps_per_day steps) and returns its output.
   DailyFields run_day();
 
@@ -184,6 +181,8 @@ class EsmModel {
   const CouplerDiagnostics& coupler() const { return coupler_; }
 
  private:
+  /// Advances one six-hourly step (all components + coupling).
+  void step();
   void spawn_thermal_events(int day);
   /// Sum of the active blocking events at every cell, into thermal_.
   void fill_thermal(int day);

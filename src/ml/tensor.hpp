@@ -24,14 +24,11 @@ class Tensor {
                            common::Rng& rng);
 
   const std::vector<std::size_t>& shape() const { return shape_; }
-  std::size_t rank() const { return shape_.size(); }
   std::size_t dim(std::size_t i) const { return shape_[i]; }
   std::size_t size() const { return data_.size(); }
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
-  std::vector<float>& storage() { return data_; }
-  const std::vector<float>& storage() const { return data_; }
 
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }

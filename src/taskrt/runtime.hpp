@@ -23,7 +23,7 @@
 //
 // Cluster model
 // -------------
-// Worker "nodes" are threads with a NodeSpec (cores, memory, capability
+// Worker "nodes" are threads with a NodeSpec (cores and capability
 // tags). The scheduler is locality-aware: it places each ready task on the
 // eligible node already holding the largest share of its input bytes, and
 // accounts replica copies (count + bytes, optionally time-delayed) when

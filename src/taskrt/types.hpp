@@ -133,7 +133,6 @@ struct TaskOptions {
 struct NodeSpec {
   std::string name;
   int cores = 1;
-  double memory_gb = 8.0;
   std::set<std::string> tags;  ///< Capabilities matched against constraints.
 };
 

@@ -206,6 +206,23 @@ TEST(Server, CatalogLifecycle) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.cubes_created, 1u);
   EXPECT_EQ(stats.cubes_deleted, 1u);
+
+  // Many cubes, every third deleted: the listing keeps creation order.
+  std::vector<std::string> created;
+  for (int i = 0; i < 40; ++i) {
+    created.push_back(make_test_cube(server, 2, 2, [](std::size_t, std::size_t) {
+      return 1.0f;
+    }));
+  }
+  std::vector<std::string> survivors;
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    if (i % 3 == 0) {
+      ASSERT_TRUE(server.delete_cube(created[i]).ok());
+    } else {
+      survivors.push_back(created[i]);
+    }
+  }
+  EXPECT_EQ(server.list_cubes(), survivors);
 }
 
 // Server stats are plain counters, not registry metrics: switching
