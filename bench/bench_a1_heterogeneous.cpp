@@ -29,11 +29,8 @@ WorkflowConfig hetero_config(const std::string& dir, bool heterogeneous) {
   config.esm.seed = 5;
   config.years = 2;
   config.output_dir = dir;
-  config.workers = 5;  // homogeneous pool size == hpc+data+gpu below
+  config.workers = 5;  // homogeneous pool size == the 2 hpc + 2 data + 1 gpu nodes
   config.heterogeneous = heterogeneous;
-  config.hpc_nodes = 2;
-  config.data_nodes = 2;
-  config.gpu_nodes = 1;
   config.run_ml_tc = true;
   config.tc_chunk_days = 6;
   return config;
@@ -103,7 +100,6 @@ void BM_ConstraintScheduling(benchmark::State& state) {
     for (int n = 0; n < 4; ++n) {
       climate::taskrt::NodeSpec spec;
       spec.name = "n" + std::to_string(n);
-      spec.cores = 1;
       spec.tags = {n % 2 ? "data" : "hpc"};
       options.nodes.push_back(std::move(spec));
     }

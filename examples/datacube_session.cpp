@@ -91,16 +91,15 @@ int main(int argc, char** argv) {
     std::printf("  exported %s/wave_count.nc\n", dir.c_str());
   }
 
-  // Catalog housekeeping: typed handles carry the schema snapshot, so the
-  // listing needs no further server round-trips.
-  auto handles = client.cubes();
-  std::printf("\ncubes in catalog: %zu, resident bytes: %zu\n",
-              handles.ok() ? handles->size() : 0, server.resident_bytes());
-  if (handles.ok()) {
-    for (const auto& handle : *handles) {
-      std::printf("  %s  %s (%zu elements)\n", handle.pid.c_str(), handle.schema.measure.c_str(),
-                  handle.schema.element_count);
-    }
+  // Catalog housekeeping: list the PIDs, then read each cube's schema.
+  const std::vector<std::string> pids = server.list_cubes();
+  std::printf("\ncubes in catalog: %zu, resident bytes: %zu\n", pids.size(),
+              server.resident_bytes());
+  for (const std::string& pid : pids) {
+    auto schema = server.cubeschema(pid);
+    if (!schema.ok()) continue;  // deleted concurrently between list and read
+    std::printf("  %s  %s (%zu elements)\n", pid.c_str(), schema->measure.c_str(),
+                schema->element_count);
   }
   const auto stats = server.stats();
   std::printf("framework stats: %llu operators, %llu disk reads, %llu disk writes\n",

@@ -12,15 +12,19 @@
 # Unlike a grep, this is not fooled by a word in a comment or a string, and
 # it follows macro and virtual callers.
 #
-# It is a report, not a gate: some entries are kept on purpose (test hooks,
-# reference implementations that tests compare against, file-format API).
+# Some entries are kept on purpose (test hooks, reference implementations
+# that tests compare against, file-format API); scripts/unlinked_symbols.expected
+# records them, and CI fails when the output differs from it. A new entry is
+# deleted, or added to that file on purpose; a stale entry is removed from it.
 #
 # Usage:
 #   scripts/unlinked_symbols.sh            # prints the sorted list on stdout
+#   scripts/unlinked_symbols.sh | diff scripts/unlinked_symbols.expected -
 #
 # Build trees: build-unlinked/ (benches, examples) and
 # build-unlinked/perfbench/ (perfbench against ../src).
 set -euo pipefail
+export LC_ALL=C  # byte-order sort, so the list diffs the same on every host
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${REPO_ROOT}/build-unlinked"

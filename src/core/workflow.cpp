@@ -339,7 +339,7 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
   std::shared_ptr<ml::TcLocalizer> localizer;
   bool ml_enabled = cfg.run_ml_tc && !cfg.tc_weights_path.empty();
   if (ml_enabled) {
-    localizer = std::make_shared<ml::TcLocalizer>(cfg.tc_patch, cfg.esm.seed);
+    localizer = std::make_shared<ml::TcLocalizer>(kTcPatch, cfg.esm.seed);
     const Status st = localizer->load(cfg.tc_weights_path);
     if (!st.ok()) {
       LOG_WARN(kLogTag) << "cannot load TC weights (" << st.to_string()
@@ -350,7 +350,7 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
   }
 
   // The paper regrids before tiling (section 5.4 step i).
-  const ml::TcTiling tiling = ml::TcTiling::half_resolution(grid, cfg.tc_patch);
+  const ml::TcTiling tiling = ml::TcTiling::half_resolution(grid, kTcPatch);
 
   taskrt::RuntimeOptions rt_options;
   rt_options.workers = cfg.workers;
@@ -367,14 +367,16 @@ Result<WorkflowResults> run_workflow(const WorkflowConfig& cfg) {
       for (std::size_t i = 0; i < count; ++i) {
         taskrt::NodeSpec spec;
         spec.name = std::string(prefix) + std::to_string(i);
-        spec.cores = 1;
         spec.tags = tags;
         rt_options.nodes.push_back(std::move(spec));
       }
     };
-    add_nodes(std::max<std::size_t>(1, cfg.hpc_nodes), "hpc", {"hpc"});
-    add_nodes(std::max<std::size_t>(1, cfg.data_nodes), "data", {"data"});
-    add_nodes(std::max<std::size_t>(1, cfg.gpu_nodes), "gpu", {"gpu", "data"});
+    constexpr std::size_t kHpcNodes = 2;
+    constexpr std::size_t kDataNodes = 2;
+    constexpr std::size_t kGpuNodes = 1;
+    add_nodes(kHpcNodes, "hpc", {"hpc"});
+    add_nodes(kDataNodes, "data", {"data"});
+    add_nodes(kGpuNodes, "gpu", {"gpu", "data"});
   }
   taskrt::Runtime rt(rt_options);
 

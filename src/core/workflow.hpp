@@ -46,6 +46,10 @@ using common::Json;
 using common::Result;
 using common::Status;
 
+/// CNN patch size the workflow tiles and infers with; weights for
+/// WorkflowConfig::tc_weights_path must be trained with it.
+inline constexpr std::size_t kTcPatch = 16;
+
 /// Configuration of one workflow run.
 struct WorkflowConfig {
   esm::EsmConfig esm;              ///< Model configuration (grid, days/year, seed).
@@ -59,19 +63,16 @@ struct WorkflowConfig {
   std::string tc_weights_path;     ///< Pre-trained CNN weights (empty: skip ML).
   int tc_chunk_days = 73;          ///< Days per TC preprocess/inference task.
   double tc_threshold = 0.5;       ///< CNN presence threshold.
-  std::size_t tc_patch = 16;       ///< CNN patch size.
   std::string checkpoint_dir;      ///< Task-level checkpointing (empty: off).
   double extra_task_cost_ms = 0.0; ///< Synthetic per-analysis-task compute.
 
   /// Heterogeneous deployment (the paper's future work, section 7): the
-  /// cluster gets dedicated node classes — "hpc" nodes for the simulation,
-  /// "data" nodes for analytics, a "gpu" node for CNN inference — and task
-  /// families carry matching constraints. With false (default), all workers
-  /// are identical and any task runs anywhere.
+  /// cluster gets dedicated node classes — two "hpc" nodes for the
+  /// simulation, two "data" nodes for analytics, one "gpu" node for CNN
+  /// inference — and task families carry matching constraints; `workers` is
+  /// then ignored. With false (default), all workers are identical and any
+  /// task runs anywhere.
   bool heterogeneous = false;
-  std::size_t hpc_nodes = 2;   ///< Used when heterogeneous.
-  std::size_t data_nodes = 2;
-  std::size_t gpu_nodes = 1;
 
   /// Simulated per-task container start-up cost (Singularity-style
   /// execution; 0 = bare-metal, the paper's current testbed).

@@ -32,18 +32,11 @@ auto with_retry(const std::shared_ptr<ClientRetryState>& retry, Fn&& fn) -> decl
 
 }  // namespace
 
-// The snapshot lookup is best-effort: the cube was just registered, so a
-// miss only happens if another session deleted it in the meantime, and then
-// the handle still carries the PID.
 Result<Cube> Cube::wrap(Server* server, const std::string& session,
                         const std::shared_ptr<ClientRetryState>& retry,
                         Result<std::string> pid) {
   if (!pid.ok()) return pid.status();
-  CubeHandle handle;
-  handle.pid = std::move(*pid);
-  auto schema = server->cubeschema(handle.pid);
-  if (schema.ok()) handle.schema = std::move(*schema);
-  return Cube(server, std::move(handle), session, retry);
+  return Cube(server, CubeHandle{std::move(*pid)}, session, retry);
 }
 
 Result<Cube> Cube::reduce(const std::string& op, std::size_t group,
@@ -123,23 +116,7 @@ Result<Cube> Client::create_cube(std::string measure, std::vector<DimInfo> expli
 Result<Cube> Client::open(const std::string& pid) const {
   auto schema = server_->cubeschema(pid);
   if (!schema.ok()) return schema.status();
-  CubeHandle handle;
-  handle.pid = pid;
-  handle.schema = std::move(*schema);
-  return Cube(server_, std::move(handle), session_, retry_);
-}
-
-Result<std::vector<CubeHandle>> Client::cubes() const {
-  std::vector<CubeHandle> handles;
-  for (const std::string& pid : server_->list_cubes()) {
-    auto schema = server_->cubeschema(pid);
-    if (!schema.ok()) continue;  // deleted concurrently between list and read
-    CubeHandle handle;
-    handle.pid = pid;
-    handle.schema = std::move(*schema);
-    handles.push_back(std::move(handle));
-  }
-  return handles;
+  return Cube(server_, CubeHandle{pid}, session_, retry_);
 }
 
 }  // namespace climate::datacube

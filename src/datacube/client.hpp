@@ -10,9 +10,9 @@
 //   count.exportnc2(output_path, output_name);
 //
 // The typed surface is Result-based end to end (no throwing paths):
-//  - CubeHandle is a pure value — the PID plus the schema snapshot taken
-//    when the handle was produced — safe to copy across threads and task
-//    boundaries without touching the server;
+//  - CubeHandle is a pure value — the PID alone — safe to copy across
+//    threads and task boundaries without touching the server; shape
+//    questions go to the catalog through Cube::schema();
 //  - Cube binds a handle to a server connection and dispatches operators;
 //  - every Client carries a session name, so its operators queue fairly in
 //    the server's admission layer (see datacube/admission.hpp).
@@ -66,13 +66,11 @@ struct ClientRetryState {
   }
 };
 
-/// Immutable value handle to one server-side datacube: the PID plus the
-/// schema snapshot captured when the handle was produced. Pure data (no
-/// server pointer) — the snapshot answers shape questions without a catalog
-/// round-trip, and the handle can cross task/thread boundaries freely.
+/// Immutable value handle to one server-side datacube: its PID. Pure data
+/// (no server pointer), so the handle can cross task/thread boundaries
+/// freely.
 struct CubeHandle {
   std::string pid;
-  CubeSchema schema;
 
   bool valid() const { return !pid.empty(); }
 };
@@ -86,11 +84,8 @@ class Cube {
   Cube() = default;
 
   const std::string& pid() const { return handle_.pid; }
-  /// The value handle (PID + schema snapshot at creation time).
+  /// The value handle (the PID).
   const CubeHandle& handle() const { return handle_; }
-  /// Schema captured when this cube was produced; cubes are immutable, so
-  /// the snapshot never goes stale.
-  const CubeSchema& schema_snapshot() const { return handle_.schema; }
   const std::string& session() const { return session_; }
   bool valid() const { return server_ != nullptr && handle_.valid(); }
 
@@ -109,7 +104,7 @@ class Cube {
   /// Export to a CDF-lite file, PyOphidia exportnc2-style.
   Status exportnc2(const std::string& output_path, const std::string& output_name) const;
 
-  /// Schema snapshot (fresh from the catalog; see also schema_snapshot()).
+  /// Schema from the catalog (one lookup per call).
   Result<CubeSchema> schema() const;
 
   /// Dense row-major values (synchronizes data to the client). A deferred
@@ -129,7 +124,7 @@ class Cube {
         session_(std::move(session)),
         retry_(std::move(retry)) {}
 
-  /// Binds a server-produced PID, capturing its schema snapshot.
+  /// Binds a server-produced PID.
   static Result<Cube> wrap(Server* server, const std::string& session,
                            const std::shared_ptr<ClientRetryState>& retry,
                            Result<std::string> pid);
@@ -178,19 +173,14 @@ class Client {
                            DimInfo implicit_dim, const std::vector<float>& dense,
                            std::string description = "");
 
-  /// Opens an existing cube by PID: validates it against the catalog and
-  /// captures its schema snapshot.
+  /// Opens an existing cube by PID, validated against the catalog.
   Result<Cube> open(const std::string& pid) const;
 
   /// Rebinds a handle that crossed a task/thread boundary (no server
-  /// round-trip; the handle's snapshot is kept as-is).
+  /// round-trip).
   Cube bind(CubeHandle handle) const {
     return Cube(server_, std::move(handle), session_, retry_);
   }
-
-  /// Typed catalog listing: a handle (PID + schema) per cube, creation
-  /// order.
-  Result<std::vector<CubeHandle>> cubes() const;
 
   const std::string& session() const { return session_; }
   Server& server() { return *server_; }

@@ -137,9 +137,11 @@ Result<datacube::Cube> wave_index_cube(const datacube::Cube& duration, WaveIndex
     }
     case WaveIndex::kFrequency: {
       // Total wave days / days-in-year.
+      auto schema = duration.schema();
+      if (!schema.ok()) return schema.status();
       auto total = duration.reduce("sum", 0, "Total wave days cube");
       if (!total.ok()) return total.status();
-      const std::size_t days = duration.schema_snapshot().implicit_dim.size;
+      const std::size_t days = schema->implicit_dim.size;
       auto frequency = total->apply(common::format("measure / %zu", days), "Wave frequency cube");
       (void)total->del();
       return frequency;

@@ -79,8 +79,7 @@ struct Timeline {
   std::vector<double> values;
 };
 
-/// Per-node activity summary. `utilization` is busy_ns over the makespan of
-/// a single lane; nodes with several cores can exceed 1.0.
+/// Per-node activity summary. `utilization` is busy_ns over the makespan.
 struct NodeStat {
   int node = -1;
   std::size_t tasks = 0;

@@ -143,7 +143,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
     for (std::size_t i = 0; i < n; ++i) {
       NodeSpec spec;
       spec.name = "node" + std::to_string(i);
-      spec.cores = 1;
       nodes_.push_back(std::move(spec));
     }
   } else {
@@ -160,10 +159,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
     node_runtime_.push_back(std::make_unique<NodeRuntime>());
   }
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const int cores = std::max(1, nodes_[n].cores);
-    for (int c = 0; c < cores; ++c) {
-      workers_.emplace_back([this, n] { worker_loop(static_cast<int>(n)); });
-    }
+    workers_.emplace_back([this, n] { worker_loop(static_cast<int>(n)); });
   }
 }
 
@@ -1133,7 +1129,6 @@ verify::GraphView Runtime::build_graph_view_locked() const {
     verify::GraphNode node;
     node.id = task->id;
     node.name = task->name;
-    node.deps = task->deps;
     node.accesses.reserve(task->bindings.size());
     for (const ParamBinding& binding : task->bindings) {
       verify::GraphAccess access;
@@ -1161,11 +1156,6 @@ void Runtime::lint_graph_locked(bool force) {
 verify::Report Runtime::verify_report() const {
   if (!verifier_) return verify::Report();
   return verifier_->report();
-}
-
-std::vector<verify::Diagnostic> Runtime::lint_graph() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return verify::lint_graph(build_graph_view_locked());
 }
 
 Trace Runtime::trace() const {

@@ -23,12 +23,12 @@
 //
 // Cluster model
 // -------------
-// Worker "nodes" are threads with a NodeSpec (cores and capability
-// tags). The scheduler is locality-aware: it places each ready task on the
-// eligible node already holding the largest share of its input bytes, and
-// accounts replica copies (count + bytes, optionally time-delayed) when
-// inputs must move — the runtime's "transfers data on-demand between the
-// computing nodes" behaviour.
+// Worker "nodes" are one thread each, described by a NodeSpec (name and
+// capability tags). The scheduler is locality-aware: it places each ready
+// task on the eligible node already holding the largest share of its input
+// bytes, and accounts replica copies (count + bytes, optionally
+// time-delayed) when inputs must move — the runtime's "transfers data
+// on-demand between the computing nodes" behaviour.
 //
 // Fault tolerance mirrors the COMPSs mechanisms: a task whose body throws
 // is retried up to its max_retries; a task that still fails, or that no
@@ -138,7 +138,7 @@ using TaskFn = std::function<void(TaskContext&)>;
 /// Runtime construction options.
 struct RuntimeOptions {
   /// Explicit cluster description; when empty, `workers` homogeneous
-  /// single-core nodes named "node<i>" are created.
+  /// nodes named "node<i>" are created.
   std::vector<NodeSpec> nodes;
   std::size_t workers = 4;
 
@@ -257,11 +257,6 @@ class Runtime {
   /// Snapshot of every verifier finding so far (empty when verification is
   /// off). Complete after wait_all(), which runs the graph lint.
   verify::Report verify_report() const;
-
-  /// Runs the graph lint passes over the current task graph on demand,
-  /// regardless of the verify mode (wait_all runs this automatically when
-  /// verification is armed).
-  std::vector<verify::Diagnostic> lint_graph() const;
 
  private:
   struct VersionRecord {

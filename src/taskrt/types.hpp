@@ -129,10 +129,10 @@ struct TaskOptions {
   bool durable_outputs = false;
 };
 
-/// Description of one simulated compute node of the cluster.
+/// Description of one simulated compute node of the cluster; each node runs
+/// one task at a time on its own worker thread.
 struct NodeSpec {
   std::string name;
-  int cores = 1;
   std::set<std::string> tags;  ///< Capabilities matched against constraints.
 };
 

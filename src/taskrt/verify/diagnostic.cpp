@@ -23,10 +23,7 @@ const char* diag_kind_name(DiagKind kind) {
     case DiagKind::kAliasedParams: return "aliased_params";
     case DiagKind::kSyncNeverWritten: return "sync_never_written";
     case DiagKind::kCancelledByFailure: return "cancelled_by_failure";
-    case DiagKind::kGraphCycle: return "graph_cycle";
-    case DiagKind::kUnreachableTask: return "unreachable_task";
     case DiagKind::kOrphanOutput: return "orphan_output";
-    case DiagKind::kWriteWriteRace: return "write_write_race";
     case DiagKind::kCheckpointGap: return "checkpoint_gap";
   }
   return "?";

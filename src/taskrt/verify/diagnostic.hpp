@@ -3,12 +3,12 @@
 // directionality disagrees with what the task actually did.
 //
 // Every violation the verifier (runtime directionality checking, see
-// verifier.hpp) or the graph linter (DAG pathologies, see graph_lint.hpp)
-// finds becomes one structured Diagnostic record: what kind of bug, how bad,
-// which task/parameter/datum, a human message and a fix hint. Diagnostics
-// never change runtime behaviour — they are routed through obs logging and a
-// machine-readable JSON report so mis-annotated workflows are caught in CI
-// instead of silently corrupting the dependency graph.
+// verifier.hpp) or the graph linter (dead stores and checkpoint gaps, see
+// graph_lint.hpp) finds becomes one structured Diagnostic record: what kind
+// of bug, how bad, which task/parameter/datum, a human message and a fix
+// hint. Diagnostics never change runtime behaviour — they are routed through
+// obs logging and a machine-readable JSON report so mis-annotated workflows
+// are caught in CI instead of silently corrupting the dependency graph.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +41,7 @@ enum class DiagKind {
   kCancelledByFailure,   ///< Task cancelled by an upstream failure (note;
                          ///< message carries the structured root cause).
   // --- graph lint (whole-DAG checks at sync/shutdown) ---
-  kGraphCycle,           ///< Dependency cycle: the tasks can never run.
-  kUnreachableTask,      ///< Task can never become ready (bad/cyclic deps).
   kOrphanOutput,         ///< Produced datum never read or synced.
-  kWriteWriteRace,       ///< Two writers of a datum with no ordering path.
   kCheckpointGap,        ///< Checkpoint coverage holes (dup keys, no codec).
 };
 

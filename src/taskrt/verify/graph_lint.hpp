@@ -1,24 +1,22 @@
 // Whole-DAG lint passes over a constructed task graph.
 //
 // The linter operates on a GraphView — a runtime-independent snapshot of the
-// task graph (nodes, dependency edges, per-parameter data accesses and the
-// master-side sync/release/init sets) — so the passes are pure functions that
-// tests can drive with synthetic graphs, and the Runtime can feed its real
-// graph at sync/shutdown time. Checks:
+// task graph (per-parameter data accesses and the master-side sync set) — so
+// the passes are pure functions that tests can drive with synthetic graphs,
+// and the Runtime can feed its real graph at sync/shutdown time. Checks:
 //
-//   - cycle detection (a cycle means the involved tasks can never run);
-//   - unreachable tasks (dependencies on unknown nodes, or downstream of a
-//     cycle — they would wait forever);
 //   - orphan outputs (a datum some task produced that nothing ever reads,
 //     syncs or releases: a dead store, usually a forgotten consumer or a
 //     mis-declared OUT);
-//   - write-write conflicts: two writers of the same datum with no ordering
-//     path between them — with annotation-inferred dependencies this means
-//     the final value depends on scheduling, the classic annotation race;
 //   - checkpoint-coverage gaps when checkpointing is enabled: duplicate
 //     checkpoint keys (restore collisions), keys without a usable codec
 //     (silently never saved), and checkpointed tasks whose direct producers
 //     are unkeyed (recovery re-executes the whole upstream anyway).
+//
+// Graph shapes that Runtime::submit cannot build get no pass: every inferred
+// dependency points to an earlier task, so the graph has no cycle and no
+// unreachable task, and each writer of a datum depends on its previous
+// writer, so writers are never unordered (test_properties pins this).
 #pragma once
 
 #include <set>
@@ -42,7 +40,6 @@ struct GraphAccess {
 struct GraphNode {
   TaskId id = kNoTask;
   std::string name;
-  std::vector<TaskId> deps;          ///< Predecessor task ids.
   std::vector<GraphAccess> accesses; ///< One entry per declared parameter.
   std::string checkpoint_key;        ///< Empty when not checkpointed.
   bool checkpoint_codec_ok = false;  ///< Codec usable for the key.

@@ -50,11 +50,6 @@ Report Verifier::report() const {
   return Report(std::move(all));
 }
 
-std::size_t Verifier::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return access_.size() + graph_.size();
-}
-
 common::Status Verifier::write_json_lines(const std::string& path) const {
   const Report snapshot = report();
   std::ofstream out(path, std::ios::app);

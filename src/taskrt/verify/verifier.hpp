@@ -36,8 +36,6 @@ class Verifier {
   /// Snapshot of every finding so far (access findings + last graph lint).
   Report report() const;
 
-  std::size_t size() const;
-
   /// Appends the report as one JSON line to `path` (creates the file).
   common::Status write_json_lines(const std::string& path) const;
 

@@ -40,7 +40,6 @@ RuntimeOptions pinned_cluster() {
   for (int i = 0; i < 4; ++i) {
     NodeSpec spec;
     spec.name = "node" + std::to_string(i);
-    spec.cores = 1;
     spec.tags = {i < 3 ? "a" : "b"};
     options.nodes.push_back(std::move(spec));
   }

@@ -1,7 +1,8 @@
 // Cross-module property tests: randomized CDF-lite schemas round-trip,
 // corrupted CDF-lite headers are reported without throwing, random task
-// DAGs execute in dependency order, and random datacube operator pipelines
-// agree with a dense reference implementation.
+// DAGs execute in dependency order, submit() infers exactly the last-writer
+// edges from random IN/OUT/INOUT accesses, and random datacube operator
+// pipelines agree with a dense reference implementation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -212,6 +213,99 @@ TEST_P(DagProperty, RandomDagExecutesInDependencyOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DagProperty, ::testing::Range(0, 6));
+
+// ---------------------------------------------------------------------------
+// taskrt: submit() infers exactly the last-writer dependency edges.
+// ---------------------------------------------------------------------------
+
+class DepInferenceProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DepInferenceProperty, RandomAccessesYieldLastWriterEdges) {
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7727 + 5);
+  taskrt::RuntimeOptions options;
+  options.workers = 1 + static_cast<std::size_t>(GetParam()) % 3;
+  taskrt::Runtime rt(options);
+
+  // Model of the data: its last writer (kNoTask for the master) and the IN
+  // readers since that write. Some data start without a value and may be
+  // read only once a task has written them.
+  struct Datum {
+    taskrt::DataHandle handle;
+    bool has_value = false;
+    taskrt::TaskId writer = taskrt::kNoTask;
+    std::vector<taskrt::TaskId> readers;
+  };
+  const std::size_t ndata = static_cast<std::size_t>(rng.uniform_int(3, 5));
+  std::vector<Datum> data(ndata);
+  for (Datum& datum : data) {
+    datum.has_value = rng.uniform_index(2) == 0;
+    datum.handle = datum.has_value ? rt.create_data(std::any(0)) : rt.create_data();
+  }
+
+  const int ntasks = 60;
+  std::map<taskrt::TaskId, std::set<taskrt::TaskId>> raw, waw, war;
+  for (int t = 0; t < ntasks; ++t) {
+    const taskrt::TaskId id = static_cast<taskrt::TaskId>(t) + 1;
+    std::vector<std::size_t> order(ndata);
+    for (std::size_t d = 0; d < ndata; ++d) order[d] = d;
+    for (std::size_t d = ndata; d > 1; --d) std::swap(order[d - 1], order[rng.uniform_index(d)]);
+    const std::size_t nparams = 1 + rng.uniform_index(3);
+
+    std::vector<taskrt::Param> params;
+    for (std::size_t p = 0; p < nparams; ++p) {
+      Datum& datum = data[order[p]];
+      // Only data with a value or a writer may be read.
+      const bool readable = datum.has_value || datum.writer != taskrt::kNoTask;
+      constexpr taskrt::Direction kDirections[] = {
+          taskrt::Direction::kOut, taskrt::Direction::kIn, taskrt::Direction::kInOut};
+      const taskrt::Direction dir = kDirections[readable ? rng.uniform_index(3) : 0];
+      params.push_back({datum.handle, dir});
+      if (dir != taskrt::Direction::kOut && datum.writer != taskrt::kNoTask) {
+        raw[id].insert(datum.writer);
+      }
+      if (dir != taskrt::Direction::kIn) {
+        if (datum.writer != taskrt::kNoTask) waw[id].insert(datum.writer);
+        war[id].insert(datum.readers.begin(), datum.readers.end());
+        datum.writer = id;
+        datum.readers.clear();
+      } else {
+        datum.readers.push_back(id);
+      }
+    }
+    const taskrt::TaskId submitted = rt.submit("task", params, [params](taskrt::TaskContext& ctx) {
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        if (params[p].direction != taskrt::Direction::kOut) (void)ctx.in(p);
+        if (params[p].direction != taskrt::Direction::kIn) ctx.set_out(p, std::any(1));
+      }
+    });
+    ASSERT_EQ(submitted, id);
+  }
+  for (const Datum& datum : data) {
+    if (datum.has_value || datum.writer != taskrt::kNoTask) (void)rt.sync(datum.handle);
+  }
+  rt.wait_all();
+
+  const taskrt::Trace trace = rt.trace();
+  ASSERT_EQ(trace.tasks().size(), static_cast<std::size_t>(ntasks));
+  for (const taskrt::TaskTrace& task : trace.tasks()) {
+    const std::set<taskrt::TaskId> deps(task.deps.begin(), task.deps.end());
+    for (taskrt::TaskId dep : deps) EXPECT_LT(dep, task.id) << "task " << task.id;
+    std::set<taskrt::TaskId> expected;
+    for (const auto* edges : {&raw, &waw, &war}) {
+      auto it = edges->find(task.id);
+      if (it == edges->end()) continue;
+      for (taskrt::TaskId dep : it->second) {
+        EXPECT_TRUE(deps.count(dep))
+            << "task " << task.id << " lacks its "
+            << (edges == &raw ? "RAW" : edges == &waw ? "WAW" : "WAR") << " edge on task " << dep;
+        expected.insert(dep);
+      }
+    }
+    EXPECT_EQ(deps, expected) << "task " << task.id << " has an edge no access implies";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DepInferenceProperty, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
 // datacube: random operator pipelines match a dense reference.

@@ -163,10 +163,8 @@ TEST(Runtime, ConstraintsRouteToTaggedNodes) {
   RuntimeOptions options;
   NodeSpec cpu;
   cpu.name = "cpu0";
-  cpu.cores = 1;
   NodeSpec gpu;
   gpu.name = "gpu0";
-  gpu.cores = 1;
   gpu.tags = {"gpu"};
   options.nodes = {cpu, gpu};
   Runtime rt(options);
@@ -297,31 +295,6 @@ TEST(Runtime, ContainerStartupDelaysTasks) {
   const double bare = run_with(0.0);
   const double containerized = run_with(10.0);
   EXPECT_GT(containerized, bare + 50.0);  // 10 tasks x 10 ms, minus slack
-}
-
-TEST(Runtime, MultiCoreNodeRunsTasksConcurrently) {
-  RuntimeOptions options;
-  NodeSpec fat;
-  fat.name = "fat0";
-  fat.cores = 3;
-  options.nodes = {fat};
-  Runtime rt(options);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  for (int i = 0; i < 3; ++i) {
-    DataHandle out = rt.create_data();
-    rt.submit("spin", {Out(out)}, [&](TaskContext& ctx) {
-      const int now = concurrent.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (expected < now && !peak.compare_exchange_weak(expected, now)) {
-      }
-      ctx.simulate_compute(std::chrono::milliseconds(30));
-      concurrent.fetch_sub(1);
-      ctx.set_out(0, std::any(1));
-    });
-  }
-  rt.wait_all();
-  EXPECT_GE(peak.load(), 2);  // one node, several cores
 }
 
 }  // namespace

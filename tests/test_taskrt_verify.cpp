@@ -1,6 +1,6 @@
 // Tests of the taskrt verifier: runtime directionality checking (read/write
 // sets vs declared directions), the structured DirectionalityError carried by
-// the TaskContext accessors, the whole-DAG graph linter, and the JSON report.
+// the TaskContext accessors, the graph linter, and the JSON report.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -202,42 +202,17 @@ TEST(Verify, AutoModeFollowsEnvironment) {
 
 // ---- graph linter over synthetic graphs ------------------------------------
 
-GraphNode node(TaskId id, std::string name, std::vector<TaskId> deps,
-               std::vector<GraphAccess> accesses) {
+GraphNode node(TaskId id, std::string name, std::vector<GraphAccess> accesses) {
   GraphNode n;
   n.id = id;
   n.name = std::move(name);
-  n.deps = std::move(deps);
   n.accesses = std::move(accesses);
   return n;
 }
 
-TEST(GraphLint, DetectsCycleAndDownstreamUnreachable) {
-  // 1 <-> 2 form a cycle (impossible through submit(), hence synthetic);
-  // 3 depends on the cycle and can never start either.
-  GraphView graph;
-  graph.nodes.push_back(node(1, "a", {2}, {}));
-  graph.nodes.push_back(node(2, "b", {1}, {}));
-  graph.nodes.push_back(node(3, "c", {2}, {}));
-  const std::vector<Diagnostic> diagnostics = verify::lint_graph(graph);
-  const Report report{diagnostics};
-  EXPECT_EQ(report.count(Severity::kError), 2u);
-  ASSERT_EQ(count_kind(report, DiagKind::kGraphCycle), 1u);
-  EXPECT_NE(find_kind(report, DiagKind::kGraphCycle)->message.find("->"), std::string::npos);
-  EXPECT_EQ(count_kind(report, DiagKind::kUnreachableTask), 1u);
-  EXPECT_EQ(find_kind(report, DiagKind::kUnreachableTask)->task, 3u);
-}
-
-TEST(GraphLint, DetectsDependencyOnUnknownTask) {
-  GraphView graph;
-  graph.nodes.push_back(node(1, "a", {99}, {}));
-  const Report report{verify::lint_graph(graph)};
-  EXPECT_EQ(count_kind(report, DiagKind::kUnreachableTask), 1u);
-}
-
 TEST(GraphLint, FlagsOrphanOutputUnlessConsumed) {
   GraphView graph;
-  graph.nodes.push_back(node(1, "writer", {}, {{/*data=*/7, Direction::kOut, 0, 1}}));
+  graph.nodes.push_back(node(1, "writer", {{/*data=*/7, Direction::kOut, 0, 1}}));
   EXPECT_EQ(count_kind(Report{verify::lint_graph(graph)}, DiagKind::kOrphanOutput), 1u);
 
   GraphView synced = graph;
@@ -245,34 +220,20 @@ TEST(GraphLint, FlagsOrphanOutputUnlessConsumed) {
   EXPECT_TRUE(verify::lint_graph(synced).empty());
 
   GraphView read = graph;
-  read.nodes.push_back(node(2, "reader", {1}, {{/*data=*/7, Direction::kIn, 1, 0}}));
+  read.nodes.push_back(node(2, "reader", {{/*data=*/7, Direction::kIn, 1, 0}}));
   read.synced.insert(7);  // the reader's own result is data-free
   EXPECT_TRUE(verify::lint_graph(read).empty());
-}
-
-TEST(GraphLint, FlagsUnorderedWritersOfOneDatum) {
-  GraphView graph;
-  graph.synced.insert(5);
-  graph.nodes.push_back(node(1, "w1", {}, {{5, Direction::kOut, 0, 1}}));
-  graph.nodes.push_back(node(2, "w2", {}, {{5, Direction::kOut, 0, 2}}));
-  const Report report{verify::lint_graph(graph)};
-  ASSERT_EQ(count_kind(report, DiagKind::kWriteWriteRace), 1u);
-  EXPECT_EQ(find_kind(report, DiagKind::kWriteWriteRace)->severity, Severity::kError);
-
-  GraphView ordered = graph;
-  ordered.nodes[1].deps = {1};  // w1 -> w2 ordering edge resolves the race
-  EXPECT_TRUE(verify::lint_graph(ordered).empty());
 }
 
 TEST(GraphLint, CheckpointCoverage) {
   GraphView graph;
   graph.checkpointing_enabled = true;
   graph.synced = {1, 2, 3};
-  GraphNode producer = node(1, "producer", {}, {{1, Direction::kOut, 0, 1}});
-  GraphNode keyed = node(2, "keyed", {1}, {{1, Direction::kIn, 1, 0}, {2, Direction::kOut, 0, 1}});
+  GraphNode producer = node(1, "producer", {{1, Direction::kOut, 0, 1}});
+  GraphNode keyed = node(2, "keyed", {{1, Direction::kIn, 1, 0}, {2, Direction::kOut, 0, 1}});
   keyed.checkpoint_key = "year1";
   keyed.checkpoint_codec_ok = true;
-  GraphNode duplicate = node(3, "dup", {}, {{3, Direction::kOut, 0, 1}});
+  GraphNode duplicate = node(3, "dup", {{3, Direction::kOut, 0, 1}});
   duplicate.checkpoint_key = "year1";  // collides with `keyed`
   duplicate.checkpoint_codec_ok = true;
   graph.nodes = {producer, keyed, duplicate};
@@ -292,16 +253,14 @@ TEST(GraphLint, CheckpointCoverage) {
   EXPECT_EQ(count_kind(Report{verify::lint_graph(disabled)}, DiagKind::kCheckpointGap), 0u);
 }
 
-TEST(GraphLint, RuntimeLintGraphIsCallableWithoutVerifyMode) {
-  RuntimeOptions options;
-  options.verify = VerifyMode::kOff;
-  Runtime rt(options);
+TEST(GraphLint, RuntimeFeedsItsGraphAtWaitAll) {
+  Runtime rt(verified_options());
   DataHandle out = rt.create_data();
   rt.submit("writer", {Out(out)}, [](TaskContext& ctx) { ctx.set_out(0, std::any(1)); });
   rt.wait_all();
-  const std::vector<Diagnostic> diagnostics = rt.lint_graph();  // out never consumed
-  ASSERT_EQ(diagnostics.size(), 1u);
-  EXPECT_EQ(diagnostics[0].kind, DiagKind::kOrphanOutput);
+  const Report report = rt.verify_report();  // out never consumed
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].kind, DiagKind::kOrphanOutput);
 }
 
 // ---- report plumbing -------------------------------------------------------
