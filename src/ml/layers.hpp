@@ -1,11 +1,10 @@
 // Neural-network layers with forward and backward passes, implemented
 // directly (no BLAS); the TC localizer runs on 16x16 patches. The forward
-// passes of Conv2D and Dense, the hot layers, run in SSE register tiles, and
-// the backward passes loop row-wise over raw pointers, while every output and
-// gradient element is summed in the order a per-element loop would use
-// (bit-identical results; DESIGN.md "CNN hot path"). Inference writes no
-// layer state (scratch is per call), so one network can serve concurrent
-// forward(training=false) calls.
+// and backward passes of Conv2D and Dense, the hot layers, run in SSE
+// register tiles, while every output and gradient element is summed in the
+// order a per-element loop would use (bit-identical results; DESIGN.md "CNN
+// hot path"). Inference writes no layer state (scratch is per call), so one
+// network can serve concurrent forward(training=false) calls.
 #pragma once
 
 #include <memory>
@@ -31,6 +30,9 @@ class Layer {
   virtual ~Layer() = default;
   virtual Tensor forward(const Tensor& input, bool training) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// backward() without the input gradient, which nothing reads for a
+  /// network's first layer: only the parameter gradients accumulate.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
   virtual std::vector<Parameter*> parameters() { return {}; }
   virtual std::string name() const = 0;
 };
@@ -43,6 +45,7 @@ class Conv2D : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "conv2d"; }
 

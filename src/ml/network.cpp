@@ -43,8 +43,10 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
 }
 
 void Sequential::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -180,9 +180,11 @@ Runtime::~Runtime() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       // Final lint: refresh findings with the complete sync picture
-      // (wait_all lints too, but syncs may have happened since).
+      // (wait_all lints too, but syncs may have happened since). Only its
+      // findings are logged and counted.
       lint_graph_locked(/*force=*/true);
     }
+    verifier_->log_graph_diagnostics();
     if (const char* report_path = std::getenv("CLIMATE_VERIFY_REPORT")) {
       const Status st = verifier_->write_json_lines(report_path);
       if (!st.ok()) {

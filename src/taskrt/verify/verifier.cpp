@@ -1,7 +1,6 @@
 #include "taskrt/verify/verifier.hpp"
 
 #include <fstream>
-#include <set>
 
 #include "common/log.hpp"
 #include "obs/obs.hpp"
@@ -35,12 +34,12 @@ void Verifier::add(Diagnostic diagnostic) {
 
 void Verifier::set_graph_diagnostics(std::vector<Diagnostic> diagnostics) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::set<std::string> known;
-  for (const Diagnostic& diagnostic : graph_) known.insert(diagnostic.to_string());
-  for (const Diagnostic& diagnostic : diagnostics) {
-    if (!known.count(diagnostic.to_string())) log_diagnostic(diagnostic);
-  }
   graph_ = std::move(diagnostics);
+}
+
+void Verifier::log_graph_diagnostics() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Diagnostic& diagnostic : graph_) log_diagnostic(diagnostic);
 }
 
 Report Verifier::report() const {

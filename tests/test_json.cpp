@@ -1,6 +1,8 @@
 // Unit tests for the JSON parser/serializer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/json.hpp"
 
 namespace climate::common {
@@ -129,6 +131,28 @@ TEST(Json, NumberEdgeCases) {
   EXPECT_DOUBLE_EQ(Json::parse("0.5e-2")->as_number(), 0.005);
   EXPECT_DOUBLE_EQ(Json::parse("-0")->as_number(), 0.0);
   EXPECT_FALSE(Json::parse("01abc").ok());
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull) {
+  EXPECT_EQ(Json(std::nan("")).dump(), "null");
+  EXPECT_EQ(Json(HUGE_VAL).dump(), "null");
+  EXPECT_EQ(Json(-HUGE_VAL).dump(), "null");
+  Json ratios = Json::array();
+  ratios.push_back(Json(0.25));
+  ratios.push_back(Json(std::nan("")));
+  const std::string text = ratios.dump();
+  EXPECT_EQ(text, "[0.25,null]");
+  auto again = Json::parse(text);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_TRUE((*again)[1].is_null());
+}
+
+TEST(Json, RejectsNumbersThatOverflow) {
+  EXPECT_FALSE(Json::parse("[2.5e358]").ok());
+  EXPECT_FALSE(Json::parse("-1e400").ok());
+  EXPECT_FALSE(Json::parse("{\"x\": 1e999}").ok());
+  EXPECT_DOUBLE_EQ(Json::parse("1.7976931348623157e308")->as_number(), 1.7976931348623157e308);
+  EXPECT_DOUBLE_EQ(Json::parse("1e-400")->as_number(), 0.0);  // underflow is kept
 }
 
 }  // namespace

@@ -539,6 +539,101 @@ TEST(Layers, Conv2DForwardMatchesPerElementLoop) {
   }
 }
 
+// The per-element Conv2D backward that the register-tiled one replaced: per
+// output gradient g at (b, f, y, x), in ascending order, the bias grad adds g,
+// and every in-plane tap (c, ky, kx) adds g * input to its weight grad and
+// g * weight to the input grad it came from. So a weight's grad runs over
+// (b, y, x) ascending and an input element's over (f, ky descending, kx
+// descending), from +0.
+struct ConvBackwardPerElement {
+  Tensor weight, weight_grad, bias_grad;
+
+  Tensor backward(const Tensor& input, const Tensor& grad_output) {
+    const std::size_t B = input.dim(0), C = input.dim(1), H = input.dim(2), W = input.dim(3);
+    const std::size_t F = weight.dim(0);
+    const long k = static_cast<long>(weight.dim(2));
+    const long p = k / 2;
+    Tensor grad_input(input.shape());
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t f = 0; f < F; ++f) {
+        for (std::size_t y = 0; y < H; ++y) {
+          for (std::size_t x = 0; x < W; ++x) {
+            const float g = grad_output.at4(b, f, y, x);
+            bias_grad[f] += g;
+            for (std::size_t c = 0; c < C; ++c) {
+              for (long ky = 0; ky < k; ++ky) {
+                const long iy = static_cast<long>(y) + ky - p;
+                if (iy < 0 || iy >= static_cast<long>(H)) continue;
+                for (long kx = 0; kx < k; ++kx) {
+                  const long ix = static_cast<long>(x) + kx - p;
+                  if (ix < 0 || ix >= static_cast<long>(W)) continue;
+                  const auto uy = static_cast<std::size_t>(iy), ux = static_cast<std::size_t>(ix);
+                  const auto uky = static_cast<std::size_t>(ky), ukx = static_cast<std::size_t>(kx);
+                  weight_grad.at4(f, c, uky, ukx) += g * input.at4(b, c, uy, ux);
+                  grad_input.at4(b, c, uy, ux) += g * weight.at4(f, c, uky, ukx);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    return grad_input;
+  }
+};
+
+// Conv2D's backward against the per-element loop, bit for bit, on random
+// shapes: B 1-6, C 1-9 and F 1-11 (mostly not multiples of the tiles' 4 and
+// 8), K 1/3/5, planes 1-13 wide and high (planes smaller than the kernel
+// too), ±0 inputs, and two accumulating passes with a third of the gradients
+// ±0. Every third trial has an ±Inf or NaN weight: its product with the +0
+// padding around an edge would turn input grads into NaN, so this checks
+// that out-of-plane taps are skipped. backward_params() accumulates the same
+// parameter grads.
+TEST(Layers, Conv2DBackwardMatchesPerElementLoop) {
+  common::Rng rng(4712);
+  const std::size_t kernels[] = {1, 3, 5};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t B = 1 + rng.uniform_index(6), C = 1 + rng.uniform_index(9),
+                      F = 1 + rng.uniform_index(11), K = kernels[rng.uniform_index(3)],
+                      H = 1 + rng.uniform_index(13), W = 1 + rng.uniform_index(13);
+    Conv2D conv(C, F, K, rng), params_only(C, F, K, rng);
+    Parameter* weight = conv.parameters()[0];
+    Parameter* bias = conv.parameters()[1];
+    if (trial % 3 == 0) {
+      const float kSpecials[] = {INFINITY, -INFINITY, NAN};
+      weight->value[rng.uniform_index(weight->value.size())] = kSpecials[rng.uniform_index(3)];
+    }
+    params_only.parameters()[0]->value = weight->value;
+    ConvBackwardPerElement ref{weight->value, Tensor(weight->value.shape()), Tensor({F})};
+    const Tensor input = random_tensor({B, C, H, W}, rng, /*specials=*/false);
+    conv.forward(input, true);
+    params_only.forward(input, true);
+    const std::string shape = "B" + std::to_string(B) + " C" + std::to_string(C) + " F" +
+                              std::to_string(F) + " K" + std::to_string(K) + " " +
+                              std::to_string(H) + "x" + std::to_string(W);
+    for (int pass = 0; pass < 2; ++pass) {
+      const Tensor grad = random_grad({B, F, H, W}, rng);
+      const Tensor grad_input = conv.backward(grad);
+      params_only.backward_params(grad);
+      const Tensor expected = ref.backward(input, grad);
+      ASSERT_EQ(grad_input.shape(), expected.shape());
+      ASSERT_EQ(first_bit_difference(grad_input, expected), grad_input.size())
+          << shape << " grad_input, pass " << pass;
+      ASSERT_EQ(first_bit_difference(weight->grad, ref.weight_grad), weight->grad.size())
+          << shape << " weight grad, pass " << pass;
+      ASSERT_EQ(first_bit_difference(bias->grad, ref.bias_grad), bias->grad.size())
+          << shape << " bias grad, pass " << pass;
+      ASSERT_EQ(first_bit_difference(params_only.parameters()[0]->grad, weight->grad),
+                weight->grad.size())
+          << shape << " backward_params weight grad, pass " << pass;
+      ASSERT_EQ(first_bit_difference(params_only.parameters()[1]->grad, bias->grad),
+                bias->grad.size())
+          << shape << " backward_params bias grad, pass " << pass;
+    }
+  }
+}
+
 // The per-element Dense loops that the register-tiled forward and the
 // row-wise backward replaced. Forward: bias, then x * w over n ascending,
 // skipping x == 0. Backward: per (b, m) with g != 0, the bias, weight and
