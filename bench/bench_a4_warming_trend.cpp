@@ -40,8 +40,8 @@ YearIndices run_year(climate::esm::Scenario scenario, int start_year) {
   std::vector<climate::common::Field> tasmax_days, tasmin_days;
   for (int d = 0; d < config.days_per_year; ++d) {
     climate::esm::DailyFields day = model.run_day();
-    tasmax_days.push_back(std::move(day.tasmax));
-    tasmin_days.push_back(std::move(day.tasmin));
+    tasmax_days.push_back(std::move(day.daily[climate::esm::kTasmax]));
+    tasmin_days.push_back(std::move(day.daily[climate::esm::kTasmin]));
   }
   // Fixed reference baseline (pre-industrial-ish: zero GHG offset), the
   // "historical averages" all scenarios are compared against.

@@ -69,14 +69,17 @@ void print_skill() {
   double infer_ms = 0;
   for (int day = 0; day < days; ++day) {
     const climate::esm::DailyFields fields = model.run_day();
+    const auto& psl = fields.steps[climate::esm::kPsl];
+    const auto& wspd = fields.steps[climate::esm::kWspd];
+    const auto& vort = fields.steps[climate::esm::kVort850];
     for (int s = 0; s < config.steps_per_day; ++s) {
       const auto su = static_cast<std::size_t>(s);
       const int step = day * config.steps_per_day + s;
-      per_step.push_back(climate::extremes::detect_candidates(
-          fields.psl[su], fields.wspd[su], fields.vort850[su], grid, step));
+      per_step.push_back(
+          climate::extremes::detect_candidates(psl[su], wspd[su], vort[su], grid, step));
       const auto t0 = std::chrono::steady_clock::now();
       const auto patches =
-          tiling.tile(fields.psl[su], fields.wspd[su], fields.vort850[su], fields.tas);
+          tiling.tile(psl[su], wspd[su], vort[su], fields.daily[climate::esm::kTas]);
       const auto outputs = localizer.infer(patches);
       infer_ms += std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                       .count();

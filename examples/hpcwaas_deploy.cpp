@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
         config.esm.nlat = 32;
         config.esm.nlon = 48;
         config.esm.days_per_year = 20;
-        config.years = static_cast<int>(params.get_number("years", 1));
+        // The service checked `years` against its declared integer type, and
+        // filled in the topology's default when the request left it out.
+        config.years = static_cast<int>(params.get_int("years"));
         config.output_dir = out_dir + "/run";
         config.workers = 3;
         config.run_ml_tc = false;

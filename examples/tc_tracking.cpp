@@ -52,15 +52,18 @@ int main(int argc, char** argv) {
   std::vector<climate::extremes::DetectionFix> ml_fixes;
   for (int day = 0; day < days; ++day) {
     const climate::esm::DailyFields fields = model.run_day();
+    const auto& psl = fields.steps[climate::esm::kPsl];
+    const auto& wspd = fields.steps[climate::esm::kWspd];
+    const auto& vort = fields.steps[climate::esm::kVort850];
     for (int s = 0; s < config.steps_per_day; ++s) {
       const int step = day * config.steps_per_day + s;
       const auto su = static_cast<std::size_t>(s);
       // Deterministic scheme.
-      per_step.push_back(climate::extremes::detect_candidates(
-          fields.psl[su], fields.wspd[su], fields.vort850[su], grid, step));
+      per_step.push_back(
+          climate::extremes::detect_candidates(psl[su], wspd[su], vort[su], grid, step));
       // CNN pipeline (regrid -> tile -> infer -> geo-reference).
-      for (const auto& det : localizer.detect(fields.psl[su], fields.wspd[su], fields.vort850[su],
-                                              fields.tas, tiling, 0.5)) {
+      for (const auto& det : localizer.detect(psl[su], wspd[su], vort[su],
+                                              fields.daily[climate::esm::kTas], tiling, 0.5)) {
         ml_fixes.push_back({step, det.lat, det.lon});
       }
     }

@@ -268,7 +268,8 @@ Result<float> pretrain_tc_localizer(const esm::EsmConfig& base_config,
       const int step = day * config.steps_per_day + s;
       const auto su = static_cast<std::size_t>(s);
       std::vector<ml::TcPatch> patches =
-          tiling.tile(fields.psl[su], fields.wspd[su], fields.vort850[su], fields.tas);
+          tiling.tile(fields.steps[esm::kPsl][su], fields.steps[esm::kWspd][su],
+                      fields.steps[esm::kVort850][su], fields.daily[esm::kTas]);
       // Ground-truth centres at this step, in grid coordinates.
       std::vector<std::pair<double, double>> centers;
       for (const esm::CycloneTruth& truth : model.events().cyclones) {

@@ -16,12 +16,14 @@ const DailyDiagnostics& DiagnosticsRecorder::record(const DailyFields& day,
   for (std::size_t i = 0; i < grid.nlat(); ++i) {
     const double w = grid.area_weight(i);
     for (std::size_t j = 0; j < grid.nlon(); ++j) {
-      row.global_mean_tas_c += w * day.tas.at(i, j);
-      row.global_mean_pr_mmday += w * day.pr.at(i, j);
-      row.ice_area_fraction += w * day.sic.at(i, j);
-      max_tas = std::max(max_tas, static_cast<double>(day.tas.at(i, j)));
-      for (const auto& psl : day.psl) min_psl = std::min(min_psl, static_cast<double>(psl.at(i, j)));
-      for (const auto& wspd : day.wspd) {
+      row.global_mean_tas_c += w * day.daily[kTas].at(i, j);
+      row.global_mean_pr_mmday += w * day.daily[kPr].at(i, j);
+      row.ice_area_fraction += w * day.daily[kSic].at(i, j);
+      max_tas = std::max(max_tas, static_cast<double>(day.daily[kTas].at(i, j)));
+      for (const auto& psl : day.steps[kPsl]) {
+        min_psl = std::min(min_psl, static_cast<double>(psl.at(i, j)));
+      }
+      for (const auto& wspd : day.steps[kWspd]) {
         max_wspd = std::max(max_wspd, static_cast<double>(wspd.at(i, j)));
       }
     }

@@ -26,8 +26,6 @@ constexpr double kAdvectionCellsPerStep = 0.4;  ///< Zonal anomaly transport.
 constexpr double kHeatwaveSpawnPerDay = 0.9;
 constexpr double kColdwaveSpawnPerDay = 0.5;
 
-Field make_field(const LatLonGrid& grid, float fill = 0.0f) { return Field(grid, fill); }
-
 /// CPU time consumed by the calling thread [ns].
 std::int64_t thread_cpu_ns() {
   timespec ts{};
@@ -143,35 +141,35 @@ void step_cells(const StepRow& r, std::size_t j, __m128d ve, __m128d vw) {
       _mm_max_pd(zero, _mm_min_pd(k(1.0), _mm_div_pd(_mm_sub_pd(k(-0.5), sst), k(1.3))));
 
   // --- daily aggregation ---
-  store<N>(r.psl + j, psl);
-  store<N>(r.ua850 + j, u);
-  store<N>(r.va850 + j, v);
-  store<N>(r.wspd + j, speed);
-  store<N>(r.vort850 + j, vort);
-  store<N>(r.pr6h + j, pr_rate);
+  store<N>(r.steps[kPsl] + j, psl);
+  store<N>(r.steps[kUa850] + j, u);
+  store<N>(r.steps[kVa850] + j, v);
+  store<N>(r.steps[kWspd] + j, speed);
+  store<N>(r.steps[kVort850] + j, vort);
+  store<N>(r.steps[kPr6h] + j, pr_rate);
 
   const __m128 temp_f = _mm_cvtpd_ps(temp);
-  store_ps<N>(r.tas + j, _mm_add_ps(load_ps<N>(r.tas + j),
-                                    _mm_cvtpd_ps(_mm_mul_pd(temp, k(r.inv_steps)))));
-  store_ps<N>(r.tasmin + j, _mm_min_ps(temp_f, load_ps<N>(r.tasmin + j)));
-  store_ps<N>(r.tasmax + j, _mm_max_ps(temp_f, load_ps<N>(r.tasmax + j)));
-  store_ps<N>(r.pr + j, _mm_add_ps(load_ps<N>(r.pr + j),
-                                   _mm_cvtpd_ps(_mm_mul_pd(pr_rate, k(r.inv_steps)))));
-  store<N>(r.sst + j, sst);
-  store<N>(r.sic + j, ice);
-  store<N>(r.ts + j, _mm_add_pd(_mm_mul_pd(k(0.3), temp), _mm_mul_pd(k(0.7), sst)));
-  store<N>(r.hfls + j, _mm_max_pd(_mm_mul_pd(k(0.6), heat_flux), zero));
-  store<N>(r.hfss + j, _mm_mul_pd(k(0.4), heat_flux));
-  store<N>(r.clt + j,
+  store_ps<N>(r.daily[kTas] + j, _mm_add_ps(load_ps<N>(r.daily[kTas] + j),
+                                            _mm_cvtpd_ps(_mm_mul_pd(temp, k(r.inv_steps)))));
+  store_ps<N>(r.daily[kTasmin] + j, _mm_min_ps(temp_f, load_ps<N>(r.daily[kTasmin] + j)));
+  store_ps<N>(r.daily[kTasmax] + j, _mm_max_ps(temp_f, load_ps<N>(r.daily[kTasmax] + j)));
+  store_ps<N>(r.daily[kPr] + j, _mm_add_ps(load_ps<N>(r.daily[kPr] + j),
+                                           _mm_cvtpd_ps(_mm_mul_pd(pr_rate, k(r.inv_steps)))));
+  store<N>(r.daily[kSst] + j, sst);
+  store<N>(r.daily[kSic] + j, ice);
+  store<N>(r.daily[kTs] + j, _mm_add_pd(_mm_mul_pd(k(0.3), temp), _mm_mul_pd(k(0.7), sst)));
+  store<N>(r.daily[kHfls] + j, _mm_max_pd(_mm_mul_pd(k(0.6), heat_flux), zero));
+  store<N>(r.daily[kHfss] + j, _mm_mul_pd(k(0.4), heat_flux));
+  store<N>(r.daily[kClt] + j,
            _mm_max_pd(k(0.02), _mm_min_pd(k(0.98), _mm_div_pd(pr_rate, k(12.0)))));
-  store<N>(r.rh + j,
+  store<N>(r.daily[kRh] + j,
            _mm_max_pd(k(0.05),
                       _mm_min_pd(k(1.0), _mm_add_pd(k(0.45), _mm_div_pd(pr_rate, k(25.0))))));
-  store<N>(r.zg500 + j,
+  store<N>(r.daily[kZg500] + j,
            _mm_add_pd(_mm_add_pd(k(5500.0), _mm_mul_pd(k(8.0), _mm_sub_pd(psl, k(1013.0)))),
                       _mm_mul_pd(k(1.8), temp)));
-  store<N>(r.uas + j, _mm_mul_pd(k(0.8), u));
-  store<N>(r.vas + j, _mm_mul_pd(k(0.8), v));
+  store<N>(r.daily[kUas] + j, _mm_mul_pd(k(0.8), u));
+  store<N>(r.daily[kVas] + j, _mm_mul_pd(k(0.8), v));
 }
 
 }  // namespace
@@ -379,31 +377,16 @@ void EsmModel::update_anomaly(int day) {
 
 void EsmModel::begin_day(int day) {
   const int steps = config_.steps_per_day;
-  today_ = DailyFields{};
   today_.day_of_run = day;
   today_.day_of_year = day % config_.days_per_year;
   today_.year = config_.start_year + day / config_.days_per_year;
   today_.co2_ppm = forcing_.co2_ppm(today_.year);
-  today_.psl.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.ua850.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.va850.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.wspd.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.vort850.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.pr6h.assign(static_cast<std::size_t>(steps), make_field(grid_));
-  today_.tas = make_field(grid_);
-  today_.tasmin = make_field(grid_, 1e30f);
-  today_.tasmax = make_field(grid_, -1e30f);
-  today_.pr = make_field(grid_);
-  today_.sst = make_field(grid_);
-  today_.sic = make_field(grid_);
-  today_.ts = make_field(grid_);
-  today_.hfls = make_field(grid_);
-  today_.hfss = make_field(grid_);
-  today_.clt = make_field(grid_);
-  today_.rh = make_field(grid_);
-  today_.zg500 = make_field(grid_);
-  today_.uas = make_field(grid_);
-  today_.vas = make_field(grid_);
+  for (std::size_t v = 0; v < kStepVars; ++v) {
+    today_.steps[v].assign(static_cast<std::size_t>(steps), Field(grid_, kDailyVariables[v].start));
+  }
+  for (std::size_t v = 0; v < kDailyVars; ++v) {
+    today_.daily[v] = Field(grid_, daily_variable(v).start);
+  }
 }
 
 void EsmModel::step() {
@@ -475,26 +458,8 @@ void EsmModel::step() {
     row.pr_noise_lower = noise_pr_.data() + at.node * nlon;
     row.pr_noise_upper = row.pr_noise_lower + nlon;
     row.sst_state = row_of(sst_, here);
-    row.psl = row_of(today_.psl[s], here);
-    row.ua850 = row_of(today_.ua850[s], here);
-    row.va850 = row_of(today_.va850[s], here);
-    row.wspd = row_of(today_.wspd[s], here);
-    row.vort850 = row_of(today_.vort850[s], here);
-    row.pr6h = row_of(today_.pr6h[s], here);
-    row.tas = row_of(today_.tas, here);
-    row.tasmin = row_of(today_.tasmin, here);
-    row.tasmax = row_of(today_.tasmax, here);
-    row.pr = row_of(today_.pr, here);
-    row.sst = row_of(today_.sst, here);
-    row.sic = row_of(today_.sic, here);
-    row.ts = row_of(today_.ts, here);
-    row.hfls = row_of(today_.hfls, here);
-    row.hfss = row_of(today_.hfss, here);
-    row.clt = row_of(today_.clt, here);
-    row.rh = row_of(today_.rh, here);
-    row.zg500 = row_of(today_.zg500, here);
-    row.uas = row_of(today_.uas, here);
-    row.vas = row_of(today_.vas, here);
+    for (std::size_t v = 0; v < kStepVars; ++v) row.steps[v] = row_of(today_.steps[v][s], here);
+    for (std::size_t v = 0; v < kDailyVars; ++v) row.daily[v] = row_of(today_.daily[v], here);
     step_row(row);
     // The integrals add the row's fluxes cell by cell, in grid order.
     for (std::size_t j = 0; j < nlon; ++j) {

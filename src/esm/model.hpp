@@ -18,7 +18,8 @@
 // forcing alone; golden digests in tests/test_esm.cpp pin its fields.
 #pragma once
 
-#include <memory>
+#include <array>
+#include <iterator>
 #include <vector>
 
 #include "common/grid.hpp"
@@ -32,37 +33,71 @@ namespace climate::esm {
 using common::Field;
 using common::LatLonGrid;
 
-/// One simulated day of model output (the contents of one daily NetCDF-like
-/// file: 6-hourly instantaneous fields plus daily statistics, ~20 variables).
+/// The six-hourly variables of a daily file, in file order: the indices of
+/// DailyFields::steps and StepRow::steps.
+enum StepVar : std::size_t { kPsl, kUa850, kVa850, kWspd, kVort850, kPr6h, kStepVars };
+
+/// The daily statistics, in file order after the six-hourly variables: the
+/// indices of DailyFields::daily and StepRow::daily.
+enum DailyVar : std::size_t {
+  kTas, kTasmin, kTasmax, kPr, kSst, kSic, kTs, kHfls, kHfss, kClt, kRh, kZg500, kUas, kVas,
+  kDailyVars
+};
+
+enum class VarKind {
+  kSixHourly,  ///< steps_per_day planes, written over (lat, lon, time).
+  kDaily,      ///< One daily-statistic plane, written over (lat, lon).
+};
+
+/// One variable of the daily file.
+struct DailyVariable {
+  const char* name;
+  VarKind kind;
+  float start;  ///< The value each of a day's planes starts from.
+};
+
+/// The daily file (paper section 5.2), one row per variable in file order:
+/// the six-hourly instantaneous fields, then the daily statistics.
+inline constexpr DailyVariable kDailyVariables[] = {
+    {"psl", VarKind::kSixHourly, 0.0f},      // Sea-level pressure [hPa].
+    {"ua850", VarKind::kSixHourly, 0.0f},    // Zonal wind at 850 hPa [m/s].
+    {"va850", VarKind::kSixHourly, 0.0f},    // Meridional wind [m/s].
+    {"wspd", VarKind::kSixHourly, 0.0f},     // Wind speed [m/s].
+    {"vort850", VarKind::kSixHourly, 0.0f},  // Relative vorticity [1e-5 1/s].
+    {"pr6h", VarKind::kSixHourly, 0.0f},     // Precipitation rate [mm/day].
+    {"tas", VarKind::kDaily, 0.0f},          // Mean near-surface temperature [degC].
+    {"tasmin", VarKind::kDaily, 1e30f},      // Daily minimum [degC].
+    {"tasmax", VarKind::kDaily, -1e30f},     // Daily maximum [degC].
+    {"pr", VarKind::kDaily, 0.0f},           // Mean precipitation [mm/day].
+    {"sst", VarKind::kDaily, 0.0f},          // Sea-surface temperature [degC].
+    {"sic", VarKind::kDaily, 0.0f},          // Sea-ice fraction [0..1].
+    {"ts", VarKind::kDaily, 0.0f},           // Surface (skin) temperature [degC].
+    {"hfls", VarKind::kDaily, 0.0f},         // Latent heat flux [W/m2].
+    {"hfss", VarKind::kDaily, 0.0f},         // Sensible heat flux [W/m2].
+    {"clt", VarKind::kDaily, 0.0f},          // Cloud cover fraction [0..1].
+    {"rh", VarKind::kDaily, 0.0f},           // Relative humidity [0..1].
+    {"zg500", VarKind::kDaily, 0.0f},        // 500 hPa geopotential height [m].
+    {"uas", VarKind::kDaily, 0.0f},          // Near-surface zonal wind [m/s].
+    {"vas", VarKind::kDaily, 0.0f},          // Near-surface meridional wind [m/s].
+};
+
+/// The row of daily statistic `v` (a DailyVar) in kDailyVariables; the row of
+/// six-hourly variable `v` (a StepVar) is kDailyVariables[v].
+constexpr const DailyVariable& daily_variable(std::size_t v) {
+  return kDailyVariables[kStepVars + v];
+}
+
+static_assert(std::size(kDailyVariables) == std::size_t{kStepVars} + kDailyVars);
+
+/// One simulated day of model output: the contents of one daily file.
 struct DailyFields {
   int year = 0;
   int day_of_year = 0;  ///< 0-based.
   int day_of_run = 0;   ///< 0-based across the whole simulation.
   double co2_ppm = 0.0;
 
-  // Six-hourly instantaneous fields, one per step of the day.
-  std::vector<Field> psl;      ///< Sea-level pressure [hPa].
-  std::vector<Field> ua850;    ///< Zonal wind at 850 hPa [m/s].
-  std::vector<Field> va850;    ///< Meridional wind [m/s].
-  std::vector<Field> wspd;     ///< Wind speed [m/s].
-  std::vector<Field> vort850;  ///< Relative vorticity [1e-5 1/s].
-  std::vector<Field> pr6h;     ///< Precipitation rate [mm/day].
-
-  // Daily statistics.
-  Field tas;     ///< Mean near-surface temperature [degC].
-  Field tasmin;  ///< Daily minimum [degC].
-  Field tasmax;  ///< Daily maximum [degC].
-  Field pr;      ///< Mean precipitation [mm/day].
-  Field sst;     ///< Sea-surface temperature [degC].
-  Field sic;     ///< Sea-ice fraction [0..1].
-  Field ts;      ///< Surface (skin) temperature [degC].
-  Field hfls;    ///< Latent heat flux [W/m2].
-  Field hfss;    ///< Sensible heat flux [W/m2].
-  Field clt;     ///< Cloud cover fraction [0..1].
-  Field rh;      ///< Relative humidity [0..1].
-  Field zg500;   ///< 500 hPa geopotential height [m].
-  Field uas;     ///< Near-surface zonal wind [m/s].
-  Field vas;     ///< Near-surface meridional wind [m/s].
+  std::array<std::vector<Field>, kStepVars> steps;  ///< One plane per step of the day.
+  std::array<Field, kDailyVars> daily;
 };
 
 /// Conservation bookkeeping of the coupler: what the atmosphere sent must
@@ -128,28 +163,9 @@ struct StepRow {
 
   float* sst_state = nullptr;  ///< Slab-ocean temperature, advanced in place.
 
-  // The step's six-hourly fields.
-  float* psl = nullptr;
-  float* ua850 = nullptr;
-  float* va850 = nullptr;
-  float* wspd = nullptr;
-  float* vort850 = nullptr;
-  float* pr6h = nullptr;
-  // The daily fields; tas and pr accumulate, tasmin and tasmax fold.
-  float* tas = nullptr;
-  float* tasmin = nullptr;
-  float* tasmax = nullptr;
-  float* pr = nullptr;
-  float* sst = nullptr;
-  float* sic = nullptr;
-  float* ts = nullptr;
-  float* hfls = nullptr;
-  float* hfss = nullptr;
-  float* clt = nullptr;
-  float* rh = nullptr;
-  float* zg500 = nullptr;
-  float* uas = nullptr;
-  float* vas = nullptr;
+  float* steps[kStepVars] = {};  ///< The step's six-hourly planes.
+  /// The daily planes; tas and pr accumulate, tasmin and tasmax fold.
+  float* daily[kDailyVars] = {};
 
   // Per-cell coupler fluxes, for the in-order integral pass.
   double* heat_flux = nullptr;       ///< [W/m2]

@@ -42,9 +42,9 @@ std::string daily_filename(const std::string& dir, int year, int day_of_year) {
 }
 
 std::vector<std::string> daily_variable_names() {
-  return {"psl",  "ua850", "va850", "wspd", "vort850", "pr6h", "tas",  "tasmin",
-          "tasmax", "pr",   "sst",   "sic",  "ts",      "hfls", "hfss", "clt",
-          "rh",   "zg500", "uas",   "vas"};
+  std::vector<std::string> names;
+  for (const DailyVariable& var : kDailyVariables) names.emplace_back(var.name);
+  return names;
 }
 
 Result<std::uint64_t> write_daily_file(const std::string& path, const DailyFields& day,
@@ -54,7 +54,7 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
   auto writer = ncio::FileWriter::create(path);
   if (!writer.ok()) return writer.status();
 
-  const std::size_t nstep = day.psl.size();
+  const std::size_t nstep = day.steps.front().size();
   auto check = [](auto result) -> Status {
     return result.ok() ? Status::Ok() : result.status();
   };
@@ -67,12 +67,9 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
 
   const std::vector<std::string> step_dims = {"lat", "lon", "time"};
   const std::vector<std::string> daily_dims = {"lat", "lon"};
-  for (const char* name : {"psl", "ua850", "va850", "wspd", "vort850", "pr6h"}) {
-    CLIMATE_RETURN_IF_ERROR(check(writer->def_var(name, ncio::DType::kFloat32, step_dims)));
-  }
-  for (const char* name : {"tas", "tasmin", "tasmax", "pr", "sst", "sic", "ts", "hfls", "hfss",
-                           "clt", "rh", "zg500", "uas", "vas"}) {
-    CLIMATE_RETURN_IF_ERROR(check(writer->def_var(name, ncio::DType::kFloat32, daily_dims)));
+  for (const DailyVariable& var : kDailyVariables) {
+    const auto& dims = var.kind == VarKind::kSixHourly ? step_dims : daily_dims;
+    CLIMATE_RETURN_IF_ERROR(check(writer->def_var(var.name, ncio::DType::kFloat32, dims)));
   }
   CLIMATE_RETURN_IF_ERROR(writer->put_attr("", "year", static_cast<std::int64_t>(day.year)));
   CLIMATE_RETURN_IF_ERROR(
@@ -81,8 +78,10 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
       writer->put_attr("", "day_of_run", static_cast<std::int64_t>(day.day_of_run)));
   CLIMATE_RETURN_IF_ERROR(writer->put_attr("", "co2_ppm", day.co2_ppm));
   CLIMATE_RETURN_IF_ERROR(writer->put_attr("", "model", std::string("CMCC-CM3-lite")));
-  CLIMATE_RETURN_IF_ERROR(writer->put_attr("tasmax", "units", std::string("degC")));
-  CLIMATE_RETURN_IF_ERROR(writer->put_attr("psl", "units", std::string("hPa")));
+  CLIMATE_RETURN_IF_ERROR(
+      writer->put_attr(daily_variable(kTasmax).name, "units", std::string("degC")));
+  CLIMATE_RETURN_IF_ERROR(
+      writer->put_attr(kDailyVariables[kPsl].name, "units", std::string("hPa")));
   CLIMATE_RETURN_IF_ERROR(writer->end_def());
 
   CLIMATE_RETURN_IF_ERROR(writer->put_var("lat", grid.lats().data(), grid.lats().size()));
@@ -92,34 +91,16 @@ Result<std::uint64_t> write_daily_file(const std::string& path, const DailyField
   CLIMATE_RETURN_IF_ERROR(writer->put_var("time", times.data(), times.size()));
 
   std::vector<float> interleaved;
-  auto put_steps = [&](const char* name, const std::vector<Field>& steps) -> Status {
-    interleave_steps(steps, interleaved);
-    return writer->put_var(name, interleaved.data(), interleaved.size());
-  };
-  CLIMATE_RETURN_IF_ERROR(put_steps("psl", day.psl));
-  CLIMATE_RETURN_IF_ERROR(put_steps("ua850", day.ua850));
-  CLIMATE_RETURN_IF_ERROR(put_steps("va850", day.va850));
-  CLIMATE_RETURN_IF_ERROR(put_steps("wspd", day.wspd));
-  CLIMATE_RETURN_IF_ERROR(put_steps("vort850", day.vort850));
-  CLIMATE_RETURN_IF_ERROR(put_steps("pr6h", day.pr6h));
-
-  auto put_daily = [&](const char* name, const Field& field) -> Status {
-    return writer->put_var(name, field.data().data(), field.size());
-  };
-  CLIMATE_RETURN_IF_ERROR(put_daily("tas", day.tas));
-  CLIMATE_RETURN_IF_ERROR(put_daily("tasmin", day.tasmin));
-  CLIMATE_RETURN_IF_ERROR(put_daily("tasmax", day.tasmax));
-  CLIMATE_RETURN_IF_ERROR(put_daily("pr", day.pr));
-  CLIMATE_RETURN_IF_ERROR(put_daily("sst", day.sst));
-  CLIMATE_RETURN_IF_ERROR(put_daily("sic", day.sic));
-  CLIMATE_RETURN_IF_ERROR(put_daily("ts", day.ts));
-  CLIMATE_RETURN_IF_ERROR(put_daily("hfls", day.hfls));
-  CLIMATE_RETURN_IF_ERROR(put_daily("hfss", day.hfss));
-  CLIMATE_RETURN_IF_ERROR(put_daily("clt", day.clt));
-  CLIMATE_RETURN_IF_ERROR(put_daily("rh", day.rh));
-  CLIMATE_RETURN_IF_ERROR(put_daily("zg500", day.zg500));
-  CLIMATE_RETURN_IF_ERROR(put_daily("uas", day.uas));
-  CLIMATE_RETURN_IF_ERROR(put_daily("vas", day.vas));
+  for (std::size_t v = 0; v < kStepVars; ++v) {
+    interleave_steps(day.steps[v], interleaved);
+    CLIMATE_RETURN_IF_ERROR(
+        writer->put_var(kDailyVariables[v].name, interleaved.data(), interleaved.size()));
+  }
+  for (std::size_t v = 0; v < kDailyVars; ++v) {
+    const Field& field = day.daily[v];
+    CLIMATE_RETURN_IF_ERROR(
+        writer->put_var(daily_variable(v).name, field.data().data(), field.size()));
+  }
 
   const std::uint64_t bytes = writer->total_bytes();
   CLIMATE_RETURN_IF_ERROR(writer->close());

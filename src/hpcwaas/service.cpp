@@ -75,13 +75,15 @@ Result<std::string> HpcWaasService::invoke(const std::string& workflow_id, Json 
   auto wf = workflows_.find(workflow_id);
   if (wf == workflows_.end()) return Status::NotFound("no workflow '" + workflow_id + "'");
   // Input validation against the topology's declarations.
-  if (!params.is_object()) params = Json::object();
+  if (params.is_null()) params = Json::object();
+  if (!params.is_object()) return Status::InvalidArgument("execution inputs must be an object");
   for (const TopologyInput& input : wf->second.inputs) {
-    if (!params.contains(input.name)) {
-      if (input.required) {
-        return Status::InvalidArgument("missing required input '" + input.name + "'");
-      }
-      if (!input.default_value.empty()) params[input.name] = Json(input.default_value);
+    if (params.contains(input.name)) {
+      CLIMATE_RETURN_IF_ERROR(check_input(input, params[input.name]));
+    } else if (input.required) {
+      return Status::InvalidArgument("missing required input '" + input.name + "'");
+    } else if (!input.default_value.is_null()) {
+      params[input.name] = input.default_value;
     }
   }
   const WorkflowFn fn = functions_[workflow_id];
@@ -261,7 +263,7 @@ HttpResponse HpcWaasService::rest(const std::string& method, const std::string& 
       spec["name"] = input.name;
       spec["type"] = input.type;
       spec["required"] = input.required;
-      if (!input.default_value.empty()) spec["default"] = input.default_value;
+      if (!input.default_value.is_null()) spec["default"] = input.default_value;
       inputs.push_back(std::move(spec));
     }
     response["inputs"] = std::move(inputs);

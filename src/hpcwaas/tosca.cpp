@@ -1,5 +1,7 @@
 #include "hpcwaas/tosca.hpp"
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/strings.hpp"
@@ -75,11 +77,22 @@ namespace {
 
 std::string json_to_property(const Json& value) {
   if (value.is_string()) return value.as_string();
-  if (value.is_number() || value.is_bool() || value.is_null()) return value.dump();
   return value.dump();
 }
 
 }  // namespace
+
+Status check_input(const TopologyInput& input, const Json& value) {
+  const std::string& type = input.type;
+  const double x = value.is_number() ? value.as_number() : 0.0;
+  const bool finite = value.is_number() && std::isfinite(x);
+  const bool ok = (type == "string" && value.is_string()) ||
+                  (type == "boolean" && value.is_bool()) || (type == "float" && finite) ||
+                  (type == "integer" && finite && x == std::trunc(x) &&
+                   x >= std::numeric_limits<int>::min() && x <= std::numeric_limits<int>::max());
+  if (ok) return Status::Ok();
+  return Status::InvalidArgument("input '" + input.name + "' is not a valid " + type);
+}
 
 Result<Topology> topology_from_json(const Json& doc) {
   Topology topology;
@@ -93,8 +106,10 @@ Result<Topology> topology_from_json(const Json& doc) {
       input.name = name;
       input.type = spec.get_string("type", "string");
       input.required = spec.get_bool("required", false);
-      const Json& dflt = spec["default"];
-      if (!dflt.is_null()) input.default_value = json_to_property(dflt);
+      input.default_value = spec["default"];
+      if (!input.default_value.is_null()) {
+        CLIMATE_RETURN_IF_ERROR(check_input(input, input.default_value));
+      }
       topology.inputs.push_back(std::move(input));
     }
   }

@@ -42,10 +42,16 @@ struct NodeTemplate {
 /// A workflow input declaration.
 struct TopologyInput {
   std::string name;
+  /// One of the TOSCA types string, integer, float or boolean.
   std::string type = "string";
-  std::string default_value;
+  Json default_value;  ///< Of the declared type; null when there is none.
   bool required = false;
 };
+
+/// OK when `value` is of `input`'s declared type: an integer is a finite,
+/// integral number inside int, a float a finite number. INVALID_ARGUMENT
+/// otherwise, and for every value of a type that is not one of the four.
+Status check_input(const TopologyInput& input, const Json& value);
 
 /// A parsed, validated topology.
 struct Topology {

@@ -1,6 +1,7 @@
 #include "hpcwaas/yaml.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -56,7 +57,8 @@ Json parse_scalar(const std::string& token) {
   if (token == "null" || token == "~") return Json(nullptr);
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  if (end && *end == '\0' && end != token.c_str()) return Json(value);
+  // "inf", "nan" or "1e999" stays a string: JSON has no non-finite numbers.
+  if (end && *end == '\0' && end != token.c_str() && std::isfinite(value)) return Json(value);
   return Json(token);
 }
 

@@ -837,7 +837,8 @@ void Runtime::abort_workflow_locked(TaskRecord& task, const std::string& error) 
   }
   // The first failure is the cause; a task still running at the abort may
   // fail after it.
-  if (fatal_error_.empty()) fatal_error_ = "task '" + task.name + "' failed: " + error;
+  const bool aborts = fatal_error_.empty();
+  if (aborts) fatal_error_ = "task '" + task.name + "' failed: " + error;
   const std::string cause = "task " + std::to_string(task.id) + " ('" + task.name + "')";
   for (TaskId succ : task.successors) {
     cancel_locked(*tasks_[succ - 1], task.id, "cancelled by failure of " + cause);
@@ -847,6 +848,15 @@ void Runtime::abort_workflow_locked(TaskRecord& task, const std::string& error) 
     if (other->state == TaskState::kPending || other->state == TaskState::kReady) {
       cancel_locked(*other, task.id, "cancelled: workflow aborted by failure of " + cause);
     }
+  }
+  if (aborts && verifier_) {
+    verify::Diagnostic diag;
+    diag.kind = verify::DiagKind::kCancelledByFailure;
+    diag.severity = verify::Severity::kNote;
+    diag.task = task.id;
+    diag.task_name = task.name;
+    diag.message = "tasks not yet running cancelled by failure of " + cause;
+    verifier_->add(std::move(diag));
   }
   completion_cv_.notify_all();
   scheduler_cv_.notify_all();
@@ -892,15 +902,6 @@ void Runtime::cancel_locked(TaskRecord& task, TaskId cause, const std::string& r
   if (task.live_attempt >= 0) {
     task.cancel->store(true);
     task.live_attempt = -1;
-  }
-  if (verifier_) {
-    verify::Diagnostic diag;
-    diag.kind = verify::DiagKind::kCancelledByFailure;
-    diag.severity = verify::Severity::kNote;
-    diag.task = task.id;
-    diag.task_name = task.name;
-    diag.message = reason;
-    verifier_->add(std::move(diag));
   }
   for (TaskId succ : task.successors) cancel_locked(*tasks_[succ - 1], task.id, reason);
 }
@@ -964,6 +965,13 @@ void Runtime::handle_node_death_locked(std::size_t node_index) {
       if (other->state == TaskState::kPending || other->state == TaskState::kReady) {
         cancel_locked(*other, kNoTask, "cancelled: all nodes failed");
       }
+    }
+    if (verifier_) {
+      verify::Diagnostic diag;
+      diag.kind = verify::DiagKind::kCancelledByFailure;
+      diag.severity = verify::Severity::kNote;
+      diag.message = "tasks not yet running cancelled: all nodes failed";
+      verifier_->add(std::move(diag));
     }
   }
   scheduler_cv_.notify_all();

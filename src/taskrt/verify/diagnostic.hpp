@@ -38,8 +38,8 @@ enum class DiagKind {
   kInNeverRead,          ///< IN declared but never read through the context.
   kAliasedParams,        ///< Same data handle bound to two params of one task.
   kSyncNeverWritten,     ///< sync() on a handle nothing wrote or will write.
-  kCancelledByFailure,   ///< Task cancelled by an upstream failure (note;
-                         ///< message carries the structured root cause).
+  kCancelledByFailure,   ///< A failure aborted the workflow (note; one per
+                         ///< abort, each cancelled task's cause is in its trace).
   // --- graph lint (whole-DAG checks at sync/shutdown) ---
   kOrphanOutput,         ///< Produced datum never read or synced.
   kCheckpointGap,        ///< Checkpoint coverage holes (dup keys, no codec).

@@ -234,29 +234,29 @@ TEST(Model, DailyFieldsPhysicallyPlausible) {
   ForcingTable forcing = ForcingTable::from_scenario(config.scenario, config.start_year, 2);
   EsmModel model(config, forcing);
   DailyFields day = model.run_day();
-  ASSERT_EQ(day.psl.size(), 4u);
+  ASSERT_EQ(day.steps[kPsl].size(), 4u);
   EXPECT_EQ(day.year, 2020);
   EXPECT_EQ(day.day_of_year, 0);
   for (std::size_t i = 0; i < config.nlat; ++i) {
     for (std::size_t j = 0; j < config.nlon; ++j) {
-      EXPECT_GE(day.tasmax.at(i, j), day.tasmin.at(i, j));
-      EXPECT_GE(day.tas.at(i, j), day.tasmin.at(i, j) - 1e-3);
-      EXPECT_LE(day.tas.at(i, j), day.tasmax.at(i, j) + 1e-3);
-      EXPECT_GT(day.tas.at(i, j), -90.0f);
-      EXPECT_LT(day.tas.at(i, j), 65.0f);
-      EXPECT_GT(day.psl[0].at(i, j), 850.0f);
-      EXPECT_LT(day.psl[0].at(i, j), 1080.0f);
-      EXPECT_GE(day.pr.at(i, j), 0.0f);
-      EXPECT_GE(day.sic.at(i, j), 0.0f);
-      EXPECT_LE(day.sic.at(i, j), 1.0f);
-      EXPECT_GE(day.sst.at(i, j), -1.81f);
-      EXPECT_GE(day.rh.at(i, j), 0.0f);
-      EXPECT_LE(day.rh.at(i, j), 1.0f);
+      EXPECT_GE(day.daily[kTasmax].at(i, j), day.daily[kTasmin].at(i, j));
+      EXPECT_GE(day.daily[kTas].at(i, j), day.daily[kTasmin].at(i, j) - 1e-3);
+      EXPECT_LE(day.daily[kTas].at(i, j), day.daily[kTasmax].at(i, j) + 1e-3);
+      EXPECT_GT(day.daily[kTas].at(i, j), -90.0f);
+      EXPECT_LT(day.daily[kTas].at(i, j), 65.0f);
+      EXPECT_GT(day.steps[kPsl][0].at(i, j), 850.0f);
+      EXPECT_LT(day.steps[kPsl][0].at(i, j), 1080.0f);
+      EXPECT_GE(day.daily[kPr].at(i, j), 0.0f);
+      EXPECT_GE(day.daily[kSic].at(i, j), 0.0f);
+      EXPECT_LE(day.daily[kSic].at(i, j), 1.0f);
+      EXPECT_GE(day.daily[kSst].at(i, j), -1.81f);
+      EXPECT_GE(day.daily[kRh].at(i, j), 0.0f);
+      EXPECT_LE(day.daily[kRh].at(i, j), 1.0f);
     }
   }
   // Tropics warmer than poles on average.
   const std::size_t eq = config.nlat / 2;
-  EXPECT_GT(day.tas.at(eq, 0), day.tas.at(config.nlat - 1, 0));
+  EXPECT_GT(day.daily[kTas].at(eq, 0), day.daily[kTas].at(config.nlat - 1, 0));
 }
 
 TEST(Model, GhgWarmingRaisesTemperatures) {
@@ -274,7 +274,7 @@ TEST(Model, GhgWarmingRaisesTemperatures) {
   const DailyFields hot = hot_model.run_day();
   // Same doy (0), same seed -> same noise; GHG offset dominates the diff of
   // global means.
-  EXPECT_GT(hot.tas.mean(), cold.tas.mean() + 0.5);
+  EXPECT_GT(hot.daily[kTas].mean(), cold.daily[kTas].mean() + 0.5);
 }
 
 TEST(Model, EventLogPopulated) {
@@ -321,22 +321,30 @@ TEST(Writer, DailyFileRoundTrip) {
   ASSERT_TRUE(tasmax.ok());
   EXPECT_EQ(tasmax->nlat(), config.nlat);
   for (std::size_t c = 0; c < tasmax->size(); ++c) {
-    EXPECT_FLOAT_EQ((*tasmax)[c], day.tasmax[c]);
+    EXPECT_FLOAT_EQ((*tasmax)[c], day.daily[kTasmax][c]);
   }
   auto psl = read_daily_steps(path, "psl");
   ASSERT_TRUE(psl.ok());
   ASSERT_EQ(psl->size(), 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     for (std::size_t c = 0; c < (*psl)[s].size(); ++c) {
-      EXPECT_FLOAT_EQ((*psl)[s][c], day.psl[s][c]);
+      EXPECT_FLOAT_EQ((*psl)[s][c], day.steps[kPsl][s][c]);
     }
   }
-  // All 20 documented variables present.
+  // The 20 documented variables (paper section 5.2), in file order after the
+  // coordinates, written out here so that the table cannot drift unnoticed.
+  const std::vector<std::string> documented = {
+      "psl", "ua850", "va850", "wspd", "vort850", "pr6h", "tas",  "tasmin", "tasmax", "pr",
+      "sst", "sic",   "ts",    "hfls", "hfss",    "clt",  "rh",   "zg500",  "uas",    "vas"};
+  EXPECT_EQ(daily_variable_names(), documented);
   auto reader = climate::ncio::FileReader::open(path);
   ASSERT_TRUE(reader.ok());
-  for (const std::string& name : daily_variable_names()) {
-    ASSERT_TRUE(reader->var_info(name).ok()) << name;
-  }
+  std::vector<std::string> in_file;
+  for (const climate::ncio::VarInfo& var : reader->vars()) in_file.push_back(var.name);
+  const std::vector<std::string> coordinates = {"lat", "lon", "time"};
+  ASSERT_EQ(in_file.size(), coordinates.size() + documented.size());
+  EXPECT_EQ(std::vector<std::string>(in_file.begin(), in_file.begin() + 3), coordinates);
+  EXPECT_EQ(std::vector<std::string>(in_file.begin() + 3, in_file.end()), documented);
   fs::remove_all(dir);
 }
 
@@ -478,24 +486,19 @@ TEST(Writer, SinkDestructorJoinsWhenSimulationThrows) {
   fs::remove_all(dir);
 }
 
-/// Every daily variable with its name, in daily_variable_names() order: each
-/// six-hourly variable step by step, then the 14 daily statistics.
+/// Every daily variable with its name, in the order of kDailyVariables: each
+/// six-hourly variable step by step, then the daily statistics.
 std::vector<std::pair<std::string, const Field*>> all_fields(const DailyFields& day) {
   std::vector<std::pair<std::string, const Field*>> out;
-  const std::pair<const char*, const std::vector<Field>*> steps[] = {
-      {"psl", &day.psl},   {"ua850", &day.ua850},     {"va850", &day.va850},
-      {"wspd", &day.wspd}, {"vort850", &day.vort850}, {"pr6h", &day.pr6h}};
-  for (const auto& [name, fields] : steps) {
-    for (std::size_t s = 0; s < fields->size(); ++s) {
-      out.emplace_back(std::string(name) + "[" + std::to_string(s) + "]", &(*fields)[s]);
+  for (std::size_t v = 0; v < kStepVars; ++v) {
+    for (std::size_t s = 0; s < day.steps[v].size(); ++s) {
+      out.emplace_back(std::string(kDailyVariables[v].name) + "[" + std::to_string(s) + "]",
+                       &day.steps[v][s]);
     }
   }
-  const std::pair<const char*, const Field*> daily[] = {
-      {"tas", &day.tas},   {"tasmin", &day.tasmin}, {"tasmax", &day.tasmax}, {"pr", &day.pr},
-      {"sst", &day.sst},   {"sic", &day.sic},       {"ts", &day.ts},         {"hfls", &day.hfls},
-      {"hfss", &day.hfss}, {"clt", &day.clt},       {"rh", &day.rh},         {"zg500", &day.zg500},
-      {"uas", &day.uas},   {"vas", &day.vas}};
-  for (const auto& [name, field] : daily) out.emplace_back(name, field);
+  for (std::size_t v = 0; v < kDailyVars; ++v) {
+    out.emplace_back(daily_variable(v).name, &day.daily[v]);
+  }
   return out;
 }
 
@@ -700,34 +703,37 @@ void reference_step_row(const ReferenceRow& c, const StepRow& r) {
     const double ice = std::clamp((-0.5 - sst) / 1.3, 0.0, 1.0);
 
     // --- daily aggregation ---
-    r.psl[j] = static_cast<float>(psl);
-    r.ua850[j] = static_cast<float>(u);
-    r.va850[j] = static_cast<float>(v);
-    r.wspd[j] = static_cast<float>(speed);
-    r.vort850[j] = static_cast<float>(vort);
-    r.pr6h[j] = static_cast<float>(pr_rate);
+    r.steps[kPsl][j] = static_cast<float>(psl);
+    r.steps[kUa850][j] = static_cast<float>(u);
+    r.steps[kVa850][j] = static_cast<float>(v);
+    r.steps[kWspd][j] = static_cast<float>(speed);
+    r.steps[kVort850][j] = static_cast<float>(vort);
+    r.steps[kPr6h][j] = static_cast<float>(pr_rate);
 
-    r.tas[j] += static_cast<float>(temp * inv_steps);
-    r.tasmin[j] = std::min(r.tasmin[j], static_cast<float>(temp));
-    r.tasmax[j] = std::max(r.tasmax[j], static_cast<float>(temp));
-    r.pr[j] += static_cast<float>(pr_rate * inv_steps);
-    r.sst[j] = static_cast<float>(sst);
-    r.sic[j] = static_cast<float>(ice);
-    r.ts[j] = static_cast<float>(0.3 * temp + 0.7 * sst);
-    r.hfls[j] = static_cast<float>(std::max(0.0, 0.6 * heat_flux));
-    r.hfss[j] = static_cast<float>(0.4 * heat_flux);
-    r.clt[j] = static_cast<float>(std::clamp(pr_rate / 12.0, 0.02, 0.98));
-    r.rh[j] = static_cast<float>(std::clamp(0.45 + pr_rate / 25.0, 0.05, 1.0));
-    r.zg500[j] = static_cast<float>(5500.0 + 8.0 * (psl - 1013.0) + 1.8 * temp);
-    r.uas[j] = static_cast<float>(0.8 * u);
-    r.vas[j] = static_cast<float>(0.8 * v);
+    r.daily[kTas][j] += static_cast<float>(temp * inv_steps);
+    r.daily[kTasmin][j] = std::min(r.daily[kTasmin][j], static_cast<float>(temp));
+    r.daily[kTasmax][j] = std::max(r.daily[kTasmax][j], static_cast<float>(temp));
+    r.daily[kPr][j] += static_cast<float>(pr_rate * inv_steps);
+    r.daily[kSst][j] = static_cast<float>(sst);
+    r.daily[kSic][j] = static_cast<float>(ice);
+    r.daily[kTs][j] = static_cast<float>(0.3 * temp + 0.7 * sst);
+    r.daily[kHfls][j] = static_cast<float>(std::max(0.0, 0.6 * heat_flux));
+    r.daily[kHfss][j] = static_cast<float>(0.4 * heat_flux);
+    r.daily[kClt][j] = static_cast<float>(std::clamp(pr_rate / 12.0, 0.02, 0.98));
+    r.daily[kRh][j] = static_cast<float>(std::clamp(0.45 + pr_rate / 25.0, 0.05, 1.0));
+    r.daily[kZg500][j] = static_cast<float>(5500.0 + 8.0 * (psl - 1013.0) + 1.8 * temp);
+    r.daily[kUas][j] = static_cast<float>(0.8 * u);
+    r.daily[kVas][j] = static_cast<float>(0.8 * v);
   }
 }
 
-/// Output arrays of one row, wired into a StepRow. The in/out arrays (slab
-/// SST and the daily accumulators) start from `init`.
+/// Output arrays of one row, wired into a StepRow: the slab SST, then the
+/// 20 outputs in the order of kDailyVariables. The in/out arrays (slab SST
+/// and the daily accumulators) start from `init`.
 struct RowOutputs {
-  static constexpr int kFloatRows = 21;  // the slab SST and the 20 outputs
+  static constexpr int kFloatRows = 1 + kStepVars + kDailyVars;
+  /// The row of daily statistic `v`.
+  static constexpr int daily_row(DailyVar v) { return 1 + kStepVars + v; }
   std::vector<float> floats[kFloatRows];
   std::vector<double> fluxes[3];
 
@@ -735,17 +741,16 @@ struct RowOutputs {
     for (auto& row : floats) row.assign(nlon, 0.0f);
     for (auto& row : fluxes) row.assign(nlon, 0.0);
     floats[0] = init[0];  // sst_state
-    floats[7] = init[1];  // tas
-    floats[8] = init[2];  // tasmin
-    floats[9] = init[3];  // tasmax
+    floats[daily_row(kTas)] = init[1];
+    floats[daily_row(kTasmin)] = init[2];
+    floats[daily_row(kTasmax)] = init[3];
   }
   void wire(StepRow* r) {
-    float** out[kFloatRows] = {&r->sst_state, &r->psl, &r->ua850, &r->va850, &r->wspd,
-                               &r->vort850,   &r->pr6h, &r->tas, &r->tasmin, &r->tasmax,
-                               &r->pr,        &r->sst, &r->sic, &r->ts, &r->hfls,
-                               &r->hfss,      &r->clt, &r->rh, &r->zg500, &r->uas,
-                               &r->vas};
-    for (int k = 0; k < kFloatRows; ++k) *out[k] = floats[k].data();
+    r->sst_state = floats[0].data();
+    for (std::size_t v = 0; v < kStepVars; ++v) r->steps[v] = floats[1 + v].data();
+    for (std::size_t v = 0; v < kDailyVars; ++v) {
+      r->daily[v] = floats[daily_row(DailyVar(v))].data();
+    }
     r->heat_flux = fluxes[0].data();
     r->momentum_flux = fluxes[1].data();
     r->freshwater_flux = fluxes[2].data();
@@ -864,13 +869,13 @@ TEST(Model, StepRowLanesMatchScalarLoop) {
       // Which sides of the clamps the reference reached.
       for (std::size_t j = 0; j < nlon; ++j) {
         floor_hits += want.floats[0][j] == -1.8f;
-        ice_ones += want.floats[12][j] == 1.0f;
-        ice_zeros += want.floats[12][j] == 0.0f;
-        clt_lows += want.floats[16][j] == 0.02f;
-        clt_highs += want.floats[16][j] == 0.98f;
-        rh_highs += want.floats[17][j] == 1.0f;
+        ice_ones += want.floats[RowOutputs::daily_row(kSic)][j] == 1.0f;
+        ice_zeros += want.floats[RowOutputs::daily_row(kSic)][j] == 0.0f;
+        clt_lows += want.floats[RowOutputs::daily_row(kClt)][j] == 0.02f;
+        clt_highs += want.floats[RowOutputs::daily_row(kClt)][j] == 0.98f;
+        rh_highs += want.floats[RowOutputs::daily_row(kRh)][j] == 1.0f;
         pr_floors += !zeros && want.fluxes[2][j] == 0.0;
-        negative_heat += want.floats[15][j] < 0.0f;
+        negative_heat += want.floats[RowOutputs::daily_row(kHfss)][j] < 0.0f;
       }
     }
   }
@@ -891,7 +896,7 @@ TEST(Model, DeterministicAcrossRuns) {
   EsmModel b(config, forcing);
   const DailyFields da = a.run_day();
   const DailyFields db = b.run_day();
-  for (std::size_t c = 0; c < da.tas.size(); ++c) ASSERT_EQ(da.tas[c], db.tas[c]);
+  ASSERT_EQ(da.daily[kTas].data(), db.daily[kTas].data());
 }
 
 TEST(Model, SeedChangesWeather) {
@@ -903,10 +908,10 @@ TEST(Model, SeedChangesWeather) {
   const DailyFields da = a.run_day();
   const DailyFields db = b.run_day();
   std::size_t differing = 0;
-  for (std::size_t c = 0; c < da.tas.size(); ++c) {
-    if (da.tas[c] != db.tas[c]) ++differing;
+  for (std::size_t c = 0; c < da.daily[kTas].size(); ++c) {
+    if (da.daily[kTas][c] != db.daily[kTas][c]) ++differing;
   }
-  EXPECT_GT(differing, da.tas.size() / 2);
+  EXPECT_GT(differing, da.daily[kTas].size() / 2);
 }
 
 }  // namespace

@@ -166,8 +166,8 @@ TEST(WaveIndices, DatacubePipelineMatchesReference) {
   std::vector<Field> tasmax_days, tasmin_days;
   for (int d = 0; d < config.days_per_year; ++d) {
     const auto day = model.run_day();
-    tasmax_days.push_back(day.tasmax);
-    tasmin_days.push_back(day.tasmin);
+    tasmax_days.push_back(day.daily[esm::kTasmax]);
+    tasmin_days.push_back(day.daily[esm::kTasmin]);
   }
 
   datacube::Server server(3);
@@ -487,8 +487,8 @@ TEST(WarmingResponse, HotterScenarioMeansMoreHeatWaves) {
     std::vector<Field> tasmax_days, tasmin_days;
     for (int d = 0; d < config.days_per_year; ++d) {
       esm::DailyFields day = model.run_day();
-      tasmax_days.push_back(std::move(day.tasmax));
-      tasmin_days.push_back(std::move(day.tasmin));
+      tasmax_days.push_back(std::move(day.daily[esm::kTasmax]));
+      tasmin_days.push_back(std::move(day.daily[esm::kTasmin]));
     }
     Baseline baseline =
         Baseline::analytic(grid, config.days_per_year, config.steps_per_day, 0.0);

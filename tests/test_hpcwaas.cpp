@@ -77,6 +77,18 @@ TEST(Yaml, RejectsTabsAndGarbage) {
   EXPECT_FALSE(parse_yaml("just a scalar line").ok());
 }
 
+// JSON has no inf or nan, so a token strtod would read as one stays a string
+// and the document dumps to JSON that parses back to itself.
+TEST(Yaml, NonFiniteNumbersStayStrings) {
+  auto doc = parse_yaml("a: inf\nb: nan\nc: 1e999\nd: -inf\ne: 1e300\n");
+  ASSERT_TRUE(doc.ok());
+  for (const char* key : {"a", "b", "c", "d"}) EXPECT_TRUE((*doc)[key].is_string()) << key;
+  EXPECT_EQ((*doc)["e"], Json(1e300));
+  auto again = Json::parse(doc->dump());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *doc);
+}
+
 TEST(Tosca, ParsesCaseStudyTopology) {
   auto topology = parse_topology(core::case_study_topology_yaml());
   ASSERT_TRUE(topology.ok()) << topology.status().to_string();
@@ -136,6 +148,40 @@ topology_template:
       type: eflows.nodes.Quantum
 )";
   EXPECT_FALSE(parse_topology(unknown).ok());
+}
+
+/// A one-node-pair topology declaring one input `years` of `type`, with
+/// `default_line` (e.g. "default: 3") under it when not empty.
+std::string topology_with_input(const std::string& type, const std::string& default_line) {
+  std::string yaml = "name: typed\ntopology_template:\n  inputs:\n    years:\n      type: " +
+                     type + "\n";
+  if (!default_line.empty()) yaml += "      " + default_line + "\n";
+  return yaml +
+         "  node_templates:\n    cluster:\n      type: eflows.nodes.Compute\n"
+         "    wf:\n      type: eflows.nodes.Workflow\n      requirements:\n"
+         "        - host: cluster\n";
+}
+
+TEST(Tosca, InputDefaultsKeepTheirDeclaredType) {
+  auto typed = parse_topology(topology_with_input("integer", "default: 3"));
+  ASSERT_TRUE(typed.ok()) << typed.status().to_string();
+  ASSERT_EQ(typed->inputs.size(), 1u);
+  EXPECT_EQ(typed->inputs[0].default_value, Json(3));
+  EXPECT_TRUE(parse_topology(topology_with_input("float", "default: 2.5")).ok());
+  EXPECT_TRUE(parse_topology(topology_with_input("string", "default: ssp585")).ok());
+  EXPECT_TRUE(parse_topology(topology_with_input("boolean", "default: true")).ok());
+  // A default that is not of the declared type, and an unknown type.
+  EXPECT_FALSE(parse_topology(topology_with_input("integer", "default: abc")).ok());
+  EXPECT_FALSE(parse_topology(topology_with_input("integer", "default: 2.5")).ok());
+  EXPECT_FALSE(parse_topology(topology_with_input("integer", "default: 1e300")).ok());
+  EXPECT_FALSE(parse_topology(topology_with_input("float", "default: inf")).ok());
+  EXPECT_FALSE(parse_topology(topology_with_input("string", "default: 3")).ok());
+  // No value is of a type that is not a TOSCA input type.
+  EXPECT_FALSE(parse_topology(topology_with_input("quantity", "default: 3")).ok());
+  auto untyped = parse_topology(topology_with_input("quantity", ""));
+  ASSERT_TRUE(untyped.ok());
+  EXPECT_FALSE(check_input(untyped->inputs[0], Json(3)).ok());
+  EXPECT_FALSE(check_input(untyped->inputs[0], Json("3")).ok());
 }
 
 TEST(Containers, ColdThenWarmBuild) {
@@ -497,7 +543,7 @@ TEST_F(ServiceTest, DeployInvokeAndPollViaApi) {
   auto workflow_id = service_->deploy_workflow(
       core::case_study_topology_yaml(), [](const Json& params) {
         Json result = Json::object();
-        result["echo_years"] = params.get_string("years", "?");
+        result["echo_years"] = params["years"];
         result["done"] = true;
         return result;
       });
@@ -527,8 +573,56 @@ TEST_F(ServiceTest, DeployInvokeAndPollViaApi) {
   ASSERT_EQ(status.status, 200);
   EXPECT_EQ(status.body.get_string("state"), "succeeded");
   EXPECT_TRUE(status.body["result"].get_bool("done"));
-  // Default input value filled in from the topology declaration.
-  EXPECT_EQ(status.body["result"].get_string("echo_years"), "1");
+  // Default input value filled in from the topology declaration, as the
+  // integer it is declared to be.
+  EXPECT_EQ(status.body["result"]["echo_years"], Json(1));
+}
+
+TEST_F(ServiceTest, InputsOfTheWrongTypeAnswer400) {
+  std::atomic<int> runs{0};
+  auto id = service_->deploy_workflow(core::case_study_topology_yaml(), [&runs](const Json&) {
+    ++runs;
+    return Json::object();
+  });
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  const std::string route = "/v1/workflows/" + *id + "/executions";
+  auto post = [&](const std::string& body) {
+    auto parsed = Json::parse(body);
+    EXPECT_TRUE(parsed.ok()) << body;
+    return service_->rest("POST", route, *parsed);
+  };
+  for (const char* body : {R"({"years": "abc"})", R"({"years": 1e300})", R"({"years": 2.5})",
+                           R"({"years": -3000000000})", R"({"years": null})",
+                           R"({"years": [1]})", R"({"scenario": 585})", R"([1, 2])", R"("x")"}) {
+    const HttpResponse rejected = post(body);
+    EXPECT_EQ(rejected.status, 400) << body;
+    EXPECT_EQ(rejected.body["error"].get_string("code"), "invalid_argument") << body;
+  }
+  for (const char* body : {R"({"years": 2, "scenario": "ssp245"})", R"({"years": -0.0})"}) {
+    const HttpResponse accepted = post(body);
+    ASSERT_EQ(accepted.status, 201) << body;
+    ASSERT_TRUE(service_->wait(accepted.body.get_string("execution_id")).ok());
+  }
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST_F(ServiceTest, TopologyDefaultReachesWorkflowAsDeclared) {
+  auto id = service_->deploy_workflow(topology_with_input("integer", "default: 3"),
+                                      [](const Json& params) {
+                                        Json result = Json::object();
+                                        result["years"] = params["years"];
+                                        return result;
+                                      });
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  auto detail = service_->rest("GET", "/v1/workflows/" + *id, Json());
+  ASSERT_EQ(detail.status, 200);
+  EXPECT_EQ(detail.body["inputs"][0]["default"], Json(3));
+  auto execution = service_->invoke(*id, Json::object());
+  ASSERT_TRUE(execution.ok()) << execution.status().to_string();
+  ASSERT_TRUE(service_->wait(*execution).ok());
+  auto record = service_->execution(*execution);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->result["years"], Json(3));
 }
 
 TEST_F(ServiceTest, MissingRequiredInputRejected) {

@@ -1,21 +1,30 @@
 // Cross-module property tests: randomized CDF-lite schemas round-trip,
-// corrupted CDF-lite headers are reported without throwing, random task
+// corrupted CDF-lite headers are reported without throwing, mutated service
+// inputs (request bodies, topologies, run reports) neither crash the
+// parsers nor pass an input of the wrong type, random task
 // DAGs execute in dependency order, submit() infers exactly the last-writer
 // edges from random IN/OUT/INOUT accesses, and random datacube operator
 // pipelines agree with a dense reference implementation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "core/workflow.hpp"
 #include "datacube/server.hpp"
+#include "hpcwaas/service.hpp"
+#include "hpcwaas/yaml.hpp"
 #include "ncio/ncfile.hpp"
+#include "obs/prof/profile.hpp"
 #include "taskrt/runtime.hpp"
 
 namespace climate {
@@ -86,6 +95,210 @@ TEST_P(NcioFuzz, RandomSchemaRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NcioFuzz, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// hpcwaas: mutated request bodies, topologies and run reports. Parsing never
+// throws, parse -> dump -> parse is the identity, and no 2xx answers a body
+// whose declared input has the wrong type.
+// ---------------------------------------------------------------------------
+
+using common::Json;
+using common::Result;
+
+/// Whether `value` is of TOSCA input type `type`, written apart from the
+/// service's own check.
+bool reference_accepts(const std::string& type, const Json& value) {
+  if (type == "string") return value.is_string();
+  if (type == "boolean") return value.is_bool();
+  if (!value.is_number()) return false;
+  const double x = value.as_number();
+  if (type == "float") return std::isfinite(x);
+  return type == "integer" && std::isfinite(x) && std::floor(x) == x && x >= -2147483648.0 &&
+         x <= 2147483647.0;
+}
+
+/// Values of every JSON type, with the numbers an integer input must refuse
+/// (and in-memory non-finite ones, which no parsed text holds).
+std::vector<Json> value_pool() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Json> pool = {
+      Json(), Json(true), Json(false), Json(0), Json(1), Json(-0.0), Json(3), Json(2.5),
+      Json(-7), Json(1e300), Json(-1e300), Json(2147483647.0), Json(2147483648.0),
+      Json(-2147483649.0), Json(3e9), Json(5e-324), Json(inf), Json(-inf),
+      Json(std::numeric_limits<double>::quiet_NaN()), Json(""), Json("abc"), Json("1"),
+      Json("ssp585"), Json("\xf0\x9f\x8c\x8d"), Json("\"\\\n\x01"), Json::array(),
+      Json::object()};
+  Json nested = Json::object();
+  nested["years"] = Json(1);
+  nested["list"] = Json(Json::Array{Json(1), Json("x"), Json()});
+  pool.push_back(nested);
+  return pool;
+}
+
+/// Tokens that reach the number, string and structure paths of both
+/// parsers, inserted whole by mutate_text.
+constexpr const char* kTokens[] = {
+    "inf", "nan", "-inf", "1e999", "-0", "1e300", "2.5", "0x10", "\"abc\"", "null", "true", "[",
+    "]", "{", "}", ",", ":", "\"", "\\u", "\\ud83d", "\\u0000", "-", "#", "\n", "  ", "- ",
+    "'", "~", "\t", "1", "integer", "float", "default: ", "type: "};
+
+/// `text` with one to four random edits: a byte replaced, inserted or
+/// deleted, or a token inserted.
+std::string mutate_text(std::string text, common::Rng& rng) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t pos = rng.uniform_index(text.size() + 1);
+    switch (rng.uniform_index(4)) {
+      case 0:
+        if (pos < text.size()) text[pos] = static_cast<char>(rng.uniform_index(256));
+        break;
+      case 1: text.insert(pos, 1, static_cast<char>(rng.uniform_index(256))); break;
+      case 2:
+        if (pos < text.size()) text.erase(pos, 1 + rng.uniform_index(4));
+        break;
+      default: text.insert(pos, kTokens[rng.uniform_index(std::size(kTokens))]); break;
+    }
+  }
+  return text;
+}
+
+/// Replaces one node of `doc` (the root, an object member or an array
+/// element, uniformly) with a value from `pool`.
+void mutate_value(Json& doc, const std::vector<Json>& pool, common::Rng& rng) {
+  std::vector<Json*> nodes = {&doc};
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    Json& node = *nodes[k];
+    if (node.is_object()) {
+      for (auto& [key, child] : node.as_object()) nodes.push_back(&child);
+    } else if (node.is_array()) {
+      for (Json& child : node.as_array()) nodes.push_back(&child);
+    }
+  }
+  *nodes[rng.uniform_index(nodes.size())] = pool[rng.uniform_index(pool.size())];
+}
+
+/// dump() always writes JSON, and parse -> dump -> parse is the identity.
+void expect_round_trip(const Json& value, const std::string& what) {
+  const std::string text = value.dump();
+  auto first = Json::parse(text);
+  ASSERT_TRUE(first.ok()) << what << ": dump wrote invalid JSON: " << text;
+  const std::string again = first->dump();
+  auto second = Json::parse(again);
+  ASSERT_TRUE(second.ok()) << what << ": " << again;
+  EXPECT_TRUE(*second == *first) << what << ": " << text;
+  EXPECT_EQ(second->dump(), again) << what;
+}
+
+/// A run report of a small executed task graph: a chain and a fan-in.
+std::string run_report_json() {
+  taskrt::Runtime rt;
+  const taskrt::DataHandle a = rt.create_data();
+  const taskrt::DataHandle b = rt.create_data();
+  const taskrt::DataHandle c = rt.create_data();
+  rt.submit("produce", {taskrt::Out(a)}, [](taskrt::TaskContext& ctx) { ctx.set_out(0, 1); });
+  rt.submit("square", {taskrt::In(a), taskrt::Out(b)}, [](taskrt::TaskContext& ctx) {
+    ctx.set_out(1, taskrt::any_as<int>(ctx.in(0)) * 2);
+  });
+  rt.submit("sum", {taskrt::In(a), taskrt::In(b), taskrt::Out(c)}, [](taskrt::TaskContext& ctx) {
+    ctx.set_out(2, taskrt::any_as<int>(ctx.in(0)) + taskrt::any_as<int>(ctx.in(1)));
+  });
+  (void)rt.sync(c);
+  rt.wait_all();
+  return obs::prof::analyze(rt.trace()).json_report().dump();
+}
+
+class ServiceInputFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServiceInputFuzz, MutatedInputsNeverCrashOrPassUnchecked) {
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
+  const std::vector<Json> pool = value_pool();
+  hpcwaas::HpcWaasService service;
+  hpcwaas::DataPipeline pipeline;
+  pipeline.name = "forcing_stage_in";
+  service.dls().register_pipeline(pipeline);
+  const std::string topology = core::case_study_topology_yaml();
+  auto case_study = service.deploy_workflow(topology, [](const Json&) { return Json::object(); });
+  ASSERT_TRUE(case_study.ok()) << case_study.status().to_string();
+
+  // The POST answers 2xx only when every declared input it carries is of
+  // its declared type. Every accepted execution is waited for.
+  std::vector<std::string> accepted;
+  auto post = [&](const std::string& id, const std::vector<hpcwaas::TopologyInput>& inputs,
+                  const Json& body) {
+    const hpcwaas::HttpResponse response =
+        service.rest("POST", "/v1/workflows/" + id + "/executions", body);
+    if (response.status < 200 || response.status >= 300) return;
+    accepted.push_back(response.body.get_string("execution_id"));
+    ASSERT_TRUE(body.is_null() || body.is_object()) << body.dump();
+    for (const hpcwaas::TopologyInput& input : inputs) {
+      if (body.contains(input.name)) {
+        EXPECT_TRUE(reference_accepts(input.type, body[input.name]))
+            << response.status << " for " << input.name << " = " << body[input.name].dump();
+      }
+    }
+  };
+  const std::vector<hpcwaas::TopologyInput> case_inputs = service.workflows().front().inputs;
+
+  Json base_body = Json::object();
+  base_body["years"] = 2;
+  base_body["scenario"] = "ssp585";
+  base_body["run_dir"] = "/nonexistent/run";
+  const std::string base_text = base_body.dump();
+  for (int k = 0; k < 300; ++k) {
+    // Text mutations of the request body.
+    const std::string text = mutate_text(base_text, rng);
+    Result<Json> parsed = common::Status::Internal("unparsed");
+    ASSERT_NO_THROW(parsed = Json::parse(text)) << text;
+    if (parsed.ok()) {
+      expect_round_trip(*parsed, "body " + text);
+      post(*case_study, case_inputs, *parsed);
+    }
+    // Value mutations: any type, anywhere, non-finite numbers included.
+    Json body = base_body;
+    mutate_value(body, pool, rng);
+    expect_round_trip(body, "body value");
+    post(*case_study, case_inputs, body);
+  }
+
+  for (int k = 0; k < 150; ++k) {
+    const std::string text = mutate_text(topology, rng);
+    Result<Json> yaml = common::Status::Internal("unparsed");
+    ASSERT_NO_THROW(yaml = hpcwaas::parse_yaml(text)) << text;
+    if (!yaml.ok()) continue;
+    expect_round_trip(*yaml, "topology");
+    Result<hpcwaas::Topology> parsed = common::Status::Internal("unparsed");
+    ASSERT_NO_THROW(parsed = hpcwaas::topology_from_json(*yaml)) << text;
+    if (!parsed.ok()) continue;
+    // A declared default is of its declared type.
+    for (const hpcwaas::TopologyInput& input : parsed->inputs) {
+      EXPECT_TRUE(input.default_value.is_null() ||
+                  reference_accepts(input.type, input.default_value))
+          << input.name << ": " << input.type << " = " << input.default_value.dump();
+    }
+    auto id = service.deploy_workflow(text, [](const Json&) { return Json::object(); });
+    if (!id.ok()) continue;
+    Json body = base_body;
+    mutate_value(body, pool, rng);
+    post(*id, parsed->inputs, body);
+    ASSERT_TRUE(service.undeploy_workflow(*id).ok());
+  }
+
+  const std::string report = run_report_json();
+  for (int k = 0; k < 150; ++k) {
+    const std::string text = mutate_text(report, rng);
+    Result<Json> parsed = common::Status::Internal("unparsed");
+    ASSERT_NO_THROW(parsed = Json::parse(text)) << text;
+    if (parsed.ok()) expect_round_trip(*parsed, "report " + text);
+    auto doc = Json::parse(report);
+    ASSERT_TRUE(doc.ok());
+    mutate_value(*doc, pool, rng);
+    expect_round_trip(*doc, "report value");
+  }
+
+  for (const std::string& execution : accepted) EXPECT_TRUE(service.wait(execution).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServiceInputFuzz, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
 // ncio: a corrupted header is reported through a Status, never thrown.
